@@ -1,67 +1,74 @@
 //! Golden tests pinning the `flexserve` CLI surface.
 //!
-//! * `fig03` through the registry must reproduce the CSV the retired
-//!   per-figure binary produced, byte for byte — the distance-matrix cache
-//!   and the registry dispatch may never change experiment output. Since
-//!   the strategies moved to the one-pass transposed candidate scan
-//!   (`WindowIndex` in `flexserve-core`), this golden also pins that scan
+//! * Every registry figure at the quick profile must reproduce its
+//!   captured CSV (`golden/<name>_quick.csv`) byte for byte — the
+//!   distance-matrix and trace caches, the registry dispatch and any
+//!   refactor of the figure pipelines may never change experiment output.
+//!   Since the strategies moved to the one-pass transposed candidate scan
+//!   (`WindowIndex` in `flexserve-core`), these goldens also pin that scan
 //!   end to end: any non-bit-identical scoring change shifts placements
 //!   and shows up here as a CSV diff.
 //! * `flexserve list` output must stay stable (the docs and CI smoke job
 //!   reference its names).
 //!
-//! The figure run and the cache assertion share one test: they both
-//! mutate process environment variables and write the same artifact, and
+//! The figure runs and the cache assertions share one test: they both
+//! mutate process environment variables and write the same artifacts, and
 //! Rust runs a binary's tests on concurrent threads.
+
+use std::path::Path;
 
 use flexserve_experiments::figures::Profile;
 use flexserve_experiments::registry;
 
-/// The quick-profile fig03 CSV captured from the pre-registry
-/// `fig03_cost_vs_n_dynamic` binary before it was deleted.
-const FIG03_QUICK_GOLDEN: &str = include_str!("golden/fig03_quick.csv");
-
 /// `flexserve list` output.
 const LIST_GOLDEN: &str = include_str!("golden/list.txt");
 
+fn golden(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{name}_quick.csv"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
 #[test]
-fn fig03_is_byte_identical_to_the_retired_binary_and_hits_the_cache() {
+fn every_figure_is_byte_identical_to_its_golden_and_hits_the_cache() {
     // Route artifacts to a scratch dir so the test never touches the
     // real results/ tree, and silence the table printer. The only other
     // test in this binary reads no environment variables.
-    let dir = std::env::temp_dir().join("flexserve-golden-fig03");
+    let dir = std::env::temp_dir().join(format!("flexserve-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     std::env::set_var("FLEXSERVE_RESULTS_DIR", &dir);
     std::env::set_var("FLEXSERVE_SILENT", "1");
 
-    let entry = registry::figure("fig03").expect("fig03 is registered");
-    let table = (entry.run)(Profile::Quick);
-    assert_eq!(
-        table.to_csv(),
-        FIG03_QUICK_GOLDEN,
-        "registry fig03 must reproduce the retired binary's CSV byte-for-byte"
-    );
+    for entry in registry::FIGURES {
+        let want = golden(entry.name);
+        let table = (entry.run)(Profile::Quick);
+        assert_eq!(
+            table.to_csv(),
+            want,
+            "{} must reproduce golden/{}_quick.csv byte-for-byte",
+            entry.name,
+            entry.name
+        );
+        // The file on disk is the same bytes.
+        let on_disk = std::fs::read_to_string(dir.join(format!("{}.csv", entry.name))).unwrap();
+        assert_eq!(on_disk, want, "{} on disk", entry.name);
+    }
 
-    // The file on disk is the same bytes.
-    let on_disk = std::fs::read_to_string(dir.join("fig03.csv")).unwrap();
-    assert_eq!(on_disk, FIG03_QUICK_GOLDEN);
-
-    // fig03 evaluates 3 algorithms × 2 seeds per size against shared
-    // substrates and shared demand traces. Since the grouped runner
-    // fetches each (topology, seed) environment and records each demand
-    // trace exactly once per seed group, the figure run itself only
-    // *fills* the process-wide caches — repeat lookups (the next figure,
-    // a sweep, or the probes below) hit. Cached or not, the bytes above
-    // stayed golden.
+    // fig03 evaluates 3 strategies × 2 seeds per size against shared
+    // substrates and shared demand traces, recorded once per seed group;
+    // the suite only *fills* the process-wide caches, and repeat lookups
+    // (the next figure, a sweep, or the probes below) hit. Cached or not,
+    // the bytes above stayed golden.
     let dist = flexserve_experiments::DistCache::global().stats();
     assert!(
         dist.misses >= 1,
-        "expected the figure run to fill the distance-matrix cache, got {dist:?}"
+        "expected the figure runs to fill the distance-matrix cache, got {dist:?}"
     );
     let traces = flexserve_experiments::TraceCache::global().stats();
     assert!(
         traces.misses >= 1,
-        "expected the figure run to record shared demand traces, got {traces:?}"
+        "expected the figure runs to record shared demand traces, got {traces:?}"
     );
 
     // Probe: re-requesting one of fig03's cells answers from both caches.
@@ -86,6 +93,7 @@ fn fig03_is_byte_identical_to_the_retired_binary_and_hits_the_cache() {
         flexserve_experiments::TraceCache::global().stats().hits > traces.hits,
         "re-recording a fig03 demand trace must hit the trace cache"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
