@@ -37,8 +37,7 @@ use flexserve_experiments::serve::route::proxy::http_call;
 use flexserve_experiments::serve::{route, serve_on, ServeOptions, SessionConfig, SessionManager};
 use flexserve_experiments::setup::ExperimentEnv;
 use flexserve_experiments::{
-    average, average_serial, run_algorithm, Algorithm, DistCache, TopologySpec, TraceCache,
-    TraceKey,
+    average, average_serial, DistCache, StrategySpec, TopologySpec, TraceCache, TraceKey,
 };
 use flexserve_graph::{DistanceMatrix, NodeId};
 use flexserve_sim::{run_online, CostParams, LoadModel, SimContext, SimSession};
@@ -191,7 +190,11 @@ fn main() {
     // (one recording through a TraceCache, every strategy reads the
     // Arc-held rounds). The simulation itself still runs per strategy, so
     // the bound is k·(record+run) / (record + k·run).
-    const TRACE_ALGS: [Algorithm; 3] = [Algorithm::OnTh, Algorithm::OnBrFixed, Algorithm::OnBrDyn];
+    const TRACE_STRATEGIES: [StrategySpec; 3] = [
+        StrategySpec::OnTh,
+        StrategySpec::OnBrFixed,
+        StrategySpec::OnBrDyn,
+    ];
     const TRACE_ROUNDS: u64 = 240;
     let trace_ctx = env.context(CostParams::default(), LoadModel::Linear);
     let record_fresh = || {
@@ -200,9 +203,9 @@ fn main() {
         record(&mut scenario, TRACE_ROUNDS)
     };
     let independent = time_median(reps, || {
-        for &alg in &TRACE_ALGS {
+        for strat in TRACE_STRATEGIES {
             let trace = record_fresh();
-            std::hint::black_box(run_algorithm(&trace_ctx, &trace, alg).total());
+            std::hint::black_box(strat.run(&trace_ctx, &trace, 11));
         }
     });
     let shared = time_median(reps, || {
@@ -217,9 +220,9 @@ fn main() {
         };
         // Every strategy fetches, as grouped cells do: the first records,
         // the rest hit.
-        for &alg in &TRACE_ALGS {
+        for strat in TRACE_STRATEGIES {
             let trace = cache.get_or_record(key.clone(), record_fresh);
-            std::hint::black_box(run_algorithm(&trace_ctx, &trace, alg).total());
+            std::hint::black_box(strat.run(&trace_ctx, &trace, 11));
         }
     });
     // The removed k× term on its own: one demand materialization.
@@ -229,7 +232,7 @@ fn main() {
     let extra = format!(
         ",\n  \"strategies\": {},\n  \"rounds\": {TRACE_ROUNDS},\n  \
          \"record_seconds\": {record_s:.9}",
-        TRACE_ALGS.len()
+        TRACE_STRATEGIES.len()
     );
     let trace_entry = entry_json(
         "trace_sharing",

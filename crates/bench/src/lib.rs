@@ -1,16 +1,10 @@
 //! # flexserve-bench
 //!
-//! Criterion performance benches for the flexserve workspace, plus shared
-//! fixtures. The benches cover:
-//!
-//! * `graph_ops` — substrate generation, Dijkstra, all-pairs matrices;
-//! * `routing` — nearest vs load-aware request routing;
-//! * `strategies` — per-round decision cost of ONTH / ONBR / ONCONF and
-//!   full short runs;
-//! * `opt_dp` — the offline DP's scaling with substrate size and horizon;
-//! * `figures` — micro (quick-profile) versions of each paper
-//!   figure/table pipeline, so a regression in any experiment's runtime is
-//!   caught like any other perf regression.
+//! Shared fixtures for the `perf_report` before/after harness, which
+//! times serial reference paths against their optimized counterparts and
+//! writes the `BENCH_*.json` files (schema: docs/BENCHMARKS.md). The
+//! repository benchmark proper — end-to-end figure-suite and serving
+//! metrics with a layered trace — is `perfbench/`.
 //!
 //! Cost-level (not time-level) ablations live in the
 //! `flexserve-experiments` crate (`cargo run -p flexserve-experiments
@@ -18,28 +12,13 @@
 
 #![deny(missing_docs)]
 
-use flexserve_graph::gen::{erdos_renyi, waxman, GenConfig};
-use flexserve_graph::{DistanceMatrix, Graph};
+use flexserve_experiments::{ExperimentEnv, StrategySpec};
+use flexserve_graph::gen::{waxman, GenConfig};
+use flexserve_graph::Graph;
 use flexserve_sim::{CostBreakdown, CostParams, LoadModel};
 use flexserve_workload::{record, CommuterScenario, LoadVariant};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-
-/// A seeded ER substrate with its distance matrix (shared bench fixture).
-pub struct BenchEnv {
-    /// The substrate.
-    pub graph: Graph,
-    /// Its APSP matrix.
-    pub matrix: DistanceMatrix,
-}
-
-/// Builds the standard bench fixture: ER(n, 1%), connected, seeded.
-pub fn bench_env(n: usize, seed: u64) -> BenchEnv {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let graph = erdos_renyi(n, 0.01, &GenConfig::default(), &mut rng).expect("valid params");
-    let matrix = DistanceMatrix::build(&graph);
-    BenchEnv { graph, matrix }
-}
 
 /// Seeded connected Waxman substrate (no matrix — the APSP benches build
 /// it themselves; that *is* the measurement).
@@ -48,30 +27,18 @@ pub fn waxman_env(n: usize, seed: u64) -> Graph {
     waxman(n, 0.4, 0.15, 10.0, &GenConfig::default(), &mut rng).expect("valid params")
 }
 
-/// Seeds per sweep cell in the before/after perf harness (the acceptance
-/// criterion's "20-seed sweep cell").
+/// Seeds per sweep cell in the before/after perf harness.
 pub const SWEEP_SEEDS: u64 = 20;
 
 /// One per-seed cell of a figure sweep: a commuter trace over the shared
-/// environment, played by ONTH. Exactly the shape every figure binary
-/// hands to `flexserve_experiments::average`.
-pub fn sweep_cell(env: &flexserve_experiments::setup::ExperimentEnv, seed: u64) -> CostBreakdown {
+/// environment, played by ONTH. Exactly the shape every figure pipeline
+/// hands to `flexserve_experiments::average`. The trace is recorded
+/// afresh (not through the trace cache), so every repetition does the
+/// same work.
+pub fn sweep_cell(env: &ExperimentEnv, seed: u64) -> CostBreakdown {
     let ctx = env.context(CostParams::default(), LoadModel::Linear);
     let mut scenario =
         CommuterScenario::with_matrix(&env.graph, &env.matrix, 8, 5, LoadVariant::Dynamic, seed);
     let trace = record(&mut scenario, 240);
-    flexserve_experiments::run_algorithm(&ctx, &trace, flexserve_experiments::Algorithm::OnTh)
-        .total()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixture_builds() {
-        let env = bench_env(50, 1);
-        assert_eq!(env.graph.node_count(), 50);
-        assert!(env.matrix.is_connected());
-    }
+    StrategySpec::OnTh.run(&ctx, &trace, seed)
 }

@@ -1,7 +1,8 @@
 //! Ablation studies for the design choices docs/DESIGN.md calls out.
 //!
-//! Unlike the criterion benches (which track *runtime*), these report the
-//! *cost* impact of each design knob, averaged over seeds:
+//! Unlike the perf harnesses (which track *runtime*), these report the
+//! *cost* impact of each design knob, averaged over seeds. Every run is a
+//! `StrategySpec` over a `WorkloadSpec` trace, like the figures:
 //!
 //! 1. inactive-cache capacity (paper: 3),
 //! 2. inactive-cache expiry (paper: 20 epochs),
@@ -15,10 +16,10 @@
 //! cargo run -p flexserve-experiments --release --bin ablations
 //! ```
 
-use flexserve_experiments::{average, run_algorithm, Algorithm, ExperimentEnv, Table};
+use flexserve_experiments::{average, ExperimentEnv, StrategySpec, Table, WorkloadSpec};
 use flexserve_graph::gen::{erdos_renyi, GenConfig};
-use flexserve_sim::{run_online, CostParams, LoadModel, RoutingPolicy};
-use flexserve_workload::{record, CommuterScenario, LoadVariant};
+use flexserve_sim::{run_online, CostBreakdown, CostParams, LoadModel, RoutingPolicy};
+use flexserve_workload::Trace;
 
 use flexserve_core::{initial_center, OnTh};
 
@@ -29,13 +30,16 @@ const N: usize = 150;
 const ROUNDS: u64 = 400;
 const SEEDS: [u64; 3] = [11, 22, 33];
 
-fn run_with(params: CostParams, load: LoadModel, seed: u64, alg: Algorithm) -> f64 {
+/// The commuter-dynamic demand every ablation replays (T=8, λ=10).
+fn commuter_trace(env: &ExperimentEnv, seed: u64) -> Trace {
+    WorkloadSpec::CommuterDynamic.shared_trace(env, 8, 10, ROUNDS, seed)
+}
+
+fn run_with(params: CostParams, seed: u64, strat: StrategySpec) -> CostBreakdown {
     let env = ExperimentEnv::erdos_renyi(N, seed);
-    let ctx = env.context(params, load);
-    let mut scenario =
-        CommuterScenario::with_matrix(&env.graph, &env.matrix, 8, 10, LoadVariant::Dynamic, seed);
-    let trace = record(&mut scenario, ROUNDS);
-    run_algorithm(&ctx, &trace, alg).total().total()
+    let ctx = env.context(params, LoadModel::Linear);
+    let trace = commuter_trace(&env, seed);
+    CostBreakdown::from_access(strat.run(&ctx, &trace, seed).total())
 }
 
 fn ablate_cache_capacity() {
@@ -48,14 +52,7 @@ fn ablate_cache_capacity() {
             inactive_queue_len: cap,
             ..CostParams::default()
         };
-        let s = average(&SEEDS, |seed| {
-            flexserve_sim::CostBreakdown::from_access(run_with(
-                params,
-                LoadModel::Linear,
-                seed,
-                Algorithm::OnTh,
-            ))
-        });
+        let s = average(&SEEDS, |seed| run_with(params, seed, StrategySpec::OnTh));
         t.row_f64(cap, &[s.mean_total()]);
     }
     t.print();
@@ -72,14 +69,7 @@ fn ablate_cache_expiry() {
             inactive_expiry_epochs: expiry,
             ..CostParams::default()
         };
-        let s = average(&SEEDS, |seed| {
-            flexserve_sim::CostBreakdown::from_access(run_with(
-                params,
-                LoadModel::Linear,
-                seed,
-                Algorithm::OnTh,
-            ))
-        });
+        let s = average(&SEEDS, |seed| run_with(params, seed, StrategySpec::OnTh));
         t.row_f64(expiry, &[s.mean_total()]);
     }
     t.print();
@@ -93,21 +83,14 @@ fn ablate_onth_y() {
     );
     for y in [0.5f64, 1.0, 2.0, 4.0, 8.0] {
         let s = average(&SEEDS, |seed| {
+            // `y` is not a strategy-spec knob, so ONTH runs directly.
             let env = ExperimentEnv::erdos_renyi(N, seed);
             let ctx = env.context(CostParams::default(), LoadModel::Linear);
-            let mut scenario = CommuterScenario::with_matrix(
-                &env.graph,
-                &env.matrix,
-                8,
-                10,
-                LoadVariant::Dynamic,
-                seed,
-            );
-            let trace = record(&mut scenario, ROUNDS);
+            let trace = commuter_trace(&env, seed);
             let cost = run_online(&ctx, &trace, &mut OnTh::with_y(y), initial_center(&ctx))
                 .total()
                 .total();
-            flexserve_sim::CostBreakdown::from_access(cost)
+            CostBreakdown::from_access(cost)
         });
         t.row_f64(y, &[s.mean_total()]);
     }
@@ -120,18 +103,11 @@ fn ablate_onbr_threshold() {
         "Ablation 4: ONBR threshold mode",
         &["mode", "mean total cost"],
     );
-    for (label, alg) in [
-        ("fixed 2c", Algorithm::OnBrFixed),
-        ("dyn 2c/l", Algorithm::OnBrDyn),
+    for (label, strat) in [
+        ("fixed 2c", StrategySpec::OnBrFixed),
+        ("dyn 2c/l", StrategySpec::OnBrDyn),
     ] {
-        let s = average(&SEEDS, |seed| {
-            flexserve_sim::CostBreakdown::from_access(run_with(
-                CostParams::default(),
-                LoadModel::Linear,
-                seed,
-                alg,
-            ))
-        });
+        let s = average(&SEEDS, |seed| run_with(CostParams::default(), seed, strat));
         t.row(vec![label.to_string(), format!("{:.2}", s.mean_total())]);
     }
     t.print();
@@ -152,19 +128,8 @@ fn ablate_routing_policy() {
             let ctx = env
                 .context(CostParams::default(), LoadModel::Quadratic)
                 .with_routing(policy);
-            let mut scenario = CommuterScenario::with_matrix(
-                &env.graph,
-                &env.matrix,
-                8,
-                10,
-                LoadVariant::Dynamic,
-                seed,
-            );
-            let trace = record(&mut scenario, ROUNDS);
-            let cost = run_online(&ctx, &trace, &mut OnTh::new(), initial_center(&ctx))
-                .total()
-                .total();
-            flexserve_sim::CostBreakdown::from_access(cost)
+            let trace = commuter_trace(&env, seed);
+            CostBreakdown::from_access(StrategySpec::OnTh.run(&ctx, &trace, seed).total())
         });
         t.row(vec![label.to_string(), format!("{:.2}", s.mean_total())]);
     }
@@ -187,19 +152,8 @@ fn ablate_bandwidth_mix() {
             let graph = erdos_renyi(N, 0.01, &cfg, &mut rng).unwrap();
             let env = ExperimentEnv::from_graph(graph);
             let ctx = env.context(CostParams::default(), LoadModel::Linear);
-            let mut scenario = CommuterScenario::with_matrix(
-                &env.graph,
-                &env.matrix,
-                8,
-                10,
-                LoadVariant::Dynamic,
-                seed,
-            );
-            let trace = record(&mut scenario, ROUNDS);
-            let cost = run_online(&ctx, &trace, &mut OnTh::new(), initial_center(&ctx))
-                .total()
-                .total();
-            flexserve_sim::CostBreakdown::from_access(cost)
+            let trace = commuter_trace(&env, seed);
+            CostBreakdown::from_access(StrategySpec::OnTh.run(&ctx, &trace, seed).total())
         });
         t.row_f64(t1, &[s.mean_total()]);
     }

@@ -30,9 +30,8 @@ use flexserve_experiments::manifest::{Manifest, ManifestEntry};
 use flexserve_experiments::output::results_dir;
 use flexserve_experiments::registry;
 use flexserve_experiments::setup::ExperimentEnv;
-use flexserve_experiments::spec::{CellSpec, StrategySpec, TopologySpec, WorkloadSpec};
+use flexserve_experiments::spec::{CellBuilder, CellSpec};
 use flexserve_experiments::{DistCache, Table, TraceCache};
-use flexserve_sim::{CostParams, LoadModel, SubstrateEvents};
 use flexserve_workload::Trace;
 
 const USAGE: &str = "\
@@ -157,32 +156,26 @@ fn trace(args: &[String]) -> Result<Manifest, String> {
 /// the workload (through the trace cache) and writes the rounds in the
 /// JSONL replay schema of `docs/SERVING.md`.
 fn trace_record(args: &[String]) -> Result<Manifest, String> {
-    let mut topology: Option<TopologySpec> = None;
-    let mut workload: Option<WorkloadSpec> = None;
-    let mut t_periods = 8u32;
-    let mut lambda = 10u64;
-    let mut rounds = 200u64;
-    let mut seed = 1000u64;
+    let mut builder = CellBuilder::new();
     let mut out: Option<String> = None;
     for arg in args {
         let (key, v) = arg
             .split_once('=')
             .ok_or_else(|| format!("trace record: expected key=value, got {arg:?}"))?;
         match key {
-            "topo" => topology = Some(v.parse().map_err(|e| format!("topo: {e}"))?),
-            "wl" => workload = Some(v.parse().map_err(|e| format!("wl: {e}"))?),
-            "t" => t_periods = v.parse().map_err(|_| format!("t: bad value {v:?}"))?,
-            "lambda" => lambda = v.parse().map_err(|_| format!("lambda: bad value {v:?}"))?,
-            "rounds" => rounds = v.parse().map_err(|_| format!("rounds: bad value {v:?}"))?,
-            "seed" => seed = v.parse().map_err(|_| format!("seed: bad value {v:?}"))?,
             "out" => out = Some(v.to_string()),
+            "topo" | "wl" | "t" | "lambda" | "rounds" | "seed" => {
+                builder.apply(key, v)?;
+            }
             _ => return Err(format!("trace record: unknown key {key:?}")),
         }
     }
-    let (topology, workload) = match (topology, workload) {
-        (Some(t), Some(w)) => (t, w),
-        _ => return Err("trace record: topo= and wl= are required".into()),
-    };
+    builder.apply("strat", "static")?;
+    let cell = builder
+        .build()
+        .map_err(|_| "trace record: topo= and wl= are required")?;
+    let (t_periods, lambda, rounds, seed) =
+        (cell.t_periods, cell.lambda, cell.rounds, cell.seeds[0]);
     if rounds == 0 || t_periods == 0 || lambda == 0 {
         return Err("trace record: t, lambda and rounds must be >= 1".into());
     }
@@ -190,13 +183,9 @@ fn trace_record(args: &[String]) -> Result<Manifest, String> {
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| results_dir().join("trace.jsonl"));
 
-    let env = ExperimentEnv::from_spec(&topology, seed)?;
+    let (topology, workload) = (&cell.topology, &cell.workload);
+    let env = ExperimentEnv::from_spec(topology, seed)?;
     workload.validate_replay(env.graph.node_count())?;
-    let mut cell = CellSpec::new(topology.clone(), workload.clone(), StrategySpec::Static);
-    cell.t_periods = t_periods;
-    cell.lambda = lambda;
-    cell.rounds = rounds;
-    cell.seeds = vec![seed];
     let trace: Trace = cell.shared_trace(&env, seed);
 
     if let Some(dir) = out.parent() {
@@ -332,6 +321,9 @@ fn run(args: &[String]) -> Result<Manifest, String> {
             name => names.push(name),
         }
     }
+    if names.is_empty() {
+        return Err(format!("run: nothing to run\n{USAGE}"));
+    }
     if names == ["all"] {
         names = registry::FIGURES.iter().map(|f| f.name).collect();
     }
@@ -360,21 +352,6 @@ fn run(args: &[String]) -> Result<Manifest, String> {
     Ok(manifest)
 }
 
-/// Parsed key=value arguments of a cell expression or sweep.
-struct SweepArgs {
-    topologies: Vec<TopologySpec>,
-    workloads: Vec<WorkloadSpec>,
-    strategies: Vec<StrategySpec>,
-    t_values: Vec<u32>,
-    lambdas: Vec<u64>,
-    rounds: u64,
-    seeds: Vec<u64>,
-    load: LoadModel,
-    params: CostParams,
-    events: SubstrateEvents,
-    out: String,
-}
-
 fn parse_seeds(v: &str) -> Result<Vec<u64>, String> {
     if let Some((a, b)) = v.split_once("..") {
         let a: u64 = a.parse().map_err(|_| format!("seeds: bad start {a:?}"))?;
@@ -390,114 +367,81 @@ fn parse_seeds(v: &str) -> Result<Vec<u64>, String> {
     }
 }
 
-fn parse_list<T, E: std::fmt::Display>(
-    key: &str,
-    v: &str,
-    parse: impl Fn(&str) -> Result<T, E>,
-) -> Result<Vec<T>, String> {
-    v.split('+')
-        .map(|part| parse(part).map_err(|e| format!("{key}: {e}")))
-        .collect()
-}
+/// The cell keys a sweep accepts as `+`-separated lists, outermost first.
+const AXES: [&str; 5] = ["topo", "wl", "strat", "t", "lambda"];
 
-fn parse_args(args: &[String], single_cell: bool) -> Result<SweepArgs, String> {
-    let mut parsed = SweepArgs {
-        topologies: Vec::new(),
-        workloads: Vec::new(),
-        strategies: Vec::new(),
-        t_values: vec![8],
-        lambdas: vec![10],
-        rounds: 200,
-        seeds: vec![1000, 1001, 1002],
-        load: LoadModel::Linear,
-        params: CostParams::default(),
-        events: SubstrateEvents::new(),
-        out: if single_cell { "cell" } else { "sweep" }.to_string(),
-    };
-    // `flipped=true` is a shorthand for the paper's beta=400/c=40 regime;
-    // explicit beta=/c= arguments always win, regardless of order.
-    let mut flipped = false;
-    let (mut beta, mut c): (Option<f64>, Option<f64>) = (None, None);
+/// Parses a cell expression or sweep into every cell of the cross
+/// product of its axis lists, plus the CSV base name. `seeds` and `out`
+/// are handled here; every other key goes through [`CellBuilder`], the
+/// cell grammar `serve` and `POST /sessions` share.
+fn parse_args(args: &[String], single_cell: bool) -> Result<(Vec<CellSpec>, String), String> {
+    let mut base = CellBuilder::new();
+    let mut lists: [Vec<&str>; 5] = Default::default();
+    let mut seeds = vec![1000, 1001, 1002];
+    let mut out = if single_cell { "cell" } else { "sweep" }.to_string();
     for arg in args {
         let (key, v) = arg
             .split_once('=')
             .ok_or_else(|| format!("expected key=value, got {arg:?}\n{USAGE}"))?;
+        if let Some(axis) = AXES.iter().position(|&a| a == key) {
+            lists[axis] = v.split('+').collect();
+            // Parse every value up front, before any cell runs.
+            for part in &lists[axis] {
+                CellBuilder::new().apply(key, part)?;
+            }
+            continue;
+        }
         match key {
-            "topo" => parsed.topologies = parse_list(key, v, str::parse::<TopologySpec>)?,
-            "wl" => parsed.workloads = parse_list(key, v, str::parse::<WorkloadSpec>)?,
-            "strat" => parsed.strategies = parse_list(key, v, str::parse::<StrategySpec>)?,
-            "t" => {
-                parsed.t_values = parse_list(key, v, |s| s.parse::<u32>().map_err(|_| "bad value"))?
-            }
-            "lambda" => {
-                parsed.lambdas = parse_list(key, v, |s| s.parse::<u64>().map_err(|_| "bad value"))?
-            }
-            "rounds" => {
-                parsed.rounds = v.parse().map_err(|_| format!("rounds: bad value {v:?}"))?
-            }
-            "seeds" => parsed.seeds = parse_seeds(v)?,
-            "load" => parsed.load = v.parse()?,
-            "beta" => beta = Some(v.parse().map_err(|_| format!("beta: bad value {v:?}"))?),
-            "c" => c = Some(v.parse().map_err(|_| format!("c: bad value {v:?}"))?),
-            "ra" => {
-                parsed.params.run_active = v.parse().map_err(|_| format!("ra: bad value {v:?}"))?
-            }
-            "ri" => {
-                parsed.params.run_inactive =
-                    v.parse().map_err(|_| format!("ri: bad value {v:?}"))?
-            }
-            "k" => {
-                parsed.params.max_servers = v.parse().map_err(|_| format!("k: bad value {v:?}"))?
-            }
-            "flipped" => flipped = v.parse().map_err(|_| format!("flipped: bad value {v:?}"))?,
-            "events" => parsed.events = SubstrateEvents::parse(v)?,
-            "out" => parsed.out = v.to_string(),
+            "seeds" => seeds = parse_seeds(v)?,
+            "out" => out = v.to_string(),
+            // Cells average over `seeds=`; the builder's single `seed=`
+            // is not a run/sweep key.
+            _ if key != "seed" && base.apply(key, v)? => {}
             _ => return Err(format!("unknown key {key:?}\n{USAGE}")),
         }
     }
-    if flipped {
-        parsed.params = parsed.params.with_costs(
-            CostParams::flipped().migration_beta,
-            CostParams::flipped().creation_c,
-        );
-    }
-    if let Some(beta) = beta {
-        parsed.params.migration_beta = beta;
-    }
-    if let Some(c) = c {
-        parsed.params.creation_c = c;
-    }
-    if parsed.topologies.is_empty() || parsed.workloads.is_empty() || parsed.strategies.is_empty() {
+    if lists[..3].iter().any(Vec::is_empty) {
         return Err("topo=, wl= and strat= are required (see `flexserve list`)".into());
     }
-    if single_cell {
-        let cells = parsed.topologies.len()
-            * parsed.workloads.len()
-            * parsed.strategies.len()
-            * parsed.t_values.len()
-            * parsed.lambdas.len();
-        if cells != 1 {
-            return Err(format!(
-                "run: a cell expression must name exactly one cell ({cells} given); \
-                 use `flexserve sweep` for lists"
-            ));
-        }
+    let mut builders = vec![base];
+    for (key, list) in AXES.iter().zip(&lists).filter(|(_, l)| !l.is_empty()) {
+        builders = builders
+            .iter()
+            .flat_map(|b| list.iter().map(move |v| (b.clone(), v)))
+            .map(|(mut b, v)| b.apply(key, v).map(|_| b))
+            .collect::<Result<_, _>>()?;
     }
-    Ok(parsed)
+    if single_cell && builders.len() != 1 {
+        return Err(format!(
+            "run: a cell expression must name exactly one cell ({} given); \
+             use `flexserve sweep` for lists",
+            builders.len()
+        ));
+    }
+    let cells = builders
+        .into_iter()
+        .map(|b| {
+            let mut cell = b.build()?;
+            cell.seeds = seeds.clone();
+            Ok(cell)
+        })
+        .collect::<Result<_, String>>()?;
+    Ok((cells, out))
 }
 
 /// Runs all cells of the cross product and writes one CSV + manifest.
 fn sweep(args: &[String], single_cell: bool) -> Result<Manifest, String> {
-    let parsed = parse_args(args, single_cell)?;
+    let (cells, out) = parse_args(args, single_cell)?;
+    let first = &cells[0];
     let mut table = Table::new(
         format!(
             "flexserve {}: {} (rounds={}, {} seeds, load={}, {})",
             if single_cell { "cell" } else { "sweep" },
-            parsed.out,
-            parsed.rounds,
-            parsed.seeds.len(),
-            parsed.load,
-            parsed.params.summary()
+            out,
+            first.rounds,
+            first.seeds.len(),
+            first.load,
+            first.params.summary()
         ),
         &[
             "topology",
@@ -514,33 +458,9 @@ fn sweep(args: &[String], single_cell: bool) -> Result<Manifest, String> {
         ],
     );
 
-    // Materialize the cross product and validate every cell before any
-    // expensive work: a mid-sweep infeasibility (e.g. OPT on a too-large
-    // substrate) must reject the sweep up front, not discard hours of
-    // completed cells.
-    let mut cells = Vec::new();
-    for topo in &parsed.topologies {
-        for wl in &parsed.workloads {
-            for strat in &parsed.strategies {
-                for &t in &parsed.t_values {
-                    for &lambda in &parsed.lambdas {
-                        cells.push(CellSpec {
-                            topology: topo.clone(),
-                            workload: wl.clone(),
-                            strategy: *strat,
-                            t_periods: t,
-                            lambda,
-                            rounds: parsed.rounds,
-                            seeds: parsed.seeds.clone(),
-                            params: parsed.params,
-                            load: parsed.load,
-                            events: parsed.events.clone(),
-                        });
-                    }
-                }
-            }
-        }
-    }
+    // Validate every cell of the cross product before any expensive work:
+    // a mid-sweep infeasibility (e.g. OPT on a too-large substrate) must
+    // reject the sweep up front, not discard hours of completed cells.
     for cell in &cells {
         cell.validate()
             .map_err(|e| format!("infeasible cell [{}]: {e}", cell.describe()))?;
@@ -564,20 +484,20 @@ fn sweep(args: &[String], single_cell: bool) -> Result<Manifest, String> {
             format!("{:.2}", mean.creation),
         ]);
         manifest.add(ManifestEntry {
-            artifact: format!("{}.csv", parsed.out),
+            artifact: format!("{out}.csv"),
             kind: if single_cell { "cell" } else { "sweep" }.into(),
             spec: cell.describe(),
-            seeds: parsed.seeds.clone(),
+            seeds: cell.seeds.clone(),
             fingerprints: vec![res.fingerprint],
         });
     }
     table.print();
     table
-        .save_csv(&parsed.out)
-        .map_err(|e| format!("cannot write {}.csv: {e}", parsed.out))?;
+        .save_csv(&out)
+        .map_err(|e| format!("cannot write {out}.csv: {e}"))?;
     eprintln!(
         "wrote {}",
-        results_dir().join(format!("{}.csv", parsed.out)).display()
+        results_dir().join(format!("{out}.csv")).display()
     );
     Ok(manifest)
 }

@@ -10,19 +10,20 @@
 //! * Fig 12 — how OFFSTAT picks `k_opt`: total cost as a function of the
 //!   number of static servers.
 
-use flexserve_sim::{CostParams, LoadModel};
-use flexserve_workload::record;
+use flexserve_core::{initial_center, OnTh};
+use flexserve_sim::{run_online, CostParams, LoadModel};
+use flexserve_workload::CommuterScenario;
 
 use crate::output::Table;
-use crate::runner::{run_algorithm, Algorithm};
-use crate::setup::{make_scenario, ExperimentEnv, ScenarioKind};
+use crate::setup::ExperimentEnv;
+use crate::spec::WorkloadSpec;
 
-use super::Profile;
+use super::{publish, Profile};
 
 fn exemplary(
     name: &str,
     title: &str,
-    kind: ScenarioKind,
+    workload: WorkloadSpec,
     t_periods: u32,
     paper_n: usize,
     profile: Profile,
@@ -33,14 +34,15 @@ fn exemplary(
     let seed = 42u64;
 
     let env = ExperimentEnv::erdos_renyi(n, seed);
-    let mut series: Vec<(String, Vec<usize>, Vec<usize>)> = Vec::new();
-    for load in [LoadModel::Linear, LoadModel::Quadratic] {
+    let trace = workload.shared_trace(&env, t_periods, lambda, rounds, seed);
+    // Both load models replay one trace; the per-round record is needed,
+    // so ONTH runs directly rather than through `StrategySpec::run`.
+    let [linear, quadratic] = [LoadModel::Linear, LoadModel::Quadratic].map(|load| {
         let ctx = env.context(CostParams::default(), load);
-        let mut scenario = make_scenario(kind, &env, t_periods, lambda, 50, seed);
-        let trace = record(scenario.as_mut(), rounds);
-        let rec = run_algorithm(&ctx, &trace, Algorithm::OnTh);
-        series.push((load.to_string(), rec.active_series(), rec.request_series()));
-    }
+        run_online(&ctx, &trace, &mut OnTh::new(), initial_center(&ctx))
+    });
+    let requests = linear.request_series();
+    let (linear, quadratic) = (linear.active_series(), quadratic.active_series());
 
     let mut table = Table::new(
         format!("{title} (n={n}, T={t_periods}, lambda={lambda}, {rounds} rounds)"),
@@ -50,14 +52,12 @@ fn exemplary(
     for t in (0..rounds as usize).step_by(stride) {
         table.row(vec![
             t.to_string(),
-            series[0].2[t].to_string(),
-            series[0].1[t].to_string(),
-            series[1].1[t].to_string(),
+            requests[t].to_string(),
+            linear[t].to_string(),
+            quadratic[t].to_string(),
         ]);
     }
-    table.print();
-    table.save_csv(name).expect("write csv");
-    table
+    publish(name, table)
 }
 
 /// Figure 1: exemplary ONTH execution, commuter dynamic load.
@@ -65,7 +65,7 @@ pub fn fig01(profile: Profile) -> Table {
     exemplary(
         "fig01",
         "Fig 1: ONTH exemplary run, commuter dynamic load",
-        ScenarioKind::CommuterDynamic,
+        WorkloadSpec::CommuterDynamic,
         14,
         1000,
         profile,
@@ -77,7 +77,7 @@ pub fn fig02(profile: Profile) -> Table {
     exemplary(
         "fig02",
         "Fig 2: ONTH exemplary run, commuter static load",
-        ScenarioKind::CommuterStatic,
+        WorkloadSpec::CommuterStatic,
         12,
         500,
         profile,
@@ -91,13 +91,14 @@ pub fn fig12(profile: Profile) -> Table {
     let rounds = profile.rounds(500);
     let lambda = 10u64;
     let seed = 7u64;
-    let t = crate::setup::paper_t_for(n);
+    let t = CommuterScenario::t_for_network_size(n);
 
     let env = ExperimentEnv::erdos_renyi(n, seed);
     let params = CostParams::default().with_max_servers(10);
     let ctx = env.context(params, LoadModel::Linear);
-    let mut scenario = make_scenario(ScenarioKind::CommuterDynamic, &env, t, lambda, 50, seed);
-    let trace = record(scenario.as_mut(), rounds);
+    let trace = WorkloadSpec::CommuterDynamic.shared_trace(&env, t, lambda, rounds, seed);
+    // The whole cost curve is plotted, so OFFSTAT runs directly rather
+    // than through `StrategySpec::run` (which keeps only the best cost).
     let res = flexserve_core::offstat(&ctx, &trace);
 
     let mut table = Table::new(
@@ -110,7 +111,5 @@ pub fn fig12(profile: Profile) -> Table {
     for (i, &cost) in res.cost_curve.iter().enumerate() {
         table.row_f64(i + 1, &[cost]);
     }
-    table.print();
-    table.save_csv("fig12").expect("write csv");
-    table
+    publish("fig12", table)
 }

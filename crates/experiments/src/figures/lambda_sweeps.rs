@@ -10,15 +10,13 @@
 //! * Fig 10 — the same for the time-zones scenario (p=50%): cost slightly
 //!   decreases with λ (fewer migrations needed).
 
-use flexserve_sim::{CostParams, LoadModel};
+use flexserve_workload::CommuterScenario;
 
 use crate::output::Table;
-use crate::runner::{average_multi, run_algorithms, Algorithm};
-use crate::setup::{paper_t_for, record_shared, ExperimentEnv, ScenarioKind};
+use crate::spec::WorkloadSpec;
 
+use super::size_sweeps::{ErSweep, TIME_ZONES};
 use super::Profile;
-
-const ALGS: [Algorithm; 3] = [Algorithm::OnBrFixed, Algorithm::OnBrDyn, Algorithm::OnTh];
 
 /// Figure 7: cost vs T (commuter static, λ=20, n=1000 in the paper).
 pub fn fig07(profile: Profile) -> Table {
@@ -26,64 +24,39 @@ pub fn fig07(profile: Profile) -> Table {
     let lambda = 20u64;
     let n = profile.exemplary_n(1000);
     let seeds = profile.seeds(10);
-
-    let mut table = Table::new(
-        format!(
+    ErSweep {
+        name: "fig07",
+        title: format!(
             "Fig 7: cost vs T, commuter static load (n={n}, {rounds} rounds, lambda={lambda}, {} seeds)",
             seeds.len()
         ),
-        &["T", "ONBR-fixed", "ONBR-dyn", "ONTH"],
-    );
-    for t in profile.t_values() {
-        // One shared trace per seed; all three algorithms read it.
-        let summaries = average_multi(&seeds, ALGS.len(), |seed| {
-            let env = ExperimentEnv::erdos_renyi(n, seed);
-            let ctx = env.context(CostParams::default(), LoadModel::Linear);
-            let trace = record_shared(
-                ScenarioKind::CommuterStatic,
-                &env,
-                t,
-                lambda,
-                50,
-                seed ^ 0xBEEF,
-                rounds,
-            );
-            run_algorithms(&ctx, &trace, &ALGS)
-        });
-        let cells: Vec<f64> = summaries.iter().map(|s| s.mean_total()).collect();
-        table.row_f64(t, &cells);
+        x_label: "T",
+        workload: WorkloadSpec::CommuterStatic,
+        rounds,
+        seeds,
+        salt: 0xBEEF,
     }
-    table.print();
-    table.save_csv("fig07").expect("write csv");
-    table
+    .run(profile.t_values(), |t| (n, t, lambda))
 }
 
-fn cost_vs_lambda(name: &str, title: &str, kind: ScenarioKind, profile: Profile) -> Table {
+fn cost_vs_lambda(name: &str, title: &str, workload: WorkloadSpec, profile: Profile) -> Table {
     let rounds = profile.rounds(900);
     let n = 200usize.min(profile.exemplary_n(200));
-    let t = paper_t_for(n); // = 10 at n=200, as in the paper
+    let t = CommuterScenario::t_for_network_size(n); // = 10 at n=200, as in the paper
     let seeds = profile.seeds(10);
-
-    let mut table = Table::new(
-        format!(
+    ErSweep {
+        name,
+        title: format!(
             "{title} (n={n}, T={t}, {rounds} rounds, {} seeds)",
             seeds.len()
         ),
-        &["lambda", "ONBR-fixed", "ONBR-dyn", "ONTH"],
-    );
-    for lambda in profile.lambdas() {
-        let summaries = average_multi(&seeds, ALGS.len(), |seed| {
-            let env = ExperimentEnv::erdos_renyi(n, seed);
-            let ctx = env.context(CostParams::default(), LoadModel::Linear);
-            let trace = record_shared(kind, &env, t, lambda, 50, seed ^ 0xF00D, rounds);
-            run_algorithms(&ctx, &trace, &ALGS)
-        });
-        let cells: Vec<f64> = summaries.iter().map(|s| s.mean_total()).collect();
-        table.row_f64(lambda, &cells);
+        x_label: "lambda",
+        workload,
+        rounds,
+        seeds,
+        salt: 0xF00D,
     }
-    table.print();
-    table.save_csv(name).expect("write csv");
-    table
+    .run(profile.lambdas(), |lambda| (n, t, lambda))
 }
 
 /// Figure 8: cost vs λ, commuter dynamic load.
@@ -91,7 +64,7 @@ pub fn fig08(profile: Profile) -> Table {
     cost_vs_lambda(
         "fig08",
         "Fig 8: cost vs lambda, commuter dynamic load",
-        ScenarioKind::CommuterDynamic,
+        WorkloadSpec::CommuterDynamic,
         profile,
     )
 }
@@ -101,7 +74,7 @@ pub fn fig09(profile: Profile) -> Table {
     cost_vs_lambda(
         "fig09",
         "Fig 9: cost vs lambda, commuter static load",
-        ScenarioKind::CommuterStatic,
+        WorkloadSpec::CommuterStatic,
         profile,
     )
 }
@@ -111,7 +84,7 @@ pub fn fig10(profile: Profile) -> Table {
     cost_vs_lambda(
         "fig10",
         "Fig 10: cost vs lambda, time-zones scenario (p=50%)",
-        ScenarioKind::TimeZones,
+        TIME_ZONES,
         profile,
     )
 }

@@ -16,6 +16,16 @@ pub use ratio::{fig11, fig13, fig14, fig15, fig16, fig17, fig18, fig19};
 pub use rocketfuel::table1;
 pub use size_sweeps::{fig03, fig04, fig05, fig06};
 
+use crate::output::Table;
+
+/// Prints `table` and saves it as `results/<name>.csv`: the last step of
+/// every pipeline.
+fn publish(name: &str, table: Table) -> Table {
+    table.print();
+    table.save_csv(name).expect("write csv");
+    table
+}
+
 /// Experiment sizing profile. Sweeps shrink on smaller profiles so the
 /// whole suite stays tractable on one core; the *parameters within a run*
 /// (β, c, Ra, Ri, thresholds) never change.

@@ -10,23 +10,27 @@
 //! * Fig 18/19 — the ratio OFFSTAT/OPT vs T (λ=10): a larger request
 //!   horizon increases the benefit of flexibility.
 
-use flexserve_sim::{CostParams, LoadModel};
+use flexserve_sim::{CostBreakdown, CostParams, LoadModel};
 
-use flexserve_core::{competitive_ratio, initial_center, offstat, optimal_plan};
+use flexserve_core::competitive_ratio;
 
 use crate::output::Table;
-use crate::runner::{average, average_multi, run_algorithm, Algorithm};
-use crate::setup::{record_shared, ExperimentEnv, ScenarioKind};
+use crate::runner::{average, average_multi};
+use crate::setup::ExperimentEnv;
+use crate::spec::{StrategySpec, WorkloadSpec};
 
-use super::Profile;
+use super::{publish, Profile};
 
 /// Line-substrate size for all OPT experiments (paper: five nodes).
 const OPT_N: usize = 5;
 /// Server budget on the line (bounded by the substrate anyway).
 const OPT_K: usize = 4;
-/// Time-zones request volume on the tiny substrate (paper Fig 17:
-/// "three requests per round").
-const OPT_TZ_REQUESTS: usize = 3;
+/// Time-zones demand on the tiny substrate (paper Fig 17: "three
+/// requests per round").
+const TIME_ZONES: WorkloadSpec = WorkloadSpec::TimeZones {
+    hot_percent: 50,
+    requests: 3,
+};
 
 fn opt_params(flipped: bool) -> CostParams {
     let base = if flipped {
@@ -41,7 +45,7 @@ fn opt_params(flipped: bool) -> CostParams {
 /// Both offline algorithms read one shared trace per seed (previously
 /// the demand was regenerated per algorithm).
 fn offstat_and_opt(
-    kind: ScenarioKind,
+    workload: &WorkloadSpec,
     t_periods: u32,
     lambda: u64,
     rounds: u64,
@@ -52,12 +56,10 @@ fn offstat_and_opt(
     let summaries = average_multi(seeds, 2, |seed| {
         let env = ExperimentEnv::random_line(OPT_N, seed);
         let ctx = env.context(params, LoadModel::Linear);
-        let trace = record_shared(kind, &env, t_periods, lambda, OPT_TZ_REQUESTS, seed, rounds);
-        let initial = initial_center(&ctx);
-        vec![
-            flexserve_sim::CostBreakdown::from_access(offstat(&ctx, &trace).best_cost),
-            flexserve_sim::CostBreakdown::from_access(optimal_plan(&ctx, &trace, &initial).cost),
-        ]
+        let trace = workload.shared_trace(&env, t_periods, lambda, rounds, seed);
+        [StrategySpec::OffStat, StrategySpec::Opt]
+            .map(|s| s.run(&ctx, &trace, seed))
+            .to_vec()
     });
     (summaries[0].mean_total(), summaries[1].mean_total())
 }
@@ -78,28 +80,24 @@ pub fn fig11(profile: Profile) -> Table {
     );
     for lambda in profile.lambdas() {
         let mut cells = Vec::new();
-        for kind in [
-            ScenarioKind::CommuterDynamic,
-            ScenarioKind::CommuterStatic,
-            ScenarioKind::TimeZones,
+        for workload in [
+            WorkloadSpec::CommuterDynamic,
+            WorkloadSpec::CommuterStatic,
+            TIME_ZONES,
         ] {
             let ratios = average(&seeds, |seed| {
                 let env = ExperimentEnv::random_line(OPT_N, seed);
                 let ctx = env.context(params, LoadModel::Linear);
-                let trace =
-                    record_shared(kind, &env, t_periods, lambda, OPT_TZ_REQUESTS, seed, rounds);
-                let alg = run_algorithm(&ctx, &trace, Algorithm::OnTh).total().total();
-                let initial = initial_center(&ctx);
-                let opt = optimal_plan(&ctx, &trace, &initial).cost;
-                flexserve_sim::CostBreakdown::from_access(competitive_ratio(alg, opt))
+                let trace = workload.shared_trace(&env, t_periods, lambda, rounds, seed);
+                let alg = StrategySpec::OnTh.run(&ctx, &trace, seed).total();
+                let opt = StrategySpec::Opt.run(&ctx, &trace, seed).total();
+                CostBreakdown::from_access(competitive_ratio(alg, opt))
             });
             cells.push(ratios.mean_total());
         }
         table.row_f64(lambda, &cells);
     }
-    table.print();
-    table.save_csv("fig11").expect("write csv");
-    table
+    publish("fig11", table)
 }
 
 fn absolute_costs_vs_lambda(name: &str, title: &str, flipped: bool, profile: Profile) -> Table {
@@ -116,7 +114,7 @@ fn absolute_costs_vs_lambda(name: &str, title: &str, flipped: bool, profile: Pro
     );
     for lambda in profile.lambdas() {
         let (stat, opt) = offstat_and_opt(
-            ScenarioKind::CommuterDynamic,
+            &WorkloadSpec::CommuterDynamic,
             t_periods,
             lambda,
             rounds,
@@ -125,9 +123,7 @@ fn absolute_costs_vs_lambda(name: &str, title: &str, flipped: bool, profile: Pro
         );
         table.row_f64(lambda, &[stat, opt]);
     }
-    table.print();
-    table.save_csv(name).expect("write csv");
-    table
+    publish(name, table)
 }
 
 /// Figure 13: absolute OFFSTAT vs OPT costs, commuter dynamic, β<c.
@@ -150,102 +146,102 @@ pub fn fig14(profile: Profile) -> Table {
     )
 }
 
-fn ratio_vs_lambda(name: &str, title: &str, kind: ScenarioKind, profile: Profile) -> Table {
+/// Figures 15–19: the OFFSTAT/OPT ratio in both β regimes, swept over
+/// λ at `T = 4` or, with `over_t`, over `T` at `λ = 10`.
+fn ratio_sweep(
+    name: &str,
+    title: &str,
+    workload: WorkloadSpec,
+    over_t: bool,
+    profile: Profile,
+) -> Table {
     let rounds = profile.rounds(200);
     let seeds = profile.seeds(10);
-    let t_periods = 4u32;
+    // (x, T, λ) per row.
+    let (x_label, fixed, rows): (&str, &str, Vec<(u64, u32, u64)>) = if over_t {
+        let rows = profile.t_values().into_iter();
+        (
+            "T",
+            "lambda=10",
+            rows.map(|t| (u64::from(t), t, 10)).collect(),
+        )
+    } else {
+        let rows = profile.lambdas().into_iter();
+        (
+            "lambda",
+            "T=4",
+            rows.map(|lambda| (lambda, 4, lambda)).collect(),
+        )
+    };
 
     let mut table = Table::new(
         format!(
-            "{title} (n={OPT_N} line, T={t_periods}, {rounds} rounds, {} seeds)",
+            "{title} (n={OPT_N} line, {fixed}, {rounds} rounds, {} seeds)",
             seeds.len()
         ),
-        &["lambda", "beta<c", "beta>c"],
+        &[x_label, "beta<c", "beta>c"],
     );
-    for lambda in profile.lambdas() {
-        let mut cells = Vec::new();
-        for flipped in [false, true] {
-            let (stat, opt) = offstat_and_opt(kind, t_periods, lambda, rounds, &seeds, flipped);
-            cells.push(competitive_ratio(stat, opt));
-        }
-        table.row_f64(lambda, &cells);
+    for (x, t, lambda) in rows {
+        let cells = [false, true].map(|flipped| {
+            let (stat, opt) = offstat_and_opt(&workload, t, lambda, rounds, &seeds, flipped);
+            competitive_ratio(stat, opt)
+        });
+        table.row_f64(x, &cells);
     }
-    table.print();
-    table.save_csv(name).expect("write csv");
-    table
+    publish(name, table)
 }
 
 /// Figure 15: OFFSTAT/OPT ratio vs λ, commuter dynamic load.
 pub fn fig15(profile: Profile) -> Table {
-    ratio_vs_lambda(
+    ratio_sweep(
         "fig15",
         "Fig 15: OFFSTAT/OPT ratio vs lambda, commuter dynamic load",
-        ScenarioKind::CommuterDynamic,
+        WorkloadSpec::CommuterDynamic,
+        false,
         profile,
     )
 }
 
 /// Figure 16: OFFSTAT/OPT ratio vs λ, commuter static load.
 pub fn fig16(profile: Profile) -> Table {
-    ratio_vs_lambda(
+    ratio_sweep(
         "fig16",
         "Fig 16: OFFSTAT/OPT ratio vs lambda, commuter static load",
-        ScenarioKind::CommuterStatic,
+        WorkloadSpec::CommuterStatic,
+        false,
         profile,
     )
 }
 
 /// Figure 17: OFFSTAT/OPT ratio vs λ, time-zones scenario (3 req/round).
 pub fn fig17(profile: Profile) -> Table {
-    ratio_vs_lambda(
+    ratio_sweep(
         "fig17",
         "Fig 17: OFFSTAT/OPT ratio vs lambda, time-zones (p=50%)",
-        ScenarioKind::TimeZones,
+        TIME_ZONES,
+        false,
         profile,
     )
 }
 
-fn ratio_vs_t(name: &str, title: &str, kind: ScenarioKind, profile: Profile) -> Table {
-    let rounds = profile.rounds(200);
-    let seeds = profile.seeds(10);
-    let lambda = 10u64;
-
-    let mut table = Table::new(
-        format!(
-            "{title} (n={OPT_N} line, lambda={lambda}, {rounds} rounds, {} seeds)",
-            seeds.len()
-        ),
-        &["T", "beta<c", "beta>c"],
-    );
-    for t in profile.t_values() {
-        let mut cells = Vec::new();
-        for flipped in [false, true] {
-            let (stat, opt) = offstat_and_opt(kind, t, lambda, rounds, &seeds, flipped);
-            cells.push(competitive_ratio(stat, opt));
-        }
-        table.row_f64(t, &cells);
-    }
-    table.print();
-    table.save_csv(name).expect("write csv");
-    table
-}
-
 /// Figure 18: OFFSTAT/OPT ratio vs T, commuter dynamic load.
 pub fn fig18(profile: Profile) -> Table {
-    ratio_vs_t(
+    ratio_sweep(
         "fig18",
         "Fig 18: OFFSTAT/OPT ratio vs T, commuter dynamic load",
-        ScenarioKind::CommuterDynamic,
+        WorkloadSpec::CommuterDynamic,
+        true,
         profile,
     )
 }
 
 /// Figure 19: OFFSTAT/OPT ratio vs T, commuter static load.
 pub fn fig19(profile: Profile) -> Table {
-    ratio_vs_t(
+    ratio_sweep(
         "fig19",
         "Fig 19: OFFSTAT/OPT ratio vs T, commuter static load",
-        ScenarioKind::CommuterStatic,
+        WorkloadSpec::CommuterStatic,
+        true,
         profile,
     )
 }

@@ -11,16 +11,12 @@
 //! OFFSTAT.
 
 use flexserve_sim::{CostParams, LoadModel};
-use flexserve_workload::{record, TimeZonesScenario};
-
-use flexserve_core::offstat;
-use flexserve_topology::{as7018_like, As7018Config};
 
 use crate::output::Table;
-use crate::runner::{run_algorithm, Algorithm};
 use crate::setup::ExperimentEnv;
+use crate::spec::{StrategySpec, TopologySpec, WorkloadSpec};
 
-use super::Profile;
+use super::{publish, Profile};
 
 /// Paper reference values for the three algorithms.
 pub const PAPER_OFFSTAT: f64 = 26063.8129053;
@@ -39,19 +35,20 @@ pub fn table1(profile: Profile) -> Table {
     let t_periods = 12u32;
     let seed = 20110331u64; // fixed: the paper reports a single run
 
-    let (graph, _backbone) = as7018_like(&As7018Config::default()).expect("static topology");
-    let env = ExperimentEnv::from_graph(graph);
+    let env = ExperimentEnv::from_spec(&TopologySpec::As7018, 0).expect("static topology");
     let params = CostParams::default(); // c=400, beta=40, Ra=2.5, Ri=0.5
     let ctx = env.context(params, LoadModel::Linear);
-
-    let mut scenario = TimeZonesScenario::new(&env.graph, t_periods, lambda, 0.5, 50, seed);
-    let trace = record(&mut scenario, rounds);
-
-    let stat_cost = offstat(&ctx, &trace).best_cost;
-    let onth_cost = run_algorithm(&ctx, &trace, Algorithm::OnTh).total().total();
-    let onbr_cost = run_algorithm(&ctx, &trace, Algorithm::OnBrFixed)
-        .total()
-        .total();
+    let workload = WorkloadSpec::TimeZones {
+        hot_percent: 50,
+        requests: 50,
+    };
+    let trace = workload.shared_trace(&env, t_periods, lambda, rounds, seed);
+    let [stat_cost, onth_cost, onbr_cost] = [
+        StrategySpec::OffStat,
+        StrategySpec::OnTh,
+        StrategySpec::OnBrFixed,
+    ]
+    .map(|s| s.run(&ctx, &trace, seed).total());
 
     let mut table = Table::new(
         format!(
@@ -73,7 +70,5 @@ pub fn table1(profile: Profile) -> Table {
             format!("{:.2}", paper / PAPER_OFFSTAT),
         ]);
     }
-    table.print();
-    table.save_csv("table1").expect("write csv");
-    table
+    publish("table1", table)
 }

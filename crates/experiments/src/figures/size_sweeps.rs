@@ -7,54 +7,104 @@
 //! * Fig 6 — cost *breakdown* of ONBR in all three scenarios for the
 //!   flipped regime β=400 > c=40 (where the three algorithms coincide and
 //!   the paper considers ONBR with fixed threshold 2c).
+//!
+//! Figs 3–5 and 7–10 are all grouped ER sweeps, run by [`ErSweep`].
+
+use std::fmt::Display;
 
 use flexserve_sim::{CostParams, LoadModel};
+use flexserve_workload::CommuterScenario;
 
 use crate::output::Table;
-use crate::runner::{average, average_multi, run_algorithm, run_algorithms, Algorithm};
-use crate::setup::{paper_t_for, record_shared, ExperimentEnv, ScenarioKind};
+use crate::runner::{average, average_multi};
+use crate::setup::ExperimentEnv;
+use crate::spec::{StrategySpec, WorkloadSpec};
 
-use super::Profile;
+use super::{publish, Profile};
 
-const ALGS: [Algorithm; 3] = [Algorithm::OnBrFixed, Algorithm::OnBrDyn, Algorithm::OnTh];
+/// The time-zones demand of the ER figures: `p = 50%` hot traffic, 50
+/// requests per round (docs/DESIGN.md §5: the paper leaves the volume
+/// unspecified; 50 keeps volumes comparable to the commuter peaks).
+pub(super) const TIME_ZONES: WorkloadSpec = WorkloadSpec::TimeZones {
+    hot_percent: 50,
+    requests: 50,
+};
 
-fn cost_vs_n(
-    name: &str,
-    title: &str,
-    kind: ScenarioKind,
-    profile: Profile,
-    params: CostParams,
-) -> Table {
+/// The strategies a grouped ER sweep compares, in column order.
+const STRATEGIES: [StrategySpec; 3] = [
+    StrategySpec::OnBrFixed,
+    StrategySpec::OnBrDyn,
+    StrategySpec::OnTh,
+];
+
+/// A grouped ER sweep: one table row per x value, holding the mean total
+/// cost of ONBR-fixed, ONBR-dyn and ONTH over `seeds`. The substrate of
+/// a seed is `er:<n>` at that seed; its workload seed is `seed ^ salt`.
+pub(super) struct ErSweep<'a> {
+    pub name: &'a str,
+    pub title: String,
+    pub x_label: &'a str,
+    pub workload: WorkloadSpec,
+    pub rounds: u64,
+    pub seeds: Vec<u64>,
+    pub salt: u64,
+}
+
+impl ErSweep<'_> {
+    /// Runs one row per `x`; `cell(x)` gives the row's `er:<n>` size,
+    /// `T` and `λ`. Per seed the demand is recorded once (through the
+    /// trace cache) and all three strategies read the shared trace —
+    /// values are bit-identical to per-strategy recordings (the golden
+    /// CSVs pin this).
+    pub fn run<X: Display + Copy>(
+        self,
+        xs: Vec<X>,
+        cell: impl Fn(X) -> (usize, u32, u64),
+    ) -> Table {
+        let ErSweep {
+            name,
+            title,
+            x_label,
+            workload,
+            rounds,
+            seeds,
+            salt,
+        } = self;
+        let mut table = Table::new(title, &[x_label, "ONBR-fixed", "ONBR-dyn", "ONTH"]);
+        for x in xs {
+            let (n, t, lambda) = cell(x);
+            let summaries = average_multi(&seeds, STRATEGIES.len(), |seed| {
+                let env = ExperimentEnv::erdos_renyi(n, seed);
+                let ctx = env.context(CostParams::default(), LoadModel::Linear);
+                let trace = workload.shared_trace(&env, t, lambda, rounds, seed ^ salt);
+                STRATEGIES.map(|s| s.run(&ctx, &trace, seed)).to_vec()
+            });
+            let cells: Vec<f64> = summaries.iter().map(|s| s.mean_total()).collect();
+            table.row_f64(x, &cells);
+        }
+        publish(name, table)
+    }
+}
+
+fn cost_vs_n(name: &str, title: &str, workload: WorkloadSpec, profile: Profile) -> Table {
     let rounds = profile.rounds(500);
     let lambda = 10u64;
     let seeds = profile.seeds(5);
-
-    let mut table = Table::new(
-        format!(
+    ErSweep {
+        name,
+        title: format!(
             "{title} ({rounds} rounds, lambda={lambda}, {} seeds)",
             seeds.len()
         ),
-        &["n", "ONBR-fixed", "ONBR-dyn", "ONTH"],
-    );
-
-    for n in profile.network_sizes() {
-        let t = paper_t_for(n);
-        // Per seed the demand is recorded once (through the trace cache)
-        // and all three algorithms evaluate against the shared trace —
-        // values are bit-identical to per-algorithm recordings (the
-        // golden CSV pins this).
-        let summaries = average_multi(&seeds, ALGS.len(), |seed| {
-            let env = ExperimentEnv::erdos_renyi(n, seed);
-            let ctx = env.context(params, LoadModel::Linear);
-            let trace = record_shared(kind, &env, t, lambda, 50, seed ^ 0xABCD, rounds);
-            run_algorithms(&ctx, &trace, &ALGS)
-        });
-        let cells: Vec<f64> = summaries.iter().map(|s| s.mean_total()).collect();
-        table.row_f64(n, &cells);
+        x_label: "n",
+        workload,
+        rounds,
+        seeds,
+        salt: 0xABCD,
     }
-    table.print();
-    table.save_csv(name).expect("write csv");
-    table
+    .run(profile.network_sizes(), |n| {
+        (n, CommuterScenario::t_for_network_size(n), lambda)
+    })
 }
 
 /// Figure 3: commuter / dynamic load, cost vs n.
@@ -62,9 +112,8 @@ pub fn fig03(profile: Profile) -> Table {
     cost_vs_n(
         "fig03",
         "Fig 3: cost vs network size, commuter dynamic load",
-        ScenarioKind::CommuterDynamic,
+        WorkloadSpec::CommuterDynamic,
         profile,
-        CostParams::default(),
     )
 }
 
@@ -73,9 +122,8 @@ pub fn fig04(profile: Profile) -> Table {
     cost_vs_n(
         "fig04",
         "Fig 4: cost vs network size, commuter static load",
-        ScenarioKind::CommuterStatic,
+        WorkloadSpec::CommuterStatic,
         profile,
-        CostParams::default(),
     )
 }
 
@@ -84,9 +132,8 @@ pub fn fig05(profile: Profile) -> Table {
     cost_vs_n(
         "fig05",
         "Fig 5: cost vs network size, time-zones scenario",
-        ScenarioKind::TimeZones,
+        TIME_ZONES,
         profile,
-        CostParams::default(),
     )
 }
 
@@ -108,22 +155,24 @@ pub fn fig06(profile: Profile) -> Table {
     );
 
     for n in profile.network_sizes() {
-        let t = paper_t_for(n);
-        for kind in [
-            ScenarioKind::CommuterDynamic,
-            ScenarioKind::CommuterStatic,
-            ScenarioKind::TimeZones,
+        let t = CommuterScenario::t_for_network_size(n);
+        // The `scenario` column prints the scenario names, not the
+        // canonical workload strings.
+        for (scenario, workload) in [
+            ("commuter-dynamic", WorkloadSpec::CommuterDynamic),
+            ("commuter-static", WorkloadSpec::CommuterStatic),
+            ("time-zones", TIME_ZONES),
         ] {
             let summary = average(&seeds, |seed| {
                 let env = ExperimentEnv::erdos_renyi(n, seed);
                 let ctx = env.context(params, LoadModel::Linear);
-                let trace = record_shared(kind, &env, t, lambda, 50, seed ^ 0xABCD, rounds);
-                run_algorithm(&ctx, &trace, Algorithm::OnBrFixed).total()
+                let trace = workload.shared_trace(&env, t, lambda, rounds, seed ^ 0xABCD);
+                StrategySpec::OnBrFixed.run(&ctx, &trace, seed)
             });
             let mean = summary.mean();
             table.row(vec![
                 n.to_string(),
-                kind.to_string(),
+                scenario.to_string(),
                 format!("{:.2}", mean.access),
                 format!("{:.2}", mean.running),
                 format!("{:.2}", mean.migration),
@@ -132,7 +181,5 @@ pub fn fig06(profile: Profile) -> Table {
             ]);
         }
     }
-    table.print();
-    table.save_csv("fig06").expect("write csv");
-    table
+    publish("fig06", table)
 }

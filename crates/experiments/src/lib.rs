@@ -8,7 +8,10 @@
 //! * [`spec`] — declarative [`TopologySpec`] /
 //!   [`WorkloadSpec`] /
 //!   [`StrategySpec`] /
-//!   [`CellSpec`]: every experiment axis as parseable data,
+//!   [`CellSpec`]: every experiment axis as parseable data, and the one
+//!   experiment vocabulary — figures, ablations, the CLI and the perf
+//!   harness all run strategies through [`StrategySpec::run`] and record
+//!   demand through [`WorkloadSpec::shared_trace`],
 //! * [`registry`] — the name → figure/topology/workload/strategy catalogs
 //!   behind `flexserve list` and `flexserve run`,
 //! * [`cache`] — the process-wide distance-matrix cache keyed by
@@ -19,10 +22,10 @@
 //!   materialization,
 //! * [`manifest`] — the `results/manifest.json` provenance record (spec,
 //!   seeds, git describe, cache counters for every artifact),
-//! * [`setup`] — substrate/scenario/context builders matching the paper's
-//!   parameters (Erdős–Rényi p=1%, T1/T2 bandwidths, β=40/c=400, …),
+//! * [`setup`] — [`ExperimentEnv`], a substrate plus its distance matrix
+//!   fetched through the cache (Erdős–Rényi p=1%, T1/T2 bandwidths, …),
 //! * [`figures`] — one pipeline function per paper figure/table,
-//! * [`runner`] — strategy dispatch and seed-parallel averaging,
+//! * [`runner`] — seed-parallel averaging over a cell's seeds,
 //! * [`serve`] — the `flexserve serve` daemon: a concurrent multi-session
 //!   streaming placement service (a `SessionManager` of per-session actor
 //!   threads behind a worker-pool HTTP front end) with per-session
@@ -51,9 +54,7 @@ pub mod traces;
 pub use cache::{CacheStats, DistCache};
 pub use manifest::{Manifest, ManifestEntry};
 pub use output::{write_csv, Table};
-pub use runner::{
-    average, average_multi, average_serial, run_algorithm, run_algorithms, Algorithm, SeedSummary,
-};
-pub use setup::{build_context_graph, make_scenario, paper_t_for, ExperimentEnv, ScenarioKind};
+pub use runner::{average, average_multi, average_serial, SeedSummary};
+pub use setup::ExperimentEnv;
 pub use spec::{CellBuilder, CellSpec, StrategySpec, TopologySpec, WorkloadSpec};
 pub use traces::{clear_global_caches, TraceCache, TraceKey};

@@ -73,8 +73,9 @@ impl Table {
         out
     }
 
-    /// Prints to stdout (suppressed when `FLEXSERVE_SILENT=1`, which the
-    /// figure benches set to keep criterion output readable).
+    /// Prints to stdout (suppressed when `FLEXSERVE_SILENT=1`, which
+    /// in-process figure drivers such as `perfbench`'s traced run and the
+    /// golden tests set to keep their output readable).
     pub fn print(&self) {
         if std::env::var("FLEXSERVE_SILENT").is_ok_and(|v| v == "1") {
             return;

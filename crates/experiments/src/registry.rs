@@ -187,8 +187,8 @@ pub const WORKLOADS: &[(&str, &str)] = &[
         "users dwell then jump",
     ),
     (
-        "replay:<path.jsonl>",
-        "recorded demand trace (see flexserve trace record)",
+        "replay:<path>",
+        "recorded demand trace, JSONL or packed flexserve-trace-v1",
     ),
 ];
 

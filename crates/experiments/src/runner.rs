@@ -1,82 +1,9 @@
-//! Strategy dispatch and seed-parallel experiment execution.
+//! Seed-parallel experiment execution: run one cell per seed and
+//! collect (or average) the cost breakdowns in seed order.
 
 use rayon::prelude::*;
 
-use flexserve_graph::NodeId;
-use flexserve_sim::{run_online, CostBreakdown, RunRecord, SimContext};
-use flexserve_workload::Trace;
-
-use flexserve_core::{initial_center, OffBr, OffTh, OnBr, OnTh, StaticStrategy};
-
-/// The algorithms the figure pipelines compare.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Algorithm {
-    /// ONTH (`y = 2`).
-    OnTh,
-    /// ONBR with fixed threshold `2c`.
-    OnBrFixed,
-    /// ONBR with dynamic threshold `2c/ℓ`.
-    OnBrDyn,
-    /// OFFBR (lookahead best response, fixed threshold).
-    OffBr,
-    /// OFFTH (lookahead threshold algorithm).
-    OffTh,
-    /// Static baseline: never reconfigures.
-    Static,
-}
-
-impl Algorithm {
-    /// Display name matching the paper.
-    pub fn label(self) -> &'static str {
-        match self {
-            Algorithm::OnTh => "ONTH",
-            Algorithm::OnBrFixed => "ONBR-fixed",
-            Algorithm::OnBrDyn => "ONBR-dyn",
-            Algorithm::OffBr => "OFFBR",
-            Algorithm::OffTh => "OFFTH",
-            Algorithm::Static => "STATIC",
-        }
-    }
-}
-
-/// Runs `alg` over `trace`, starting from one server at the network center
-/// (the paper's canonical start), and returns the full run record.
-///
-/// Traces are `Arc`-shared, so the offline algorithms' `trace.clone()`
-/// costs a reference count — handing the *same* trace to every algorithm
-/// of a figure cell is the intended calling convention (see
-/// [`run_algorithms`]).
-pub fn run_algorithm(ctx: &SimContext<'_>, trace: &Trace, alg: Algorithm) -> RunRecord {
-    let initial: Vec<NodeId> = initial_center(ctx);
-    match alg {
-        Algorithm::OnTh => run_online(ctx, trace, &mut OnTh::new(), initial),
-        Algorithm::OnBrFixed => run_online(ctx, trace, &mut OnBr::fixed(ctx), initial),
-        Algorithm::OnBrDyn => run_online(ctx, trace, &mut OnBr::dynamic(ctx), initial),
-        Algorithm::OffBr => run_online(ctx, trace, &mut OffBr::fixed(ctx, trace.clone()), initial),
-        Algorithm::OffTh => run_online(ctx, trace, &mut OffTh::new(trace.clone()), initial),
-        Algorithm::Static => run_online(ctx, trace, &mut StaticStrategy::new(), initial),
-    }
-}
-
-/// Evaluates every algorithm of a figure cell against **one shared
-/// trace**, returning the total cost breakdowns in `algs` order.
-///
-/// This is the grouped form of [`run_algorithm`]: the demand is
-/// materialized once (by the caller, typically through the
-/// [`TraceCache`](crate::traces::TraceCache)) and each strategy reads the
-/// same per-round sorted count vectors. Sharing cannot change results —
-/// each run only *reads* the trace — so the outputs are bit-identical to
-/// independent per-strategy recordings of the same seed (pinned by
-/// `tests/trace_equivalence.rs`).
-pub fn run_algorithms(
-    ctx: &SimContext<'_>,
-    trace: &Trace,
-    algs: &[Algorithm],
-) -> Vec<CostBreakdown> {
-    algs.iter()
-        .map(|&alg| run_algorithm(ctx, trace, alg).total())
-        .collect()
-}
+use flexserve_sim::CostBreakdown;
 
 /// Per-seed results of one experimental cell.
 #[derive(Clone, Debug, Default)]
@@ -152,9 +79,10 @@ where
 }
 
 /// The grouped form of [`average`]: `f(seed)` evaluates one seed's whole
-/// **strategy group** (typically via [`run_algorithms`] over a shared
-/// trace) and returns one breakdown per strategy; the per-seed rows are
-/// transposed into one [`SeedSummary`] per strategy.
+/// **strategy group** (typically
+/// [`StrategySpec::run`](crate::spec::StrategySpec::run) per strategy
+/// over one shared trace) and returns one breakdown per strategy; the
+/// per-seed rows are transposed into one [`SeedSummary`] per strategy.
 ///
 /// Every `f(seed)` must return the same number of breakdowns. The same
 /// determinism contract as [`average`] applies, so the summaries are
@@ -184,32 +112,19 @@ where
 mod tests {
     use super::*;
     use crate::setup::ExperimentEnv;
+    use crate::spec::{StrategySpec, ALL_STRATEGIES};
     use flexserve_sim::{CostParams, LoadModel};
     use flexserve_workload::{record, UniformScenario};
 
     #[test]
-    fn labels() {
-        assert_eq!(Algorithm::OnTh.label(), "ONTH");
-        assert_eq!(Algorithm::OnBrDyn.label(), "ONBR-dyn");
-    }
-
-    #[test]
-    fn all_algorithms_run() {
+    fn all_strategies_run() {
         let env = ExperimentEnv::line(8);
         let ctx = env.context(CostParams::default().with_max_servers(4), LoadModel::Linear);
         let mut s = UniformScenario::new(&env.graph, 3, 1);
         let trace = record(&mut s, 25);
-        for alg in [
-            Algorithm::OnTh,
-            Algorithm::OnBrFixed,
-            Algorithm::OnBrDyn,
-            Algorithm::OffBr,
-            Algorithm::OffTh,
-            Algorithm::Static,
-        ] {
-            let rec = run_algorithm(&ctx, &trace, alg);
-            assert_eq!(rec.len(), 25, "{:?}", alg);
-            assert!(rec.total().total().is_finite(), "{:?}", alg);
+        for strat in ALL_STRATEGIES {
+            let cost = strat.run(&ctx, &trace, 1).total();
+            assert!(cost.is_finite() && cost > 0.0, "{strat}");
         }
     }
 
@@ -233,7 +148,7 @@ mod tests {
         let cell = |seed: u64| {
             let mut s = UniformScenario::new(&env.graph, 4, seed);
             let trace = record(&mut s, 40);
-            run_algorithm(&ctx, &trace, Algorithm::OnTh).total()
+            StrategySpec::OnTh.run(&ctx, &trace, seed)
         };
         let par = average(&seeds, cell);
         let ser = average_serial(&seeds, cell);
@@ -250,28 +165,32 @@ mod tests {
         let env = ExperimentEnv::erdos_renyi(50, 9);
         let ctx = env.context(CostParams::default().with_max_servers(3), LoadModel::Linear);
         let seeds: Vec<u64> = (0..4).collect();
-        let algs = [Algorithm::OnTh, Algorithm::OnBrFixed, Algorithm::Static];
+        let strats = [
+            StrategySpec::OnTh,
+            StrategySpec::OnBrFixed,
+            StrategySpec::Static,
+        ];
 
         // Grouped: one trace per seed, every algorithm reads it.
-        let grouped = average_multi(&seeds, algs.len(), |seed| {
+        let grouped = average_multi(&seeds, strats.len(), |seed| {
             let mut s = UniformScenario::new(&env.graph, 4, seed);
             let trace = record(&mut s, 30);
-            run_algorithms(&ctx, &trace, &algs)
+            strats.map(|strat| strat.run(&ctx, &trace, seed)).to_vec()
         });
 
-        // Independent: each algorithm records its own trace.
-        for (i, &alg) in algs.iter().enumerate() {
+        // Independent: each strategy records its own trace.
+        for (i, &strat) in strats.iter().enumerate() {
             let solo = average(&seeds, |seed| {
                 let mut s = UniformScenario::new(&env.graph, 4, seed);
                 let trace = record(&mut s, 30);
-                run_algorithm(&ctx, &trace, alg).total()
+                strat.run(&ctx, &trace, seed)
             });
             assert_eq!(grouped[i].per_seed.len(), seeds.len());
             for (g, s) in grouped[i].per_seed.iter().zip(&solo.per_seed) {
-                assert_eq!(g.access.to_bits(), s.access.to_bits(), "{alg:?}");
-                assert_eq!(g.running.to_bits(), s.running.to_bits(), "{alg:?}");
-                assert_eq!(g.migration.to_bits(), s.migration.to_bits(), "{alg:?}");
-                assert_eq!(g.creation.to_bits(), s.creation.to_bits(), "{alg:?}");
+                assert_eq!(g.access.to_bits(), s.access.to_bits(), "{strat}");
+                assert_eq!(g.running.to_bits(), s.running.to_bits(), "{strat}");
+                assert_eq!(g.migration.to_bits(), s.migration.to_bits(), "{strat}");
+                assert_eq!(g.creation.to_bits(), s.creation.to_bits(), "{strat}");
             }
         }
     }

@@ -1,17 +1,15 @@
-//! Substrate, scenario and context builders mirroring the paper's set-up
-//! (§V-A): Erdős–Rényi random graphs with 1% connection probability and
-//! random T1/T2 bandwidths; commuter and time-zone demand; β=40, c=400
-//! (flipped to β=400, c=40 for the migration-useless regime).
+//! The substrate half of an experiment: a graph plus its distance matrix,
+//! built through the process-wide [`DistCache`] and matching the paper's
+//! set-up (§V-A: Erdős–Rényi random graphs with 1% connection probability
+//! and random T1/T2 bandwidths).
 
 use std::sync::Arc;
 
 use flexserve_graph::{DistanceMatrix, Graph};
 use flexserve_sim::{CostParams, LoadModel, SimContext};
-use flexserve_workload::{CommuterScenario, LoadVariant, Scenario, TimeZonesScenario, Trace};
 
 use crate::cache::DistCache;
 use crate::spec::TopologySpec;
-use crate::traces::{TraceCache, TraceKey};
 
 /// A substrate and its distance matrix, shared by `Arc` so a
 /// [`SimContext`] can borrow both and many runs (and cache entries) can
@@ -61,8 +59,8 @@ impl ExperimentEnv {
         Self::from_spec(&TopologySpec::Line { n }, seed).expect("n >= 1")
     }
 
-    /// Wraps a prebuilt graph (e.g. the Rocketfuel-like AS-7018). Not
-    /// cached: the caller owns the graph's provenance.
+    /// Wraps a prebuilt graph. Not cached: the caller owns the graph's
+    /// provenance.
     pub fn from_graph(graph: Graph) -> Self {
         let matrix = DistanceMatrix::build(&graph);
         ExperimentEnv {
@@ -77,134 +75,9 @@ impl ExperimentEnv {
     }
 }
 
-/// Builds an [`ExperimentEnv`] and context parameters in one call.
-pub fn build_context_graph(n: usize, seed: u64) -> ExperimentEnv {
-    ExperimentEnv::erdos_renyi(n, seed)
-}
-
-/// The three demand scenarios of the evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScenarioKind {
-    /// Commuter scenario, dynamic load (total volume varies over the day).
-    CommuterDynamic,
-    /// Commuter scenario, static load (total fixed to `2^{T/2}`).
-    CommuterStatic,
-    /// Time-zones scenario with `p = 50%` hot traffic.
-    TimeZones,
-}
-
-impl std::fmt::Display for ScenarioKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScenarioKind::CommuterDynamic => write!(f, "commuter-dynamic"),
-            ScenarioKind::CommuterStatic => write!(f, "commuter-static"),
-            ScenarioKind::TimeZones => write!(f, "time-zones"),
-        }
-    }
-}
-
-impl ScenarioKind {
-    /// The canonical workload spec string of this scenario as
-    /// [`make_scenario`] instantiates it — the demand half of a
-    /// [`TraceKey`]. Matches the
-    /// [`WorkloadSpec`](crate::spec::WorkloadSpec) grammar so figure
-    /// pipelines and `CellSpec::run` share cache entries when they share
-    /// demand.
-    pub fn workload_str(self, requests_per_round: usize) -> String {
-        match self {
-            ScenarioKind::CommuterDynamic => "commuter-dynamic".to_string(),
-            ScenarioKind::CommuterStatic => "commuter-static".to_string(),
-            ScenarioKind::TimeZones => format!("time-zones:p=50,req={requests_per_round}"),
-        }
-    }
-}
-
-/// Requests per round used by the time-zones scenario on mid-size
-/// substrates (docs/DESIGN.md §5: the paper leaves this unspecified; 50 keeps
-/// volumes comparable to the commuter peaks).
-pub const TIME_ZONES_REQUESTS_PER_ROUND: usize = 50;
-
-/// The paper's scaling of `T` with network size (matches the explicit
-/// pairs n=1000→14, 500→12, 200→10; see docs/DESIGN.md §5).
-pub fn paper_t_for(n: usize) -> u32 {
-    CommuterScenario::t_for_network_size(n)
-}
-
-/// Instantiates a scenario with the paper's parameters.
-///
-/// * `t_periods` — the `T` parameter (periods per day),
-/// * `lambda` — rounds per period (`λ`, the sweeps' x-axis),
-/// * `requests_per_round` — only used by the time-zones scenario.
-pub fn make_scenario(
-    kind: ScenarioKind,
-    env: &ExperimentEnv,
-    t_periods: u32,
-    lambda: u64,
-    requests_per_round: usize,
-    seed: u64,
-) -> Box<dyn Scenario> {
-    match kind {
-        ScenarioKind::CommuterDynamic => Box::new(CommuterScenario::with_matrix(
-            &env.graph,
-            &env.matrix,
-            t_periods,
-            lambda,
-            LoadVariant::Dynamic,
-            seed,
-        )),
-        ScenarioKind::CommuterStatic => Box::new(CommuterScenario::with_matrix(
-            &env.graph,
-            &env.matrix,
-            t_periods,
-            lambda,
-            LoadVariant::Static,
-            seed,
-        )),
-        ScenarioKind::TimeZones => Box::new(TimeZonesScenario::new(
-            &env.graph,
-            t_periods,
-            lambda,
-            0.5,
-            requests_per_round,
-            seed,
-        )),
-    }
-}
-
-/// Records `rounds` rounds of a scenario **through the process-wide
-/// trace cache**: the first caller per
-/// `(substrate, workload, T, λ, rounds, seed)` materializes the trace,
-/// every further strategy/figure cell on the same demand shares the
-/// `Arc`. Cached or fresh, the trace is bit-identical (deterministic
-/// generators), so routing figure pipelines through here can never change
-/// their CSVs — it only removes the k× re-recording per strategy.
-pub fn record_shared(
-    kind: ScenarioKind,
-    env: &ExperimentEnv,
-    t_periods: u32,
-    lambda: u64,
-    requests_per_round: usize,
-    seed: u64,
-    rounds: u64,
-) -> Trace {
-    let key = TraceKey {
-        substrate: env.graph.fingerprint(),
-        workload: kind.workload_str(requests_per_round),
-        t_periods,
-        lambda,
-        rounds,
-        seed,
-    };
-    TraceCache::global().get_or_record(key, || {
-        let mut scenario = make_scenario(kind, env, t_periods, lambda, requests_per_round, seed);
-        Trace::record(scenario.as_mut(), rounds)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexserve_workload::record;
 
     #[test]
     fn er_env_is_connected_and_sized() {
@@ -224,39 +97,5 @@ mod tests {
             ),
             4.0
         );
-    }
-
-    #[test]
-    fn scenarios_instantiate_and_generate() {
-        let env = ExperimentEnv::erdos_renyi(64, 1);
-        for kind in [
-            ScenarioKind::CommuterDynamic,
-            ScenarioKind::CommuterStatic,
-            ScenarioKind::TimeZones,
-        ] {
-            let mut s = make_scenario(kind, &env, 8, 5, 20, 7);
-            let trace = record(s.as_mut(), 30);
-            assert_eq!(trace.len(), 30);
-            assert!(trace.total_requests() > 0, "{kind} generated nothing");
-        }
-    }
-
-    #[test]
-    fn record_shared_is_bit_identical_to_fresh_recording() {
-        let env = ExperimentEnv::erdos_renyi(48, 5);
-        let shared = record_shared(ScenarioKind::CommuterDynamic, &env, 8, 5, 20, 7, 25);
-        let mut fresh = make_scenario(ScenarioKind::CommuterDynamic, &env, 8, 5, 20, 7);
-        let direct = record(fresh.as_mut(), 25);
-        assert_eq!(shared, direct);
-        // a second fetch shares the materialization
-        let again = record_shared(ScenarioKind::CommuterDynamic, &env, 8, 5, 20, 7, 25);
-        assert!(std::ptr::eq(shared.round(0), again.round(0)));
-    }
-
-    #[test]
-    fn paper_t_pairs() {
-        assert_eq!(paper_t_for(1000), 14);
-        assert_eq!(paper_t_for(500), 12);
-        assert_eq!(paper_t_for(200), 10);
     }
 }

@@ -34,11 +34,12 @@ use flexserve_workload::{
 };
 
 use flexserve_core::{
-    initial_center, offstat, optimal_plan, OnBr, OnConf, OnTh, SampledConf, StaticStrategy,
+    initial_center, offstat, optimal_plan, OffBr, OffTh, OnBr, OnConf, OnTh, SampledConf,
+    StaticStrategy,
 };
-use flexserve_sim::OnlineStrategy;
+use flexserve_sim::{run_online, OnlineStrategy};
 
-use crate::runner::{average, run_algorithm, Algorithm, SeedSummary};
+use crate::runner::{average, SeedSummary};
 use crate::setup::ExperimentEnv;
 use crate::traces::{TraceCache, TraceKey};
 
@@ -421,6 +422,44 @@ impl WorkloadSpec {
             _ => Ok(()),
         }
     }
+
+    /// Records `rounds` rounds of this workload over `env` **through the
+    /// process-wide [`TraceCache`]**: the first caller per
+    /// `(substrate, workload, T, λ, rounds, seed)` records the scenario,
+    /// every further strategy cell or figure on the same demand shares
+    /// the `Arc`-held trace. Cached or fresh, the trace is bit-identical
+    /// (deterministic generators), so cache state never changes output.
+    pub fn shared_trace(
+        &self,
+        env: &ExperimentEnv,
+        t_periods: u32,
+        lambda: u64,
+        rounds: u64,
+        seed: u64,
+    ) -> Trace {
+        // A replayed trace file is the same demand under every seed *and*
+        // every substrate (the graph only bounds the valid origin range,
+        // checked by `validate_replay` per cell), so replay keys
+        // normalize both: an N-seed replay cell — even on a seeded random
+        // topology, where fingerprints differ per seed — reads and
+        // parses the file once and shares one cache entry.
+        let (substrate, seed) = match self {
+            WorkloadSpec::Replay { .. } => (0, 0),
+            _ => (env.graph.fingerprint(), seed),
+        };
+        let key = TraceKey {
+            substrate,
+            workload: self.to_string(),
+            t_periods,
+            lambda,
+            rounds,
+            seed,
+        };
+        TraceCache::global().get_or_record(key, || {
+            let mut scenario = self.instantiate(&env.graph, &env.matrix, t_periods, lambda, seed);
+            Trace::record(scenario.as_mut(), rounds)
+        })
+    }
 }
 
 impl fmt::Display for WorkloadSpec {
@@ -587,30 +626,35 @@ impl StrategySpec {
     /// (they report a scalar optimum, not a breakdown) — the same
     /// convention the figure pipelines use.
     pub fn run(self, ctx: &SimContext<'_>, trace: &Trace, seed: u64) -> CostBreakdown {
-        use flexserve_sim::run_online;
-        match self {
-            StrategySpec::OnTh => run_algorithm(ctx, trace, Algorithm::OnTh).total(),
-            StrategySpec::OnBrFixed => run_algorithm(ctx, trace, Algorithm::OnBrFixed).total(),
-            StrategySpec::OnBrDyn => run_algorithm(ctx, trace, Algorithm::OnBrDyn).total(),
-            StrategySpec::OffBr => run_algorithm(ctx, trace, Algorithm::OffBr).total(),
-            StrategySpec::OffTh => run_algorithm(ctx, trace, Algorithm::OffTh).total(),
-            StrategySpec::Static => run_algorithm(ctx, trace, Algorithm::Static).total(),
+        // Concrete `run_online::<S>` calls, not `instantiate_online`'s
+        // `Box<dyn>`: the batch path keeps its statically dispatched loop.
+        // Traces are `Arc`-shared, so the offline strategies'
+        // `trace.clone()` costs a reference count.
+        let initial = initial_center(ctx);
+        let record = match self {
+            StrategySpec::OnTh => run_online(ctx, trace, &mut OnTh::new(), initial),
+            StrategySpec::OnBrFixed => run_online(ctx, trace, &mut OnBr::fixed(ctx), initial),
+            StrategySpec::OnBrDyn => run_online(ctx, trace, &mut OnBr::dynamic(ctx), initial),
+            StrategySpec::OffBr => {
+                run_online(ctx, trace, &mut OffBr::fixed(ctx, trace.clone()), initial)
+            }
+            StrategySpec::OffTh => run_online(ctx, trace, &mut OffTh::new(trace.clone()), initial),
+            StrategySpec::Static => run_online(ctx, trace, &mut StaticStrategy::new(), initial),
             StrategySpec::OnConf => {
-                let initial = initial_center(ctx);
                 let mut strat = OnConf::new(ctx, &initial, seed);
-                run_online(ctx, trace, &mut strat, initial).total()
+                run_online(ctx, trace, &mut strat, initial)
             }
             StrategySpec::SampledConf => {
-                let initial = initial_center(ctx);
-                let mut strat = SampledConf::new(ctx);
-                run_online(ctx, trace, &mut strat, initial).total()
+                run_online(ctx, trace, &mut SampledConf::new(ctx), initial)
             }
-            StrategySpec::OffStat => CostBreakdown::from_access(offstat(ctx, trace).best_cost),
+            StrategySpec::OffStat => {
+                return CostBreakdown::from_access(offstat(ctx, trace).best_cost)
+            }
             StrategySpec::Opt => {
-                let initial = initial_center(ctx);
-                CostBreakdown::from_access(optimal_plan(ctx, trace, &initial).cost)
+                return CostBreakdown::from_access(optimal_plan(ctx, trace, &initial).cost)
             }
-        }
+        };
+        record.total()
     }
 
     /// Whether the strategy enumerates configurations and therefore only
@@ -880,40 +924,11 @@ impl CellSpec {
         Ok(())
     }
 
-    /// The demand half of this cell for `seed`, through the process-wide
-    /// [`TraceCache`]: the first strategy cell of a
-    /// `(topology, workload, T, λ, rounds, seed)` group records the
-    /// scenario; every other strategy of the figure/sweep shares the
-    /// `Arc`-held trace. Cached or fresh, the trace is bit-identical.
+    /// The demand half of this cell for `seed`: its workload's
+    /// [`WorkloadSpec::shared_trace`] at the cell's `T`, `λ` and rounds.
     pub fn shared_trace(&self, env: &ExperimentEnv, seed: u64) -> Trace {
-        // A replayed trace file is the same demand under every seed *and*
-        // every substrate (the graph only bounds the valid origin range,
-        // checked by `validate_replay` per cell), so replay keys
-        // normalize both: an N-seed replay cell — even on a seeded random
-        // topology, where fingerprints differ per seed — reads and
-        // parses the file once and shares one cache entry.
-        let (substrate, seed) = match self.workload {
-            WorkloadSpec::Replay { .. } => (0, 0),
-            _ => (env.graph.fingerprint(), seed),
-        };
-        let key = TraceKey {
-            substrate,
-            workload: self.workload.to_string(),
-            t_periods: self.t_periods,
-            lambda: self.lambda,
-            rounds: self.rounds,
-            seed,
-        };
-        TraceCache::global().get_or_record(key, || {
-            let mut scenario = self.workload.instantiate(
-                &env.graph,
-                &env.matrix,
-                self.t_periods,
-                self.lambda,
-                seed,
-            );
-            Trace::record(scenario.as_mut(), self.rounds)
-        })
+        self.workload
+            .shared_trace(env, self.t_periods, self.lambda, self.rounds, seed)
     }
 
     /// Runs the cell: for each seed (in parallel), build or fetch the
@@ -1338,6 +1353,25 @@ mod tests {
                 Ok(_) => panic!("{strat} must not instantiate online"),
             };
             assert!(err.contains("offline"), "{strat}: {err}");
+        }
+    }
+
+    #[test]
+    fn shared_trace_is_bit_identical_to_fresh_recording() {
+        let env = ExperimentEnv::erdos_renyi(48, 5);
+        for wl in [
+            "commuter-dynamic",
+            "commuter-static",
+            "time-zones:p=50,req=20",
+        ] {
+            let wl: WorkloadSpec = wl.parse().unwrap();
+            let shared = wl.shared_trace(&env, 8, 5, 25, 7);
+            assert!(shared.total_requests() > 0, "{wl} generated nothing");
+            let mut fresh = wl.instantiate(&env.graph, &env.matrix, 8, 5, 7);
+            assert_eq!(shared, Trace::record(fresh.as_mut(), 25), "{wl}");
+            // a second fetch shares the materialization
+            let again = wl.shared_trace(&env, 8, 5, 25, 7);
+            assert!(std::ptr::eq(shared.round(0), again.round(0)), "{wl}");
         }
     }
 

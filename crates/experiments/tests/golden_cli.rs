@@ -10,6 +10,8 @@
 //!   and shows up here as a CSV diff.
 //! * `flexserve list` output must stay stable (the docs and CI smoke job
 //!   reference its names).
+//! * `flexserve run`/`sweep` accept exactly the cell grammar of
+//!   `CellBuilder` plus `seeds=` and `out=`, and refuse everything else.
 //!
 //! The figure runs and the cache assertions share one test: they both
 //! mutate process environment variables and write the same artifacts, and
@@ -18,7 +20,8 @@
 use std::path::Path;
 
 use flexserve_experiments::figures::Profile;
-use flexserve_experiments::registry;
+use flexserve_experiments::{registry, ExperimentEnv, WorkloadSpec};
+use flexserve_workload::CommuterScenario;
 
 /// `flexserve list` output.
 const LIST_GOLDEN: &str = include_str!("golden/list.txt");
@@ -72,23 +75,14 @@ fn every_figure_is_byte_identical_to_its_golden_and_hits_the_cache() {
     );
 
     // Probe: re-requesting one of fig03's cells answers from both caches.
-    use flexserve_experiments::setup::{record_shared, ExperimentEnv, ScenarioKind};
     let env = ExperimentEnv::erdos_renyi(30, 1000);
     assert!(
         flexserve_experiments::DistCache::global().stats().hits > dist.hits,
         "re-fetching a fig03 substrate must hit the distance-matrix cache"
     );
-    let t = flexserve_experiments::setup::paper_t_for(30);
+    let t = CommuterScenario::t_for_network_size(30);
     let rounds = Profile::Quick.rounds(500);
-    record_shared(
-        ScenarioKind::CommuterDynamic,
-        &env,
-        t,
-        10,
-        50,
-        1000 ^ 0xABCD,
-        rounds,
-    );
+    WorkloadSpec::CommuterDynamic.shared_trace(&env, t, 10, rounds, 1000 ^ 0xABCD);
     assert!(
         flexserve_experiments::TraceCache::global().stats().hits > traces.hits,
         "re-recording a fig03 demand trace must hit the trace cache"
@@ -103,4 +97,90 @@ fn list_output_is_stable() {
         LIST_GOLDEN,
         "`flexserve list` changed; update tests/golden/list.txt and docs/FIGURES.md deliberately"
     );
+}
+
+/// Runs the `flexserve` binary with results routed to `dir`; returns the
+/// exit code and stderr.
+fn flexserve(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_flexserve"))
+        .args(args)
+        .env("FLEXSERVE_RESULTS_DIR", dir)
+        .env("FLEXSERVE_SILENT", "1")
+        .output()
+        .expect("spawn flexserve");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn run_and_sweep_accept_the_cell_grammar_and_nothing_else() {
+    let dir = std::env::temp_dir().join(format!("flexserve-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cell = ["run", "topo=unit-line:6", "wl=uniform:req=2", "strat=onth"];
+
+    // Flags without a figure name used to exit 0 having run nothing.
+    let (code, err) = flexserve(&dir, &["run", "--profile", "quick"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("run: nothing to run"), "{err}");
+    assert!(!dir.join("manifest.json").exists());
+
+    // Every scalar cell key, with flipped overridden by an explicit beta.
+    let mut args = cell.to_vec();
+    args.extend([
+        "t=4",
+        "lambda=3",
+        "rounds=12",
+        "seeds=1+2",
+        "load=quadratic",
+        "flipped=true",
+        "beta=7",
+        "ra=2",
+        "ri=0.5",
+        "k=3",
+        "events=4:degrade-link:2-3:2",
+        "out=cli",
+    ]);
+    let (code, err) = flexserve(&dir, &args);
+    assert_eq!(code, Some(0), "{err}");
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+    for want in [
+        "T=4, lambda=3, rounds=12, 2 seeds",
+        "beta=7 c=40 Ra=2 Ri=0.5 k=3",
+        "load=quadratic, events=4:degrade-link:2-3:2",
+    ] {
+        assert!(manifest.contains(want), "{want}: {manifest}");
+    }
+
+    // A sweep crosses its lists; `run` refuses them.
+    let (code, err) = flexserve(
+        &dir,
+        &[
+            "sweep",
+            "topo=unit-line:6",
+            "wl=uniform",
+            "strat=onth+static",
+            "t=2+4",
+            "rounds=5",
+            "seeds=1",
+            "out=cli",
+        ],
+    );
+    assert_eq!(code, Some(0), "{err}");
+    let csv = std::fs::read_to_string(dir.join("cli.csv")).unwrap();
+    let rows = csv.lines().filter(|l| l.starts_with("unit-line:6,"));
+    assert_eq!(rows.count(), 4, "2x2 cells:\n{csv}");
+    let (code, err) = flexserve(&dir, &[&cell[..], &["t=2+4"]].concat());
+    assert_eq!(code, Some(2));
+    assert!(err.contains("exactly one cell (2 given)"), "{err}");
+
+    // `seed=` (serve's single seed), unknown keys and bad values fail.
+    for bad in ["seed=1", "bogus=1", "port=0", "k=many", "t=2+x"] {
+        let (code, err) = flexserve(&dir, &[&cell[..], &[bad]].concat());
+        assert_eq!(code, Some(2), "{bad}: {err}");
+        let key = bad.split('=').next().unwrap();
+        assert!(err.contains(key), "{bad}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -22,8 +22,7 @@ use proptest::prelude::*;
 
 use flexserve_experiments::serve::{SessionConfig, SessionManager};
 use flexserve_experiments::setup::ExperimentEnv;
-use flexserve_experiments::spec::{TopologySpec, WorkloadSpec};
-use flexserve_experiments::{run_algorithm, Algorithm};
+use flexserve_experiments::spec::{StrategySpec, TopologySpec, WorkloadSpec};
 use flexserve_graph::NodeId;
 use flexserve_sim::{CostParams, LoadModel};
 use flexserve_workload::packed::fnv1a;
@@ -125,8 +124,8 @@ proptest! {
         let from_jsonl = fresh_trace(&wl_jsonl, &env, lambda, seed, rounds);
         let from_pack = fresh_trace(&wl_pack, &env, lambda, seed, rounds);
         prop_assert_eq!(&from_jsonl, &from_pack);
-        let a = run_algorithm(&ctx, &from_jsonl, Algorithm::OnTh).total();
-        let b = run_algorithm(&ctx, &from_pack, Algorithm::OnTh).total();
+        let a = StrategySpec::OnTh.run(&ctx, &from_jsonl, seed);
+        let b = StrategySpec::OnTh.run(&ctx, &from_pack, seed);
         prop_assert_eq!(a.access.to_bits(), b.access.to_bits());
         prop_assert_eq!(a.running.to_bits(), b.running.to_bits());
         prop_assert_eq!(a.migration.to_bits(), b.migration.to_bits());

@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 
 use flexserve_experiments::setup::ExperimentEnv;
-use flexserve_experiments::spec::{CellSpec, TopologySpec, WorkloadSpec};
-use flexserve_experiments::{run_algorithm, run_algorithms, Algorithm, TraceCache, TraceKey};
+use flexserve_experiments::spec::{CellSpec, StrategySpec, TopologySpec, WorkloadSpec};
+use flexserve_experiments::{TraceCache, TraceKey};
 use flexserve_sim::{CostBreakdown, CostParams, LoadModel, SimContext};
 use flexserve_workload::{record, Trace};
 
@@ -31,15 +31,15 @@ const WORKLOADS: &[&str] = &[
     "onoff",
 ];
 
-/// Every algorithm `run_algorithm` dispatches — online and offline alike
+/// The strategies the figure pipelines run — online and offline alike
 /// read the same recorded trace.
-const ALGORITHMS: &[Algorithm] = &[
-    Algorithm::OnTh,
-    Algorithm::OnBrFixed,
-    Algorithm::OnBrDyn,
-    Algorithm::OffBr,
-    Algorithm::OffTh,
-    Algorithm::Static,
+const STRATEGIES: &[StrategySpec] = &[
+    StrategySpec::OnTh,
+    StrategySpec::OnBrFixed,
+    StrategySpec::OnBrDyn,
+    StrategySpec::OffBr,
+    StrategySpec::OffTh,
+    StrategySpec::Static,
 ];
 
 /// Records the cell's demand exactly like the independent path does.
@@ -61,12 +61,13 @@ fn run_all_independent(
     lambda: u64,
     seed: u64,
     rounds: u64,
-    algs: &[Algorithm],
+    strats: &[StrategySpec],
 ) -> Vec<CostBreakdown> {
-    algs.iter()
-        .map(|&alg| {
+    strats
+        .iter()
+        .map(|strat| {
             let trace = fresh_trace(workload, env, lambda, seed, rounds);
-            run_algorithm(ctx, &trace, alg).total()
+            strat.run(ctx, &trace, seed)
         })
         .collect()
 }
@@ -123,18 +124,18 @@ proptest! {
     fn shared_trace_evaluation_is_bitwise_identical(
         topo_idx in 0..TOPOLOGIES.len(),
         wl_idx in 0..WORKLOADS.len(),
-        algs_mask in 1usize..(1 << ALGORITHMS.len()),
+        strats_mask in 1usize..(1 << STRATEGIES.len()),
         seed in 0u64..1000,
         lambda in 1u64..12,
         rounds in 10u64..40,
     ) {
-        // A non-empty subsequence of ALGORITHMS, picked by bitmask (the
+        // A non-empty subsequence of STRATEGIES, picked by bitmask (the
         // vendored proptest subset has no sample::subsequence).
-        let algs: Vec<Algorithm> = ALGORITHMS
+        let strats: Vec<StrategySpec> = STRATEGIES
             .iter()
             .enumerate()
-            .filter(|(i, _)| algs_mask & (1 << i) != 0)
-            .map(|(_, &alg)| alg)
+            .filter(|(i, _)| strats_mask & (1 << i) != 0)
+            .map(|(_, &strat)| strat)
             .collect();
         let topology: TopologySpec = TOPOLOGIES[topo_idx].parse().unwrap();
         let workload: WorkloadSpec = WORKLOADS[wl_idx].parse().unwrap();
@@ -143,7 +144,7 @@ proptest! {
 
         // Independent plane: every strategy regenerates its own demand.
         let independent = run_all_independent(
-            &ctx, &workload, &env, lambda, seed, rounds, &algs,
+            &ctx, &workload, &env, lambda, seed, rounds, &strats,
         );
 
         // Shared plane: one materialization through a trace cache, every
@@ -159,7 +160,7 @@ proptest! {
         };
         // Fetch once per strategy, as grouped cells do: first records,
         // the rest must hit and hand back the same storage.
-        let traces: Vec<Trace> = algs
+        let traces: Vec<Trace> = strats
             .iter()
             .map(|_| {
                 cache.get_or_record(key.clone(), || {
@@ -168,21 +169,22 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(cache.stats().misses, 1, "one recording per group");
-        prop_assert_eq!(cache.stats().hits, algs.len() as u64 - 1);
+        prop_assert_eq!(cache.stats().hits, strats.len() as u64 - 1);
         for t in &traces[1..] {
             prop_assert!(
                 std::ptr::eq(t.round(0), traces[0].round(0)),
                 "cache hits must share the Arc storage"
             );
         }
-        let shared = run_algorithms(&ctx, &traces[0], &algs);
+        let shared: Vec<CostBreakdown> =
+            strats.iter().map(|s| s.run(&ctx, &traces[0], seed)).collect();
 
         prop_assert_eq!(shared.len(), independent.len());
-        for (alg, (s, i)) in algs.iter().zip(shared.iter().zip(&independent)) {
-            prop_assert_eq!(s.access.to_bits(), i.access.to_bits(), "{:?} access", alg);
-            prop_assert_eq!(s.running.to_bits(), i.running.to_bits(), "{:?} running", alg);
-            prop_assert_eq!(s.migration.to_bits(), i.migration.to_bits(), "{:?} migration", alg);
-            prop_assert_eq!(s.creation.to_bits(), i.creation.to_bits(), "{:?} creation", alg);
+        for (strat, (s, i)) in strats.iter().zip(shared.iter().zip(&independent)) {
+            prop_assert_eq!(s.access.to_bits(), i.access.to_bits(), "{} access", strat);
+            prop_assert_eq!(s.running.to_bits(), i.running.to_bits(), "{} running", strat);
+            prop_assert_eq!(s.migration.to_bits(), i.migration.to_bits(), "{} migration", strat);
+            prop_assert_eq!(s.creation.to_bits(), i.creation.to_bits(), "{} creation", strat);
         }
     }
 }
