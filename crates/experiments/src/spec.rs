@@ -641,8 +641,7 @@ impl StrategySpec {
             StrategySpec::OffTh => run_online(ctx, trace, &mut OffTh::new(trace.clone()), initial),
             StrategySpec::Static => run_online(ctx, trace, &mut StaticStrategy::new(), initial),
             StrategySpec::OnConf => {
-                let mut strat = OnConf::new(ctx, &initial, seed);
-                run_online(ctx, trace, &mut strat, initial)
+                run_online(ctx, trace, &mut OnConf::new(ctx, &initial, seed), initial)
             }
             StrategySpec::SampledConf => {
                 run_online(ctx, trace, &mut SampledConf::new(ctx), initial)

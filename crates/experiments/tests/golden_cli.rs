@@ -120,7 +120,7 @@ fn run_and_sweep_accept_the_cell_grammar_and_nothing_else() {
     let _ = std::fs::remove_dir_all(&dir);
     let cell = ["run", "topo=unit-line:6", "wl=uniform:req=2", "strat=onth"];
 
-    // Flags without a figure name used to exit 0 having run nothing.
+    // Flags without a figure name are an error, not a silent no-op.
     let (code, err) = flexserve(&dir, &["run", "--profile", "quick"]);
     assert_eq!(code, Some(2), "{err}");
     assert!(err.contains("run: nothing to run"), "{err}");
