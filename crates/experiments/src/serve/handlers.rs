@@ -1,130 +1,36 @@
-//! Request handlers: one HTTP exchange in, one response out. Workers call
-//! [`handle_connection`] with the shared daemon state; everything
+//! The serve tier's request handler: one parsed request in, one status
+//! and JSON body out. The shared front end (`event_loop.rs`) owns the
+//! connections and calls [`handle`] from its worker pool; everything
 //! session-shaped is delegated to the [`SessionManager`] (and thus to the
 //! per-session actor threads), so handlers never touch simulation state
 //! directly.
 
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, TcpStream};
-use std::sync::atomic::Ordering;
-
 use flexserve_workload::JsonValue;
 
-use super::http::{route, HttpRequest, Route, ENDPOINT_LIST};
-use super::sessions::{ServeError, SessionConfig};
-use super::ServeShared;
+use super::http::{error_json, route, HttpRequest, Route, ENDPOINT_LIST};
+use super::sessions::{ServeError, SessionConfig, SessionManager};
 
-/// How long a persistent connection may sit idle between requests before
-/// the daemon closes it. Short on purpose: an idle connection still costs
-/// a file descriptor and a reactor-table slot (and, on the non-Linux
-/// fallback front end, a whole worker thread).
-pub(crate) const KEEP_ALIVE_IDLE: std::time::Duration = std::time::Duration::from_secs(10);
-
-/// The front-end-agnostic result of one routed exchange: what to answer,
-/// whether the connection survives it, and whether the daemon should
-/// begin shutting down *after* the response is on the wire.
-pub(crate) struct Outcome {
-    pub(crate) status: u16,
-    pub(crate) body: String,
-    pub(crate) keep_alive: bool,
-    pub(crate) shutdown: bool,
-}
-
-/// Routes and executes one parsed request. Both front ends — the epoll
-/// reactor's workers and the blocking fallback loop — funnel through
-/// here, so the HTTP surface cannot drift between them.
-pub(crate) fn process_request(request: &HttpRequest, shared: &ServeShared) -> Outcome {
-    // A daemon going down closes as it answers, so the front end drains
-    // instead of waiting out every open keep-alive window.
-    let keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
-    match route(&request.method, &request.path) {
-        None => Outcome {
-            status: 404,
-            body: error_json(&format!(
+/// Routes and executes one parsed request against the session table.
+/// `POST /shutdown` never reaches here: the front end answers it.
+pub(crate) fn handle(request: &HttpRequest, manager: &SessionManager) -> (u16, String) {
+    let Some(resolved) = route(&request.method, &request.path) else {
+        return (
+            404,
+            error_json(&format!(
                 "no {} {}; endpoints: {ENDPOINT_LIST}",
                 request.method, request.path
-            ))
-            .render(),
-            keep_alive,
-            shutdown: false,
-        },
-        Some(Route::Shutdown) => Outcome {
-            status: 200,
-            body: JsonValue::Obj(vec![("ok".into(), JsonValue::Bool(true))]).render(),
-            keep_alive: false,
-            shutdown: true,
-        },
-        Some(resolved) => match dispatch(resolved, &request.body, shared) {
-            Ok(body) => Outcome {
-                status: 200,
-                body,
-                keep_alive,
-                shutdown: false,
-            },
-            Err(e) => Outcome {
-                status: status_of(&e),
-                body: error_json(&e.to_string()).render(),
-                keep_alive,
-                shutdown: false,
-            },
-        },
-    }
-}
-
-/// Handles one connection on the blocking fallback front end (non-Linux
-/// hosts, where the epoll reactor in `event_loop.rs` is unavailable): a
-/// request loop that honors `Connection: keep-alive` (the HTTP/1.1
-/// default), serving any number of exchanges until the client closes,
-/// asks for `Connection: close`, idles past [`KEEP_ALIVE_IDLE`], or the
-/// daemon shuts down.
-#[cfg(not(target_os = "linux"))]
-pub(crate) fn handle_connection(stream: TcpStream, shared: &ServeShared) -> Result<(), String> {
-    use super::http::{read_request, respond_json};
-
-    // One slow (or silent) client must not pin its worker forever: the
-    // first request gets the configured request timeout, later idle gaps
-    // the short keep-alive window (applied at the bottom of the loop).
-    let _ = stream.set_read_timeout(Some(shared.request_timeout));
-    let _ = stream.set_write_timeout(Some(shared.request_timeout));
-    let mut reader = std::io::BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(Some(req)) => req,
-            // Clean end of the connection: client closed or idled out.
-            Ok(None) => return Ok(()),
-            // Framing errors poison the stream — answer with the error's
-            // status (408 stalled, 413 oversized, 400 malformed) and
-            // close.
-            Err(e) => {
-                return respond_json(
-                    reader.get_mut(),
-                    e.status(),
-                    &error_json(&e.message()).render(),
-                    false,
-                )
-            }
-        };
-        let outcome = process_request(&request, shared);
-        respond_json(
-            reader.get_mut(),
-            outcome.status,
-            &outcome.body,
-            outcome.keep_alive,
-        )?;
-        if outcome.shutdown {
-            begin_shutdown(shared);
-            return Ok(());
-        }
-        if !outcome.keep_alive {
-            return Ok(());
-        }
-        let _ = reader.get_ref().set_read_timeout(Some(KEEP_ALIVE_IDLE));
+            )),
+        );
+    };
+    match dispatch(resolved, &request.body, manager) {
+        Ok(body) => (200, body),
+        Err(e) => (status_of(&e), error_json(&e.to_string())),
     }
 }
 
 /// Executes a routed request against the session manager; returns the
 /// 200-response body.
-fn dispatch(route: Route, body: &str, shared: &ServeShared) -> Result<String, ServeError> {
-    let manager = &shared.manager;
+fn dispatch(route: Route, body: &str, manager: &SessionManager) -> Result<String, ServeError> {
     match route {
         Route::CreateSession => {
             let (name, cfg) = parse_create_body(body)?;
@@ -157,7 +63,6 @@ fn dispatch(route: Route, body: &str, shared: &ServeShared) -> Result<String, Se
             }
             Ok(JsonValue::Obj(pairs).render())
         }
-        Route::Shutdown => unreachable!("handled by the caller"),
     }
 }
 
@@ -203,24 +108,6 @@ fn parse_delete_body(body: &str) -> Result<Option<String>, ServeError> {
     }
 }
 
-/// Flags the daemon down and pokes the accept loop awake with a dummy
-/// connection so it observes the flag without waiting for a real client.
-/// Also the SIGTERM path: the signal watcher in `serve_on` calls this so
-/// a terminated daemon drains and checkpoints exactly like
-/// `POST /shutdown`.
-pub(crate) fn begin_shutdown(shared: &ServeShared) {
-    shared.shutdown.store(true, Ordering::SeqCst);
-    let mut addr = shared.addr;
-    // A wildcard bind (0.0.0.0 / ::) is not a connectable address.
-    if addr.ip().is_unspecified() {
-        addr.set_ip(match addr.ip() {
-            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        });
-    }
-    let _ = TcpStream::connect_timeout(&addr, std::time::Duration::from_secs(1));
-}
-
 /// The HTTP status each [`ServeError`] maps to.
 fn status_of(e: &ServeError) -> u16 {
     match e {
@@ -232,10 +119,6 @@ fn status_of(e: &ServeError) -> u16 {
         ServeError::TooLarge(_) => 413,
         ServeError::Internal(_) => 500,
     }
-}
-
-pub(crate) fn error_json(message: &str) -> JsonValue {
-    JsonValue::Obj(vec![("error".into(), JsonValue::from(message))])
 }
 
 #[cfg(test)]

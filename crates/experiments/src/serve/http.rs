@@ -1,12 +1,11 @@
-//! Minimal hand-rolled HTTP/1.1 plumbing for the serve daemon: request
-//! reading, response writing, and the route table mapping paths onto
-//! session operations. No external HTTP crate — the daemon speaks just
-//! enough HTTP for `curl` and the integration tests, exactly like the
-//! rest of the workspace hand-rolls its JSON.
+//! Minimal hand-rolled HTTP/1.1 plumbing for both tiers: the one
+//! incremental request parser, the head scan it shares with the router's
+//! response reader, response rendering, and the serve daemon's route
+//! table. No external HTTP crate — the daemons speak just enough HTTP
+//! for `curl` and the integration tests, exactly like the rest of the
+//! workspace hand-rolls its JSON.
 
-use std::io::BufRead;
-use std::io::Write;
-use std::net::TcpStream;
+use flexserve_workload::JsonValue;
 
 use super::sessions::DEFAULT_SESSION;
 
@@ -28,12 +27,13 @@ pub(crate) struct HttpRequest {
 const MAX_HEADER_LINE: usize = 8 * 1024;
 /// Cap on the whole header block, request line included.
 const MAX_HEADER_BYTES: usize = 32 * 1024;
-/// Cap on a declared request body: a daemon on loopback still shouldn't
-/// let one request balloon the process.
-const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+/// Cap on a declared request body (and on a worker response the router
+/// buffers): a daemon on loopback still shouldn't let one message
+/// balloon the process.
+pub(crate) const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// Why reading a request off the wire failed; each variant maps onto the
-/// HTTP status the daemon answers with before closing the connection.
+/// HTTP status the front end answers with before closing the connection.
 #[derive(Debug)]
 pub(crate) enum HttpError {
     /// The connection stalled mid-request — bytes were received, then the
@@ -63,117 +63,32 @@ impl HttpError {
             HttpError::TooLarge(m) | HttpError::Malformed(m) => m.clone(),
         }
     }
+
+    /// The full error response, which always closes the connection: a
+    /// framing error leaves the byte stream unusable.
+    pub(crate) fn response(&self) -> Vec<u8> {
+        render_response(self.status(), &error_json(&self.message()), false)
+    }
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
+/// The `{"error": ...}` body every failure is answered with, on both
+/// tiers.
+pub(crate) fn error_json(message: &str) -> String {
+    JsonValue::Obj(vec![("error".into(), JsonValue::from(message))]).render()
 }
 
-/// Reads one `\n`-terminated line of at most [`MAX_HEADER_LINE`] bytes
-/// into `line`, returning the bytes read (0 = EOF). Reading through a
-/// `take` bounds memory *before* the terminator check: a gigabyte header
-/// line trips the cap after 8 KiB instead of being buffered whole.
-fn read_line_capped<R: BufRead>(reader: &mut R, line: &mut String) -> Result<usize, HttpError> {
-    let mut limited = std::io::Read::take(&mut *reader, (MAX_HEADER_LINE + 1) as u64);
-    let n = limited.read_line(line).map_err(|e| {
-        if is_timeout(&e) {
-            HttpError::Timeout
-        } else {
-            HttpError::Malformed(format!("read header: {e}"))
-        }
-    })?;
-    if line.len() > MAX_HEADER_LINE {
-        return Err(HttpError::TooLarge(format!(
-            "header line exceeds the {MAX_HEADER_LINE}-byte cap"
-        )));
-    }
-    Ok(n)
-}
-
-/// Reads one HTTP request from `reader`. `Ok(None)` is a clean end of the
-/// connection: the client closed (EOF) or idled past the read timeout
-/// *between* requests — normal in a keep-alive loop, never an error.
-/// Every read is bounded: header lines at [`MAX_HEADER_LINE`], the header
-/// block at [`MAX_HEADER_BYTES`], the body at [`MAX_BODY_BYTES`], and a
-/// timeout mid-request surfaces as [`HttpError::Timeout`] (408) instead
-/// of holding the worker hostage to a stalled client.
-pub(crate) fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<HttpRequest>, HttpError> {
-    let mut line = String::new();
-    match read_line_capped(reader, &mut line) {
-        Ok(0) => return Ok(None), // client closed between requests
-        Ok(_) => {}
-        // An idle timeout with nothing received yet is a quiet close; a
-        // timeout mid-request-line means the client stalled (408).
-        Err(HttpError::Timeout) if line.is_empty() => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let mut header_bytes = line.len();
-    let mut parts = line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("empty request line".into()))?
-        .to_string();
-    let path = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("request line has no path".into()))?
-        .to_string();
-    // HTTP/1.1 (and anything newer) defaults to persistent connections;
-    // a bare HTTP/1.0 client must opt in.
-    let mut keep_alive = parts.next() != Some("HTTP/1.0");
-
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        let n = read_line_capped(reader, &mut header)?;
-        if n == 0 || header.trim().is_empty() {
-            break;
-        }
-        header_bytes += n;
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(HttpError::TooLarge(format!(
-                "header block exceeds the {MAX_HEADER_BYTES}-byte cap"
-            )));
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| HttpError::Malformed(format!("bad Content-Length {value:?}")))?;
-            } else if name.eq_ignore_ascii_case("connection") {
-                let value = value.trim();
-                if value.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
-                } else if value.eq_ignore_ascii_case("keep-alive") {
-                    keep_alive = true;
-                }
-            }
-        }
-    }
-    if content_length > MAX_BODY_BYTES {
-        return Err(HttpError::TooLarge(format!(
-            "body of {content_length} bytes exceeds the 16 MiB cap"
-        )));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(|e| {
-        if is_timeout(&e) {
-            HttpError::Timeout
-        } else {
-            HttpError::Malformed(format!("read body: {e}"))
-        }
-    })?;
-    let body =
-        String::from_utf8(body).map_err(|_| HttpError::Malformed("body is not UTF-8".into()))?;
-    Ok(Some(HttpRequest {
-        method,
-        path,
-        body,
-        keep_alive,
-    }))
+/// The framing fields of one HTTP message head — a request's or a
+/// response's — as scanned by [`parse_head`].
+#[derive(Debug)]
+pub(crate) struct Head {
+    /// The request or status line, without its line ending.
+    pub(crate) first_line: String,
+    /// The declared body length, if any.
+    pub(crate) content_length: Option<usize>,
+    /// The last `Connection` header's token, trimmed.
+    pub(crate) connection: Option<String>,
+    /// Bytes of the head, blank line included: the body starts here.
+    pub(crate) len: usize,
 }
 
 /// Finds the next `\n` at or after `from`.
@@ -184,38 +99,91 @@ fn find_nl(buf: &[u8], from: usize) -> Option<usize> {
         .map(|i| from + i)
 }
 
-/// Incremental counterpart of [`read_request`] for the epoll front end:
-/// parses one request out of a reactor's accumulated byte buffer.
-/// Returns `Ok(None)` while the buffer holds only a request prefix,
-/// `Ok(Some((request, consumed)))` once a whole request (headers + body)
-/// is present — `consumed` bytes belong to it and any remainder is the
-/// next pipelined request — and `Err` exactly where [`read_request`]
-/// would fail, with the same cap thresholds and messages (pinned by the
-/// `incremental_parse_agrees_with_read_request` test below).
-pub(crate) fn try_parse_request(buf: &[u8]) -> Result<Option<(HttpRequest, usize)>, HttpError> {
+/// Scans the head at the start of `buf`. Returns `Ok(None)` while the
+/// blank line ending it has not arrived, and `Err` as soon as a line
+/// passes [`MAX_HEADER_LINE`] (even before its terminator), the block
+/// passes [`MAX_HEADER_BYTES`], a `Content-Length` is not a number, or a
+/// `Transfer-Encoding` header appears: chunked framing is not spoken, and
+/// ignoring it would misread the chunks as the next message. The request
+/// parser and the router's response reader share this scan, so both
+/// sides of the proxy enforce the same caps.
+pub(crate) fn parse_head(buf: &[u8]) -> Result<Option<Head>, HttpError> {
     let line_too_large = || {
         HttpError::TooLarge(format!(
             "header line exceeds the {MAX_HEADER_LINE}-byte cap"
         ))
     };
-    // request line
-    let nl = match find_nl(buf, 0) {
-        Some(i) => i,
-        None => {
+    let mut first_line: Option<String> = None;
+    let mut content_length = None;
+    let mut connection = None;
+    let mut header_bytes = 0usize;
+    let mut pos = 0usize;
+    loop {
+        let Some(nl) = find_nl(buf, pos) else {
             // more than a full line's worth of bytes with no terminator
-            // can never become a valid request line
-            if buf.len() > MAX_HEADER_LINE {
+            // can never become a valid line
+            if buf.len() - pos > MAX_HEADER_LINE {
                 return Err(line_too_large());
             }
             return Ok(None);
+        };
+        let line_len = nl + 1 - pos;
+        if line_len > MAX_HEADER_LINE {
+            return Err(line_too_large());
         }
-    };
-    if nl + 1 > MAX_HEADER_LINE {
-        return Err(line_too_large());
+        let line = std::str::from_utf8(&buf[pos..nl])
+            .map_err(|_| HttpError::Malformed("header is not UTF-8".into()))?;
+        pos = nl + 1;
+        header_bytes += line_len;
+        if first_line.is_none() {
+            first_line = Some(line.trim_end_matches('\r').to_string());
+            continue;
+        }
+        if line.trim().is_empty() {
+            return Ok(Some(Head {
+                first_line: first_line.unwrap_or_default(),
+                content_length,
+                connection,
+                len: pos,
+            }));
+        }
+        if header_bytes > MAX_HEADER_BYTES {
+            return Err(HttpError::TooLarge(format!(
+                "header block exceeds the {MAX_HEADER_BYTES}-byte cap"
+            )));
+        }
+        let Some((name, value)) = line.split_once(':') else {
+            continue;
+        };
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = Some(
+                value
+                    .parse()
+                    .map_err(|_| HttpError::Malformed(format!("bad Content-Length {value:?}")))?,
+            );
+        } else if name.eq_ignore_ascii_case("connection") {
+            connection = Some(value.to_string());
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(HttpError::Malformed(
+                "Transfer-Encoding is not supported; send Content-Length".into(),
+            ));
+        }
     }
-    let line = std::str::from_utf8(&buf[..nl])
-        .map_err(|_| HttpError::Malformed("request line is not UTF-8".into()))?;
-    let mut parts = line.split_whitespace();
+}
+
+/// Parses one request out of a connection's accumulated bytes — the one
+/// request parser, used by the epoll reactor and the blocking fallback
+/// alike. Returns `Ok(None)` while the buffer holds only a request
+/// prefix, `Ok(Some((request, consumed)))` once a whole request (head +
+/// body) is present — `consumed` bytes belong to it and any remainder is
+/// the next pipelined request — and `Err` on a cap or framing violation
+/// (pinned by the proptests below).
+pub(crate) fn try_parse_request(buf: &[u8]) -> Result<Option<(HttpRequest, usize)>, HttpError> {
+    let Some(head) = parse_head(buf)? else {
+        return Ok(None);
+    };
+    let mut parts = head.first_line.split_whitespace();
     let method = parts
         .next()
         .ok_or_else(|| HttpError::Malformed("empty request line".into()))?
@@ -224,62 +192,24 @@ pub(crate) fn try_parse_request(buf: &[u8]) -> Result<Option<(HttpRequest, usize
         .next()
         .ok_or_else(|| HttpError::Malformed("request line has no path".into()))?
         .to_string();
-    let mut keep_alive = parts.next() != Some("HTTP/1.0");
-
-    let mut header_bytes = nl + 1;
-    let mut content_length = 0usize;
-    let mut pos = nl + 1;
-    loop {
-        let hnl = match find_nl(buf, pos) {
-            Some(i) => i,
-            None => {
-                if buf.len() - pos > MAX_HEADER_LINE {
-                    return Err(line_too_large());
-                }
-                return Ok(None); // header block still arriving
-            }
-        };
-        if hnl + 1 - pos > MAX_HEADER_LINE {
-            return Err(line_too_large());
-        }
-        let header = std::str::from_utf8(&buf[pos..hnl])
-            .map_err(|_| HttpError::Malformed("header is not UTF-8".into()))?;
-        let line_len = hnl + 1 - pos;
-        pos = hnl + 1;
-        if header.trim().is_empty() {
-            break; // blank line ends the headers (uncounted, as in read_request)
-        }
-        header_bytes += line_len;
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(HttpError::TooLarge(format!(
-                "header block exceeds the {MAX_HEADER_BYTES}-byte cap"
-            )));
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| HttpError::Malformed(format!("bad Content-Length {value:?}")))?;
-            } else if name.eq_ignore_ascii_case("connection") {
-                let value = value.trim();
-                if value.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
-                } else if value.eq_ignore_ascii_case("keep-alive") {
-                    keep_alive = true;
-                }
-            }
-        }
-    }
+    // HTTP/1.1 (and anything newer) defaults to persistent connections;
+    // a bare HTTP/1.0 client must opt in.
+    let keep_alive = match head.connection.as_deref() {
+        Some(c) if c.eq_ignore_ascii_case("close") => false,
+        Some(c) if c.eq_ignore_ascii_case("keep-alive") => true,
+        _ => parts.next() != Some("HTTP/1.0"),
+    };
+    let content_length = head.content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::TooLarge(format!(
             "body of {content_length} bytes exceeds the 16 MiB cap"
         )));
     }
-    if buf.len() - pos < content_length {
+    let end = head.len + content_length;
+    if buf.len() < end {
         return Ok(None); // body still arriving
     }
-    let body = std::str::from_utf8(&buf[pos..pos + content_length])
+    let body = std::str::from_utf8(&buf[head.len..end])
         .map_err(|_| HttpError::Malformed("body is not UTF-8".into()))?
         .to_string();
     Ok(Some((
@@ -289,7 +219,7 @@ pub(crate) fn try_parse_request(buf: &[u8]) -> Result<Option<(HttpRequest, usize
             body,
             keep_alive,
         },
-        pos + content_length,
+        end,
     )))
 }
 
@@ -309,27 +239,11 @@ pub(crate) fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a JSON response. With `keep_alive` the connection stays open
-/// for the next request of the per-connection loop (`Connection:
-/// keep-alive`); without it the exchange is closed (`Connection: close`).
-/// Bodies always carry an exact `Content-Length`, so persistent
+/// Renders a full JSON response to bytes. With `keep_alive` the
+/// connection stays open for the next request (`Connection:
+/// keep-alive`); without it the exchange is closed (`Connection:
+/// close`). Bodies always carry an exact `Content-Length`, so persistent
 /// connections stay framed.
-pub(crate) fn respond_json(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> Result<(), String> {
-    let response = render_response(status, body, keep_alive);
-    stream
-        .write_all(&response)
-        .and_then(|()| stream.flush())
-        .map_err(|e| format!("write response: {e}"))
-}
-
-/// Renders a full JSON response to bytes — the wire format behind
-/// [`respond_json`], split out so the epoll front end's workers and
-/// reactors can write it nonblockingly themselves.
 pub(crate) fn render_response(status: u16, body: &str, keep_alive: bool) -> Vec<u8> {
     let mut body = body.to_string();
     if !body.ends_with('\n') {
@@ -367,11 +281,10 @@ pub(crate) enum Route {
     Events(String),
     /// `DELETE /sessions/<name>` — stop and evict a session.
     DeleteSession(String),
-    /// `POST /shutdown` — stop the whole daemon.
-    Shutdown,
 }
 
-/// Maps `(method, path)` onto a [`Route`]; `None` is a 404.
+/// Maps `(method, path)` onto a [`Route`]; `None` is a 404. (`POST
+/// /shutdown` never gets here: the front end answers it for both tiers.)
 pub(crate) fn route(method: &str, path: &str) -> Option<Route> {
     let legacy = || DEFAULT_SESSION.to_string();
     match (method, path) {
@@ -381,7 +294,6 @@ pub(crate) fn route(method: &str, path: &str) -> Option<Route> {
         ("GET", "/placement") => return Some(Route::Placement(legacy())),
         ("GET", "/metrics") => return Some(Route::Metrics(legacy())),
         ("POST", "/checkpoint") => return Some(Route::Checkpoint(legacy())),
-        ("POST", "/shutdown") => return Some(Route::Shutdown),
         _ => {}
     }
     let rest = path.strip_prefix("/sessions/")?;
@@ -412,6 +324,7 @@ pub(crate) const ENDPOINT_LIST: &str = "POST /sessions, GET /sessions, \
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn routes_resolve_sessions_and_legacy_aliases() {
@@ -455,30 +368,34 @@ mod tests {
             route("POST", "/checkpoint"),
             Some(Route::Checkpoint("default".into()))
         );
-        assert_eq!(route("POST", "/shutdown"), Some(Route::Shutdown));
+        // the front end answers shutdown before any tier's routes
+        assert_eq!(route("POST", "/shutdown"), None);
+    }
+
+    fn parse(raw: &str) -> HttpRequest {
+        let (request, consumed) = try_parse_request(raw.as_bytes()).unwrap().unwrap();
+        assert_eq!(consumed, raw.len(), "{raw:?}");
+        request
     }
 
     #[test]
-    fn read_request_parses_connection_semantics() {
-        let parse = |raw: &str| read_request(&mut raw.as_bytes()).unwrap();
+    fn parse_honours_connection_semantics() {
         // HTTP/1.1 defaults to keep-alive
-        let req = parse("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let req = parse("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(req.keep_alive);
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/metrics");
         // explicit close wins
-        let req = parse("GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let req = parse("GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
         assert!(!req.keep_alive);
         // HTTP/1.0 defaults to close, opts back in with keep-alive
-        let req = parse("GET /metrics HTTP/1.0\r\n\r\n").unwrap();
-        assert!(!req.keep_alive);
-        let req = parse("GET /m HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").unwrap();
-        assert!(req.keep_alive);
-        // body framing is unchanged
-        let req = parse("POST /step HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd").unwrap();
+        assert!(!parse("GET /metrics HTTP/1.0\r\n\r\n").keep_alive);
+        assert!(parse("GET /m HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").keep_alive);
+        // body framing
+        let req = parse("POST /step HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd");
         assert_eq!(req.body, "abcd");
-        // EOF between requests is a clean end, not an error
-        assert!(parse("").is_none());
+        // an empty buffer is "keep reading", not an error
+        assert!(try_parse_request(b"").unwrap().is_none());
     }
 
     #[test]
@@ -496,98 +413,81 @@ mod tests {
     fn oversized_requests_are_413() {
         // a single runaway request line
         let raw = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(9_000));
-        let err = read_request(&mut raw.as_bytes()).unwrap_err();
+        let err = try_parse_request(raw.as_bytes()).unwrap_err();
         assert_eq!(err.status(), 413);
         assert!(err.message().contains("header line"), "{}", err.message());
         // a runaway header line
         let raw = format!("GET /m HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "y".repeat(9_000));
-        assert_eq!(read_request(&mut raw.as_bytes()).unwrap_err().status(), 413);
+        assert_eq!(try_parse_request(raw.as_bytes()).unwrap_err().status(), 413);
         // many medium header lines trip the block cap
         let mut raw = String::from("GET /m HTTP/1.1\r\n");
         for i in 0..10 {
             raw.push_str(&format!("X-Pad-{i}: {}\r\n", "z".repeat(4_000)));
         }
         raw.push_str("\r\n");
-        let err = read_request(&mut raw.as_bytes()).unwrap_err();
+        let err = try_parse_request(raw.as_bytes()).unwrap_err();
         assert_eq!(err.status(), 413);
         assert!(err.message().contains("header block"), "{}", err.message());
-        // a declared body beyond the 16 MiB cap is refused before reading
+        // a declared body beyond the 16 MiB cap is refused before it arrives
         let raw = "POST /step HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n";
-        let err = read_request(&mut raw.as_bytes()).unwrap_err();
+        let err = try_parse_request(raw.as_bytes()).unwrap_err();
         assert_eq!(err.status(), 413);
         assert!(err.message().contains("16 MiB"), "{}", err.message());
-    }
-
-    /// The incremental parser must agree with the streaming one byte for
-    /// byte: same requests, same consumed lengths, same cap errors — and
-    /// return `Ok(None)` on every strict prefix of a valid request.
-    #[test]
-    fn incremental_parse_agrees_with_read_request() {
-        let cases = [
-            "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n",
-            "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n",
-            "GET /metrics HTTP/1.0\r\n\r\n",
-            "GET /m HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n",
-            "POST /step HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd",
-        ];
-        for raw in cases {
-            let streamed = read_request(&mut raw.as_bytes()).unwrap().unwrap();
-            let (incremental, consumed) = try_parse_request(raw.as_bytes()).unwrap().unwrap();
-            assert_eq!(consumed, raw.len(), "{raw:?}");
-            assert_eq!(incremental.method, streamed.method);
-            assert_eq!(incremental.path, streamed.path);
-            assert_eq!(incremental.body, streamed.body);
-            assert_eq!(incremental.keep_alive, streamed.keep_alive);
-            // every strict prefix is "keep reading", never an error
-            for cut in 0..raw.len() {
-                assert!(
-                    try_parse_request(&raw.as_bytes()[..cut]).unwrap().is_none(),
-                    "prefix of {raw:?} at {cut}"
-                );
-            }
-        }
-        // pipelined requests: the first parse consumes exactly one
-        let two = "GET /metrics HTTP/1.1\r\n\r\nPOST /step HTTP/1.1\r\nContent-Length: 2\r\n\r\nok";
-        let (first, consumed) = try_parse_request(two.as_bytes()).unwrap().unwrap();
-        assert_eq!(first.path, "/metrics");
-        let (second, rest) = try_parse_request(&two.as_bytes()[consumed..])
-            .unwrap()
-            .unwrap();
-        assert_eq!(second.body, "ok");
-        assert_eq!(consumed + rest, two.len());
     }
 
     #[test]
     fn incremental_parse_enforces_the_same_caps() {
-        // runaway request line: same status and message as read_request
-        let raw = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(9_000));
-        let err = try_parse_request(raw.as_bytes()).unwrap_err();
-        assert_eq!(err.status(), 413);
-        assert!(err.message().contains("header line"), "{}", err.message());
-        // ... even before the newline ever arrives
+        // the line cap fires before the newline ever arrives, on the
+        // first line and on a header line alike
         let err = try_parse_request("G".repeat(9_000).as_bytes()).unwrap_err();
         assert_eq!(err.status(), 413);
-        // header-block cap
-        let mut raw = String::from("GET /m HTTP/1.1\r\n");
-        for i in 0..10 {
-            raw.push_str(&format!("X-Pad-{i}: {}\r\n", "z".repeat(4_000)));
-        }
-        raw.push_str("\r\n");
-        let err = try_parse_request(raw.as_bytes()).unwrap_err();
-        assert_eq!(err.status(), 413);
-        assert!(err.message().contains("header block"), "{}", err.message());
-        // declared-body cap fires before the body arrives
-        let raw = "POST /step HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n";
-        let err = try_parse_request(raw.as_bytes()).unwrap_err();
-        assert_eq!(err.status(), 413);
-        assert!(err.message().contains("16 MiB"), "{}", err.message());
-        // malformed framing is still a 400
+        let raw = format!("GET /m HTTP/1.1\r\nX-Pad: {}", "y".repeat(9_000));
+        assert_eq!(try_parse_request(raw.as_bytes()).unwrap_err().status(), 413);
+        // a response head goes through the same scan with the same caps
+        let raw = format!("HTTP/1.1 200 OK\r\nX-Pad: {}\r\n\r\n", "y".repeat(9_000));
+        let err = parse_head(raw.as_bytes()).unwrap_err();
+        assert!(err.message().contains("header line"), "{}", err.message());
+        let raw = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection:  close \r\n\r\n{}";
+        let head = parse_head(raw.as_bytes()).unwrap().unwrap();
+        assert_eq!(head.first_line, "HTTP/1.1 200 OK");
+        assert_eq!(head.content_length, Some(2));
+        assert_eq!(head.connection.as_deref(), Some("close"));
+        assert_eq!(
+            head.len,
+            raw.len() - 2,
+            "the body starts after the blank line"
+        );
+        // malformed framing is a 400
         let raw = "POST /step HTTP/1.1\r\nContent-Length: nope\r\n\r\n";
+        assert_eq!(try_parse_request(raw.as_bytes()).unwrap_err().status(), 400);
+        assert_eq!(try_parse_request(b"\r\n\r\n").unwrap_err().status(), 400);
+        assert_eq!(try_parse_request(b"GET\r\n\r\n").unwrap_err().status(), 400);
+    }
+
+    /// Chunked framing is refused rather than ignored: a parser that
+    /// skipped the header would play the round with an empty body and
+    /// then read the chunk bytes as a second request.
+    #[test]
+    fn chunked_request_bodies_are_400() {
+        let raw = "POST /step HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n\
+                   13\r\n{\"origins\":[7,7,7]}\r\n0\r\n\r\n";
+        let err = try_parse_request(raw.as_bytes()).unwrap_err();
+        assert_eq!(err.status(), 400);
+        assert!(
+            err.message().contains("send Content-Length"),
+            "{}",
+            err.message()
+        );
+        let text = String::from_utf8(err.response()).unwrap();
+        assert!(text.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{text}");
+        assert!(text.contains("Connection: close\r\n"), "{text}");
+        // any coding, any case, even next to a Content-Length
+        let raw = "POST /step HTTP/1.1\r\nContent-Length: 2\r\ntransfer-encoding : gzip\r\n\r\n{}";
         assert_eq!(try_parse_request(raw.as_bytes()).unwrap_err().status(), 400);
     }
 
     #[test]
-    fn render_response_matches_respond_json_wire_format() {
+    fn render_response_wire_format() {
         let bytes = render_response(200, "{\"ok\":true}", true);
         let text = String::from_utf8(bytes).unwrap();
         assert_eq!(
@@ -602,35 +502,96 @@ mod tests {
         assert!(text.ends_with("\r\n\r\n{}\n"));
     }
 
-    /// A reader that yields its bytes, then stalls with the timeout error
-    /// a blocking socket read returns when `set_read_timeout` fires.
-    struct Stall<'a>(&'a [u8]);
+    /// A valid request: one of a few methods and paths, an optional
+    /// version and `Connection` header, padding headers, and a body whose
+    /// bytes come from `fill`.
+    fn valid_request((shape, fill): (u64, u64)) -> String {
+        let methods = ["GET", "POST", "DELETE"];
+        let paths = ["/step", "/sessions", "/sessions/a-b/metrics", "/x?q=1"];
+        let versions = ["HTTP/1.1", "HTTP/1.0"];
+        let connections = ["", "Connection: close\r\n", "Connection: keep-alive\r\n"];
+        let pick = |n: usize, shift: u32| (shape >> shift) as usize % n;
+        let body: String = (0..pick(40, 12))
+            .map(|i| char::from(b' ' + ((fill >> (i % 8)) as u8).wrapping_add(i as u8) % 95))
+            .collect();
+        format!(
+            "{} {} {}\r\nHost: h\r\n{}X-Pad: {}\r\nContent-Length: {}\r\n\r\n{body}",
+            methods[pick(3, 0)],
+            paths[pick(4, 2)],
+            versions[pick(2, 4)],
+            connections[pick(3, 6)],
+            "p".repeat(pick(30, 8)),
+            body.len()
+        )
+    }
 
-    impl std::io::Read for Stall<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.0.is_empty() {
-                return Err(std::io::Error::new(std::io::ErrorKind::WouldBlock, "stall"));
-            }
-            let n = self.0.len().min(buf.len());
-            buf[..n].copy_from_slice(&self.0[..n]);
-            self.0 = &self.0[n..];
-            Ok(n)
+    /// Parses every request off `buf` the way a connection does: parse,
+    /// cut `consumed`, repeat until the parser wants more bytes.
+    fn drain_requests(buf: &mut Vec<u8>, out: &mut Vec<(String, String, String, bool)>) {
+        while let Some((r, consumed)) = try_parse_request(buf).unwrap() {
+            assert!(consumed <= buf.len());
+            buf.drain(..consumed);
+            out.push((r.method, r.path, r.body, r.keep_alive));
         }
     }
 
-    #[test]
-    fn stalled_requests_are_408_but_idle_connections_close_quietly() {
-        // nothing received yet: the keep-alive idle case, a quiet close
-        let mut idle = std::io::BufReader::new(Stall(b""));
-        assert!(read_request(&mut idle).unwrap().is_none());
-        // a stall mid-request-line holds half a request: 408
-        let mut stalled = std::io::BufReader::new(Stall(b"GET /metr"));
-        let err = read_request(&mut stalled).unwrap_err();
-        assert_eq!(err.status(), 408);
-        // a stall mid-body: also 408
-        let mut stalled =
-            std::io::BufReader::new(Stall(b"POST /step HTTP/1.1\r\nContent-Length: 8\r\n\r\nab"));
-        let err = read_request(&mut stalled).unwrap_err();
-        assert_eq!(err.status(), 408);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes — raw noise, or noise behind a plausible
+        /// request line — never panic the parser, and a parse never
+        /// claims more bytes than the buffer holds.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            noise in prop::collection::vec(0u32..256, 0..300),
+            prefixed in 0u32..2,
+        ) {
+            let mut buf: Vec<u8> = if prefixed == 1 {
+                b"POST /step HTTP/1.1\r\nContent-Length: 5\r\n".to_vec()
+            } else {
+                Vec::new()
+            };
+            buf.extend(noise.iter().map(|&b| b as u8));
+            if let Ok(Some((_, consumed))) = try_parse_request(&buf) {
+                prop_assert!(consumed <= buf.len());
+            }
+            let _ = parse_head(&buf);
+        }
+
+        /// Every strict prefix of a valid request is "keep reading", and
+        /// a pipelined run of valid requests fed in random pieces parses
+        /// to exactly what the whole buffer parses to.
+        #[test]
+        fn split_requests_parse_like_whole_ones(
+            requests in prop::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 1..4),
+            cuts in prop::collection::vec(0usize..2000, 0..6),
+        ) {
+            let wire: String = requests.into_iter().map(valid_request).collect();
+            let bytes = wire.as_bytes();
+            let (_, first_len) = try_parse_request(bytes).unwrap().unwrap();
+            for cut in 0..first_len {
+                prop_assert!(
+                    try_parse_request(&bytes[..cut]).unwrap().is_none(),
+                    "prefix {cut} of {wire:?}"
+                );
+            }
+
+            let mut whole = Vec::new();
+            let mut buf = bytes.to_vec();
+            drain_requests(&mut buf, &mut whole);
+            prop_assert!(buf.is_empty());
+
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (bytes.len() + 1)).collect();
+            cuts.push(bytes.len());
+            cuts.sort_unstable();
+            let (mut split, mut buf, mut from) = (Vec::new(), Vec::new(), 0);
+            for cut in cuts {
+                buf.extend_from_slice(&bytes[from..cut]);
+                from = cut;
+                drain_requests(&mut buf, &mut split);
+            }
+            prop_assert!(buf.is_empty());
+            prop_assert_eq!(split, whole);
+        }
     }
 }

@@ -13,8 +13,11 @@
 //! reactor threads owns every connection and parses requests
 //! incrementally off readiness events, so 10k idle keep-alive clients
 //! cost file descriptors, not threads, and only complete requests occupy
-//! the `workers=` pool (see `event_loop.rs`; non-Linux hosts fall back to
-//! the previous blocking accept-loop + worker-pool front end):
+//! the `workers=` pool. That front end (`event_loop.rs`, with the one
+//! request parser in `http.rs`) is shared with the [`route`] tier: each
+//! tier supplies only its request handler (`handlers.rs` here), and
+//! non-Linux hosts run one blocking keep-alive loop per connection over
+//! the same parser instead:
 //!
 //! | endpoint                             | effect                                   |
 //! |--------------------------------------|------------------------------------------|
@@ -46,9 +49,10 @@
 //! substrate and fingerprint-checked).
 //!
 //! Robustness is part of the contract: every request read is bounded
-//! (`request-timeout=` plus header/body caps, answered with 408/413), and
-//! shutdown is graceful — `POST /shutdown` *and* SIGTERM both drain the
-//! worker pool and checkpoint every live session to its checkpoint file
+//! (`request-timeout=` plus header/body caps, answered with 408/413;
+//! chunked framing is refused with 400), and shutdown is graceful —
+//! `POST /shutdown` *and* SIGTERM both drain the front end, after which
+//! [`serve_on`] checkpoints every live session to its checkpoint file
 //! before exiting. Endpoint reference, JSONL replay schema and the
 //! checkpoint format live in `docs/SERVING.md`; the substrate-event
 //! plane (grammar, penalty costs, replay semantics) in `docs/FAULTS.md`.
@@ -70,12 +74,11 @@ pub use sessions::{
 };
 
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use flexserve_workload::JsonValue;
 
 use crate::output::results_dir;
+use event_loop::{run_front_end, FrontEnd};
 
 /// Parsed `flexserve serve` options: the default session plus the server
 /// shape (listener address, worker pool, session budget).
@@ -230,58 +233,6 @@ pub struct ServeSummary {
     pub final_t: u64,
 }
 
-/// State every HTTP worker shares: the session table, the shutdown flag
-/// and the listener address (for the shutdown self-poke).
-pub(crate) struct ServeShared {
-    pub(crate) manager: SessionManager,
-    pub(crate) shutdown: AtomicBool,
-    pub(crate) addr: SocketAddr,
-    pub(crate) request_timeout: std::time::Duration,
-}
-
-/// SIGTERM handling for the daemon: the signal handler only flips a flag
-/// (the whole async-signal-safe budget); a watcher thread in [`serve_on`]
-/// turns the flag into the same graceful shutdown as `POST /shutdown`.
-#[cfg(unix)]
-mod sigterm {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static TERM: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_term(_signum: i32) {
-        TERM.store(true, Ordering::SeqCst);
-    }
-
-    /// Installs the handler and clears any flag left by a previous daemon
-    /// in this process (tests run several serve lifecycles per binary).
-    pub(crate) fn install() {
-        const SIGTERM: i32 = 15;
-        extern "C" {
-            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        }
-        TERM.store(false, Ordering::SeqCst);
-        unsafe {
-            signal(SIGTERM, on_term);
-        }
-    }
-
-    /// True once SIGTERM has been received.
-    pub(crate) fn pending() -> bool {
-        TERM.load(Ordering::SeqCst)
-    }
-}
-
-/// The startup warning for listeners reachable from other hosts, or
-/// `None` on loopback.
-pub(crate) fn non_loopback_warning(addr: &SocketAddr) -> Option<String> {
-    (!addr.ip().is_loopback()).then(|| {
-        format!(
-            "flexserve serve: WARNING: listening on non-loopback {addr} — the daemon \
-             has no authentication; only expose it on trusted networks"
-        )
-    })
-}
-
 /// Binds `bind:port` and serves until `POST /shutdown`. The bound address
 /// is announced on stdout (`port=0` picks an ephemeral port, so scripts
 /// must parse the announcement).
@@ -297,18 +248,13 @@ pub fn serve_on(listener: TcpListener, opts: &ServeOptions) -> Result<ServeSumma
     let addr = listener
         .local_addr()
         .map_err(|e| format!("serve: local_addr: {e}"))?;
-    let shared = Arc::new(ServeShared {
-        manager: SessionManager::new(opts.max_sessions),
-        shutdown: AtomicBool::new(false),
-        addr,
-        request_timeout: opts.request_timeout,
-    });
+    let front = FrontEnd::new("serve", addr, opts.request_timeout);
+    let manager = SessionManager::new(opts.max_sessions);
 
     // The default session comes up before the listener answers, so a bad
     // spec or checkpoint aborts the start instead of a half-served
     // daemon.
-    let info = shared
-        .manager
+    let info = manager
         .create(DEFAULT_SESSION, opts.session.clone())
         .map_err(|e| format!("serve: {e}"))?;
     let field = |name: &str| {
@@ -337,75 +283,50 @@ pub fn serve_on(listener: TcpListener, opts: &ServeOptions) -> Result<ServeSumma
             String::new()
         }
     );
-    if let Some(warning) = non_loopback_warning(&addr) {
-        eprintln!("{warning}");
-    }
     let _ = std::io::Write::flush(&mut std::io::stdout());
 
-    // The idle-evict reaper: with `idle-evict=<secs>` set, a background
-    // thread sweeps the session table and auto-checkpoints + evicts
-    // sessions no client has touched for the window (the `evicted: true`
-    // tombstones in `GET /sessions`). Polling granularity is a quarter of
-    // the window, bounded to [50ms, 1s] so shutdown never waits long.
-    let reaper = opts.idle_evict.map(|window| {
-        let shared = Arc::clone(&shared);
-        let tick = (window / 4)
-            .max(std::time::Duration::from_millis(50))
-            .min(std::time::Duration::from_secs(1));
-        std::thread::Builder::new()
-            .name("serve-reaper".into())
-            .spawn(move || {
-                while !shared.shutdown.load(Ordering::SeqCst) {
-                    std::thread::sleep(tick);
-                    for name in shared.manager.evict_idle(window) {
-                        eprintln!(
-                            "flexserve serve: idle-evicted session {name:?} \
-                             (untouched for {}s; checkpointed)",
-                            window.as_secs_f64()
-                        );
+    std::thread::scope(|s| {
+        // The idle-evict reaper: with `idle-evict=<secs>` set, a
+        // background thread sweeps the session table and auto-checkpoints
+        // + evicts sessions no client has touched for the window (the
+        // `evicted: true` tombstones in `GET /sessions`). Polling
+        // granularity is a quarter of the window, bounded to [50ms, 1s]
+        // so shutdown never waits long.
+        if let Some(window) = opts.idle_evict {
+            let tick = (window / 4)
+                .max(std::time::Duration::from_millis(50))
+                .min(std::time::Duration::from_secs(1));
+            let (front, manager) = (&front, &manager);
+            std::thread::Builder::new()
+                .name("serve-reaper".into())
+                .spawn_scoped(s, move || {
+                    while !front.is_shutting_down() {
+                        std::thread::sleep(tick);
+                        for name in manager.evict_idle(window) {
+                            eprintln!(
+                                "flexserve serve: idle-evicted session {name:?} \
+                                 (untouched for {}s; checkpointed)",
+                                window.as_secs_f64()
+                            );
+                        }
                     }
-                }
-            })
-            .expect("spawn reaper thread")
-    });
-
-    // SIGTERM watcher: the handler itself only flips a flag, this thread
-    // notices it and triggers the same graceful shutdown as
-    // `POST /shutdown` (drain workers, checkpoint every session). Exits
-    // within a tick once the shutdown flag is set by any path.
-    #[cfg(unix)]
-    let term_watcher = {
-        sigterm::install();
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("serve-sigterm".into())
-            .spawn(move || {
-                while !shared.shutdown.load(Ordering::SeqCst) {
-                    if sigterm::pending() {
-                        eprintln!("flexserve serve: SIGTERM — checkpointing and shutting down");
-                        handlers::begin_shutdown(&shared);
-                        break;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(100));
-                }
-            })
-            .map_err(|e| format!("serve: cannot spawn sigterm watcher: {e}"))?
-    };
-
-    // The front end: on Linux, the epoll reactor pool in `event_loop.rs`
-    // (connections cost fds, complete requests occupy workers); elsewhere
-    // the blocking accept-loop + worker-pool fallback. Returns once the
-    // shutdown flag is set and every connection has drained.
-    event_loop::run_front_end(listener, &shared, opts.workers, opts.reactor_threads)?;
-    if let Some(reaper) = reaper {
-        let _ = reaper.join(); // observes the shutdown flag within a tick
-    }
-    #[cfg(unix)]
-    let _ = term_watcher.join(); // likewise bounded by its poll tick
-                                 // Graceful shutdown: snapshot every live session to its checkpoint
-                                 // file before stopping it, so a daemon going down (POST /shutdown or
-                                 // SIGTERM) never loses state nobody checkpointed explicitly.
-    let saved = shared.manager.checkpoint_all();
+                })
+                .map_err(|e| format!("serve: cannot spawn reaper: {e}"))?;
+        }
+        // Returns once shutdown is flagged and every connection drained;
+        // the reaper observes the flag within a tick.
+        run_front_end(
+            listener,
+            &front,
+            opts.workers,
+            opts.reactor_threads,
+            &|request| handlers::handle(request, &manager),
+        )
+    })?;
+    // Graceful shutdown: snapshot every live session to its checkpoint
+    // file before stopping it, so a daemon going down (POST /shutdown or
+    // SIGTERM) never loses state nobody checkpointed explicitly.
+    let saved = manager.checkpoint_all();
     if !saved.is_empty() {
         eprintln!(
             "flexserve serve: checkpointed {} session(s) on shutdown: {}",
@@ -413,8 +334,8 @@ pub fn serve_on(listener: TcpListener, opts: &ServeOptions) -> Result<ServeSumma
             saved.join(", ")
         );
     }
-    shared.manager.shutdown_all();
-    let stats = shared.manager.default_session_stats().unwrap_or_default();
+    manager.shutdown_all();
+    let stats = manager.default_session_stats().unwrap_or_default();
     Ok(ServeSummary {
         rounds_served: stats.rounds_served,
         final_t: stats.final_t,
@@ -434,6 +355,7 @@ pub fn serve_cmd(args: &[String]) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
+    use super::event_loop::non_loopback_warning;
     use super::*;
     use std::path::PathBuf;
 
@@ -552,10 +474,10 @@ mod tests {
     #[test]
     fn loopback_vs_non_loopback_warning() {
         let quiet: SocketAddr = "127.0.0.1:7788".parse().unwrap();
-        assert!(non_loopback_warning(&quiet).is_none());
+        assert!(non_loopback_warning("serve", &quiet).is_none());
         let loud: SocketAddr = "0.0.0.0:7788".parse().unwrap();
-        let warning = non_loopback_warning(&loud).unwrap();
-        assert!(warning.contains("WARNING"), "{warning}");
+        let warning = non_loopback_warning("serve", &loud).unwrap();
+        assert!(warning.starts_with("flexserve serve: WARNING"), "{warning}");
         assert!(warning.contains("0.0.0.0:7788"), "{warning}");
     }
 

@@ -33,6 +33,11 @@
 //! `docs/CLUSTER.md`). A probe success while down marks the worker back
 //! up and re-syncs the ring.
 //!
+//! **Front end**: the router runs on the workers' HTTP front end
+//! (`serve/event_loop.rs`) and supplies only its request handler; idle
+//! keep-alive clients hold reactor slots, never one of the `threads=`
+//! workers, and the request caps and `POST /shutdown` match the workers'.
+//!
 //! Deployment assumption: workers share a filesystem (checkpoint hand-off
 //! is path-based). Lock discipline: the router state mutex is an *inner*
 //! lock — it is never held while acquiring a per-session mutex, and each
@@ -44,15 +49,14 @@ pub mod ring;
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use flexserve_workload::JsonValue;
 
-use super::handlers::KEEP_ALIVE_IDLE;
-use super::http::{read_request, respond_json, Route};
+use super::event_loop::{run_front_end, FrontEnd};
+use super::http::{error_json, HttpRequest, Route};
 use super::sessions::SessionConfig;
 use crate::spec::CellBuilder;
 use proxy::http_call;
@@ -68,7 +72,8 @@ pub struct RouteOptions {
     pub bind: IpAddr,
     /// Listener port (default 7787; 0 = ephemeral, announced on stdout).
     pub port: u16,
-    /// HTTP worker threads handling router connections.
+    /// Worker threads running router requests; the connections
+    /// themselves are held by the shared front end's reactors.
     pub threads: usize,
     /// Virtual ring points per worker.
     pub replicas: usize,
@@ -89,7 +94,7 @@ usage: flexserve route workers=<host:port>+<host:port>... [key=value...]
 router keys: workers=<addr>+<addr>+... (the worker fleet; required),
              port (default 7787, 0 = ephemeral),
              bind=<ip>[:<port>] (default 127.0.0.1),
-             threads=<n> (HTTP pool; default 4),
+             threads=<n> (request worker pool; default 4),
              replicas=<n> (ring points per worker; default 32),
              health-interval=<secs> (worker probe period; default 2),
              mark-down=<k> (probe failures before mark-down; default 3),
@@ -234,11 +239,9 @@ struct RouterState {
     sessions: HashMap<String, Arc<Mutex<SessionRoute>>>,
 }
 
-/// State every router HTTP thread shares.
+/// State every router request and the health thread share.
 struct RouterShared {
     state: Mutex<RouterState>,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
     timeout: Duration,
     mark_down: u32,
     skew: Option<u64>,
@@ -252,9 +255,10 @@ impl RouterShared {
     }
 }
 
-fn error_json(message: &str) -> String {
-    JsonValue::Obj(vec![("error".into(), JsonValue::from(message))]).render()
-}
+/// Reactor threads holding the router's connections: the `serve`
+/// default, since a router request spends its time in the proxy hop on a
+/// worker thread, not in the reactor.
+const ROUTER_REACTORS: usize = 2;
 
 /// The 404 body's endpoint inventory for the router (kept in sync with
 /// `docs/CLUSTER.md` by `tests/docs_drift.rs`, which is why it is
@@ -266,14 +270,13 @@ pub const ROUTER_ENDPOINT_LIST: &str = "GET /cluster, POST /workers, \
      POST /sessions/<name>/events, DELETE /sessions/<name>, POST /step, \
      GET /placement, GET /metrics, POST /checkpoint, POST /shutdown";
 
-/// A resolved router endpoint: the two router-only surfaces, the relayed
-/// session surface, or the router's own shutdown.
+/// A resolved router endpoint: the router-only surfaces or the relayed
+/// session surface.
 enum RouterRoute {
     Cluster,
     Join,
     Drain(String),
     Proxy(Route),
-    Shutdown,
 }
 
 fn router_route(method: &str, path: &str) -> Option<RouterRoute> {
@@ -286,10 +289,7 @@ fn router_route(method: &str, path: &str) -> Option<RouterRoute> {
         return (method == "DELETE" && !addr.is_empty())
             .then(|| RouterRoute::Drain(addr.to_string()));
     }
-    match super::http::route(method, path)? {
-        Route::Shutdown => Some(RouterRoute::Shutdown),
-        r => Some(RouterRoute::Proxy(r)),
-    }
+    super::http::route(method, path).map(RouterRoute::Proxy)
 }
 
 /// The args a migrated session is re-created with on its destination:
@@ -970,7 +970,7 @@ fn forward_session_op(route: Route, body: &str, shared: &RouterShared) -> (u16, 
             false,
         ),
         Route::Events(n) => (n.clone(), "POST", format!("/sessions/{n}/events"), false),
-        _ => unreachable!("create/list/delete/shutdown handled by the caller"),
+        _ => unreachable!("create/list/delete handled by the caller"),
     };
     let arc = match lookup(&name, shared) {
         Ok(arc) => arc,
@@ -1004,7 +1004,19 @@ fn forward_session_op(route: Route, body: &str, shared: &RouterShared) -> (u16, 
     }
 }
 
-fn dispatch(route: RouterRoute, body: &str, shared: &RouterShared) -> (u16, String) {
+/// The router's request handler: the router surface, or the 404 listing
+/// it. `POST /shutdown` is answered by the front end.
+fn handle(request: &HttpRequest, shared: &RouterShared) -> (u16, String) {
+    let Some(route) = router_route(&request.method, &request.path) else {
+        return (
+            404,
+            error_json(&format!(
+                "no {} {}; endpoints: {ROUTER_ENDPOINT_LIST}",
+                request.method, request.path
+            )),
+        );
+    };
+    let body = request.body.as_str();
     match route {
         RouterRoute::Cluster => cluster_view(shared),
         RouterRoute::Join => join_worker(body, shared),
@@ -1013,76 +1025,6 @@ fn dispatch(route: RouterRoute, body: &str, shared: &RouterShared) -> (u16, Stri
         RouterRoute::Proxy(Route::ListSessions) => list_sessions(shared),
         RouterRoute::Proxy(Route::DeleteSession(name)) => delete_session(&name, body, shared),
         RouterRoute::Proxy(op) => forward_session_op(op, body, shared),
-        RouterRoute::Shutdown => unreachable!("handled by the connection loop"),
-    }
-}
-
-/// Flags the router down and pokes its accept loop awake (the same
-/// self-poke as the serve daemon's shutdown path).
-fn begin_shutdown(shared: &RouterShared) {
-    shared.shutdown.store(true, Ordering::SeqCst);
-    let mut addr = shared.addr;
-    if addr.ip().is_unspecified() {
-        addr.set_ip(match addr.ip() {
-            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-            IpAddr::V6(_) => IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-        });
-    }
-    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
-}
-
-/// Handles one router connection: the same keep-alive request loop as
-/// the serve daemon's, dispatching to the router surface.
-fn handle_connection(stream: TcpStream, shared: &RouterShared) -> Result<(), String> {
-    let _ = stream.set_read_timeout(Some(shared.timeout));
-    let _ = stream.set_write_timeout(Some(shared.timeout));
-    let mut reader = std::io::BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(Some(req)) => req,
-            Ok(None) => return Ok(()),
-            Err(e) => {
-                return respond_json(
-                    reader.get_mut(),
-                    e.status(),
-                    &error_json(&e.message()),
-                    false,
-                )
-            }
-        };
-        let keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
-        let out = reader.get_mut();
-        match router_route(&request.method, &request.path) {
-            None => {
-                respond_json(
-                    out,
-                    404,
-                    &error_json(&format!(
-                        "no {} {}; endpoints: {ROUTER_ENDPOINT_LIST}",
-                        request.method, request.path
-                    )),
-                    keep_alive,
-                )?;
-            }
-            Some(RouterRoute::Shutdown) => {
-                respond_json(
-                    out,
-                    200,
-                    &JsonValue::Obj(vec![("ok".into(), JsonValue::Bool(true))]).render(),
-                    false,
-                )?;
-                begin_shutdown(shared);
-                return Ok(());
-            }
-            Some(resolved) => {
-                let (status, body) = dispatch(resolved, &request.body, shared);
-                respond_json(out, status, &body, keep_alive)?;
-            }
-        }
-        if !keep_alive {
-            return Ok(());
-        }
-        let _ = reader.get_ref().set_read_timeout(Some(KEEP_ALIVE_IDLE));
     }
 }
 
@@ -1124,18 +1066,17 @@ pub fn run_on(listener: TcpListener, opts: &RouteOptions) -> Result<(), String> 
         });
     }
     let live = workers.iter().filter(|w| w.alive).count();
-    let shared = Arc::new(RouterShared {
+    let front = FrontEnd::new("route", addr, opts.request_timeout);
+    let shared = RouterShared {
         state: Mutex::new(RouterState {
             workers,
             ring,
             sessions: HashMap::new(),
         }),
-        shutdown: AtomicBool::new(false),
-        addr,
         timeout: opts.request_timeout,
         mark_down: opts.mark_down,
         skew: opts.skew,
-    });
+    };
 
     println!(
         "flexserve route: listening on http://{addr} workers={} ({live}/{} live) \
@@ -1149,101 +1090,34 @@ pub fn run_on(listener: TcpListener, opts: &RouteOptions) -> Result<(), String> 
             None => String::new(),
         }
     );
-    if !addr.ip().is_loopback() {
-        eprintln!(
-            "flexserve route: WARNING: listening on non-loopback {addr} — the router \
-             has no authentication; only expose it on trusted networks"
-        );
-    }
     let _ = std::io::Write::flush(&mut std::io::stdout());
 
-    // The health thread: probe, mark down/up, re-sync, skew-balance.
-    // Sleeps in small ticks so shutdown never waits a full interval.
-    let health = {
-        let shared = Arc::clone(&shared);
+    std::thread::scope(|s| {
+        // The health thread: probe, mark down/up, re-sync, skew-balance.
+        // Sleeps in small ticks so shutdown never waits a full interval.
         let interval = opts.health_interval;
+        let (front, shared) = (&front, &shared);
         std::thread::Builder::new()
             .name("route-health".into())
-            .spawn(move || {
+            .spawn_scoped(s, move || {
                 let tick = interval.min(Duration::from_millis(50));
                 let mut slept = Duration::ZERO;
-                while !shared.shutdown.load(Ordering::SeqCst) {
+                while !front.is_shutting_down() {
                     std::thread::sleep(tick);
                     slept += tick;
                     if slept < interval {
                         continue;
                     }
                     slept = Duration::ZERO;
-                    health_tick(&shared);
+                    health_tick(shared);
                 }
             })
-            .map_err(|e| format!("route: cannot spawn health thread: {e}"))?
-    };
-
-    // SIGTERM stops the router like POST /shutdown (workers unaffected).
-    #[cfg(unix)]
-    let term_watcher = {
-        super::sigterm::install();
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("route-sigterm".into())
-            .spawn(move || {
-                while !shared.shutdown.load(Ordering::SeqCst) {
-                    if super::sigterm::pending() {
-                        eprintln!("flexserve route: SIGTERM — shutting down");
-                        begin_shutdown(&shared);
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-            })
-            .map_err(|e| format!("route: cannot spawn sigterm watcher: {e}"))?
-    };
-
-    let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-    let mut pool = Vec::with_capacity(opts.threads);
-    for i in 0..opts.threads {
-        let rx = Arc::clone(&conn_rx);
-        let shared = Arc::clone(&shared);
-        let thread = std::thread::Builder::new()
-            .name(format!("route-worker-{i}"))
-            .spawn(move || loop {
-                let conn = { rx.lock().unwrap().recv() };
-                match conn {
-                    Ok(stream) => {
-                        if let Err(e) = handle_connection(stream, &shared) {
-                            eprintln!("route: connection error: {e}");
-                        }
-                    }
-                    Err(_) => break,
-                }
-            })
-            .map_err(|e| format!("route: cannot spawn worker: {e}"))?;
-        pool.push(thread);
-    }
-
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream {
-            Ok(s) => {
-                if conn_tx.send(s).is_err() {
-                    break;
-                }
-            }
-            Err(e) => eprintln!("route: accept error: {e}"),
-        }
-    }
-    drop(conn_tx);
-    for thread in pool {
-        let _ = thread.join();
-    }
-    let _ = health.join();
-    #[cfg(unix)]
-    let _ = term_watcher.join();
-    Ok(())
+            .map_err(|e| format!("route: cannot spawn health thread: {e}"))?;
+        // Shutting the router down never touches the workers.
+        run_front_end(listener, front, opts.threads, ROUTER_REACTORS, &|request| {
+            handle(request, shared)
+        })
+    })
 }
 
 /// CLI entry point for `flexserve route <args>`.
@@ -1334,10 +1208,8 @@ mod tests {
             router_route("POST", "/sessions/alpha/step"),
             Some(RouterRoute::Proxy(Route::Step(_)))
         ));
-        assert!(matches!(
-            router_route("POST", "/shutdown"),
-            Some(RouterRoute::Shutdown)
-        ));
+        // the front end answers shutdown before the router's routes
+        assert!(router_route("POST", "/shutdown").is_none());
         assert!(router_route("GET", "/workers/x").is_none());
         assert!(router_route("DELETE", "/workers/").is_none());
         assert!(router_route("GET", "/nope").is_none());

@@ -4,6 +4,9 @@
 //! speaks to workers exactly the way `curl` and the integration tests
 //! speak to the router, just without paying a TCP handshake per proxied
 //! request (the route tier ran at 0.56× of direct before pooling).
+//! Responses are read through the same capped head scan as requests
+//! (`http::parse_head`), so a worker streaming an endless status line
+//! trips the 8 KiB line cap instead of growing the router's memory.
 //!
 //! Pool discipline: a finished exchange returns its connection to the
 //! pool only when the response was framed (`Content-Length`) and did not
@@ -15,14 +18,12 @@
 //! retried — the worker may have applied the request.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Cap on a worker response body the router will buffer (matches the
-/// server-side request cap in `serve/http.rs`).
-const MAX_RESPONSE_BYTES: usize = 16 * 1024 * 1024;
+use super::super::http::{parse_head, MAX_BODY_BYTES};
 
 /// Pooled connections kept per worker address. The router's worker
 /// threads share the pool, so this bounds the router-side idle fd cost
@@ -36,7 +37,7 @@ const POOL_IDLE: Duration = Duration::from_secs(5);
 
 /// One idle connection waiting for its next exchange.
 struct PooledConn {
-    reader: BufReader<TcpStream>,
+    stream: TcpStream,
     parked: Instant,
 }
 
@@ -47,12 +48,12 @@ fn pool() -> &'static Mutex<HashMap<String, Vec<PooledConn>>> {
 
 /// Takes the freshest non-expired pooled connection for `addr`, dropping
 /// expired ones along the way.
-fn checkout(addr: &str) -> Option<BufReader<TcpStream>> {
+fn checkout(addr: &str) -> Option<TcpStream> {
     let mut pool = pool().lock().unwrap();
     let conns = pool.get_mut(addr)?;
     while let Some(conn) = conns.pop() {
         if conn.parked.elapsed() <= POOL_IDLE {
-            return Some(conn.reader);
+            return Some(conn.stream);
         }
     }
     None
@@ -60,14 +61,14 @@ fn checkout(addr: &str) -> Option<BufReader<TcpStream>> {
 
 /// Returns a healthy connection to `addr`'s pool (oldest evicted at the
 /// cap).
-fn check_in(addr: &str, reader: BufReader<TcpStream>) {
+fn check_in(addr: &str, stream: TcpStream) {
     let mut pool = pool().lock().unwrap();
     let conns = pool.entry(addr.to_string()).or_default();
     if conns.len() >= POOL_PER_ADDR {
         conns.remove(0);
     }
     conns.push(PooledConn {
-        reader,
+        stream,
         parked: Instant::now(),
     });
 }
@@ -99,13 +100,13 @@ pub fn http_call(
          Content-Length: {}\r\nContent-Type: application/json\r\n\r\n{body}",
         body.len()
     );
-    if let Some(mut reader) = checkout(addr) {
-        let _ = reader.get_ref().set_read_timeout(Some(timeout));
-        let _ = reader.get_ref().set_write_timeout(Some(timeout));
-        match exchange(&mut reader, request.as_bytes(), false) {
+    if let Some(mut stream) = checkout(addr) {
+        let _ = stream.set_read_timeout(Some(timeout));
+        let _ = stream.set_write_timeout(Some(timeout));
+        match exchange(&mut stream, request.as_bytes(), false) {
             Ok((status, body, reusable)) => {
                 if reusable {
-                    check_in(addr, reader);
+                    check_in(addr, stream);
                 }
                 return Ok((status, body));
             }
@@ -118,16 +119,15 @@ pub fn http_call(
         .map_err(|e| format!("{addr}: resolve: {e}"))?
         .next()
         .ok_or_else(|| format!("{addr}: resolves to no address"))?;
-    let stream =
+    let mut stream =
         TcpStream::connect_timeout(&sock, timeout).map_err(|e| format!("{addr}: connect: {e}"))?;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(timeout));
     let _ = stream.set_write_timeout(Some(timeout));
-    let mut reader = BufReader::new(stream);
-    match exchange(&mut reader, request.as_bytes(), true) {
+    match exchange(&mut stream, request.as_bytes(), true) {
         Ok((status, body, reusable)) => {
             if reusable {
-                check_in(addr, reader);
+                check_in(addr, stream);
             }
             Ok((status, body))
         }
@@ -140,120 +140,106 @@ pub fn http_call(
 /// distinguishes a just-opened connection (failures are real errors)
 /// from a pooled one (failures before any response byte are [`Stale`]).
 fn exchange(
-    reader: &mut BufReader<TcpStream>,
+    stream: &mut TcpStream,
     request: &[u8],
     fresh: bool,
 ) -> Result<(u16, String, bool), CallError> {
-    if let Err(e) = reader
-        .get_mut()
-        .write_all(request)
-        .and_then(|()| reader.get_mut().flush())
-    {
+    if let Err(e) = stream.write_all(request) {
         return Err(if fresh {
             CallError::Fail(format!("write: {e}"))
         } else {
             CallError::Stale
         });
     }
-    read_response_meta(reader, fresh)
+    read_response(stream, fresh)
 }
 
-/// [`read_response`] plus reuse classification: the bool is true when
-/// the connection may serve another exchange (framed body, no
-/// `Connection: close`). EOF before any response byte on a non-fresh
-/// connection is [`CallError::Stale`].
-fn read_response_meta<R: BufRead>(
-    reader: &mut R,
-    fresh: bool,
-) -> Result<(u16, String, bool), CallError> {
-    let fail = |e: String| CallError::Fail(e);
-    let mut status_line = String::new();
-    let n = reader
-        .read_line(&mut status_line)
-        .map_err(|e| fail(format!("read status line: {e}")))?;
-    if n == 0 && !fresh {
-        return Err(CallError::Stale);
+/// Appends one read's worth of bytes to `buf`; returns how many (0 = EOF).
+fn read_some<R: Read>(reader: &mut R, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+    let mut chunk = [0u8; 16 * 1024];
+    loop {
+        match reader.read(&mut chunk) {
+            Ok(n) => {
+                buf.extend_from_slice(&chunk[..n]);
+                return Ok(n);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
+}
+
+/// Reads one response: the head through the same capped scan as requests
+/// ([`parse_head`]), then the body — exactly `Content-Length` bytes when
+/// declared, to EOF otherwise (legal under `Connection: close`), at most
+/// 16 MiB either way. Returns the status, the body, and whether the
+/// connection may serve another exchange (framed body, nothing past it,
+/// no `Connection: close`). EOF before any response byte on a pooled
+/// connection is [`CallError::Stale`].
+fn read_response<R: Read>(reader: &mut R, fresh: bool) -> Result<(u16, String, bool), CallError> {
+    let fail = |e: String| CallError::Fail(e);
+    let mut buf = Vec::new();
+    let head = loop {
+        if let Some(head) = parse_head(&buf).map_err(|e| fail(e.message()))? {
+            break head;
+        }
+        let n = read_some(reader, &mut buf).map_err(|e| fail(format!("read head: {e}")))?;
+        if n == 0 {
+            return Err(if buf.is_empty() && !fresh {
+                CallError::Stale
+            } else {
+                fail("connection closed before the response head".into())
+            });
+        }
+    };
     // "HTTP/1.1 200 OK" — the middle token is the status.
-    let status: u16 = status_line
+    let status: u16 = head
+        .first_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| fail(format!("bad status line {status_line:?}")))?;
-
-    let mut content_length: Option<usize> = None;
-    let mut close = false;
-    loop {
-        let mut header = String::new();
-        let n = reader
-            .read_line(&mut header)
-            .map_err(|e| fail(format!("read header: {e}")))?;
-        if n == 0 || header.trim().is_empty() {
+        .ok_or_else(|| fail(format!("bad status line {:?}", head.first_line)))?;
+    if let Some(len) = head.content_length.filter(|&len| len > MAX_BODY_BYTES) {
+        return Err(fail(format!(
+            "response body of {len} bytes exceeds the 16 MiB cap"
+        )));
+    }
+    let end = head.content_length.map(|len| head.len + len);
+    while end.is_none_or(|end| buf.len() < end) {
+        let n = read_some(reader, &mut buf).map_err(|e| fail(format!("read body: {e}")))?;
+        if n == 0 {
+            if end.is_some() {
+                return Err(fail("connection closed mid-body".into()));
+            }
             break;
         }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                let len: usize = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| fail(format!("bad Content-Length {value:?}")))?;
-                content_length = Some(len);
-            } else if name.eq_ignore_ascii_case("connection") {
-                close = value.trim().eq_ignore_ascii_case("close");
-            }
+        if end.is_none() && buf.len() - head.len > MAX_BODY_BYTES {
+            return Err(fail("unframed response body exceeds the 16 MiB cap".into()));
         }
     }
-    let body = match content_length {
-        Some(len) if len > MAX_RESPONSE_BYTES => {
-            return Err(fail(format!(
-                "response body of {len} bytes exceeds the 16 MiB cap"
-            )));
-        }
-        Some(len) => {
-            let mut buf = vec![0u8; len];
-            reader
-                .read_exact(&mut buf)
-                .map_err(|e| fail(format!("read body: {e}")))?;
-            buf
-        }
-        None => {
-            let mut buf = Vec::new();
-            reader
-                .take((MAX_RESPONSE_BYTES + 1) as u64)
-                .read_to_end(&mut buf)
-                .map_err(|e| fail(format!("read body: {e}")))?;
-            if buf.len() > MAX_RESPONSE_BYTES {
-                return Err(fail("unframed response body exceeds the 16 MiB cap".into()));
-            }
-            buf
-        }
-    };
-    let body =
-        String::from_utf8(body).map_err(|_| fail("response body is not UTF-8".to_string()))?;
-    let reusable = content_length.is_some() && !close;
+    let close = head
+        .connection
+        .as_deref()
+        .is_some_and(|c| c.eq_ignore_ascii_case("close"));
+    let reusable = end == Some(buf.len()) && !close;
+    buf.truncate(end.unwrap_or(buf.len()));
+    let body = String::from_utf8(buf.split_off(head.len))
+        .map_err(|_| fail("response body is not UTF-8".to_string()))?;
     Ok((status, body, reusable))
-}
-
-/// Parses one HTTP response off `reader`: the status line, the headers
-/// (only `Content-Length` and `Connection` matter), and the body — read
-/// exactly when a length is declared, to EOF otherwise (legal under
-/// `Connection: close`).
-#[cfg(test)]
-fn read_response<R: BufRead>(reader: &mut R) -> Result<(u16, String), String> {
-    match read_response_meta(reader, true) {
-        Ok((status, body, _)) => Ok((status, body)),
-        Err(CallError::Fail(e)) => Err(e),
-        Err(CallError::Stale) => unreachable!("fresh reads report real errors"),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::http::try_parse_request;
     use std::net::TcpListener;
 
     fn parse(raw: &str) -> Result<(u16, String), String> {
-        read_response(&mut raw.as_bytes())
+        match read_response(&mut raw.as_bytes(), true) {
+            Ok((status, body, _)) => Ok((status, body)),
+            Err(CallError::Fail(e)) => Err(e),
+            Err(CallError::Stale) => unreachable!("fresh reads report real errors"),
+        }
     }
 
     #[test]
@@ -291,7 +277,7 @@ mod tests {
 
     #[test]
     fn reuse_classification_needs_framing_and_no_close() {
-        let meta = |raw: &str| match read_response_meta(&mut raw.as_bytes(), true) {
+        let meta = |raw: &str| match read_response(&mut raw.as_bytes(), true) {
             Ok((_, _, reusable)) => reusable,
             Err(_) => panic!("must parse"),
         };
@@ -319,27 +305,16 @@ mod tests {
         assert!(err.contains("127.0.0.1:1"), "{err}");
     }
 
-    /// Reads one request off `stream` (headers + `Content-Length` body).
-    fn read_one_request(reader: &mut BufReader<&TcpStream>) -> bool {
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            match reader.read_line(&mut line) {
-                Ok(0) => return false,
-                Ok(_) => {}
-                Err(_) => return false,
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().unwrap_or(0);
-                }
-            }
-            if line.trim().is_empty() {
-                break;
+    /// Reads one request off `stream` through the server's own parser.
+    fn read_one_request(mut stream: &TcpStream) -> bool {
+        let (mut buf, mut chunk) = (Vec::new(), [0u8; 1024]);
+        while !matches!(try_parse_request(&buf), Ok(Some(_))) {
+            match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => return false,
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
             }
         }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body).is_ok()
+        true
     }
 
     #[test]
@@ -351,10 +326,9 @@ mod tests {
             // exchanges on it; a client opening a second connection
             // would hang its second call instead.
             let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(&stream);
             let mut served = 0;
             for _ in 0..2 {
-                if !read_one_request(&mut reader) {
+                if !read_one_request(&stream) {
                     break;
                 }
                 (&stream)
@@ -389,8 +363,7 @@ mod tests {
             // again, proving the client retried on a fresh socket.
             for _ in 0..2 {
                 let (stream, _) = listener.accept().unwrap();
-                let mut reader = BufReader::new(&stream);
-                assert!(read_one_request(&mut reader));
+                assert!(read_one_request(&stream));
                 (&stream)
                     .write_all(
                         b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\
@@ -412,5 +385,30 @@ mod tests {
             200
         );
         server.join().unwrap();
+    }
+
+    /// A worker that never ends its status line must cost the router a
+    /// capped buffer and an error, not unbounded memory.
+    #[test]
+    fn endless_response_heads_hit_the_line_cap() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            assert!(read_one_request(&stream));
+            let mut stream = &stream;
+            let _ = stream.write_all(b"HTTP/1.1 200 ");
+            let junk = [b'x'; 4096];
+            // stream until the client hangs up (64 MiB at most)
+            for _ in 0..16 * 1024 {
+                if stream.write_all(&junk).is_err() {
+                    return true;
+                }
+            }
+            false
+        });
+        let err = http_call(&addr, "GET", "/sessions", "", Duration::from_secs(5)).unwrap_err();
+        assert!(err.contains("header line exceeds"), "{err}");
+        assert!(server.join().unwrap(), "the client must hang up");
     }
 }

@@ -363,6 +363,28 @@ fn cluster_md_documents_the_routing_tier() {
 }
 
 #[test]
+fn both_tiers_document_the_one_front_end() {
+    const CLUSTER_MD: &str = include_str!("../../../docs/CLUSTER.md");
+    let serving = [
+        "one HTTP front end",
+        "try_parse_request",
+        "blocking fallback",
+    ];
+    let cluster = ["event_loop.rs", "408", "413"];
+    let architecture = ["one event-driven front end"];
+    for (name, doc, pins) in [
+        ("docs/SERVING.md", SERVING_MD, &serving[..]),
+        ("docs/CLUSTER.md", CLUSTER_MD, &cluster[..]),
+        ("docs/ARCHITECTURE.md", ARCHITECTURE_MD, &architecture[..]),
+    ] {
+        // the framing rules hold at both tiers' edges alike
+        for pin in pins.iter().chain(&["Transfer-Encoding", "TCP_NODELAY"]) {
+            assert!(doc.contains(pin), "{name} must document {pin}");
+        }
+    }
+}
+
+#[test]
 fn doc_tree_cross_links_hold() {
     assert!(
         README_MD.contains("docs/SERVING.md"),

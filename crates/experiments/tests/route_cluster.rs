@@ -25,37 +25,13 @@ use flexserve_experiments::serve::route::{run_on, RouteOptions};
 use flexserve_experiments::serve::{serve_on, ServeOptions, SessionConfig, SessionManager};
 use flexserve_workload::JsonValue;
 
-/// One HTTP/1.1 exchange; returns (status, body).
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
+mod common;
+use common::{http, json, read_framed_response};
 
 /// [`http`] against a `host:port` string (worker addresses travel as
 /// strings through the router API).
 fn http_str(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
     http(addr.parse().expect("worker addr"), method, path, body)
-}
-
-fn json(body: &str) -> JsonValue {
-    JsonValue::parse(body.trim()).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
 }
 
 /// The cell every test session plays (strategy parameterized).
@@ -790,4 +766,51 @@ fn merged_listings_annotate_workers_and_expose_tombstones() {
     hb.join().unwrap();
     let _ = std::fs::remove_file(&ck_a);
     let _ = std::fs::remove_file(&ck_b);
+}
+
+/// Sends one keep-alive request on `stream` and reads its framed
+/// response, leaving the connection open.
+fn keep_alive_exchange(stream: &mut BufReader<TcpStream>, path: &str) -> u16 {
+    let request = format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n");
+    stream.get_mut().write_all(request.as_bytes()).unwrap();
+    read_framed_response(stream).0
+}
+
+/// Idle keep-alive clients hold connections, not request threads: with a
+/// single router thread and two clients idling between requests, a third
+/// client is still answered at once rather than after the keep-alive
+/// window.
+#[test]
+fn idle_keep_alive_clients_cannot_starve_the_router() {
+    let (wa, ha) = start_worker("starve", &[]);
+    let (router, hr) = start_router(
+        std::slice::from_ref(&wa),
+        &["threads=1", "health-interval=60"],
+    );
+    let mut idle = Vec::new();
+    for _ in 0..2 {
+        let stream = TcpStream::connect(router).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut stream = BufReader::new(stream);
+        assert_eq!(keep_alive_exchange(&mut stream, "/cluster"), 200);
+        idle.push(stream);
+    }
+    let started = Instant::now();
+    let (status, body) = http(router, "GET", "/cluster", "");
+    let waited = started.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        waited < Duration::from_secs(1),
+        "a third client waited {waited:?} behind two idle ones"
+    );
+    // the idle connections are still open and still served
+    for stream in &mut idle {
+        assert_eq!(keep_alive_exchange(stream, "/cluster"), 200);
+    }
+    drop(idle);
+    stop(router, hr);
+    http_str(&wa, "POST", "/shutdown", "");
+    ha.join().unwrap();
 }

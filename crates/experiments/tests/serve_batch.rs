@@ -6,39 +6,14 @@
 //! contract; and ten thousand idle keep-alive connections cost the
 //! daemon file descriptors, not threads.
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 use flexserve_experiments::serve::{raise_nofile_limit, serve_on, ServeOptions};
 use flexserve_workload::JsonValue;
 
-/// One HTTP/1.1 exchange against the daemon; returns (status, body).
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn json(body: &str) -> JsonValue {
-    JsonValue::parse(body.trim()).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
-}
+mod common;
+use common::{http, json};
 
 fn start_daemon(cell: &[&str]) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let args: Vec<String> = cell.iter().map(|s| s.to_string()).collect();
@@ -294,70 +269,43 @@ fn thread_count(pid: u32) -> usize {
         .expect("Threads: line")
 }
 
-/// The connection-scaling contract: ten thousand idle keep-alive
-/// connections are held by the fixed reactor pool — the daemon's thread
-/// count stays flat while its fd count grows with the connections — and
-/// the daemon keeps answering requests under that load. The daemon runs
-/// as a subprocess so the two processes' descriptor budgets are
-/// independent.
-#[test]
-#[cfg(target_os = "linux")]
-fn ten_thousand_idle_connections_cost_fds_not_threads() {
-    let ck = std::env::temp_dir().join("flexserve-batch-soak.ckpt.json");
+/// Spawns `flexserve <args>` and returns it with the address it
+/// announces on its first stdout line.
+fn spawn_announced(args: &[&str]) -> (std::process::Child, SocketAddr) {
+    use std::io::BufRead;
     let exe = env!("CARGO_BIN_EXE_flexserve");
     let mut child = std::process::Command::new(exe)
-        .args([
-            "serve",
-            "topo=unit-line:8",
-            "wl=uniform:req=3",
-            "strat=onth",
-            "rounds=40",
-            "seed=3",
-            "k=4",
-            "bind=127.0.0.1:0",
-            "workers=2",
-            "reactor-threads=2",
-            // Idle fresh connections live until this deadline; generous so
-            // the slow ramp-up below cannot get early connections reaped.
-            "request-timeout=120",
-            &format!("checkpoint={}", ck.display()),
-        ])
+        .args(args)
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::null())
         .spawn()
-        .expect("spawn serve daemon");
-    // The daemon announces its bound address on the first stdout line.
-    let addr: SocketAddr = {
-        use std::io::BufRead;
-        let stdout = child.stdout.take().expect("child stdout");
-        let mut line = String::new();
-        std::io::BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("announcement");
-        let rest = line
-            .split("http://")
-            .nth(1)
-            .unwrap_or_else(|| panic!("no address in announcement {line:?}"));
-        rest.split_whitespace()
-            .next()
-            .unwrap()
-            .parse()
-            .expect("bound address")
-    };
+        .expect("spawn flexserve");
+    let stdout = child.stdout.take().expect("child stdout");
+    let mut line = String::new();
+    std::io::BufReader::new(stdout)
+        .read_line(&mut line)
+        .expect("announcement");
+    let rest = line
+        .split("http://")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no address in announcement {line:?}"));
+    let addr = rest
+        .split_whitespace()
+        .next()
+        .unwrap()
+        .parse()
+        .expect("bound address");
+    (child, addr)
+}
 
-    let available = raise_nofile_limit();
-    // Budget for the client side: our own sockets plus slack for the
-    // harness. The test environment caps fds at 20k, which still leaves
-    // the full 10k target.
-    let target = 10_000.min(available.saturating_sub(512) as usize);
-    assert!(
-        target >= 4_096,
-        "fd limit {available} too low to exercise connection scaling"
-    );
+/// Holds `target` idle connections to `child` and checks that it keeps
+/// answering `method path` with a 200, that its fd table holds the
+/// connections, and that its thread count stays flat.
+fn soak(child: &std::process::Child, addr: SocketAddr, target: usize, method: &str, path: &str) {
     // Warm up first so the fixed pools (reactors, workers, reaper) exist
     // before the baseline sample — the soak must not be credited for
-    // threads the daemon always runs.
-    let (status, body) = http(addr, "POST", "/step", "");
+    // threads the process always runs.
+    let (status, body) = http(addr, method, path, "");
     assert_eq!(status, 200, "{body}");
     let baseline_threads = thread_count(child.id());
     let mut held = Vec::with_capacity(target);
@@ -368,8 +316,8 @@ fn ten_thousand_idle_connections_cost_fds_not_threads() {
         }
     }
 
-    // The daemon still answers while holding every idle connection...
-    let (status, body) = http(addr, "POST", "/step", "");
+    // It still answers while holding every idle connection...
+    let (status, body) = http(addr, method, path, "");
     assert_eq!(status, 200, "{body}");
     // ...its fd table shows the connections are really held...
     let fds = std::fs::read_dir(format!("/proc/{}/fd", child.id()))
@@ -377,7 +325,7 @@ fn ten_thousand_idle_connections_cost_fds_not_threads() {
         .count();
     assert!(
         fds >= target,
-        "daemon holds {fds} fds for {target} connections"
+        "{path} server holds {fds} fds for {target} connections"
     );
     // ...and they cost threads nothing: the reactor pool is fixed.
     let threads = thread_count(child.id());
@@ -390,11 +338,65 @@ fn ten_thousand_idle_connections_cost_fds_not_threads() {
         threads < 32,
         "absolute thread bound blown: {threads} threads"
     );
+}
 
-    drop(held);
-    let (status, _) = http(addr, "POST", "/shutdown", "");
-    assert_eq!(status, 200);
-    let exit = child.wait().expect("daemon exit");
-    assert!(exit.success(), "daemon exited with {exit}");
+/// The connection-scaling contract: ten thousand idle keep-alive
+/// connections are held by the fixed reactor pool — the thread count
+/// stays flat while the fd count grows with the connections — and
+/// requests are still answered under that load. Both tiers run on the
+/// same front end, so the serve daemon and a router in front of it are
+/// soaked alike. Each runs as a subprocess so the processes' descriptor
+/// budgets are independent.
+#[test]
+#[cfg(target_os = "linux")]
+fn ten_thousand_idle_connections_cost_fds_not_threads() {
+    let ck = std::env::temp_dir().join("flexserve-batch-soak.ckpt.json");
+    let ck_arg = format!("checkpoint={}", ck.display());
+    let (mut daemon, addr) = spawn_announced(&[
+        "serve",
+        "topo=unit-line:8",
+        "wl=uniform:req=3",
+        "strat=onth",
+        "rounds=40",
+        "seed=3",
+        "k=4",
+        "bind=127.0.0.1:0",
+        "workers=2",
+        "reactor-threads=2",
+        // Idle fresh connections live until this deadline; generous so
+        // the slow ramp-up below cannot get early connections reaped.
+        "request-timeout=120",
+        &ck_arg,
+    ]);
+
+    let available = raise_nofile_limit();
+    // Budget for the client side: our own sockets plus slack for the
+    // harness. The test environment caps fds at 20k, which still leaves
+    // the full 10k target.
+    let target = 10_000.min(available.saturating_sub(512) as usize);
+    assert!(
+        target >= 4_096,
+        "fd limit {available} too low to exercise connection scaling"
+    );
+    soak(&daemon, addr, target, "POST", "/step");
+
+    // The router in front of that daemon: its listings cross the proxy
+    // hop while it holds the same load.
+    let (mut router, router_addr) = spawn_announced(&[
+        "route",
+        &format!("workers={addr}"),
+        "bind=127.0.0.1:0",
+        "threads=2",
+        "health-interval=60",
+        "request-timeout=120",
+    ]);
+    soak(&router, router_addr, target, "GET", "/sessions");
+
+    for (child, addr) in [(&mut router, router_addr), (&mut daemon, addr)] {
+        let (status, _) = http(addr, "POST", "/shutdown", "");
+        assert_eq!(status, 200);
+        let exit = child.wait().expect("process exit");
+        assert!(exit.success(), "{addr} exited with {exit}");
+    }
     let _ = std::fs::remove_file(&ck);
 }

@@ -3,8 +3,8 @@
 //! restart the daemon from the checkpoint file, and assert the resumed
 //! placement matches an uninterrupted session bit for bit.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 
 use flexserve_core::initial_center;
@@ -12,34 +12,10 @@ use flexserve_experiments::serve::{serve_on, ServeOptions};
 use flexserve_experiments::setup::ExperimentEnv;
 use flexserve_experiments::spec::CellSpec;
 use flexserve_sim::{CostParams, EventedSession, LoadModel, SimSession, SubstrateEvents};
-use flexserve_workload::{JsonValue, RequestSource, ScenarioStream};
+use flexserve_workload::{RequestSource, ScenarioStream};
 
-/// One HTTP/1.1 exchange against the daemon; returns (status, body).
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn json(body: &str) -> JsonValue {
-    JsonValue::parse(body.trim()).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
-}
+mod common;
+use common::{http, json, read_framed_response};
 
 fn the_cell() -> Vec<String> {
     [
@@ -91,38 +67,6 @@ fn reference_placement_after(rounds: usize) -> (u64, Vec<usize>) {
         session.t(),
         session.fleet().active().iter().map(|n| n.index()).collect(),
     )
-}
-
-/// Reads one framed HTTP response off a persistent connection; returns
-/// (status, Connection header value, body read to its `Content-Length`).
-fn read_framed_response<R: BufRead>(reader: &mut R) -> (u16, String, String) {
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("status line");
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let mut connection = String::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).expect("header");
-        if header.trim().is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("connection") {
-                connection = value.trim().to_string();
-            } else if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().expect("length");
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    (status, connection, String::from_utf8(body).expect("utf8"))
 }
 
 #[test]
@@ -539,4 +483,37 @@ fn serve_source_exhaustion_and_unknown_routes() {
     assert_eq!(status, 200);
     handle.join().unwrap();
     let _ = std::fs::remove_file(&ck);
+}
+
+/// Requests pipelined in one write are answered in order without
+/// waiting on a reactor tick, and a client that half-closes after its
+/// last request still gets every answer before the server closes.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let (addr, handle) = start_daemon(&[]);
+    let mut writer = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(writer.try_clone().expect("clone"));
+    let step = "POST /step HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n";
+    let pipeline = format!("{step}{step}GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n{step}");
+    let started = std::time::Instant::now();
+    writer
+        .write_all(pipeline.as_bytes())
+        .expect("send pipeline");
+    writer.shutdown(Shutdown::Write).expect("half-close");
+    for (key, value) in [("t", 0), ("t", 1), ("rounds_served", 2), ("t", 2)] {
+        let (status, _, body) = read_framed_response(&mut reader);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(json(&body).get(key).unwrap().as_u64(), Some(value));
+    }
+    let mut rest = Vec::new();
+    reader
+        .read_to_end(&mut rest)
+        .expect("EOF after the half-close");
+    assert!(rest.is_empty(), "a drained half-closed peer is closed");
+    let took = started.elapsed();
+    assert!(took.as_millis() < 500, "pipelined answers took {took:?}");
+
+    let (status, _) = http(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    handle.join().unwrap();
 }

@@ -9,8 +9,7 @@
 //!   still resume;
 //! * the session surface's error contract (404/409/429) holds.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 
 use flexserve_core::initial_center;
@@ -18,34 +17,10 @@ use flexserve_experiments::serve::{serve_on, ServeOptions};
 use flexserve_experiments::setup::ExperimentEnv;
 use flexserve_experiments::spec::CellSpec;
 use flexserve_sim::{CostParams, LoadModel, SimSession};
-use flexserve_workload::{JsonValue, RequestSource, ScenarioStream};
+use flexserve_workload::{RequestSource, ScenarioStream};
 
-/// One HTTP/1.1 exchange against the daemon; returns (status, body).
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn json(body: &str) -> JsonValue {
-    JsonValue::parse(body.trim()).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
-}
+mod common;
+use common::{http, json};
 
 /// Cell A: the daemon's default session.
 const CELL_A: [&str; 6] = [
