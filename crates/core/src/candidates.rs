@@ -399,7 +399,9 @@ impl WindowIndex {
     /// the partitioning). On one worker — or for tiny candidate sets —
     /// the scan runs inline on the calling thread with the caller's
     /// `counts` scratch, so the per-round stepping path allocates
-    /// nothing in steady state.
+    /// nothing in steady state. Otherwise each block is one task on the
+    /// shared rayon pool; the calling thread works blocks too, and a scan
+    /// inside a seed task is helped by whichever workers are idle.
     pub fn score_all_additions(
         &self,
         ctx: &SimContext<'_>,
@@ -442,7 +444,9 @@ impl WindowIndex {
 }
 
 /// Candidate-block size for the parallel scan: tiny sets (and one-worker
-/// runs) stay inline on the calling thread, larger ones split evenly.
+/// runs) stay inline on the calling thread, where a pool hand-off would
+/// cost more than the scan and the caller's scratch avoids allocating;
+/// larger ones split evenly over the workers.
 fn scan_block(n: usize) -> usize {
     if n <= 4 {
         n.max(1)

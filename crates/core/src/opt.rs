@@ -329,7 +329,8 @@ fn par_columns<T: Send>(
 }
 
 /// Block size for the column loops: small state spaces stay on one thread
-/// (spawn overhead dominates), larger ones split evenly over the workers.
+/// (their columns are too cheap to be worth a pool hand-off), larger ones
+/// split evenly over the workers.
 fn columns_block(s: usize) -> usize {
     if s < 512 {
         s.max(1)
