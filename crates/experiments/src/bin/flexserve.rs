@@ -24,6 +24,9 @@
 //! revision and the distance-matrix cache counters of the run.
 
 use std::process::ExitCode;
+use std::sync::Mutex;
+
+use rayon::prelude::*;
 
 use flexserve_experiments::figures::{profile_from_env, Profile};
 use flexserve_experiments::manifest::{Manifest, ManifestEntry};
@@ -335,12 +338,33 @@ fn run(args: &[String]) -> Result<Manifest, String> {
         }
     }
 
+    // One pool task per entry, each fanning its (row, seed) cells out on
+    // the same pool; a thread with no entry left helps the last entries'
+    // cells. Output streams in argument order: an entry prints as soon as
+    // it and every earlier entry have finished. `finished` holds the next
+    // entry to print and each finished entry's table and compute time.
+    let finished = Mutex::new((0, vec![None::<(Table, f64)>; names.len()]));
+    names
+        .par_iter()
+        .enumerate()
+        .with_max_len(1)
+        .for_each(|(i, name)| {
+            let entry = registry::figure(name).expect("checked above");
+            let t0 = std::time::Instant::now();
+            let table = (entry.run)(profile);
+            let secs = t0.elapsed().as_secs_f64();
+            let mut guard = finished.lock().expect("no entry panics while printing");
+            let (next, done) = &mut *guard;
+            done[i] = Some((table, secs));
+            while let Some((table, secs)) = done.get_mut(*next).and_then(Option::take) {
+                table.print();
+                eprintln!("[{}] done in {secs:.1}s", names[*next]);
+                *next += 1;
+            }
+        });
+
     let mut manifest = Manifest::new();
     for name in names {
-        let entry = registry::figure(name).expect("checked above");
-        let t0 = std::time::Instant::now();
-        (entry.run)(profile);
-        eprintln!("[{name}] done in {:.1}s", t0.elapsed().as_secs_f64());
         manifest.add(ManifestEntry {
             artifact: format!("{name}.csv"),
             kind: "figure".into(),

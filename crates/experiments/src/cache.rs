@@ -19,20 +19,14 @@
 //! matrices exceed [`DistCache::DEFAULT_CAPACITY_BYTES`] (override with the
 //! `FLEXSERVE_CACHE_BYTES` environment variable; `0` disables caching).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use flexserve_graph::{DistanceMatrix, Graph};
 
 use crate::setup::ExperimentEnv;
-
-struct Entry {
-    env: ExperimentEnv,
-    /// Monotone counter value of the last access (for LRU eviction).
-    last_used: u64,
-    bytes: usize,
-}
 
 /// Hit/miss/eviction counters of a [`DistCache`], snapshotted by
 /// [`DistCache::stats`] and recorded in the result manifest.
@@ -58,13 +52,168 @@ impl CacheStats {
     }
 }
 
+struct Entry<V> {
+    value: V,
+    /// Monotone counter value of the last access (for LRU eviction).
+    last_used: u64,
+    bytes: usize,
+}
+
+struct Slots<K, V> {
+    entries: HashMap<K, Entry<V>>,
+    /// Keys whose first caller is building them right now.
+    building: HashSet<K>,
+}
+
+/// The byte-bounded LRU core of [`DistCache`] and
+/// [`TraceCache`](crate::TraceCache), with counters.
+///
+/// A miss builds once. The first caller of a missing key claims the key's
+/// slot and builds outside the lock, so misses on different keys proceed
+/// in parallel. Later callers of the same key wait on its slot and adopt
+/// the built value (counted as hits). A failed or panicking build inserts
+/// nothing and frees the slot, and a value too large for the budget is
+/// handed to its builder only; a waiter then builds for itself.
+///
+/// Waiting cannot deadlock. A builder never waits on a slot: it generates
+/// a graph and runs its APSP, or records a workload over a built
+/// substrate. Its parallel work is a pool job of its own, and the pool's
+/// caller claims that job's tasks itself, waiting only on tasks other
+/// threads already run (pure compute that never waits on a slot either).
+/// So a builder makes progress even when every other thread is blocked
+/// on its slot.
+pub(crate) struct Lru<K, V> {
+    slots: Mutex<Slots<K, V>>,
+    /// Signalled whenever a slot is freed.
+    freed: Condvar,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+    clock: AtomicU64,
+    capacity_bytes: usize,
+}
+
+/// Frees a claimed slot when the build ends, also by error or panic.
+struct Claim<'a, K: Eq + Hash, V> {
+    lru: &'a Lru<K, V>,
+    key: &'a K,
+}
+
+impl<K, V> Lru<K, V> {
+    /// Locks the slots, ignoring poison: no build runs under the lock.
+    fn lock(&self) -> MutexGuard<'_, Slots<K, V>> {
+        self.slots.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl<K: Eq + Hash, V> Drop for Claim<'_, K, V> {
+    fn drop(&mut self) {
+        self.lru.lock().building.remove(self.key);
+        self.lru.freed.notify_all();
+    }
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
+    pub(crate) fn new(capacity_bytes: usize) -> Self {
+        Lru {
+            slots: Mutex::new(Slots {
+                entries: HashMap::new(),
+                building: HashSet::new(),
+            }),
+            freed: Condvar::new(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            clock: AtomicU64::new(0),
+            capacity_bytes,
+        }
+    }
+
+    /// Returns the value for `key`, building it with `build` (value plus
+    /// its size in bytes) when it is neither cached nor being built.
+    pub(crate) fn get_or_build<E>(
+        &self,
+        key: K,
+        build: impl FnOnce() -> Result<(V, usize), E>,
+    ) -> Result<V, E> {
+        let now = self.clock.fetch_add(1, Ordering::Relaxed);
+        let mut slots = self.lock();
+        loop {
+            if let Some(entry) = slots.entries.get_mut(&key) {
+                entry.last_used = now;
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(entry.value.clone());
+            }
+            if !slots.building.contains(&key) {
+                break;
+            }
+            slots = self.freed.wait(slots).unwrap_or_else(|e| e.into_inner());
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        slots.building.insert(key.clone());
+        drop(slots);
+        let _claim = Claim {
+            lru: self,
+            key: &key,
+        };
+        let (value, bytes) = build()?;
+        if bytes <= self.capacity_bytes {
+            let mut slots = self.lock();
+            slots.entries.insert(
+                key.clone(),
+                Entry {
+                    value: value.clone(),
+                    last_used: now,
+                    bytes,
+                },
+            );
+            self.evict_to_capacity(&mut slots.entries);
+        }
+        Ok(value)
+    }
+
+    /// Evicts least-recently-used entries until the byte budget holds.
+    fn evict_to_capacity(&self, map: &mut HashMap<K, Entry<V>>) {
+        let mut total: usize = map.values().map(|e| e.bytes).sum();
+        while total > self.capacity_bytes && !map.is_empty() {
+            let oldest = map
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone())
+                .expect("non-empty map has a minimum");
+            if let Some(e) = map.remove(&oldest) {
+                total -= e.bytes;
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.lock().entries.len()
+    }
+
+    pub(crate) fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+        }
+    }
+
+    pub(crate) fn clear(&self) {
+        self.lock().entries.clear();
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
+        self.evictions.store(0, Ordering::Relaxed);
+    }
+}
+
 /// An LRU cache of `(topology spec, seed) → (graph, distance matrix)`.
 ///
-/// Thread-safe: concurrent lookups of the same missing key may both build
-/// (builds happen outside the lock so they don't serialize unrelated
-/// cells), but only the first result is inserted and later callers adopt
-/// it, so all callers observe identical `Arc`s afterwards. A process-wide
-/// instance is available via [`DistCache::global`].
+/// Thread-safe: the first lookup of a missing key builds it, and
+/// concurrent lookups of that key wait for the build and share its
+/// `Arc`s, so every substrate's APSP runs once per residency. A
+/// process-wide instance is available via [`DistCache::global`].
 ///
 /// ```
 /// use flexserve_experiments::{DistCache, TopologySpec};
@@ -84,12 +233,7 @@ impl CacheStats {
 /// assert_eq!(cache.stats().misses, 1);
 /// ```
 pub struct DistCache {
-    inner: Mutex<HashMap<(String, u64), Entry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    clock: AtomicU64,
-    capacity_bytes: usize,
+    lru: Lru<(String, u64), ExperimentEnv>,
 }
 
 impl DistCache {
@@ -102,12 +246,7 @@ impl DistCache {
     /// nothing is retained).
     pub fn with_capacity_bytes(capacity_bytes: usize) -> Self {
         DistCache {
-            inner: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            clock: AtomicU64::new(0),
-            capacity_bytes,
+            lru: Lru::new(capacity_bytes),
         }
     }
 
@@ -136,61 +275,21 @@ impl DistCache {
         seed: u64,
         build: impl FnOnce() -> Result<Graph, String>,
     ) -> Result<ExperimentEnv, String> {
-        let key = (topology.to_string(), seed);
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = self.inner.lock().unwrap().get_mut(&key) {
-            entry.last_used = now;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(entry.env.clone());
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Build outside the lock: misses on different keys proceed in
-        // parallel (rayon runs seeds concurrently). Two racing builders of
-        // the same key do duplicate work, but the results are bit-identical
-        // and only the first insert is kept.
-        let graph = build()?;
-        let matrix = DistanceMatrix::build(&graph);
-        let env = ExperimentEnv {
-            graph: Arc::new(graph),
-            matrix: Arc::new(matrix),
-        };
-        let n = env.matrix.node_count();
-        let bytes = n * n * std::mem::size_of::<f64>();
-        if bytes > self.capacity_bytes {
-            return Ok(env); // too large to retain (or caching disabled)
-        }
-        let mut map = self.inner.lock().unwrap();
-        let entry = map.entry(key).or_insert_with(|| Entry {
-            env: env.clone(),
-            last_used: now,
-            bytes,
-        });
-        entry.last_used = now;
-        let env = entry.env.clone();
-        self.evict_to_capacity(&mut map);
-        Ok(env)
-    }
-
-    /// Evicts least-recently-used entries until the byte budget holds.
-    /// Caller must hold the lock.
-    fn evict_to_capacity(&self, map: &mut HashMap<(String, u64), Entry>) {
-        let mut total: usize = map.values().map(|e| e.bytes).sum();
-        while total > self.capacity_bytes && !map.is_empty() {
-            let oldest = map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map has a minimum");
-            if let Some(e) = map.remove(&oldest) {
-                total -= e.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.lru.get_or_build((topology.to_string(), seed), || {
+            let graph = build()?;
+            let matrix = DistanceMatrix::build(&graph);
+            let n = matrix.node_count();
+            let env = ExperimentEnv {
+                graph: Arc::new(graph),
+                matrix: Arc::new(matrix),
+            };
+            Ok((env, n * n * std::mem::size_of::<f64>()))
+        })
     }
 
     /// Number of retained entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
+        self.lru.len()
     }
 
     /// Whether the cache currently retains nothing.
@@ -200,20 +299,13 @@ impl DistCache {
 
     /// Snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.lru.stats()
     }
 
     /// Drops all entries and resets the counters (between unrelated CLI
     /// runs, so manifests report per-run stats).
     pub fn clear(&self) {
-        self.inner.lock().unwrap().clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+        self.lru.clear();
     }
 }
 
@@ -344,26 +436,59 @@ mod tests {
 
     #[test]
     fn concurrent_same_key_lookups_converge() {
-        use rayon::prelude::*;
+        use std::sync::atomic::AtomicUsize;
         let cache = DistCache::with_capacity_bytes(1 << 20);
-        let envs: Vec<ExperimentEnv> = (0..8)
-            .into_par_iter()
-            .map(|_| {
-                cache
-                    .get_or_build("unit-line:6", 7, || Ok(build_line(6)))
-                    .unwrap()
-            })
-            .collect();
+        let (arrived, builds) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let envs: Vec<ExperimentEnv> = std::thread::scope(|s| {
+            let lookups: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        cache.get_or_build("unit-line:6", 7, || {
+                            builds.fetch_add(1, Ordering::SeqCst);
+                            // Hold the build open until every thread has
+                            // started its lookup of the same key.
+                            while arrived.load(Ordering::SeqCst) < 8 {
+                                std::thread::yield_now();
+                            }
+                            Ok(build_line(6))
+                        })
+                    })
+                })
+                .collect();
+            lookups
+                .into_iter()
+                .map(|h| h.join().unwrap().unwrap())
+                .collect()
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "one APSP per key");
         assert_eq!(cache.len(), 1);
-        let canonical = cache
-            .get_or_build("unit-line:6", 7, || panic!("cached"))
-            .unwrap();
-        for env in envs {
-            // Racing builders may hold a pre-insert copy, but contents are
-            // identical; post-race lookups all share the inserted Arc.
-            assert_eq!(env.matrix.node_count(), canonical.matrix.node_count());
-        }
         let s = cache.stats();
-        assert!(s.hits + s.misses >= 9);
+        assert_eq!((s.misses, s.hits), (1, 7), "{s:?}");
+        for env in &envs {
+            assert!(
+                Arc::ptr_eq(&env.matrix, &envs[0].matrix),
+                "waiters adopt the Arc"
+            );
+        }
+    }
+
+    #[test]
+    fn failed_or_panicking_build_inserts_nothing_and_frees_the_key() {
+        let cache = DistCache::with_capacity_bytes(1 << 20);
+        let err = cache.get_or_build("unit-line:4", 1, || Err("no graph".to_string()));
+        assert_eq!(err.err().as_deref(), Some("no graph"));
+        assert!(cache.is_empty());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = cache.get_or_build("unit-line:4", 1, || panic!("builder died"));
+        }));
+        assert!(panicked.is_err());
+        assert!(cache.is_empty());
+        // The key is free again: the next lookup builds instead of waiting.
+        cache
+            .get_or_build("unit-line:4", 1, || Ok(build_line(4)))
+            .unwrap();
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().misses, 3);
     }
 }

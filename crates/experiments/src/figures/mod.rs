@@ -1,8 +1,8 @@
 //! One function per paper figure/table, dispatched by name through
 //! [`crate::registry`] (`flexserve run <name>`; `flexserve run all` runs
-//! everything). Each function prints the series the paper plots, saves a
-//! CSV under `results/`, and returns the table for programmatic inspection
-//! (the golden tests pin the CSV bytes on quick profiles).
+//! everything). Each function computes the series the paper plots, saves
+//! a CSV under `results/`, and returns the table; the CLI prints it (the
+//! golden tests pin the CSV bytes on quick profiles).
 
 mod exemplary;
 mod lambda_sweeps;
@@ -18,10 +18,10 @@ pub use size_sweeps::{fig03, fig04, fig05, fig06};
 
 use crate::output::Table;
 
-/// Prints `table` and saves it as `results/<name>.csv`: the last step of
-/// every pipeline.
+/// Saves `table` as `results/<name>.csv`: the last step of every
+/// pipeline. Printing is the caller's choice, so figures that run
+/// concurrently never interleave their output.
 fn publish(name: &str, table: Table) -> Table {
-    table.print();
     table.save_csv(name).expect("write csv");
     table
 }

@@ -15,7 +15,7 @@ use flexserve_sim::{CostBreakdown, CostParams, LoadModel};
 use flexserve_core::competitive_ratio;
 
 use crate::output::Table;
-use crate::runner::{average, average_multi};
+use crate::runner::grid;
 use crate::setup::ExperimentEnv;
 use crate::spec::{StrategySpec, WorkloadSpec};
 
@@ -41,27 +41,25 @@ fn opt_params(flipped: bool) -> CostParams {
     base.with_max_servers(OPT_K)
 }
 
-/// Mean costs of (OFFSTAT, OPT) over seeds for one scenario/λ/T cell.
-/// Both offline algorithms read one shared trace per seed (previously
-/// the demand was regenerated per algorithm).
+/// Mean costs of (OFFSTAT, OPT) over seeds for each `(T, λ, flipped)`
+/// row, all rows' (row, seed) cells in one [`grid`]. Both offline
+/// algorithms read one shared trace per cell.
 fn offstat_and_opt(
     workload: &WorkloadSpec,
-    t_periods: u32,
-    lambda: u64,
+    rows: &[(u32, u64, bool)],
     rounds: u64,
     seeds: &[u64],
-    flipped: bool,
-) -> (f64, f64) {
-    let params = opt_params(flipped);
-    let summaries = average_multi(seeds, 2, |seed| {
+) -> Vec<(f64, f64)> {
+    let summaries = grid(rows, seeds, |&(t_periods, lambda, flipped), seed| {
         let env = ExperimentEnv::random_line(OPT_N, seed);
-        let ctx = env.context(params, LoadModel::Linear);
+        let ctx = env.context(opt_params(flipped), LoadModel::Linear);
         let trace = workload.shared_trace(&env, t_periods, lambda, rounds, seed);
-        [StrategySpec::OffStat, StrategySpec::Opt]
-            .map(|s| s.run(&ctx, &trace, seed))
-            .to_vec()
+        [StrategySpec::OffStat, StrategySpec::Opt].map(|s| s.run(&ctx, &trace, seed))
     });
-    (summaries[0].mean_total(), summaries[1].mean_total())
+    summaries
+        .iter()
+        .map(|[stat, opt]| (stat.mean_total(), opt.mean_total()))
+        .collect()
 }
 
 /// Figure 11: competitive ratio ONTH/OPT vs λ, all three scenarios.
@@ -78,23 +76,26 @@ pub fn fig11(profile: Profile) -> Table {
         ),
         &["lambda", "commuter-dynamic", "commuter-static", "time-zones"],
     );
-    for lambda in profile.lambdas() {
-        let mut cells = Vec::new();
-        for workload in [
-            WorkloadSpec::CommuterDynamic,
-            WorkloadSpec::CommuterStatic,
-            TIME_ZONES,
-        ] {
-            let ratios = average(&seeds, |seed| {
-                let env = ExperimentEnv::random_line(OPT_N, seed);
-                let ctx = env.context(params, LoadModel::Linear);
-                let trace = workload.shared_trace(&env, t_periods, lambda, rounds, seed);
-                let alg = StrategySpec::OnTh.run(&ctx, &trace, seed).total();
-                let opt = StrategySpec::Opt.run(&ctx, &trace, seed).total();
-                CostBreakdown::from_access(competitive_ratio(alg, opt))
-            });
-            cells.push(ratios.mean_total());
-        }
+    let workloads = [
+        WorkloadSpec::CommuterDynamic,
+        WorkloadSpec::CommuterStatic,
+        TIME_ZONES,
+    ];
+    let lambdas = profile.lambdas();
+    let rows: Vec<(u64, &WorkloadSpec)> = lambdas
+        .iter()
+        .flat_map(|&lambda| workloads.iter().map(move |wl| (lambda, wl)))
+        .collect();
+    let ratios = grid(&rows, &seeds, |&(lambda, workload), seed| {
+        let env = ExperimentEnv::random_line(OPT_N, seed);
+        let ctx = env.context(params, LoadModel::Linear);
+        let trace = workload.shared_trace(&env, t_periods, lambda, rounds, seed);
+        let alg = StrategySpec::OnTh.run(&ctx, &trace, seed).total();
+        let opt = StrategySpec::Opt.run(&ctx, &trace, seed).total();
+        [CostBreakdown::from_access(competitive_ratio(alg, opt))]
+    });
+    for (lambda, row) in lambdas.iter().zip(ratios.chunks(workloads.len())) {
+        let cells: Vec<f64> = row.iter().map(|[r]| r.mean_total()).collect();
         table.row_f64(lambda, &cells);
     }
     publish("fig11", table)
@@ -112,15 +113,10 @@ fn absolute_costs_vs_lambda(name: &str, title: &str, flipped: bool, profile: Pro
         ),
         &["lambda", "OFFSTAT", "OPT"],
     );
-    for lambda in profile.lambdas() {
-        let (stat, opt) = offstat_and_opt(
-            &WorkloadSpec::CommuterDynamic,
-            t_periods,
-            lambda,
-            rounds,
-            &seeds,
-            flipped,
-        );
+    let lambdas = profile.lambdas();
+    let rows: Vec<(u32, u64, bool)> = lambdas.iter().map(|&l| (t_periods, l, flipped)).collect();
+    let costs = offstat_and_opt(&WorkloadSpec::CommuterDynamic, &rows, rounds, &seeds);
+    for (lambda, (stat, opt)) in lambdas.iter().zip(costs) {
         table.row_f64(lambda, &[stat, opt]);
     }
     publish(name, table)
@@ -181,12 +177,18 @@ fn ratio_sweep(
         ),
         &[x_label, "beta<c", "beta>c"],
     );
-    for (x, t, lambda) in rows {
-        let cells = [false, true].map(|flipped| {
-            let (stat, opt) = offstat_and_opt(&workload, t, lambda, rounds, &seeds, flipped);
-            competitive_ratio(stat, opt)
-        });
-        table.row_f64(x, &cells);
+    // Two cells per row: the β<c and the β>c regime.
+    let cells: Vec<(u32, u64, bool)> = rows
+        .iter()
+        .flat_map(|&(_, t, lambda)| [false, true].map(|flipped| (t, lambda, flipped)))
+        .collect();
+    let costs = offstat_and_opt(&workload, &cells, rounds, &seeds);
+    for ((x, _, _), pair) in rows.iter().zip(costs.chunks(2)) {
+        let ratios: Vec<f64> = pair
+            .iter()
+            .map(|&(stat, opt)| competitive_ratio(stat, opt))
+            .collect();
+        table.row_f64(x, &ratios);
     }
     publish(name, table)
 }

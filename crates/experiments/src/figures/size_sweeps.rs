@@ -16,7 +16,7 @@ use flexserve_sim::{CostParams, LoadModel};
 use flexserve_workload::CommuterScenario;
 
 use crate::output::Table;
-use crate::runner::{average, average_multi};
+use crate::runner::{grid, SeedSummary};
 use crate::setup::ExperimentEnv;
 use crate::spec::{StrategySpec, WorkloadSpec};
 
@@ -52,11 +52,12 @@ pub(super) struct ErSweep<'a> {
 
 impl ErSweep<'_> {
     /// Runs one row per `x`; `cell(x)` gives the row's `er:<n>` size,
-    /// `T` and `λ`. Per seed the demand is recorded once (through the
-    /// trace cache) and all three strategies read the shared trace —
-    /// values are bit-identical to per-strategy recordings (the golden
-    /// CSVs pin this).
-    pub fn run<X: Display + Copy>(
+    /// `T` and `λ`. Every (row, seed) cell runs in one [`grid`] call.
+    /// Per cell the demand is recorded once (through the trace cache) and
+    /// all three strategies read the shared trace — values are
+    /// bit-identical to per-strategy recordings (the golden CSVs pin
+    /// this).
+    pub fn run<X: Display + Copy + Sync>(
         self,
         xs: Vec<X>,
         cell: impl Fn(X) -> (usize, u32, u64),
@@ -70,17 +71,16 @@ impl ErSweep<'_> {
             seeds,
             salt,
         } = self;
+        let rows: Vec<(X, (usize, u32, u64))> = xs.into_iter().map(|x| (x, cell(x))).collect();
+        let summaries = grid(&rows, &seeds, |&(_, (n, t, lambda)), seed| {
+            let env = ExperimentEnv::erdos_renyi(n, seed);
+            let ctx = env.context(CostParams::default(), LoadModel::Linear);
+            let trace = workload.shared_trace(&env, t, lambda, rounds, seed ^ salt);
+            STRATEGIES.map(|s| s.run(&ctx, &trace, seed))
+        });
         let mut table = Table::new(title, &[x_label, "ONBR-fixed", "ONBR-dyn", "ONTH"]);
-        for x in xs {
-            let (n, t, lambda) = cell(x);
-            let summaries = average_multi(&seeds, STRATEGIES.len(), |seed| {
-                let env = ExperimentEnv::erdos_renyi(n, seed);
-                let ctx = env.context(CostParams::default(), LoadModel::Linear);
-                let trace = workload.shared_trace(&env, t, lambda, rounds, seed ^ salt);
-                STRATEGIES.map(|s| s.run(&ctx, &trace, seed)).to_vec()
-            });
-            let cells: Vec<f64> = summaries.iter().map(|s| s.mean_total()).collect();
-            table.row_f64(x, &cells);
+        for ((x, _), row) in rows.iter().zip(&summaries) {
+            table.row_f64(x, &row.each_ref().map(SeedSummary::mean_total));
         }
         publish(name, table)
     }
@@ -154,32 +154,36 @@ pub fn fig06(profile: Profile) -> Table {
         ],
     );
 
-    for n in profile.network_sizes() {
+    // The `scenario` column prints the scenario names, not the canonical
+    // workload strings.
+    let scenarios = [
+        ("commuter-dynamic", WorkloadSpec::CommuterDynamic),
+        ("commuter-static", WorkloadSpec::CommuterStatic),
+        ("time-zones", TIME_ZONES),
+    ];
+    let rows: Vec<(usize, &str, &WorkloadSpec)> = profile
+        .network_sizes()
+        .into_iter()
+        .flat_map(|n| scenarios.iter().map(move |(name, wl)| (n, *name, wl)))
+        .collect();
+    let summaries = grid(&rows, &seeds, |&(n, _, workload), seed| {
         let t = CommuterScenario::t_for_network_size(n);
-        // The `scenario` column prints the scenario names, not the
-        // canonical workload strings.
-        for (scenario, workload) in [
-            ("commuter-dynamic", WorkloadSpec::CommuterDynamic),
-            ("commuter-static", WorkloadSpec::CommuterStatic),
-            ("time-zones", TIME_ZONES),
-        ] {
-            let summary = average(&seeds, |seed| {
-                let env = ExperimentEnv::erdos_renyi(n, seed);
-                let ctx = env.context(params, LoadModel::Linear);
-                let trace = workload.shared_trace(&env, t, lambda, rounds, seed ^ 0xABCD);
-                StrategySpec::OnBrFixed.run(&ctx, &trace, seed)
-            });
-            let mean = summary.mean();
-            table.row(vec![
-                n.to_string(),
-                scenario.to_string(),
-                format!("{:.2}", mean.access),
-                format!("{:.2}", mean.running),
-                format!("{:.2}", mean.migration),
-                format!("{:.2}", mean.creation),
-                format!("{:.2}", mean.total()),
-            ]);
-        }
+        let env = ExperimentEnv::erdos_renyi(n, seed);
+        let ctx = env.context(params, LoadModel::Linear);
+        let trace = workload.shared_trace(&env, t, lambda, rounds, seed ^ 0xABCD);
+        [StrategySpec::OnBrFixed.run(&ctx, &trace, seed)]
+    });
+    for (&(n, scenario, _), [summary]) in rows.iter().zip(&summaries) {
+        let mean = summary.mean();
+        table.row(vec![
+            n.to_string(),
+            scenario.to_string(),
+            format!("{:.2}", mean.access),
+            format!("{:.2}", mean.running),
+            format!("{:.2}", mean.migration),
+            format!("{:.2}", mean.creation),
+            format!("{:.2}", mean.total()),
+        ]);
     }
     publish("fig06", table)
 }

@@ -54,7 +54,7 @@ pub mod traces;
 pub use cache::{CacheStats, DistCache};
 pub use manifest::{Manifest, ManifestEntry};
 pub use output::{write_csv, Table};
-pub use runner::{average, average_multi, average_serial, SeedSummary};
+pub use runner::{average, average_serial, grid, SeedSummary};
 pub use setup::ExperimentEnv;
 pub use spec::{CellBuilder, CellSpec, StrategySpec, TopologySpec, WorkloadSpec};
 pub use traces::{clear_global_caches, TraceCache, TraceKey};

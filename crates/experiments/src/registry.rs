@@ -11,8 +11,8 @@ use crate::output::Table;
 use crate::spec::ALL_STRATEGIES;
 
 /// One paper figure or table: a name, what it shows, and the pipeline
-/// function that regenerates it (printing the series and writing
-/// `results/<name>.csv`).
+/// function that regenerates it (writing `results/<name>.csv` and
+/// returning the table).
 pub struct FigureEntry {
     /// Registry name (`fig01` … `fig19`, `table1`).
     pub name: &'static str,

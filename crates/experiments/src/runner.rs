@@ -1,5 +1,6 @@
-//! Seed-parallel experiment execution: run one cell per seed and
-//! collect (or average) the cost breakdowns in seed order.
+//! Seed-parallel experiment execution: run one cell per seed (or per
+//! `(row, seed)` pair of a figure) and collect the cost breakdowns in
+//! seed order.
 
 use rayon::prelude::*;
 
@@ -78,30 +79,36 @@ where
     }
 }
 
-/// The grouped form of [`average`]: `f(seed)` evaluates one seed's whole
-/// **strategy group** (typically
-/// [`StrategySpec::run`](crate::spec::StrategySpec::run) per strategy
-/// over one shared trace) and returns one breakdown per strategy; the
-/// per-seed rows are transposed into one [`SeedSummary`] per strategy.
+/// Runs every `(row, seed)` cell of a figure in one parallel call, one
+/// cell per task, and transposes the results into per-row summaries:
+/// `f(row, seed)` evaluates one seed's whole **strategy group** on that
+/// row (typically [`StrategySpec::run`](crate::spec::StrategySpec::run)
+/// per strategy over one shared trace) and returns one breakdown per
+/// strategy; row `r` of the result holds one [`SeedSummary`] per
+/// strategy, with the per-seed costs in seed order.
 ///
-/// Every `f(seed)` must return the same number of breakdowns. The same
-/// determinism contract as [`average`] applies, so the summaries are
-/// bit-identical to running each strategy through its own `average` —
-/// the figure pipelines rely on this to keep their CSVs byte-stable
-/// while recording each seed's demand only once.
-pub fn average_multi<F>(seeds: &[u64], strategies: usize, f: F) -> Vec<SeedSummary>
+/// A figure row holds only a few seeds, so fanning out row by row leaves
+/// threads idle behind the slowest seed; the whole grid balances over
+/// every cell at once. The same determinism contract as [`average`]
+/// applies, so each summary is bit-identical to running that row and
+/// strategy through its own `average`: the figure pipelines rely on this
+/// to keep their CSVs byte-stable while recording each seed's demand only
+/// once.
+pub fn grid<R, F, const C: usize>(rows: &[R], seeds: &[u64], f: F) -> Vec<[SeedSummary; C]>
 where
-    F: Fn(u64) -> Vec<CostBreakdown> + Sync,
+    R: Sync,
+    F: Fn(&R, u64) -> [CostBreakdown; C] + Sync,
 {
-    let rows: Vec<Vec<CostBreakdown>> = seeds.par_iter().map(|&seed| f(seed)).collect();
-    let mut out = vec![SeedSummary::default(); strategies];
-    for row in rows {
-        assert_eq!(
-            row.len(),
-            strategies,
-            "average_multi: every seed must evaluate the same strategy group"
-        );
-        for (summary, cost) in out.iter_mut().zip(row) {
+    let cells: Vec<[CostBreakdown; C]> = (0..rows.len() * seeds.len())
+        .into_par_iter()
+        .with_max_len(1)
+        .map(|i| f(&rows[i / seeds.len()], seeds[i % seeds.len()]))
+        .collect();
+    let mut out: Vec<[SeedSummary; C]> = (0..rows.len())
+        .map(|_| std::array::from_fn(|_| SeedSummary::default()))
+        .collect();
+    for (i, cell) in cells.into_iter().enumerate() {
+        for (summary, cost) in out[i / seeds.len()].iter_mut().zip(cell) {
             summary.per_seed.push(cost);
         }
     }
@@ -165,34 +172,58 @@ mod tests {
         let env = ExperimentEnv::erdos_renyi(50, 9);
         let ctx = env.context(CostParams::default().with_max_servers(3), LoadModel::Linear);
         let seeds: Vec<u64> = (0..4).collect();
+        let rows = [20u64, 30];
         let strats = [
             StrategySpec::OnTh,
             StrategySpec::OnBrFixed,
             StrategySpec::Static,
         ];
 
-        // Grouped: one trace per seed, every algorithm reads it.
-        let grouped = average_multi(&seeds, strats.len(), |seed| {
+        // Grouped: one trace per (row, seed) cell, every algorithm reads it.
+        let grouped = grid(&rows, &seeds, |&rounds, seed| {
             let mut s = UniformScenario::new(&env.graph, 4, seed);
-            let trace = record(&mut s, 30);
-            strats.map(|strat| strat.run(&ctx, &trace, seed)).to_vec()
+            let trace = record(&mut s, rounds);
+            strats.map(|strat| strat.run(&ctx, &trace, seed))
         });
+        assert_eq!(grouped.len(), rows.len());
 
-        // Independent: each strategy records its own trace.
-        for (i, &strat) in strats.iter().enumerate() {
-            let solo = average(&seeds, |seed| {
-                let mut s = UniformScenario::new(&env.graph, 4, seed);
-                let trace = record(&mut s, 30);
-                strat.run(&ctx, &trace, seed)
-            });
-            assert_eq!(grouped[i].per_seed.len(), seeds.len());
-            for (g, s) in grouped[i].per_seed.iter().zip(&solo.per_seed) {
-                assert_eq!(g.access.to_bits(), s.access.to_bits(), "{strat}");
-                assert_eq!(g.running.to_bits(), s.running.to_bits(), "{strat}");
-                assert_eq!(g.migration.to_bits(), s.migration.to_bits(), "{strat}");
-                assert_eq!(g.creation.to_bits(), s.creation.to_bits(), "{strat}");
+        // Independent: each row and strategy records its own traces.
+        for (row, &rounds) in grouped.iter().zip(&rows) {
+            for (summary, &strat) in row.iter().zip(&strats) {
+                let solo = average(&seeds, |seed| {
+                    let mut s = UniformScenario::new(&env.graph, 4, seed);
+                    let trace = record(&mut s, rounds);
+                    strat.run(&ctx, &trace, seed)
+                });
+                assert_eq!(summary.per_seed.len(), seeds.len());
+                for (g, s) in summary.per_seed.iter().zip(&solo.per_seed) {
+                    assert_eq!(g.access.to_bits(), s.access.to_bits(), "{strat}");
+                    assert_eq!(g.running.to_bits(), s.running.to_bits(), "{strat}");
+                    assert_eq!(g.migration.to_bits(), s.migration.to_bits(), "{strat}");
+                    assert_eq!(g.creation.to_bits(), s.creation.to_bits(), "{strat}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn grid_transposes_in_row_and_seed_order() {
+        let seeds = [5u64, 6, 7];
+        let rows = [10.0f64, 20.0];
+        let out = grid(&rows, &seeds, |&x, seed| {
+            [
+                CostBreakdown::from_access(x + seed as f64),
+                CostBreakdown::from_access(-x),
+            ]
+        });
+        let access = |s: &SeedSummary| s.per_seed.iter().map(|c| c.access).collect::<Vec<_>>();
+        assert_eq!(access(&out[0][0]), [15.0, 16.0, 17.0]);
+        assert_eq!(access(&out[1][0]), [25.0, 26.0, 27.0]);
+        assert_eq!(access(&out[1][1]), [-20.0; 3]);
+        // No seeds: every row still gets its (empty) summaries.
+        let empty = grid(&rows, &[], |_, _| [CostBreakdown::default()]);
+        assert_eq!(empty.len(), 2);
+        assert!(empty[0][0].per_seed.is_empty());
     }
 
     #[test]

@@ -31,14 +31,13 @@
 //! recorded result is the whole horizon). Traces larger than the byte
 //! budget are handed out uncached rather than evicting everything else.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::convert::Infallible;
+use std::sync::OnceLock;
 
 use flexserve_workload::RoundTrace;
 
 pub use crate::cache::CacheStats;
-use crate::cache::DistCache;
+use crate::cache::{DistCache, Lru};
 
 /// Identity of one recorded demand process. Two cells with equal keys see
 /// byte-identical demand, so they may share one materialized trace.
@@ -60,20 +59,14 @@ pub struct TraceKey {
     pub seed: u64,
 }
 
-struct Entry {
-    trace: RoundTrace,
-    last_used: u64,
-    bytes: usize,
-}
-
 /// An LRU cache of `TraceKey → RoundTrace` with hit/miss/eviction
 /// counters, sharing recorded demand across the strategy cells of a
 /// figure or sweep.
 ///
 /// Thread-safe with the same discipline as [`DistCache`]: recordings run
-/// outside the lock (concurrent misses on different keys proceed in
-/// parallel; racing recorders of one key produce bit-identical traces and
-/// only the first insert is kept).
+/// outside the lock, so misses on different keys proceed in parallel,
+/// and concurrent lookups of one missing key wait for its single
+/// recording and share it.
 ///
 /// ```
 /// use flexserve_experiments::{TraceCache, TraceKey};
@@ -96,12 +89,7 @@ struct Entry {
 /// assert_eq!(cache.stats().misses, 1);
 /// ```
 pub struct TraceCache {
-    inner: Mutex<HashMap<TraceKey, Entry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    clock: AtomicU64,
-    capacity_bytes: usize,
+    lru: Lru<TraceKey, RoundTrace>,
 }
 
 impl TraceCache {
@@ -114,12 +102,7 @@ impl TraceCache {
     /// disables caching (every lookup records afresh, nothing retained).
     pub fn with_capacity_bytes(capacity_bytes: usize) -> Self {
         TraceCache {
-            inner: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            clock: AtomicU64::new(0),
-            capacity_bytes,
+            lru: Lru::new(capacity_bytes),
         }
     }
 
@@ -140,52 +123,17 @@ impl TraceCache {
     /// Returns the cached trace for `key`, recording it with `record` on
     /// a miss. Hits hand out an `Arc`-shared view — O(1), no copying.
     pub fn get_or_record(&self, key: TraceKey, record: impl FnOnce() -> RoundTrace) -> RoundTrace {
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = self.inner.lock().unwrap().get_mut(&key) {
-            entry.last_used = now;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return entry.trace.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Record outside the lock: misses on different keys proceed in
-        // parallel under the seed-fanning runner.
-        let trace = record();
-        let bytes = trace.memory_bytes();
-        if bytes > self.capacity_bytes {
-            return trace; // too large to retain (or caching disabled)
-        }
-        let mut map = self.inner.lock().unwrap();
-        let entry = map.entry(key).or_insert_with(|| Entry {
-            trace: trace.clone(),
-            last_used: now,
-            bytes,
+        let Ok(trace) = self.lru.get_or_build(key, || {
+            let trace = record();
+            let bytes = trace.memory_bytes();
+            Ok::<_, Infallible>((trace, bytes))
         });
-        entry.last_used = now;
-        let trace = entry.trace.clone();
-        self.evict_to_capacity(&mut map);
         trace
-    }
-
-    /// Evicts least-recently-used entries until the byte budget holds.
-    /// Caller must hold the lock.
-    fn evict_to_capacity(&self, map: &mut HashMap<TraceKey, Entry>) {
-        let mut total: usize = map.values().map(|e| e.bytes).sum();
-        while total > self.capacity_bytes && !map.is_empty() {
-            let oldest = map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map has a minimum");
-            if let Some(e) = map.remove(&oldest) {
-                total -= e.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Number of retained entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
+        self.lru.len()
     }
 
     /// Whether the cache currently retains nothing.
@@ -195,19 +143,12 @@ impl TraceCache {
 
     /// Snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.lru.stats()
     }
 
     /// Drops all entries and resets the counters.
     pub fn clear(&self) {
-        self.inner.lock().unwrap().clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+        self.lru.clear();
     }
 }
 
@@ -297,17 +238,37 @@ mod tests {
 
     #[test]
     fn concurrent_same_key_lookups_converge() {
-        use rayon::prelude::*;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let cache = TraceCache::with_capacity_bytes(1 << 20);
-        let traces: Vec<RoundTrace> = (0..8)
-            .into_par_iter()
-            .map(|_| cache.get_or_record(key(7, 7), || trace(4)))
-            .collect();
+        let (arrived, recordings) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let traces: Vec<RoundTrace> = std::thread::scope(|s| {
+            let lookups: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        cache.get_or_record(key(7, 7), || {
+                            recordings.fetch_add(1, Ordering::SeqCst);
+                            // Hold the recording open until every thread
+                            // has started its lookup of the same key.
+                            while arrived.load(Ordering::SeqCst) < 8 {
+                                std::thread::yield_now();
+                            }
+                            trace(4)
+                        })
+                    })
+                })
+                .collect();
+            lookups.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(recordings.load(Ordering::SeqCst), 1);
         assert_eq!(cache.len(), 1);
-        for t in traces {
-            assert_eq!(t, trace(4));
-        }
         let s = cache.stats();
-        assert!(s.hits + s.misses >= 8);
+        assert_eq!((s.misses, s.hits), (1, 7), "{s:?}");
+        for t in &traces {
+            assert!(
+                std::ptr::eq(t.round(0), traces[0].round(0)),
+                "one shared trace"
+            );
+        }
     }
 }

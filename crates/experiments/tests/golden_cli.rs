@@ -36,12 +36,11 @@ fn golden(name: &str) -> String {
 #[test]
 fn every_figure_is_byte_identical_to_its_golden_and_hits_the_cache() {
     // Route artifacts to a scratch dir so the test never touches the
-    // real results/ tree, and silence the table printer. The only other
-    // test in this binary reads no environment variables.
+    // real results/ tree. The other tests in this binary read no
+    // environment variables.
     let dir = std::env::temp_dir().join(format!("flexserve-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     std::env::set_var("FLEXSERVE_RESULTS_DIR", &dir);
-    std::env::set_var("FLEXSERVE_SILENT", "1");
 
     for entry in registry::FIGURES {
         let want = golden(entry.name);
@@ -100,18 +99,60 @@ fn list_output_is_stable() {
 }
 
 /// Runs the `flexserve` binary with results routed to `dir`; returns the
-/// exit code and stderr.
-fn flexserve(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
+/// exit code, stdout and stderr.
+fn flexserve_output(dir: &Path, args: &[&str]) -> (Option<i32>, String, String) {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_flexserve"))
         .args(args)
         .env("FLEXSERVE_RESULTS_DIR", dir)
-        .env("FLEXSERVE_SILENT", "1")
         .output()
         .expect("spawn flexserve");
     (
         out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+/// [`flexserve_output`] without stdout.
+fn flexserve(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
+    let (code, _, err) = flexserve_output(dir, args);
+    (code, err)
+}
+
+/// The names of the `[name] done in Xs` lines of `stderr`, in order.
+fn done_lines(stderr: &str) -> Vec<&str> {
+    stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix('[')?.split_once("] done in "))
+        .map(|(name, _)| name)
+        .collect()
+}
+
+#[test]
+fn run_prints_concurrent_entries_in_argument_order() {
+    let dir = std::env::temp_dir().join(format!("flexserve-order-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let names = ["fig05", "fig01", "fig03"];
+    let (code, out, err) =
+        flexserve_output(&dir, &[&["run", "--profile", "quick"], &names[..]].concat());
+    assert_eq!(code, Some(0), "{err}");
+    assert_eq!(done_lines(&err), names, "{err}");
+    let titles: Vec<&str> = out.lines().filter(|l| l.starts_with("# ")).collect();
+    let want: Vec<String> = names
+        .iter()
+        .map(|name| golden(name).lines().next().unwrap().to_string())
+        .collect();
+    assert_eq!(titles, want, "{out}");
+    for name in names {
+        let csv = std::fs::read_to_string(dir.join(format!("{name}.csv"))).unwrap();
+        assert_eq!(csv, golden(name), "{name}");
+    }
+
+    let (code, _, err) = flexserve_output(&dir, &["run", "all", "--profile", "quick"]);
+    assert_eq!(code, Some(0), "{err}");
+    let registry_order: Vec<&str> = registry::FIGURES.iter().map(|f| f.name).collect();
+    assert_eq!(done_lines(&err), registry_order, "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
