@@ -1,8 +1,9 @@
 //! Ablation studies for the design choices docs/DESIGN.md calls out.
 //!
-//! Unlike the perf harnesses (which track *runtime*), these report the
-//! *cost* impact of each design knob, averaged over seeds. Every run is a
-//! `StrategySpec` over a `WorkloadSpec` trace, like the figures:
+//! Unlike the benchmark in `perfbench/` (which tracks *runtime*), these
+//! report the *cost* impact of each design knob, averaged over seeds.
+//! Every run is a `StrategySpec` over a `WorkloadSpec` trace, like the
+//! figures:
 //!
 //! 1. inactive-cache capacity (paper: 3),
 //! 2. inactive-cache expiry (paper: 20 epochs),

@@ -54,28 +54,16 @@ impl SeedSummary {
 ///
 /// Determinism: `f` must derive **all** randomness from its seed argument
 /// (every scenario and strategy in this workspace does), so the collected
-/// summary is bit-identical to [`average_serial`] regardless of thread
-/// count or scheduling — rayon only changes *when* each seed runs, never
-/// what it computes. The figure pipelines rely on this to produce
-/// identical CSVs on any machine.
+/// summary is bit-identical to a serial `seeds.iter().map(f)` regardless
+/// of thread count or scheduling — rayon only changes *when* each seed
+/// runs, never what it computes. The figure pipelines rely on this to
+/// produce identical CSVs on any machine.
 pub fn average<F>(seeds: &[u64], f: F) -> SeedSummary
 where
     F: Fn(u64) -> CostBreakdown + Sync,
 {
     SeedSummary {
         per_seed: seeds.par_iter().map(|&seed| f(seed)).collect(),
-    }
-}
-
-/// Serial reference implementation of [`average`], used by the perf
-/// harness for before/after comparison and by tests asserting that the
-/// parallel path is bit-identical.
-pub fn average_serial<F>(seeds: &[u64], f: F) -> SeedSummary
-where
-    F: Fn(u64) -> CostBreakdown,
-{
-    SeedSummary {
-        per_seed: seeds.iter().map(|&seed| f(seed)).collect(),
     }
 }
 
@@ -158,8 +146,9 @@ mod tests {
             StrategySpec::OnTh.run(&ctx, &trace, seed)
         };
         let par = average(&seeds, cell);
-        let ser = average_serial(&seeds, cell);
-        for (p, s) in par.per_seed.iter().zip(&ser.per_seed) {
+        let ser: Vec<CostBreakdown> = seeds.iter().map(|&seed| cell(seed)).collect();
+        assert_eq!(par.per_seed.len(), ser.len());
+        for (p, s) in par.per_seed.iter().zip(&ser) {
             assert_eq!(p.access.to_bits(), s.access.to_bits());
             assert_eq!(p.running.to_bits(), s.running.to_bits());
             assert_eq!(p.migration.to_bits(), s.migration.to_bits());

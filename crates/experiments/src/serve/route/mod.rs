@@ -44,7 +44,7 @@
 //! proxied operation holds its session mutex end-to-end, so a migration
 //! is atomic with respect to every other operation on that session.
 
-pub mod proxy;
+mod proxy;
 pub mod ring;
 
 use std::collections::BTreeMap;

@@ -94,8 +94,8 @@ impl DistanceMatrix {
 
     /// Single-thread reference construction: the same CSR Dijkstra as
     /// [`DistanceMatrix::build`], run source-by-source on the calling
-    /// thread. Exists for the perf harness (before/after comparison) and
-    /// for tests asserting the parallel build is bit-identical.
+    /// thread. Exists for tests asserting the parallel build is
+    /// bit-identical.
     pub fn build_serial(g: &Graph) -> Self {
         let n = g.node_count();
         if n == 0 {
@@ -467,6 +467,38 @@ mod tests {
         );
         assert_eq!(repaired, 0);
         assert_bitwise_equal(&m, &DistanceMatrix::build(&g), "unused edge");
+    }
+
+    #[test]
+    fn repair_vs_rebuild_skips_most_rows_on_one_link_failure() {
+        // A real single-link failure on a 500-node Waxman substrate must
+        // re-run Dijkstra from only a small share of the sources (57 of
+        // 500 for this edge) and still land on the rebuild bit for bit.
+        use crate::gen::{waxman, GenConfig};
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut g = waxman(500, 0.4, 0.15, 10.0, &GenConfig::default(), &mut rng).unwrap();
+        let mut m = DistanceMatrix::build(&g);
+        let edge = g.edges().next().expect("waxman substrate has edges");
+        let old = g
+            .set_edge_latency(edge.source, edge.target, f64::INFINITY)
+            .unwrap();
+        let repaired = m.repair(
+            &g,
+            &[EdgeUpdate {
+                a: edge.source,
+                b: edge.target,
+                old_latency: old,
+                new_latency: f64::INFINITY,
+            }],
+        );
+        assert!(
+            repaired > 0 && repaired < g.node_count() / 4,
+            "repair re-ran {repaired} of {} rows",
+            g.node_count()
+        );
+        assert_bitwise_equal(&m, &DistanceMatrix::build(&g), "waxman-500 link failure");
     }
 
     #[test]

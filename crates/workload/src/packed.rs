@@ -142,9 +142,13 @@ mod mem_map {
         len: usize,
     }
 
-    // The mapping is read-only and owned: sharing the raw pointer across
-    // threads is safe because nothing ever writes through it.
+    // SAFETY: `Mmap` owns its mapping (unmapped once, on drop) and maps
+    // it `PROT_READ`, so no thread ever writes through `ptr`; moving the
+    // owner to another thread moves nothing but the address.
     unsafe impl Send for Mmap {}
+    // SAFETY: the only access through a shared `&Mmap` is `as_slice`, a
+    // read of immutable memory, which any number of threads may do at
+    // once.
     unsafe impl Sync for Mmap {}
 
     impl Mmap {
@@ -154,6 +158,11 @@ mod mem_map {
             if len == 0 {
                 return Err("cannot map an empty file".to_string());
             }
+            // SAFETY: a null hint lets the kernel choose the address, and
+            // `len` is the file's non-zero length at open time; `fd` is
+            // borrowed from a live `File` only for the call (the mapping
+            // outlives the descriptor by POSIX). The result is checked
+            // against MAP_FAILED before it is stored.
             let ptr = unsafe {
                 mmap(
                     std::ptr::null_mut(),
@@ -172,12 +181,20 @@ mod mem_map {
 
         /// The mapped bytes.
         pub fn as_slice(&self) -> &[u8] {
+            // SAFETY: `ptr` is a successful mapping of exactly `len`
+            // readable bytes that lives until `self` drops, and the slice
+            // borrows `self`. The bytes hold still only while the file
+            // does: changing or truncating it under an open reader is
+            // outside the contract (see `PackedTrace::open`).
             unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
         }
     }
 
     impl Drop for Mmap {
         fn drop(&mut self) {
+            // SAFETY: `ptr`/`len` are exactly the mapping `map` created,
+            // unmapped only here, and no slice from `as_slice` can
+            // outlive the `&self` borrow it came from.
             unsafe {
                 munmap(self.ptr, self.len);
             }
@@ -548,6 +565,13 @@ impl PackedTrace {
     /// Opens `path`, preferring the mmap fast path and falling back to the
     /// buffered streaming reader when mapping is unavailable. Validation
     /// errors (corrupt files) are returned, not retried.
+    ///
+    /// Validation covers the file as it is at open time. Truncating or
+    /// rewriting the file while the returned reader is alive is outside
+    /// the contract: on the mmap path the mapping is `MAP_PRIVATE`, and a
+    /// read of a page past the new end of file raises `SIGBUS` instead of
+    /// returning an `Err`. Write packs to a new path and rename them into
+    /// place rather than changing a file that may be open.
     pub fn open(path: &str) -> Result<Self, String> {
         #[cfg(unix)]
         {
@@ -565,7 +589,8 @@ impl PackedTrace {
     }
 
     /// Opens `path` on the mmap fast path only (errors when the platform
-    /// refuses the mapping).
+    /// refuses the mapping). The file contract of [`open`](Self::open)
+    /// applies.
     #[cfg(unix)]
     pub fn open_mmap(path: &str) -> Result<Self, String> {
         let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
