@@ -14,7 +14,9 @@
 //! (`d1/s1`, `d2/s2`), after which any single-server change is scored in
 //! `O(1)` per origin — exactly (including non-additive load models),
 //! because per-round per-server request counts are re-derived per
-//! candidate.
+//! candidate. The migrations, the one family of size `n·k`, are first
+//! ruled out by a lower bound where it can, and only the rest are
+//! scored exactly (see [`best_candidate_with`]).
 //!
 //! Scores include access cost (delay + load), active running cost
 //! (`Ra·|A'|` per round) and the transition cost of reaching the candidate
@@ -23,7 +25,7 @@
 //! out of the *comparison* (the engine charges it exactly).
 
 use flexserve_graph::NodeId;
-use flexserve_sim::{Fleet, SimContext};
+use flexserve_sim::{Fleet, LoadModel, SimContext};
 use flexserve_workload::{JsonValue, RoundRequests};
 use rayon::prelude::*;
 
@@ -72,6 +74,17 @@ impl EpochWindow {
         self.rounds.iter().map(|r| r.as_slice())
     }
 
+    /// The first origin, in window order, that is not a node of a
+    /// `node_count`-node substrate — what a resume must refuse before the
+    /// first epoch scan indexes the distance matrix with it.
+    pub fn origin_outside(&self, node_count: usize) -> Option<NodeId> {
+        self.rounds
+            .iter()
+            .flatten()
+            .map(|&(origin, _)| origin)
+            .find(|origin| origin.index() >= node_count)
+    }
+
     /// Serializes the window for strategy checkpoints: a JSON array of
     /// rounds, each round an array of `[origin, count]` pairs. The spare
     /// pool is a pure allocation optimization and is deliberately not
@@ -109,10 +122,12 @@ impl EpochWindow {
             let mut counts = Vec::with_capacity(pairs.len());
             for pair in pairs {
                 match pair.as_array() {
-                    Some([origin, cnt]) => counts.push((
-                        NodeId::new(origin.as_usize().ok_or("epoch window: bad origin id")?),
-                        cnt.as_usize().ok_or("epoch window: bad count")?,
-                    )),
+                    Some([origin, cnt]) => {
+                        let raw = origin.as_usize().ok_or("epoch window: bad origin id")?;
+                        let origin = NodeId::try_new(raw)
+                            .ok_or_else(|| format!("epoch window: origin {raw} is out of range"))?;
+                        counts.push((origin, cnt.as_usize().ok_or("epoch window: bad count")?));
+                    }
                     _ => return Err("epoch window: entry must be [origin, count]".into()),
                 }
             }
@@ -390,6 +405,131 @@ impl WindowIndex {
         }
     }
 
+    /// Exact access cost of `A` with server index `remove` taken out
+    /// (`usize::MAX` = none) and node `add` put in (`None` = none), under
+    /// nearest routing plus load. An added server sits in slot `k` and
+    /// wins only on a strictly smaller distance. `counts` is resized to
+    /// `k + 1` slots.
+    fn score_change(
+        &self,
+        ctx: &SimContext<'_>,
+        remove: usize,
+        add: Option<NodeId>,
+        counts: &mut Vec<usize>,
+    ) -> f64 {
+        let k = self.strengths.len();
+        counts.clear();
+        counts.resize(k + 1, 0);
+        let mut total = 0.0;
+        let add_strength = add.map(|v| ctx.graph.strength(v)).unwrap_or(1.0);
+        for r in 0..self.bounds.len() - 1 {
+            counts.iter_mut().for_each(|c| *c = 0);
+            for j in self.bounds[r]..self.bounds[r + 1] {
+                let e = &self.entries[j];
+                // nearest surviving current server
+                let (dcur, scur) = if e.s1 as usize == remove {
+                    let (d2, s2) = self.seconds[j];
+                    (d2, s2 as usize)
+                } else {
+                    (e.d1, e.s1 as usize)
+                };
+                let (d, slot) = match add {
+                    Some(v) => {
+                        let dv = ctx.dist.get(NodeId::new(e.origin as usize), v);
+                        if dv < dcur {
+                            (dv, k)
+                        } else {
+                            (dcur, scur)
+                        }
+                    }
+                    None => (dcur, scur),
+                };
+                total += d * e.cnt as f64;
+                counts[slot] += e.cnt;
+            }
+            for (i, &c) in counts.iter().enumerate() {
+                if c == 0 {
+                    continue;
+                }
+                let strength = if i == k {
+                    add_strength
+                } else {
+                    self.strengths[i]
+                };
+                total += ctx.load.load(strength, c);
+            }
+        }
+        total
+    }
+
+    /// The delay part of every migration's lower bound, in one
+    /// row-streaming pass (entry-outer, candidate-inner like
+    /// [`WindowIndex::scan_chunk`]). For candidate `candidates[c]` and
+    /// server slot `i`, with `nc = candidates.len()`:
+    ///
+    /// * `keep[i·nc + c] = Σ_{e: s1=i} cnt·min(d(o,v), d1)`: what the
+    ///   entries nearest to `a_i` pay while `a_i` stays;
+    /// * `moved[i·nc + c] = Σ_{e: s1=i} cnt·min(d(o,v), d2)`: what they
+    ///   pay once `a_i` is migrated to `v`.
+    ///
+    /// So the delay of `A − u + v` is `Σ_{i≠u} keep[i] + moved[u]`; only
+    /// the load terms are left to bound.
+    fn migration_bounds(
+        &self,
+        ctx: &SimContext<'_>,
+        candidates: &[NodeId],
+        keep: &mut Vec<f64>,
+        moved: &mut Vec<f64>,
+    ) {
+        let nc = candidates.len();
+        let size = self.strengths.len() * nc;
+        keep.clear();
+        keep.resize(size, 0.0);
+        moved.clear();
+        moved.resize(size, 0.0);
+        for (e, &(d2, _)) in self.entries.iter().zip(&self.seconds) {
+            let row = ctx.dist.row(NodeId::new(e.origin as usize));
+            let cnt = e.cnt as f64;
+            let lo = e.s1 as usize * nc;
+            let keep = &mut keep[lo..lo + nc];
+            let moved = &mut moved[lo..lo + nc];
+            for ((kept, gone), &v) in keep.iter_mut().zip(moved.iter_mut()).zip(candidates) {
+                let dv = row[v.index()];
+                *kept += cnt * if dv < e.d1 { dv } else { e.d1 };
+                *gone += cnt * if dv < d2 { dv } else { d2 };
+            }
+        }
+    }
+
+    /// Relative slack `ε` of the migration prune test, or `None` when the
+    /// window has too many terms to prune safely.
+    ///
+    /// Every summand of an exact migration score `S` (`cnt·d`, a load
+    /// term, `Ra·k·|W|`, the transition cost) and of its bound `LB` is
+    /// non-negative and carries at most two roundings of its own; the
+    /// sums add at most `m − 2` more along any summand's path, where
+    /// `m = E + R·(k+1) + k + 8` over `E` entries, `R` rounds and `k`
+    /// servers. With unit roundoff `u`, and no overflow or subnormal
+    /// terms:
+    ///
+    /// * `fl(S) ≥ (1−u)^m · S`, `fl(LB) ≤ (1+u)^m · LB` and `LB ≤ S` (the
+    ///   load terms `LB` leaves out only raise `S`), so
+    ///   `fl(S) ≥ ((1−u)/(1+u))^m · fl(LB) ≥ (1 − 2mu) · fl(LB)`;
+    /// * with `ε = 2m·2u`, the computed `fl(fl(LB)·fl(1−ε))` is at most
+    ///   `fl(LB)·(1−ε)(1+u)² < (1 − 2mu) · fl(LB) ≤ fl(S)`.
+    ///
+    /// So `fl(LB)·(1−ε) > best` implies `fl(S) > best`. The same holds
+    /// for the per-`v` floor `Σ_i keep[i] + …`, whose real value is at
+    /// most every `LB(u, v)`. Past
+    /// `ε = 1e-6` (`m` in the billions) the test would prune little, and
+    /// every move is scored exactly.
+    fn prune_slack(&self) -> Option<f64> {
+        let k = self.strengths.len();
+        let terms = self.entries.len() + self.rounds() * (k + 1) + k + 8;
+        let eps = 2.0 * terms as f64 * f64::EPSILON;
+        (eps <= 1e-6).then_some(eps)
+    }
+
     /// Scores every candidate of `candidates` as an `A ∪ {v}` addition in
     /// one transposed pass, rayon-parallel over the candidate axis.
     ///
@@ -471,12 +611,30 @@ pub struct CandidateScratch {
     pub(crate) scores: Vec<f64>,
     /// Per-server request counter (`k + 1` slots).
     pub(crate) counts: Vec<usize>,
+    /// Deactivation scores, one per server.
+    pub(crate) removals: Vec<f64>,
+    /// Migration bound accumulators (see [`WindowIndex::migration_bounds`]).
+    pub(crate) keep: Vec<f64>,
+    pub(crate) moved: Vec<f64>,
+    /// Per-candidate suffix sums of `keep` over the server slots.
+    pub(crate) suffix: Vec<f64>,
+    /// `A − u + v` pairs considered, and how many of them were scored
+    /// exactly (the rest were pruned by their lower bound).
+    pub(crate) migration_pairs: u64,
+    pub(crate) migration_evals: u64,
 }
 
 impl CandidateScratch {
     /// Empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         CandidateScratch::default()
+    }
+
+    /// `(scored exactly, considered)` over every `A − u + v` migration
+    /// this scratch has seen: how much of the neighbourhood the lower
+    /// bound left for the exact scan.
+    pub fn migration_evals(&self) -> (u64, u64) {
+        (self.migration_evals, self.migration_pairs)
     }
 }
 
@@ -536,6 +694,15 @@ pub fn best_candidate(
 /// [`best_candidate`] with caller-owned scratch: strategies thread their
 /// [`CandidateScratch`] through so repeated epoch scoring reuses the
 /// window index and every buffer.
+///
+/// The `O(n·k)` migrations are bound-pruned: stay, the deactivations and
+/// the additions are scored first, one row-streaming pass
+/// (`WindowIndex::migration_bounds`) then gives every `A − u + v` a
+/// lower bound, and only the moves whose bound cannot rule them out
+/// against the best score known so far are scored exactly. A pruned move
+/// scores strictly above some other candidate, so it is never the first
+/// minimum: winner and score are bit-identical to scoring every move
+/// (proptest-pinned against that loop).
 pub fn best_candidate_with(
     ctx: &SimContext<'_>,
     fleet: &Fleet,
@@ -554,58 +721,18 @@ pub fn best_candidate_with(
         candidates,
         scores,
         counts,
+        removals,
+        keep,
+        moved,
+        suffix,
+        migration_pairs,
+        migration_evals,
     } = scratch;
 
     // Precompute two nearest current servers per (round, origin).
     index.rebuild(ctx, a, window);
-
-    // Scores a candidate: remove server index `remove` (usize::MAX = none)
-    // and/or add node `add` (None = none). Exact nearest routing + load.
-    // `counts` is scratch of size k+1 (slot k = the added server).
-    counts.clear();
-    counts.resize(k + 1, 0);
-    let mut eval = |remove: usize, add: Option<NodeId>| -> f64 {
-        let mut total = 0.0;
-        let add_strength = add.map(|v| ctx.graph.strength(v)).unwrap_or(1.0);
-        for r in 0..index.bounds.len() - 1 {
-            counts.iter_mut().for_each(|c| *c = 0);
-            for j in index.bounds[r]..index.bounds[r + 1] {
-                let e = &index.entries[j];
-                // nearest surviving current server
-                let (dcur, scur) = if e.s1 as usize == remove {
-                    let (d2, s2) = index.seconds[j];
-                    (d2, s2 as usize)
-                } else {
-                    (e.d1, e.s1 as usize)
-                };
-                let (d, slot) = match add {
-                    Some(v) => {
-                        let dv = ctx.dist.get(NodeId::new(e.origin as usize), v);
-                        if dv < dcur {
-                            (dv, k)
-                        } else {
-                            (dcur, scur)
-                        }
-                    }
-                    None => (dcur, scur),
-                };
-                total += d * e.cnt as f64;
-                counts[slot] += e.cnt;
-            }
-            for (i, &c) in counts.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                let strength = if i == k {
-                    add_strength
-                } else {
-                    index.strengths[i]
-                };
-                total += ctx.load.load(strength, c);
-            }
-        }
-        total
-    };
+    candidates.clear();
+    candidates.extend(ctx.graph.nodes().filter(|&v| !fleet.is_active_at(v)));
 
     const NONE: usize = usize::MAX;
     let mut best_target: Option<Vec<NodeId>> = None;
@@ -622,18 +749,85 @@ pub fn best_candidate_with(
     };
 
     // 1. Stay.
-    let stay_score = eval(NONE, None) + ra * k as f64 * wlen;
+    let stay_score = index.score_change(ctx, NONE, None, counts) + ra * k as f64 * wlen;
     consider(stay_score, &mut best_score, &mut best_target, a.to_vec());
 
-    // 2. Migrate u -> v.
-    if options.migrate && k >= 1 {
-        let mig_cost = single_change_cost(ctx, fleet, ChangeKind::Migrate);
-        for v in ctx.graph.nodes() {
-            if fleet.is_active_at(v) {
-                continue;
+    // The cheap families are scored up front, so their minimum can prune
+    // migrations; they are still *selected* after them, in the original
+    // order. `known` only ever holds a candidate's score (or ∞), never NaN.
+    let mut known = best_score;
+    removals.clear();
+    if options.deactivate && k >= 2 {
+        for u_idx in 0..k {
+            let score = index.score_change(ctx, u_idx, None, counts) + ra * (k - 1) as f64 * wlen;
+            removals.push(score);
+            if score < known {
+                known = score;
             }
+        }
+    }
+    let add = options.add && k < ctx.params.max_servers;
+    if add {
+        index.score_all_additions(ctx, candidates, scores, counts);
+        for (score, &v) in scores.iter_mut().zip(candidates.iter()) {
+            let trans = single_change_cost(ctx, fleet, ChangeKind::Add(v));
+            *score = *score + ra * (k + 1) as f64 * wlen + trans;
+            if *score < known {
+                known = *score;
+            }
+        }
+    }
+
+    // 2. Migrate u -> v, v outer and u inner.
+    if options.migrate {
+        let mig_cost = single_change_cost(ctx, fleet, ChangeKind::Migrate);
+        let run = ra * k as f64 * wlen;
+        let slack = index.prune_slack();
+        if slack.is_some() {
+            index.migration_bounds(ctx, candidates, keep, moved);
+        }
+        let nc = candidates.len();
+        // Σ_rounds requests: with every strength at most `ω_max`, each
+        // round's linear load is at least `requests / ω_max`.
+        let requests: usize = index.entries.iter().map(|e| e.cnt).sum();
+        let max_active = index.strengths.iter().fold(0.0f64, |m, &s| m.max(s));
+        for (c, &v) in candidates.iter().enumerate() {
+            let load_lb = match ctx.load {
+                LoadModel::Linear => requests as f64 / max_active.max(ctx.graph.strength(v)),
+                _ => 0.0,
+            };
+            *migration_pairs += k as u64;
+            if let Some(eps) = slack {
+                // Σ_{i≠u} keep[i] = (Σ_{i<u}) + (Σ_{i>u}): a running prefix
+                // plus `suffix[u + 1]`, added, never subtracted.
+                suffix.clear();
+                suffix.resize(k + 1, 0.0);
+                for i in (0..k).rev() {
+                    suffix[i] = keep[i * nc + c] + suffix[i + 1];
+                }
+                // `moved[u] ≥ keep[u]` (d2 ≥ d1), so `suffix[0]` floors
+                // every u's bound: one test can rule out the whole v.
+                if (suffix[0] + load_lb + run + mig_cost) * (1.0 - eps) > known.min(best_score) {
+                    continue;
+                }
+            }
+            let mut prefix = 0.0;
             for u_idx in 0..k {
-                let score = eval(u_idx, Some(v)) + ra * k as f64 * wlen + mig_cost;
+                if let Some(eps) = slack {
+                    let lb = prefix
+                        + suffix[u_idx + 1]
+                        + moved[u_idx * nc + c]
+                        + load_lb
+                        + run
+                        + mig_cost;
+                    prefix += keep[u_idx * nc + c];
+                    // NaN never prunes; ∞ prunes only against a finite best.
+                    if lb * (1.0 - eps) > known.min(best_score) {
+                        continue;
+                    }
+                }
+                *migration_evals += 1;
+                let score = index.score_change(ctx, u_idx, Some(v), counts) + run + mig_cost;
                 if score < best_score {
                     let mut target = a.to_vec();
                     target[u_idx] = v;
@@ -644,25 +838,17 @@ pub fn best_candidate_with(
     }
 
     // 3. Deactivate u (keep at least one server).
-    if options.deactivate && k >= 2 {
-        for u_idx in 0..k {
-            let score = eval(u_idx, None) + ra * (k - 1) as f64 * wlen;
-            if score < best_score {
-                let mut target = a.to_vec();
-                target.remove(u_idx);
-                consider(score, &mut best_score, &mut best_target, target);
-            }
+    for (u_idx, &score) in removals.iter().enumerate() {
+        if score < best_score {
+            let mut target = a.to_vec();
+            target.remove(u_idx);
+            consider(score, &mut best_score, &mut best_target, target);
         }
     }
 
-    // 4. Add v (respect the k budget) — all additions in one transposed pass.
-    if options.add && k < ctx.params.max_servers {
-        candidates.clear();
-        candidates.extend(ctx.graph.nodes().filter(|&v| !fleet.is_active_at(v)));
-        index.score_all_additions(ctx, candidates, scores, counts);
-        for (j, &v) in candidates.iter().enumerate() {
-            let trans = single_change_cost(ctx, fleet, ChangeKind::Add(v));
-            let score = scores[j] + ra * (k + 1) as f64 * wlen + trans;
+    // 4. Add v (respect the k budget), scored above in one transposed pass.
+    if add {
+        for (&score, &v) in scores.iter().zip(candidates.iter()) {
             if score < best_score {
                 let mut target = a.to_vec();
                 target.push(v);
@@ -707,6 +893,7 @@ pub fn best_new_server_position_scored(
         candidates,
         scores,
         counts,
+        ..
     } = scratch;
     index.rebuild(ctx, a, window);
     candidates.clear();
@@ -1067,6 +1254,45 @@ mod tests {
             assert_eq!(nv, sv);
             assert_eq!(nc.to_bits(), sc.to_bits());
         }
+    }
+
+    #[test]
+    fn bound_prunes_most_migrations_on_er100() {
+        use flexserve_graph::gen::{erdos_renyi, GenConfig};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(7);
+        let g = erdos_renyi(100, 0.05, &GenConfig::default(), &mut rng).unwrap();
+        let m = DistanceMatrix::build(&g);
+        let ctx = SimContext::new(&g, &m, CostParams::default(), LoadModel::Linear);
+        let mut fleet = Fleet::new(vec![n(3), n(40), n(77)], &ctx.params);
+        let mut scratch = CandidateScratch::new();
+        // Eight epochs of 20 rounds, demand drifting between two hot spots.
+        for epoch in 0..8 {
+            let mut w = EpochWindow::new();
+            for _ in 0..20 {
+                let mut batch = RoundRequests::empty();
+                for _ in 0..30 {
+                    let hot = if rng.gen_bool(0.7) {
+                        10 * epoch
+                    } else {
+                        95 - 5 * epoch
+                    };
+                    batch.push(n((hot + rng.gen_range(0..5usize)) % 100));
+                }
+                w.push(&batch);
+            }
+            let (target, _) =
+                best_candidate_with(&ctx, &fleet, &w, CandidateOptions::all(), &mut scratch);
+            TransitionPlanner::apply(&mut fleet, &target, &ctx.params);
+        }
+        let (evals, pairs) = scratch.migration_evals();
+        assert!(pairs > 0);
+        assert!(
+            4 * evals < pairs,
+            "the lower bound must rule out most moves: {evals} of {pairs} scored exactly"
+        );
     }
 
     #[test]

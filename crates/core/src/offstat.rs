@@ -234,10 +234,20 @@ impl OnlineStrategy for OffStatPlacement {
             .and_then(JsonValue::as_array)
             .ok_or("OFFSTAT: missing \"target\"")?
             .iter()
-            .map(|n| n.as_usize().map(NodeId::new))
-            .collect::<Option<Vec<_>>>()
-            .ok_or("OFFSTAT: bad target node id")?;
+            .map(|n| {
+                let raw = n.as_usize().ok_or("OFFSTAT: bad target node id")?;
+                NodeId::try_new(raw)
+                    .ok_or_else(|| format!("OFFSTAT: target node {raw} is out of range"))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(())
+    }
+
+    fn node_outside(&self, node_count: usize) -> Option<NodeId> {
+        self.target
+            .iter()
+            .copied()
+            .find(|v| v.index() >= node_count)
     }
 }
 

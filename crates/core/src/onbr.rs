@@ -178,6 +178,10 @@ impl OnlineStrategy for OnBr {
             .ok_or("ONBR: missing \"prev_epoch_len\"")?;
         Ok(())
     }
+
+    fn node_outside(&self, node_count: usize) -> Option<NodeId> {
+        self.window.origin_outside(node_count)
+    }
 }
 
 #[cfg(test)]

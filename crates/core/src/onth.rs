@@ -169,6 +169,12 @@ impl OnlineStrategy for OnTh {
         self.large_running = f("large_running")?;
         Ok(())
     }
+
+    fn node_outside(&self, node_count: usize) -> Option<NodeId> {
+        self.small_window
+            .origin_outside(node_count)
+            .or_else(|| self.large_window.origin_outside(node_count))
+    }
 }
 
 #[cfg(test)]

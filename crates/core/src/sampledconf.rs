@@ -70,6 +70,7 @@ impl SampledConf {
             candidates,
             scores,
             counts,
+            ..
         } = scratch;
         let mut placed: Vec<NodeId> = Vec::with_capacity(i);
         for _ in 0..i {

@@ -13,24 +13,40 @@
 //!   the retired per-candidate loop;
 //! * the window-scoring plane (∞ for unreachable demand) stays distinct
 //!   from the serving plane's `UNREACHABLE_PENALTY` clamp, and the scan
-//!   follows the former.
+//!   follows the former;
+//! * the bound-pruned `best_candidate_with` returns the exact target and
+//!   score bits of the unpruned loop that scores every move
+//!   ([`reference_best_candidate`]).
 
 use proptest::prelude::*;
 
 use flexserve_core::{
-    access_cost_window, best_new_server_position_scored, CandidateScratch, EpochWindow, WindowIndex,
+    access_cost_window, best_candidate_with, best_new_server_position_scored, CandidateOptions,
+    CandidateScratch, EpochWindow, WindowIndex,
 };
 use flexserve_graph::{DistanceMatrix, Graph, NodeId};
-use flexserve_sim::{CostParams, Fleet, LoadModel, SimContext, UNREACHABLE_PENALTY};
+use flexserve_sim::{
+    CostParams, Fleet, InactiveServer, LoadModel, SimContext, UNREACHABLE_PENALTY,
+};
 use flexserve_workload::RoundRequests;
 
 /// Builds a random graph from proptest-chosen edges; roughly one edge in
 /// seven (`fail == 0`) is set to infinite latency afterwards (the
 /// fault-injection convention), which can disconnect the graph.
 fn graph_from_edges(n: usize, edges: &[(usize, usize, f64, usize)]) -> Graph {
+    graph_with_strengths(n, &[], edges)
+}
+
+/// [`graph_from_edges`] with node `i` of strength `strengths[i]` (1.0
+/// past the end of `strengths`).
+fn graph_with_strengths(
+    n: usize,
+    strengths: &[f64],
+    edges: &[(usize, usize, f64, usize)],
+) -> Graph {
     let mut g = Graph::new();
-    for _ in 0..n {
-        g.add_node(1.0);
+    for i in 0..n {
+        g.add_node(strengths.get(i).copied().unwrap_or(1.0));
     }
     for &(a, b, lat, fail) in edges {
         let (a, b) = (a % n, b % n);
@@ -169,6 +185,215 @@ proptest! {
             }
             (a, b) => prop_assert!(a.is_none() && b.is_none()),
         }
+    }
+}
+
+/// The unpruned candidate loop `best_candidate_with` ran before its
+/// migrations were bound-pruned, kept here as the reference: every
+/// `A − u + v` is scored exactly, in the same order and arithmetic.
+/// `None` where no candidate scores below `∞` (the production function
+/// panics there).
+fn reference_best_candidate(
+    ctx: &SimContext<'_>,
+    fleet: &Fleet,
+    window: &EpochWindow,
+    options: CandidateOptions,
+) -> Option<(Vec<NodeId>, f64)> {
+    let a = fleet.active();
+    let k = a.len();
+    let wlen = window.len() as f64;
+    let ra = ctx.params.run_active;
+    let p = &ctx.params;
+
+    // (origin, cnt, d1, s1, d2, s2) per (round, origin): the index rebuild.
+    type Entry = (NodeId, usize, f64, usize, f64, usize);
+    let rounds: Vec<Vec<Entry>> = window
+        .rounds()
+        .map(|round| {
+            round
+                .iter()
+                .map(|&(origin, cnt)| {
+                    let (mut d1, mut s1, mut d2, mut s2) =
+                        (f64::INFINITY, 0usize, f64::INFINITY, 0usize);
+                    for (i, &s) in a.iter().enumerate() {
+                        let d = ctx.dist.get(origin, s);
+                        if d < d1 {
+                            d2 = d1;
+                            s2 = s1;
+                            d1 = d;
+                            s1 = i;
+                        } else if d < d2 {
+                            d2 = d;
+                            s2 = i;
+                        }
+                    }
+                    (origin, cnt, d1, s1, d2, s2)
+                })
+                .collect()
+        })
+        .collect();
+
+    let mut counts = vec![0usize; k + 1];
+    let mut eval = |remove: usize, add: Option<NodeId>| -> f64 {
+        let mut total = 0.0;
+        let add_strength = add.map(|v| ctx.graph.strength(v)).unwrap_or(1.0);
+        for round in &rounds {
+            counts.iter_mut().for_each(|c| *c = 0);
+            for &(origin, cnt, d1, s1, d2, s2) in round {
+                let (dcur, scur) = if s1 == remove { (d2, s2) } else { (d1, s1) };
+                let (d, slot) = match add {
+                    Some(v) => {
+                        let dv = ctx.dist.get(origin, v);
+                        if dv < dcur {
+                            (dv, k)
+                        } else {
+                            (dcur, scur)
+                        }
+                    }
+                    None => (dcur, scur),
+                };
+                total += d * cnt as f64;
+                counts[slot] += cnt;
+            }
+            for (i, &c) in counts.iter().enumerate() {
+                if c == 0 {
+                    continue;
+                }
+                let strength = if i == k {
+                    add_strength
+                } else {
+                    ctx.graph.strength(a[i])
+                };
+                total += ctx.load.load(strength, c);
+            }
+        }
+        total
+    };
+
+    let mut best: Option<(Vec<NodeId>, f64)> = None;
+    let mut best_score = f64::INFINITY;
+    let mut consider = |score: f64, target: Vec<NodeId>, best_score: &mut f64| {
+        if score < *best_score {
+            *best_score = score;
+            best = Some((target, score));
+        }
+    };
+
+    consider(
+        eval(usize::MAX, None) + ra * k as f64 * wlen,
+        a.to_vec(),
+        &mut best_score,
+    );
+    if options.migrate {
+        let mig_cost = if p.migration_useful() {
+            p.migration_beta
+        } else {
+            p.creation_c
+        };
+        for v in ctx.graph.nodes().filter(|&v| !fleet.is_active_at(v)) {
+            for u_idx in 0..k {
+                let score = eval(u_idx, Some(v)) + ra * k as f64 * wlen + mig_cost;
+                let mut target = a.to_vec();
+                target[u_idx] = v;
+                consider(score, target, &mut best_score);
+            }
+        }
+    }
+    if options.deactivate && k >= 2 {
+        for u_idx in 0..k {
+            let score = eval(u_idx, None) + ra * (k - 1) as f64 * wlen;
+            let mut target = a.to_vec();
+            target.remove(u_idx);
+            consider(score, target, &mut best_score);
+        }
+    }
+    if options.add && k < p.max_servers {
+        for v in ctx.graph.nodes().filter(|&v| !fleet.is_active_at(v)) {
+            let mut with_v = a.to_vec();
+            with_v.push(v);
+            let trans = if fleet.is_inactive_at(v) {
+                0.0
+            } else if p.migration_useful() && fleet.inactive_count() > 0 {
+                p.migration_beta
+            } else {
+                p.creation_c
+            };
+            let score =
+                access_cost_window(ctx, &with_v, window) + ra * (k + 1) as f64 * wlen + trans;
+            consider(score, with_v, &mut best_score);
+        }
+    }
+    best
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn pruned_migrations_match_the_unpruned_loop_bitwise(
+        n in 3usize..18,
+        strengths in prop::collection::vec(0.5f64..4.0, 0..18),
+        edges in prop::collection::vec(
+            (0usize..18, 0usize..18, 0.5f64..50.0, 0usize..7), 2..45),
+        load_dominated in 0usize..2,
+        rounds in prop::collection::vec(
+            prop::collection::vec((0usize..18, 1usize..6), 0..6), 1..5),
+        picks in prop::collection::vec(0usize..18, 1..5),
+        cached in prop::collection::vec(0usize..18, 0..3),
+        lm in 0usize..4,
+        regime in 0usize..3,
+        full_budget in 0usize..2,
+        no_add in 0usize..2,
+    ) {
+        // Short links let the load terms, and so the load bound, decide.
+        let edges: Vec<_> = if load_dominated == 1 {
+            edges.iter().map(|&(a, b, lat, fail)| (a, b, lat / 100.0, fail)).collect()
+        } else {
+            edges
+        };
+        let g = graph_with_strengths(n, &strengths, &edges);
+        let m = DistanceMatrix::build(&g);
+        let active = active_from(n, &picks);
+        // Default and flipped params, and cheap transitions that let
+        // migrations win short windows.
+        let base = match regime {
+            0 => CostParams::default(),
+            1 => CostParams::flipped(),
+            _ => CostParams::default().with_costs(0.5, 2.0).with_running(0.1, 0.05),
+        };
+        // A full budget (`max_servers == k`) leaves no additions to score.
+        let budget = if full_budget == 1 { active.len() } else { n };
+        let ctx = SimContext::new(&g, &m, base.with_max_servers(budget), load_model(lm));
+        // Inactive cached servers change the addition pricing; fall back to
+        // no cache when the picks break the fleet's invariants.
+        let inactive: Vec<InactiveServer> = cached
+            .iter()
+            .map(|&c| InactiveServer { node: NodeId::new(c % n), expires_epoch: 5 })
+            .collect();
+        let fleet = Fleet::from_parts(active.clone(), inactive, 0, &ctx.params)
+            .unwrap_or_else(|_| Fleet::new(active.clone(), &ctx.params));
+        let w = window_from(n, &rounds);
+        let options = if no_add == 1 { CandidateOptions::no_add() } else { CandidateOptions::all() };
+
+        let reference = reference_best_candidate(&ctx, &fleet, &w, options);
+        let mut scratch = CandidateScratch::new();
+        match reference {
+            Some((target, score)) => {
+                let (got, got_score) = best_candidate_with(&ctx, &fleet, &w, options, &mut scratch);
+                prop_assert_eq!(&got, &target);
+                prop_assert_eq!(got_score.to_bits(), score.to_bits(),
+                    "pruned {} vs reference {}", got_score, score);
+            }
+            None => {
+                let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    best_candidate_with(&ctx, &fleet, &w, options, &mut scratch)
+                }))
+                .is_err();
+                prop_assert!(panicked, "no finite candidate: the reference finds none either");
+            }
+        }
+        let (evals, pairs) = scratch.migration_evals();
+        prop_assert!(evals <= pairs);
     }
 }
 

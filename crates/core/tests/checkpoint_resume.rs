@@ -3,16 +3,17 @@
 //! strategy instances must be **bit-identical** to an uninterrupted run —
 //! for ONTH, ONBR (both threshold modes), OFFSTAT and the static
 //! baseline. This is the contract `flexserve serve` relies on when a
-//! daemon is restarted from a checkpoint file.
+//! daemon is restarted from a checkpoint file. A checkpoint naming
+//! nodes the substrate lacks is refused, on both session types.
 
 use flexserve_core::{OffStatPlacement, OnBr, OnTh, StaticStrategy};
-use flexserve_graph::gen::{erdos_renyi, GenConfig};
+use flexserve_graph::gen::{erdos_renyi, unit_line, GenConfig};
 use flexserve_graph::{DistanceMatrix, Graph, NodeId};
 use flexserve_sim::{
-    run_online, CostParams, LoadModel, OnlineStrategy, RunRecord, SessionSnapshot, SimContext,
-    SimSession,
+    run_online, CostParams, EventedSession, LoadModel, OnlineStrategy, RunRecord, SessionSnapshot,
+    SimContext, SimSession,
 };
-use flexserve_workload::{record, CommuterScenario, LoadVariant, Trace};
+use flexserve_workload::{record, CommuterScenario, JsonValue, LoadVariant, RoundRequests, Trace};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -204,4 +205,161 @@ fn snapshot_rejects_import_into_mismatched_construction() {
     // Same strategy name, different construction parameter: refused.
     let err = SimSession::resume(ctx, OnTh::with_y(3.0), &snap).unwrap_err();
     assert!(err.contains("y="), "{err}");
+}
+
+/// `snapshot` with strategy-state field `key` replaced by `value`.
+fn with_state_field(snapshot: &SessionSnapshot, key: &str, value: JsonValue) -> SessionSnapshot {
+    let mut bad = snapshot.clone();
+    match &mut bad.strategy_state {
+        JsonValue::Obj(pairs) => {
+            let slot = pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .expect("state field");
+            slot.1 = value;
+        }
+        other => panic!("state is not an object: {}", other.render()),
+    }
+    bad
+}
+
+/// Resumes `snapshot` on both session types over `line` and returns the
+/// two errors (`None` where the resume succeeded).
+fn resume_both<S, F>(line: &LineFx, make: &F, snapshot: &SessionSnapshot) -> [Option<String>; 2]
+where
+    S: OnlineStrategy,
+    F: Fn() -> S,
+{
+    let params = CostParams::default();
+    [
+        SimSession::resume(line.ctx(), make(), snapshot).err(),
+        EventedSession::resume(
+            line.graph.clone(),
+            line.matrix.clone(),
+            params,
+            LoadModel::Linear,
+            make(),
+            snapshot,
+        )
+        .err(),
+    ]
+}
+
+/// Checkpoints `make()`'s strategy on `unit-line:10` after one round,
+/// then, per `(key, value, want)` of `swaps`, replaces state field `key`
+/// by `value`: both session types must refuse it with an error containing
+/// `want`.
+fn assert_swaps_refused<S, F>(label: &str, line: &LineFx, make: F, swaps: &[(&str, &str, &str)])
+where
+    S: OnlineStrategy,
+    F: Fn() -> S,
+{
+    let mut session = SimSession::new(line.ctx(), make(), vec![NodeId::new(0)]);
+    session.step(&RoundRequests::new(vec![NodeId::new(9), NodeId::new(4)]));
+    let snap = session.snapshot().unwrap();
+    // The untouched checkpoint resumes on both session types.
+    let ok = resume_both(line, &make, &snap);
+    assert_eq!(ok, [None, None], "{label}");
+    for &(key, value, want) in swaps {
+        let bad = with_state_field(&snap, key, JsonValue::parse(value).unwrap());
+        for err in resume_both(line, &make, &bad) {
+            let err = err.unwrap_or_else(|| panic!("{label} {key}: resumed {value}"));
+            assert!(err.contains(want), "{label} {key}: {err}");
+        }
+    }
+}
+
+/// The two swaps every window field must refuse: a node past the
+/// 10-node line, and an id past `u32` that must not be truncated.
+fn window_swaps(key: &str) -> [(&str, &'static str, &'static str); 2] {
+    [
+        (
+            key,
+            "[[[50,1]]]",
+            "node n50 but the substrate has only 10 nodes",
+        ),
+        (
+            key,
+            "[[[4294967299,1]]]",
+            "origin 4294967299 is out of range",
+        ),
+    ]
+}
+
+/// The 10-node unit line the refusal tests checkpoint on.
+struct LineFx {
+    graph: Graph,
+    matrix: DistanceMatrix,
+}
+
+impl LineFx {
+    fn new() -> Self {
+        let graph = unit_line(10).unwrap();
+        let matrix = DistanceMatrix::build(&graph);
+        LineFx { graph, matrix }
+    }
+
+    fn ctx(&self) -> SimContext<'_> {
+        SimContext::new(
+            &self.graph,
+            &self.matrix,
+            CostParams::default(),
+            LoadModel::Linear,
+        )
+    }
+}
+
+/// A checkpoint whose strategy state (ONBR's and ONTH's windows,
+/// OFFSTAT's target) names a node the substrate lacks is refused by both
+/// session types, instead of resuming and panicking on the first distance
+/// lookup; so is an id past `u32`, instead of being truncated onto
+/// another node.
+#[test]
+fn resume_refuses_strategy_state_naming_off_substrate_nodes() {
+    let line = LineFx::new();
+    let ctx = line.ctx();
+    assert_swaps_refused(
+        "ONBR-fixed",
+        &line,
+        || OnBr::fixed(&ctx),
+        &window_swaps("window"),
+    );
+    let onth = [window_swaps("small_window"), window_swaps("large_window")].concat();
+    assert_swaps_refused("ONTH", &line, OnTh::new, &onth);
+    let target = [NodeId::new(0)];
+    assert_swaps_refused(
+        "OFFSTAT",
+        &line,
+        || OffStatPlacement::new(target.to_vec()),
+        &[
+            (
+                "target",
+                "[50]",
+                "node n50 but the substrate has only 10 nodes",
+            ),
+            (
+                "target",
+                "[4294967299]",
+                "target node 4294967299 is out of range",
+            ),
+        ],
+    );
+}
+
+/// Fleet node ids past `u32` are refused by name when the checkpoint is
+/// parsed, which both session types do first, instead of resuming with
+/// the server truncated onto node `n3`.
+#[test]
+fn checkpoint_refuses_fleet_node_ids_past_u32() {
+    let line = LineFx::new();
+    let session = SimSession::new(line.ctx(), StaticStrategy::new(), vec![NodeId::new(4)]);
+    let text = session.snapshot().unwrap().to_json();
+    assert!(text.contains("\"active\":[4]"), "{text}");
+    let wide = text.replace("\"active\":[4]", "\"active\":[4294967299]");
+    let err = SessionSnapshot::from_json(&wide).unwrap_err();
+    assert!(err.contains("4294967299"), "{err}");
+    let wide = text.replace("\"inactive\":[]", "\"inactive\":[[4294967299,5]]");
+    assert_ne!(wide, text);
+    let err = SessionSnapshot::from_json(&wide).unwrap_err();
+    assert!(err.contains("4294967299"), "{err}");
 }

@@ -205,6 +205,21 @@ fn architecture_and_benchmarks_document_the_strategy_hot_path() {
             "docs/ARCHITECTURE.md must mention {name}"
         );
     }
+    // the paragraph itself must explain how migrations are scored: the
+    // lower bound that prunes them and why pruning keeps the winner
+    let paragraph = ARCHITECTURE_MD
+        .split("\n\n")
+        .find(|p| p.contains("**The strategy hot path**"))
+        .expect("strategy-hot-path paragraph")
+        .split_whitespace()
+        .collect::<Vec<_>>()
+        .join(" ");
+    for name in ["migration_bounds", "lower bound", "first minimum"] {
+        assert!(
+            paragraph.contains(name),
+            "the strategy-hot-path paragraph must name {name}"
+        );
+    }
 }
 
 #[test]

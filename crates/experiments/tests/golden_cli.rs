@@ -8,6 +8,9 @@
 //!   (`WindowIndex` in `flexserve-core`), these goldens also pin that scan
 //!   end to end: any non-bit-identical scoring change shifts placements
 //!   and shows up here as a CSV diff.
+//! * Two ER-500 sweeps (`golden/er500_sweep.csv`, default and flipped
+//!   parameters) pin the candidate scan at the standard figures' scale,
+//!   which the quick goldens (n ≤ 60) do not reach.
 //! * `flexserve list` output must stay stable (the docs and CI smoke job
 //!   reference its names).
 //! * `flexserve run`/`sweep` accept exactly the cell grammar of
@@ -152,6 +155,42 @@ fn run_prints_concurrent_entries_in_argument_order() {
     assert_eq!(code, Some(0), "{err}");
     let registry_order: Vec<&str> = registry::FIGURES.iter().map(|f| f.name).collect();
     assert_eq!(done_lines(&err), registry_order, "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn er500_sweeps_are_byte_identical_to_their_goldens() {
+    let dir = std::env::temp_dir().join(format!("flexserve-er500-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for (flipped, out, golden_name) in [
+        ("false", "er500", "er500_sweep"),
+        ("true", "er500_flipped", "er500_flipped_sweep"),
+    ] {
+        let (code, err) = flexserve(
+            &dir,
+            &[
+                "sweep",
+                "topo=er:500",
+                "wl=time-zones:p=50,req=50",
+                "strat=onbr-fixed+onbr-dyn+onth",
+                "t=16",
+                "lambda=10",
+                "rounds=60",
+                "seeds=1000",
+                &format!("flipped={flipped}"),
+                &format!("out={out}"),
+            ],
+        );
+        assert_eq!(code, Some(0), "{err}");
+        let csv = std::fs::read_to_string(dir.join(format!("{out}.csv"))).unwrap();
+        let want = std::fs::read_to_string(
+            Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("tests/golden")
+                .join(format!("{golden_name}.csv")),
+        )
+        .unwrap();
+        assert_eq!(csv, want, "golden/{golden_name}.csv");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -23,6 +23,14 @@ impl NodeId {
         NodeId(index as u32)
     }
 
+    /// Creates a `NodeId` from a raw index, or `None` when the index does
+    /// not fit an id (where [`NodeId::new`] would truncate it). Parsers of
+    /// untrusted ids use this.
+    #[inline]
+    pub fn try_new(index: usize) -> Option<Self> {
+        u32::try_from(index).ok().map(NodeId)
+    }
+
     /// The raw dense index of this node.
     #[inline]
     pub fn index(self) -> usize {

@@ -266,26 +266,21 @@ impl SessionSnapshot {
             .and_then(JsonValue::as_array)
             .ok_or("checkpoint: missing fleet active set")?
             .iter()
-            .map(|n| n.as_usize().map(NodeId::new))
-            .collect::<Option<Vec<_>>>()
-            .ok_or("checkpoint: bad active node id")?;
+            .map(|n| node_id(n, "active"))
+            .collect::<Result<Vec<_>, _>>()?;
         let inactive = fleet
             .get("inactive")
             .and_then(JsonValue::as_array)
             .ok_or("checkpoint: missing fleet inactive queue")?
             .iter()
-            .map(|pair| {
-                let pair = pair.as_array()?;
-                match pair {
-                    [node, exp] => Some(InactiveServer {
-                        node: NodeId::new(node.as_usize()?),
-                        expires_epoch: exp.as_u64()?,
-                    }),
-                    _ => None,
-                }
+            .map(|pair| match pair.as_array() {
+                Some([node, exp]) => Ok(InactiveServer {
+                    node: node_id(node, "inactive")?,
+                    expires_epoch: exp.as_u64().ok_or("checkpoint: bad inactive queue entry")?,
+                }),
+                _ => Err("checkpoint: bad inactive queue entry".to_string()),
             })
-            .collect::<Option<Vec<_>>>()
-            .ok_or("checkpoint: bad inactive queue entry")?;
+            .collect::<Result<Vec<_>, _>>()?;
         let epoch = fleet
             .get("epoch")
             .and_then(JsonValue::as_u64)
@@ -318,6 +313,15 @@ impl SessionSnapshot {
             substrate_events,
         })
     }
+}
+
+/// A node id of the checkpoint's `what` server list. An id past the `u32`
+/// range is refused by name instead of truncated onto another node.
+fn node_id(value: &JsonValue, what: &str) -> Result<NodeId, String> {
+    let raw = value
+        .as_usize()
+        .ok_or_else(|| format!("checkpoint: bad {what} node id"))?;
+    NodeId::try_new(raw).ok_or_else(|| format!("checkpoint: {what} node {raw} is out of range"))
 }
 
 #[cfg(test)]

@@ -107,6 +107,14 @@ pub trait OnlineStrategy {
             self.name()
         ))
     }
+
+    /// A node named by the imported state that a `node_count`-node
+    /// substrate does not have, if any. Resumes refuse such a checkpoint
+    /// instead of indexing past the distance matrix later. The default
+    /// suits strategies whose state names no nodes.
+    fn node_outside(&self, _node_count: usize) -> Option<NodeId> {
+        None
+    }
 }
 
 /// Mutable borrows drive sessions without giving up ownership
@@ -134,6 +142,9 @@ impl<S: OnlineStrategy + ?Sized> OnlineStrategy for &mut S {
     fn import_state(&mut self, state: &JsonValue) -> Result<(), String> {
         (**self).import_state(state)
     }
+    fn node_outside(&self, node_count: usize) -> Option<NodeId> {
+        (**self).node_outside(node_count)
+    }
 }
 
 /// Boxed strategies (`Box<dyn OnlineStrategy>`) drive sessions — the
@@ -160,6 +171,9 @@ impl<S: OnlineStrategy + ?Sized> OnlineStrategy for Box<S> {
     }
     fn import_state(&mut self, state: &JsonValue) -> Result<(), String> {
         (**self).import_state(state)
+    }
+    fn node_outside(&self, node_count: usize) -> Option<NodeId> {
+        (**self).node_outside(node_count)
     }
 }
 

@@ -49,7 +49,7 @@ use crate::fleet::Fleet;
 use crate::load::LoadModel;
 use crate::params::CostParams;
 use crate::routing::RoutingPolicy;
-use crate::session::play_round;
+use crate::session::{check_nodes, play_round};
 
 /// One scheduled change to the substrate network.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -635,18 +635,8 @@ impl<S: OnlineStrategy> EventedSession<S> {
                 snapshot.strategy_name
             ));
         }
-        let n = world.graph.node_count();
-        if let Some(bad) = snapshot
-            .active
-            .iter()
-            .chain(snapshot.inactive.iter().map(|s| &s.node))
-            .find(|id| id.index() >= n)
-        {
-            return Err(format!(
-                "resume: checkpoint names node {bad} but the substrate has only {n} nodes"
-            ));
-        }
         strategy.import_state(&snapshot.strategy_state)?;
+        check_nodes(snapshot, &strategy, world.graph.node_count())?;
         let fleet = Fleet::from_parts(
             snapshot.active.clone(),
             snapshot.inactive.clone(),

@@ -237,21 +237,8 @@ impl<'a, S: OnlineStrategy> SimSession<'a, S> {
                 snapshot.strategy_name
             ));
         }
-        // Node ids must exist on this substrate — a corrupted checkpoint
-        // should be refused here, not panic on the first step's distance
-        // lookup.
-        let n = ctx.graph.node_count();
-        if let Some(bad) = snapshot
-            .active
-            .iter()
-            .chain(snapshot.inactive.iter().map(|s| &s.node))
-            .find(|id| id.index() >= n)
-        {
-            return Err(format!(
-                "resume: checkpoint names node {bad} but the substrate has only {n} nodes"
-            ));
-        }
         strategy.import_state(&snapshot.strategy_state)?;
+        check_nodes(snapshot, &strategy, ctx.graph.node_count())?;
         let fleet = Fleet::from_parts(
             snapshot.active.clone(),
             snapshot.inactive.clone(),
@@ -264,6 +251,30 @@ impl<'a, S: OnlineStrategy> SimSession<'a, S> {
             fleet,
             t: snapshot.t,
         })
+    }
+}
+
+/// Refuses a checkpoint whose fleet, or whose imported strategy state,
+/// names a node the `n`-node substrate does not have: a corrupted
+/// checkpoint is refused at resume, not a panic on a later distance
+/// lookup. Both session types call it after `import_state`.
+pub(crate) fn check_nodes<S: OnlineStrategy>(
+    snapshot: &SessionSnapshot,
+    strategy: &S,
+    n: usize,
+) -> Result<(), String> {
+    let bad = snapshot
+        .active
+        .iter()
+        .chain(snapshot.inactive.iter().map(|s| &s.node))
+        .copied()
+        .find(|id| id.index() >= n)
+        .or_else(|| strategy.node_outside(n));
+    match bad {
+        Some(bad) => Err(format!(
+            "resume: checkpoint names node {bad} but the substrate has only {n} nodes"
+        )),
+        None => Ok(()),
     }
 }
 
