@@ -598,7 +598,7 @@ fn scan_block(n: usize) -> usize {
 /// Reusable buffers for the candidate scan. Strategies own one and thread
 /// it through [`best_candidate_with`] /
 /// [`best_new_server_position_scored`], so the per-round stepping path
-/// ([`SimSession`](flexserve_sim::SimSession), serve sessions) allocates
+/// ([`EventedSession`](flexserve_sim::EventedSession), serve sessions) allocates
 /// nothing in steady state. The buffers are pure caches: they carry no
 /// strategy state, are not checkpointed, and `clone()` starts empty.
 #[derive(Debug, Default)]
@@ -681,7 +681,9 @@ enum ChangeKind {
 /// Returns `(target_active_set, score)` where the score is
 /// `access(window) + Ra·|A'|·window_len + transition_cost`. The current
 /// configuration is always a candidate, so callers can compare the winner
-/// against "stay" by identity of the returned set.
+/// against "stay" by identity of the returned set. When no candidate
+/// scores below `∞` (demand cut off from every reachable placement) the
+/// current set is returned with score `∞`: the servers stay put.
 pub fn best_candidate(
     ctx: &SimContext<'_>,
     fleet: &Fleet,
@@ -857,10 +859,7 @@ pub fn best_candidate_with(
         }
     }
 
-    (
-        best_target.expect("at least the stay candidate exists"),
-        best_score,
-    )
+    (best_target.unwrap_or_else(|| a.to_vec()), best_score)
 }
 
 /// The node `v ∉ A` minimizing the pure access cost of `window` served by

@@ -156,8 +156,8 @@ pub fn offstat(ctx: &SimContext<'_>, trace: &Trace) -> OffStatResult {
 /// This is the streaming/serving form of [`offstat`] — where the batch
 /// form reports one scalar optimum, this wrapper actually *plays* the
 /// static configuration through the engine (paying real creation and
-/// access costs round by round), so OFFSTAT can be driven by a
-/// [`SimSession`](flexserve_sim::SimSession) and checkpointed like any
+/// access costs round by round), so OFFSTAT can be driven by an
+/// [`EventedSession`](flexserve_sim::EventedSession) and checkpointed like any
 /// online strategy.
 #[derive(Clone, Debug)]
 pub struct OffStatPlacement {

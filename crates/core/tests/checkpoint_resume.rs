@@ -4,14 +4,16 @@
 //! for ONTH, ONBR (both threshold modes), OFFSTAT and the static
 //! baseline. This is the contract `flexserve serve` relies on when a
 //! daemon is restarted from a checkpoint file. A checkpoint naming
-//! nodes the substrate lacks is refused, on both session types.
+//! nodes the substrate lacks is refused.
+
+use std::sync::Arc;
 
 use flexserve_core::{OffStatPlacement, OnBr, OnTh, StaticStrategy};
 use flexserve_graph::gen::{erdos_renyi, unit_line, GenConfig};
 use flexserve_graph::{DistanceMatrix, Graph, NodeId};
 use flexserve_sim::{
     run_online, CostParams, EventedSession, LoadModel, OnlineStrategy, RunRecord, SessionSnapshot,
-    SimContext, SimSession,
+    SimContext, SubstrateEvents,
 };
 use flexserve_workload::{record, CommuterScenario, JsonValue, LoadVariant, RoundRequests, Trace};
 
@@ -20,25 +22,64 @@ use rand::SeedableRng;
 
 const ROUNDS: u64 = 120;
 
+/// A substrate every session of a test shares, with its cost model.
 struct Fx {
-    graph: Graph,
-    matrix: DistanceMatrix,
+    graph: Arc<Graph>,
+    matrix: Arc<DistanceMatrix>,
+    params: CostParams,
 }
 
 impl Fx {
+    fn with(graph: Graph, params: CostParams) -> Self {
+        let matrix = Arc::new(DistanceMatrix::build(&graph));
+        Fx {
+            graph: Arc::new(graph),
+            matrix,
+            params,
+        }
+    }
+
+    /// An ER-60 substrate with a budget of four servers.
     fn new() -> Self {
         let mut rng = SmallRng::seed_from_u64(42);
         let graph = erdos_renyi(60, 0.05, &GenConfig::default(), &mut rng).unwrap();
-        let matrix = DistanceMatrix::build(&graph);
-        Fx { graph, matrix }
+        Fx::with(graph, CostParams::default().with_max_servers(4))
+    }
+
+    /// The 10-node unit line the refusal tests checkpoint on.
+    fn line() -> Self {
+        Fx::with(unit_line(10).unwrap(), CostParams::default())
     }
 
     fn ctx(&self) -> SimContext<'_> {
-        SimContext::new(
-            &self.graph,
-            &self.matrix,
-            CostParams::default().with_max_servers(4),
+        SimContext::new(&self.graph, &self.matrix, self.params, LoadModel::Linear)
+    }
+
+    /// An event-free session over the shared substrate.
+    fn session<S: OnlineStrategy>(&self, strategy: S, initial: Vec<NodeId>) -> EventedSession<S> {
+        EventedSession::new(
+            Arc::clone(&self.graph),
+            Arc::clone(&self.matrix),
+            SubstrateEvents::new(),
+            self.params,
             LoadModel::Linear,
+            strategy,
+            initial,
+        )
+    }
+
+    fn resume<S: OnlineStrategy>(
+        &self,
+        strategy: S,
+        snapshot: &SessionSnapshot,
+    ) -> Result<EventedSession<S>, String> {
+        EventedSession::resume(
+            Arc::clone(&self.graph),
+            Arc::clone(&self.matrix),
+            self.params,
+            LoadModel::Linear,
+            strategy,
+            snapshot,
         )
     }
 
@@ -86,10 +127,10 @@ where
     let uninterrupted = run_online(&ctx, trace, &mut make(), initial.clone());
 
     let half = (ROUNDS / 2) as usize;
-    let mut session = SimSession::new(ctx, make(), initial);
+    let mut session = fx.session(make(), initial);
     let mut resumed = RunRecord::default();
     for round in trace.iter().take(half) {
-        resumed.rounds.push(session.step(round));
+        resumed.rounds.push(session.step(round).unwrap());
     }
 
     // Serialize exactly as the serve daemon writes the checkpoint file…
@@ -97,10 +138,10 @@ where
     drop(session);
     // …and restart from the bytes alone.
     let snapshot = SessionSnapshot::from_json(&text).expect("parse checkpoint");
-    let mut session = SimSession::resume(ctx, make(), &snapshot).expect("resume");
+    let mut session = fx.resume(make(), &snapshot).expect("resume");
     assert_eq!(session.t(), half as u64, "{label}: resumed position");
     for round in trace.iter().skip(half) {
-        resumed.rounds.push(session.step(round));
+        resumed.rounds.push(session.step(round).unwrap());
     }
 
     assert_bit_identical(label, &uninterrupted, &resumed);
@@ -170,10 +211,10 @@ fn v1_checkpoints_resume_bit_identically() {
     let uninterrupted = run_online(&ctx, &trace, &mut OnTh::new(), initial.clone());
 
     let half = (ROUNDS / 2) as usize;
-    let mut session = SimSession::new(ctx, OnTh::new(), initial);
+    let mut session = fx.session(OnTh::new(), initial);
     let mut resumed = RunRecord::default();
     for round in trace.iter().take(half) {
-        resumed.rounds.push(session.step(round));
+        resumed.rounds.push(session.step(round).unwrap());
     }
     let text = session.snapshot().expect("snapshot").to_json().replace(
         flexserve_sim::CHECKPOINT_FORMAT,
@@ -185,9 +226,9 @@ fn v1_checkpoints_resume_bit_identically() {
 
     let snapshot = SessionSnapshot::from_json(&text).expect("parse v1 checkpoint");
     assert!(snapshot.metrics.is_none());
-    let mut session = SimSession::resume(ctx, OnTh::new(), &snapshot).expect("resume from v1");
+    let mut session = fx.resume(OnTh::new(), &snapshot).expect("resume from v1");
     for round in trace.iter().skip(half) {
-        resumed.rounds.push(session.step(round));
+        resumed.rounds.push(session.step(round).unwrap());
     }
     assert_bit_identical("ONTH-v1", &uninterrupted, &resumed);
 }
@@ -195,15 +236,14 @@ fn v1_checkpoints_resume_bit_identically() {
 #[test]
 fn snapshot_rejects_import_into_mismatched_construction() {
     let fx = Fx::new();
-    let ctx = fx.ctx();
     let trace = fx.trace();
-    let mut session = SimSession::new(ctx, OnTh::with_y(2.0), vec![NodeId::new(0)]);
+    let mut session = fx.session(OnTh::with_y(2.0), vec![NodeId::new(0)]);
     for round in trace.iter().take(10) {
-        session.step(round);
+        session.step(round).unwrap();
     }
     let snap = session.snapshot().unwrap();
     // Same strategy name, different construction parameter: refused.
-    let err = SimSession::resume(ctx, OnTh::with_y(3.0), &snap).unwrap_err();
+    let err = fx.resume(OnTh::with_y(3.0), &snap).unwrap_err();
     assert!(err.contains("y="), "{err}");
 }
 
@@ -223,49 +263,30 @@ fn with_state_field(snapshot: &SessionSnapshot, key: &str, value: JsonValue) -> 
     bad
 }
 
-/// Resumes `snapshot` on both session types over `line` and returns the
-/// two errors (`None` where the resume succeeded).
-fn resume_both<S, F>(line: &LineFx, make: &F, snapshot: &SessionSnapshot) -> [Option<String>; 2]
-where
-    S: OnlineStrategy,
-    F: Fn() -> S,
-{
-    let params = CostParams::default();
-    [
-        SimSession::resume(line.ctx(), make(), snapshot).err(),
-        EventedSession::resume(
-            line.graph.clone(),
-            line.matrix.clone(),
-            params,
-            LoadModel::Linear,
-            make(),
-            snapshot,
-        )
-        .err(),
-    ]
-}
-
 /// Checkpoints `make()`'s strategy on `unit-line:10` after one round,
 /// then, per `(key, value, want)` of `swaps`, replaces state field `key`
-/// by `value`: both session types must refuse it with an error containing
-/// `want`.
-fn assert_swaps_refused<S, F>(label: &str, line: &LineFx, make: F, swaps: &[(&str, &str, &str)])
+/// by `value`: the resume must refuse it with an error containing `want`.
+fn assert_swaps_refused<S, F>(label: &str, line: &Fx, make: F, swaps: &[(&str, &str, &str)])
 where
     S: OnlineStrategy,
     F: Fn() -> S,
 {
-    let mut session = SimSession::new(line.ctx(), make(), vec![NodeId::new(0)]);
-    session.step(&RoundRequests::new(vec![NodeId::new(9), NodeId::new(4)]));
+    let mut session = line.session(make(), vec![NodeId::new(0)]);
+    session
+        .step(&RoundRequests::new(vec![NodeId::new(9), NodeId::new(4)]))
+        .unwrap();
     let snap = session.snapshot().unwrap();
-    // The untouched checkpoint resumes on both session types.
-    let ok = resume_both(line, &make, &snap);
-    assert_eq!(ok, [None, None], "{label}");
+    // The untouched checkpoint resumes.
+    if let Err(e) = line.resume(make(), &snap) {
+        panic!("{label}: {e}");
+    }
     for &(key, value, want) in swaps {
         let bad = with_state_field(&snap, key, JsonValue::parse(value).unwrap());
-        for err in resume_both(line, &make, &bad) {
-            let err = err.unwrap_or_else(|| panic!("{label} {key}: resumed {value}"));
-            assert!(err.contains(want), "{label} {key}: {err}");
-        }
+        let err = match line.resume(make(), &bad) {
+            Ok(_) => panic!("{label} {key}: resumed {value}"),
+            Err(e) => e,
+        };
+        assert!(err.contains(want), "{label} {key}: {err}");
     }
 }
 
@@ -286,37 +307,13 @@ fn window_swaps(key: &str) -> [(&str, &'static str, &'static str); 2] {
     ]
 }
 
-/// The 10-node unit line the refusal tests checkpoint on.
-struct LineFx {
-    graph: Graph,
-    matrix: DistanceMatrix,
-}
-
-impl LineFx {
-    fn new() -> Self {
-        let graph = unit_line(10).unwrap();
-        let matrix = DistanceMatrix::build(&graph);
-        LineFx { graph, matrix }
-    }
-
-    fn ctx(&self) -> SimContext<'_> {
-        SimContext::new(
-            &self.graph,
-            &self.matrix,
-            CostParams::default(),
-            LoadModel::Linear,
-        )
-    }
-}
-
 /// A checkpoint whose strategy state (ONBR's and ONTH's windows,
-/// OFFSTAT's target) names a node the substrate lacks is refused by both
-/// session types, instead of resuming and panicking on the first distance
-/// lookup; so is an id past `u32`, instead of being truncated onto
+/// OFFSTAT's target) names a node the substrate lacks is refused at
+/// resume, instead of panicking on the first distance lookup; so is an id past `u32`, instead of being truncated onto
 /// another node.
 #[test]
 fn resume_refuses_strategy_state_naming_off_substrate_nodes() {
-    let line = LineFx::new();
+    let line = Fx::line();
     let ctx = line.ctx();
     assert_swaps_refused(
         "ONBR-fixed",
@@ -347,12 +344,12 @@ fn resume_refuses_strategy_state_naming_off_substrate_nodes() {
 }
 
 /// Fleet node ids past `u32` are refused by name when the checkpoint is
-/// parsed, which both session types do first, instead of resuming with
-/// the server truncated onto node `n3`.
+/// parsed, which resume does first, instead of resuming with the server
+/// truncated onto node `n3`.
 #[test]
 fn checkpoint_refuses_fleet_node_ids_past_u32() {
-    let line = LineFx::new();
-    let session = SimSession::new(line.ctx(), StaticStrategy::new(), vec![NodeId::new(4)]);
+    let line = Fx::line();
+    let session = line.session(StaticStrategy::new(), vec![NodeId::new(4)]);
     let text = session.snapshot().unwrap().to_json();
     assert!(text.contains("\"active\":[4]"), "{text}");
     let wide = text.replace("\"active\":[4]", "\"active\":[4294967299]");

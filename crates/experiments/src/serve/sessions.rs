@@ -22,7 +22,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -1034,12 +1034,11 @@ fn run_session(
     };
     let ctx = env.context(cfg.cell.params, cfg.cell.load);
     let node_count = env.graph.node_count();
-    // Every serve session owns its substrate world: substrate events
-    // mutate link latencies in place, so the shared cache `Arc`s are
-    // cloned exactly once here and the cache copy stays pristine for
+    // Sessions share the cache's graph and matrix; a session's first
+    // substrate event copies them, so the cache copy stays pristine for
     // other sessions on the same topology.
-    let graph = (*env.graph).clone();
-    let dist = (*env.matrix).clone();
+    let graph = Arc::clone(&env.graph);
+    let dist = Arc::clone(&env.matrix);
 
     // Resume state, read before anything is constructed so a bad
     // checkpoint aborts the creation instead of a half-served session.

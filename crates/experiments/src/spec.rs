@@ -15,6 +15,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -664,8 +665,9 @@ impl StrategySpec {
     }
 
     /// Constructs the strategy in its streaming form — a boxed
-    /// [`OnlineStrategy`] a `SimSession` (and the `flexserve serve`
-    /// daemon) can drive one round at a time, without a recorded trace.
+    /// [`OnlineStrategy`] an [`EventedSession`] (and so the `flexserve
+    /// serve` daemon) can drive one round at a time, without a recorded
+    /// trace.
     ///
     /// Offline strategies need the full future request sequence and have
     /// no streaming form: `offbr`, `offth` and `opt` are refused here
@@ -879,7 +881,7 @@ impl CellSpec {
             // substrate so unknown links and double failures are refused
             // before any strategy runs.
             let mut world =
-                flexserve_sim::DynamicWorld::new((*env.graph).clone(), (*env.matrix).clone());
+                flexserve_sim::DynamicWorld::new(Arc::clone(&env.graph), Arc::clone(&env.matrix));
             for (t, event) in self.events.entries() {
                 world
                     .apply(event)
@@ -955,8 +957,8 @@ impl CellSpec {
                     .expect("validated: strategy has a streaming form");
                 let initial = initial_center(&ctx);
                 let mut session = EventedSession::new(
-                    (*env.graph).clone(),
-                    (*env.matrix).clone(),
+                    Arc::clone(&env.graph),
+                    Arc::clone(&env.matrix),
                     self.events.clone(),
                     self.params,
                     self.load,
@@ -1452,6 +1454,68 @@ mod tests {
         cell.events = SubstrateEvents::parse("5:fail-link:3-4,5:recover-link:3-4").unwrap();
         let evented_total = cell.run().unwrap().summary.mean_total();
         assert_eq!(static_total.to_bits(), evented_total.to_bits());
+    }
+
+    /// Demand on both sides of a failed link with one server (`k=1`):
+    /// every ONBR candidate costs ∞, and the run keeps the servers where
+    /// they are instead of panicking.
+    #[test]
+    fn events_cell_survives_all_infinite_candidates() {
+        let mut b = CellBuilder::new();
+        for kv in [
+            "topo=unit-line:4",
+            "wl=uniform:req=3",
+            "strat=onbr-fixed",
+            "rounds=60",
+            "seed=1",
+            "k=1",
+            "events=0:fail-link:1-2",
+        ] {
+            let (k, v) = kv.split_once('=').unwrap();
+            assert!(b.apply(k, v).unwrap());
+        }
+        let res = b.build().unwrap().run().unwrap();
+        assert!(res.summary.mean_total().is_finite());
+    }
+
+    /// Event-free sessions share the cached matrix; the first event copies
+    /// it and leaves the cache's copy untouched.
+    #[test]
+    fn sessions_share_the_cached_matrix_until_an_event() {
+        use flexserve_graph::NodeId;
+        use flexserve_workload::RoundRequests;
+        let env = ExperimentEnv::line(8);
+        let pristine = (*env.matrix).clone();
+        let params = CostParams::default().with_max_servers(2);
+        let ctx = env.context(params, LoadModel::Linear);
+        let session = |events: &str| {
+            let strategy = StrategySpec::OnTh.instantiate_online(&ctx, 0).unwrap();
+            EventedSession::new(
+                Arc::clone(&env.graph),
+                Arc::clone(&env.matrix),
+                SubstrateEvents::parse(events).unwrap(),
+                params,
+                LoadModel::Linear,
+                strategy,
+                initial_center(&ctx),
+            )
+        };
+        let batch = RoundRequests::new(vec![NodeId::new(7); 3]);
+        let (mut plain, mut failing) = (session(""), session("1:fail-link:3-4"));
+        for _ in 0..3 {
+            plain.step(&batch).unwrap();
+            failing.step(&batch).unwrap();
+        }
+        assert!(std::ptr::eq(plain.world().dist(), &*env.matrix));
+        assert!(std::ptr::eq(plain.world().graph(), &*env.graph));
+        assert!(!std::ptr::eq(failing.world().dist(), &*env.matrix));
+        let (a, b) = (NodeId::new(3), NodeId::new(4));
+        assert!(failing.world().dist().get(a, b).is_infinite());
+        for u in env.graph.nodes() {
+            for v in env.graph.nodes() {
+                assert_eq!(env.matrix.get(u, v).to_bits(), pristine.get(u, v).to_bits());
+            }
+        }
     }
 
     #[test]

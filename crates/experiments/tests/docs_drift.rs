@@ -375,10 +375,9 @@ fn doc_tree_cross_links_hold() {
     assert!(FIGURES_MD.contains("registry.rs"));
 }
 
-#[test]
-fn no_doc_names_the_retired_perf_harness() {
-    // `perfbench/` (driven by `BENCHMARK.json`) is the one perf harness;
-    // the doc tree must not point readers at the retired one
+/// Every Markdown document a reader is pointed at: the README, the
+/// verify skill and `docs/*.md`, with their text.
+fn doc_tree() -> Vec<(std::path::PathBuf, String)> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
@@ -393,11 +392,23 @@ fn no_doc_names_the_retired_perf_harness() {
             docs.push(path);
         }
     }
-    for path in docs {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        // spelled in pieces so a repository-wide grep for the retired
-        // names finds only the change history
+    docs.into_iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+            (path, text)
+        })
+        .collect()
+}
+
+// Retired names below are spelled in pieces so a repository-wide grep
+// for them finds only the change history.
+
+#[test]
+fn no_doc_names_the_retired_perf_harness() {
+    // `perfbench/` (driven by `BENCHMARK.json`) is the one perf harness;
+    // the doc tree must not point readers at the retired one
+    for (path, text) in doc_tree() {
         for retired in [
             concat!("perf", "_report"),
             concat!("BENCH", "_"),
@@ -410,5 +421,19 @@ fn no_doc_names_the_retired_perf_harness() {
                 path.display()
             );
         }
+    }
+}
+
+#[test]
+fn no_doc_names_the_retired_static_session() {
+    // `EventedSession` is the one session type; a static substrate is an
+    // empty event schedule
+    let retired = concat!("Sim", "Session");
+    for (path, text) in doc_tree() {
+        assert!(
+            !text.contains(retired),
+            "{} must not name the retired {retired}",
+            path.display()
+        );
     }
 }

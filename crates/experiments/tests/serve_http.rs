@@ -6,12 +6,13 @@
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use flexserve_core::initial_center;
 use flexserve_experiments::serve::{serve_on, ServeOptions};
 use flexserve_experiments::setup::ExperimentEnv;
 use flexserve_experiments::spec::CellSpec;
-use flexserve_sim::{CostParams, EventedSession, LoadModel, SimSession, SubstrateEvents};
+use flexserve_sim::{CostParams, EventedSession, LoadModel, SubstrateEvents};
 use flexserve_workload::{RequestSource, ScenarioStream};
 
 mod common;
@@ -41,32 +42,6 @@ fn start_daemon(extra: &[&str]) -> (SocketAddr, std::thread::JoinHandle<()>) {
         serve_on(listener, &opts).expect("daemon run");
     });
     (addr, handle)
-}
-
-/// The same cell driven directly through a `SimSession` — the reference
-/// the daemon must match.
-fn reference_placement_after(rounds: usize) -> (u64, Vec<usize>) {
-    let cell = CellSpec::new(
-        "unit-line:12".parse().unwrap(),
-        "uniform:req=4".parse().unwrap(),
-        "onth".parse().unwrap(),
-    );
-    let env = ExperimentEnv::from_spec(&cell.topology, 5).unwrap();
-    let ctx = env.context(CostParams::default().with_max_servers(4), LoadModel::Linear);
-    let strategy = cell.strategy.instantiate_online(&ctx, 5).unwrap();
-    let mut session = SimSession::new(ctx, strategy, initial_center(&ctx));
-    let scenario =
-        cell.workload
-            .instantiate(&env.graph, &env.matrix, cell.t_periods, cell.lambda, 5);
-    let mut source = ScenarioStream::new(scenario, Some(60));
-    for _ in 0..rounds {
-        let batch = source.next_round().unwrap().unwrap();
-        session.step(&batch);
-    }
-    (
-        session.t(),
-        session.fleet().active().iter().map(|n| n.index()).collect(),
-    )
 }
 
 #[test]
@@ -227,7 +202,7 @@ fn serve_steps_checkpoints_and_resumes_identically() {
     assert_eq!(status, 200);
     handle.join().unwrap();
 
-    let (ref_t, ref_active) = reference_placement_after(40);
+    let (ref_t, ref_active) = evented_reference_after(40, "");
     assert_eq!(resumed.get("t").unwrap().as_u64(), Some(ref_t));
     let active: Vec<usize> = resumed
         .get("active")
@@ -312,9 +287,10 @@ fn mixed_explicit_steps_do_not_desync_the_source_across_resume() {
     let _ = std::fs::remove_file(&ck);
 }
 
-/// The same cell driven through an uninterrupted `EventedSession` with
-/// the full schedule — what the daemon's fail → append-recover →
-/// checkpoint → resume path must reproduce bit for bit.
+/// The same cell driven directly through an uninterrupted
+/// `EventedSession` with the full `schedule` (empty for a static
+/// substrate) — the reference the daemon must match bit for bit,
+/// including across its fail → append-recover → checkpoint → resume path.
 fn evented_reference_after(rounds: usize, schedule: &str) -> (u64, Vec<usize>) {
     let cell = CellSpec::new(
         "unit-line:12".parse().unwrap(),
@@ -326,8 +302,8 @@ fn evented_reference_after(rounds: usize, schedule: &str) -> (u64, Vec<usize>) {
     let ctx = env.context(params, LoadModel::Linear);
     let strategy = cell.strategy.instantiate_online(&ctx, 5).unwrap();
     let mut session = EventedSession::new(
-        (*env.graph).clone(),
-        (*env.matrix).clone(),
+        Arc::clone(&env.graph),
+        Arc::clone(&env.matrix),
         SubstrateEvents::parse(schedule).unwrap(),
         params,
         LoadModel::Linear,

@@ -11,12 +11,13 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use flexserve_core::initial_center;
 use flexserve_experiments::serve::{serve_on, ServeOptions};
 use flexserve_experiments::setup::ExperimentEnv;
 use flexserve_experiments::spec::CellSpec;
-use flexserve_sim::{CostParams, LoadModel, SimSession};
+use flexserve_sim::{CostParams, EventedSession, LoadModel, OnlineStrategy, SubstrateEvents};
 use flexserve_workload::{RequestSource, ScenarioStream};
 
 mod common;
@@ -85,20 +86,40 @@ fn solo_placement(cell_args: &[&str], steps: usize) -> (u64, Vec<usize>) {
     let k: usize = lookup("k").parse().unwrap();
     let rounds: u64 = lookup("rounds").parse().unwrap();
     let env = ExperimentEnv::from_spec(&cell.topology, seed).unwrap();
-    let ctx = env.context(CostParams::default().with_max_servers(k), LoadModel::Linear);
-    let strategy = cell.strategy.instantiate_online(&ctx, seed).unwrap();
-    let mut session = SimSession::new(ctx, strategy, initial_center(&ctx));
+    let mut session = static_session(&env, &cell, k, seed);
     let scenario =
         cell.workload
             .instantiate(&env.graph, &env.matrix, cell.t_periods, cell.lambda, seed);
     let mut source = ScenarioStream::new(scenario, Some(rounds));
     for _ in 0..steps {
         let batch = source.next_round().unwrap().unwrap();
-        session.step(&batch);
+        session.step(&batch).unwrap();
     }
     (
         session.t(),
         session.fleet().active().iter().map(|n| n.index()).collect(),
+    )
+}
+
+/// An event-free session of `cell` over `env`'s shared substrate, with a
+/// budget of `k` servers.
+fn static_session(
+    env: &ExperimentEnv,
+    cell: &CellSpec,
+    k: usize,
+    seed: u64,
+) -> EventedSession<Box<dyn OnlineStrategy>> {
+    let params = CostParams::default().with_max_servers(k);
+    let ctx = env.context(params, LoadModel::Linear);
+    let strategy = cell.strategy.instantiate_online(&ctx, seed).unwrap();
+    EventedSession::new(
+        Arc::clone(&env.graph),
+        Arc::clone(&env.matrix),
+        SubstrateEvents::new(),
+        params,
+        LoadModel::Linear,
+        strategy,
+        initial_center(&ctx),
     )
 }
 
@@ -286,7 +307,7 @@ fn per_session_checkpoint_restart_leaves_the_other_untouched() {
 fn v1_checkpoint_files_resume_over_http() {
     // Fabricate a pre-v2 checkpoint: play cell A solo for 10 rounds and
     // write its snapshot with the old format tag (a v1 document is a v2
-    // document minus the metrics block, which a bare SimSession snapshot
+    // document minus the metrics block, which a bare session snapshot
     // does not carry anyway).
     let cell = CellSpec::new(
         "unit-line:12".parse().unwrap(),
@@ -294,16 +315,14 @@ fn v1_checkpoint_files_resume_over_http() {
         "onth".parse().unwrap(),
     );
     let env = ExperimentEnv::from_spec(&cell.topology, 5).unwrap();
-    let ctx = env.context(CostParams::default().with_max_servers(4), LoadModel::Linear);
-    let strategy = cell.strategy.instantiate_online(&ctx, 5).unwrap();
-    let mut session = SimSession::new(ctx, strategy, initial_center(&ctx));
+    let mut session = static_session(&env, &cell, 4, 5);
     let scenario =
         cell.workload
             .instantiate(&env.graph, &env.matrix, cell.t_periods, cell.lambda, 5);
     let mut source = ScenarioStream::new(scenario, Some(60));
     for _ in 0..10 {
         let batch = source.next_round().unwrap().unwrap();
-        session.step(&batch);
+        session.step(&batch).unwrap();
     }
     let v1_text = session.snapshot().unwrap().to_json().replace(
         flexserve_sim::CHECKPOINT_FORMAT,

@@ -1,10 +1,10 @@
 //! Hand-rolled JSON checkpoints of a running simulation session.
 //!
-//! A [`SessionSnapshot`] captures everything a
-//! [`SimSession`](crate::session::SimSession) needs to resume exactly
-//! where it stopped: the round counter, the fleet (active set, inactive
-//! queue with absolute expiry epochs, epoch counter) and the strategy's
-//! mutable state as exported through
+//! A [`SessionSnapshot`] captures everything an
+//! [`EventedSession`](crate::session::EventedSession) needs to resume
+//! exactly where it stopped: the round counter, the fleet (active set,
+//! inactive queue with absolute expiry epochs, epoch counter), the event
+//! schedule and the strategy's mutable state as exported through
 //! [`OnlineStrategy::export_state`](crate::engine::OnlineStrategy::export_state).
 //! Like `results/manifest.json`, the format is hand-rolled JSON (the
 //! workspace has no serde by design); unlike the manifest it must also be
@@ -13,7 +13,7 @@
 //!
 //! Restores are guarded: the checkpoint records the substrate fingerprint
 //! and the cost-parameter summary, and
-//! [`SimSession::resume`](crate::session::SimSession::resume) refuses to
+//! [`EventedSession::resume`](crate::session::EventedSession::resume) refuses to
 //! resume against a different substrate or cost model — silently replaying
 //! a checkpoint into the wrong world would corrupt results without
 //! failing any assertion.
@@ -115,8 +115,8 @@ impl SessionMetrics {
 /// A point-in-time capture of one simulation session.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionSnapshot {
-    /// Rounds played so far (the next [`step`](crate::session::SimSession::step)
-    /// is round `t`).
+    /// Rounds played so far (the next
+    /// [`step`](crate::session::EventedSession::step) is round `t`).
     pub t: u64,
     /// `Graph::fingerprint()` of the substrate the session ran on.
     pub substrate_fingerprint: u64,
@@ -133,9 +133,10 @@ pub struct SessionSnapshot {
     /// The fleet's epoch counter.
     pub epoch: u64,
     /// Cumulative serving metrics (v2). `None` for v1 checkpoints and for
-    /// snapshots taken straight off a [`SimSession`](crate::session::SimSession),
-    /// which does not track serving totals — the serve layer fills this in
-    /// before writing the file.
+    /// snapshots taken straight off an
+    /// [`EventedSession`](crate::session::EventedSession), which does not
+    /// track serving totals — the serve layer fills this in before writing
+    /// the file.
     pub metrics: Option<SessionMetrics>,
     /// The session's substrate-event schedule in the `events=` cell grammar
     /// (see `docs/FAULTS.md`), e.g. `"5:fail-link:2-7,10:recover-link:2-7"`.
@@ -285,8 +286,8 @@ impl SessionSnapshot {
             .get("epoch")
             .and_then(JsonValue::as_u64)
             .ok_or("checkpoint: missing fleet epoch")?;
-        // Optional in v2 documents too (a bare SimSession snapshot carries
-        // no serving totals), absent by definition in v1.
+        // Optional in v2 documents too (a bare session snapshot carries no
+        // serving totals), absent by definition in v1.
         let metrics = match v.get("metrics") {
             Some(m) => Some(SessionMetrics::from_json_value(m)?),
             None => None,

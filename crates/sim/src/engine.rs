@@ -5,9 +5,9 @@
 //! * [`run_online`] — plays the online game: each round the requests
 //!   arrive, the algorithm pays access costs to the *current* servers, then
 //!   reconfigures (paying migration/creation) and pays running costs.
-//!   It is a thin batch wrapper over the resumable stepper
-//!   [`SimSession`], which is also driven
-//!   round-by-round by the `flexserve serve` daemon.
+//!   It plays the same round function as the resumable
+//!   [`EventedSession`](crate::session::EventedSession), which the
+//!   `flexserve serve` daemon drives round by round.
 //! * [`run_plan`] — evaluates a precomputed per-round configuration plan
 //!   (the output of the offline algorithms): the configuration for round
 //!   `t` is applied *before* the round's requests are served, matching the
@@ -21,7 +21,7 @@ use flexserve_workload::{JsonValue, RoundRequests, Trace};
 use crate::context::SimContext;
 use crate::cost::CostBreakdown;
 use crate::fleet::Fleet;
-use crate::session::SimSession;
+use crate::session::play_round;
 use crate::transition::TransitionPlanner;
 
 /// An online allocation/migration strategy.
@@ -33,8 +33,9 @@ use crate::transition::TransitionPlanner;
 ///
 /// Strategies that expose their mutable state through
 /// [`export_state`](Self::export_state) /
-/// [`import_state`](Self::import_state) can be checkpointed mid-run by a
-/// [`SimSession`] and resumed bit-identically.
+/// [`import_state`](Self::import_state) can be checkpointed mid-run by an
+/// [`EventedSession`](crate::session::EventedSession) and resumed
+/// bit-identically.
 ///
 /// ```
 /// use flexserve_graph::{gen::unit_line, DistanceMatrix, NodeId};
@@ -114,36 +115,6 @@ pub trait OnlineStrategy {
     /// suits strategies whose state names no nodes.
     fn node_outside(&self, _node_count: usize) -> Option<NodeId> {
         None
-    }
-}
-
-/// Mutable borrows drive sessions without giving up ownership
-/// ([`run_online`] uses this shape).
-impl<S: OnlineStrategy + ?Sized> OnlineStrategy for &mut S {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-    fn initialize(&mut self, ctx: &SimContext<'_>, fleet: &Fleet) {
-        (**self).initialize(ctx, fleet);
-    }
-    fn decide(
-        &mut self,
-        ctx: &SimContext<'_>,
-        t: u64,
-        requests: &RoundRequests,
-        access_cost: f64,
-        fleet: &Fleet,
-    ) -> Option<Vec<NodeId>> {
-        (**self).decide(ctx, t, requests, access_cost, fleet)
-    }
-    fn export_state(&self) -> Option<JsonValue> {
-        (**self).export_state()
-    }
-    fn import_state(&mut self, state: &JsonValue) -> Result<(), String> {
-        (**self).import_state(state)
-    }
-    fn node_outside(&self, node_count: usize) -> Option<NodeId> {
-        (**self).node_outside(node_count)
     }
 }
 
@@ -234,22 +205,23 @@ impl RunRecord {
 /// `initial` active servers (no creation charge for the initial
 /// configuration `γ0`, matching the paper's OPT set-up).
 ///
-/// This is a thin batch wrapper over
-/// [`SimSession`]: every round is one
-/// [`step`](crate::session::SimSession::step), so the batch pipelines and
-/// the streaming daemon exercise identical per-round code.
+/// Every round is the same round function an
+/// [`EventedSession::step`](crate::session::EventedSession::step) plays,
+/// so the batch pipelines and the streaming daemon exercise identical
+/// per-round code. The context is borrowed: nothing is copied.
 pub fn run_online<S: OnlineStrategy + ?Sized>(
     ctx: &SimContext<'_>,
     trace: &Trace,
     strategy: &mut S,
     initial: Vec<NodeId>,
 ) -> RunRecord {
-    let mut session = SimSession::new(*ctx, strategy, initial);
-    let mut record = RunRecord::default();
-    for batch in trace.iter() {
-        record.rounds.push(session.step(batch));
-    }
-    record
+    let mut fleet = Fleet::new(initial, &ctx.params);
+    strategy.initialize(ctx, &fleet);
+    let rounds = (0..)
+        .zip(trace.iter())
+        .map(|(t, batch)| play_round(ctx, strategy, &mut fleet, t, batch))
+        .collect();
+    RunRecord { rounds }
 }
 
 /// Evaluates a precomputed plan over `trace`. `plan.len()` must equal

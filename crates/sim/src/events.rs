@@ -1,14 +1,14 @@
 //! Substrate events: scheduled failures, recoveries and degradations of
-//! the physical network, and the session type that plays the online game
-//! on top of such a *dynamic* substrate.
+//! the physical network, and the [`DynamicWorld`] they mutate.
 //!
-//! The static planes ([`SimSession`](crate::session::SimSession),
-//! [`run_online`](crate::engine::run_online)) borrow one immutable
-//! [`Graph`] + [`DistanceMatrix`] pair across many runs. Substrate events
-//! mutate link latencies between rounds, so [`EventedSession`] *owns* its
-//! world — a [`DynamicWorld`] of graph, distance matrix and failure
-//! bookkeeping — and repairs the matrix incrementally through
-//! [`DistanceMatrix::repair`] instead of rebuilding it after every event.
+//! Every [`EventedSession`](crate::session::EventedSession) plays over a
+//! `DynamicWorld`. The world starts out sharing the caller's [`Graph`] and
+//! [`DistanceMatrix`] through `Arc`s, so many sessions on one cached
+//! substrate hold one matrix, as [`run_online`](crate::engine::run_online)
+//! runs do by borrowing it. The first event applied copies both
+//! (`Arc::make_mut`); from then on the world repairs its own matrix
+//! incrementally through [`DistanceMatrix::repair`] instead of rebuilding
+//! it after every event. An empty schedule never copies anything.
 //!
 //! ## Event model
 //!
@@ -38,18 +38,13 @@
 //! penalty semantics are documented in `docs/FAULTS.md`.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use flexserve_graph::{DistanceMatrix, EdgeUpdate, Graph, NodeId};
-use flexserve_workload::RoundRequests;
 
-use crate::checkpoint::SessionSnapshot;
 use crate::context::SimContext;
-use crate::engine::{OnlineStrategy, RoundRecord};
-use crate::fleet::Fleet;
 use crate::load::LoadModel;
 use crate::params::CostParams;
-use crate::routing::RoutingPolicy;
-use crate::session::{check_nodes, play_round};
 
 /// One scheduled change to the substrate network.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -84,17 +79,21 @@ impl SubstrateEvent {
     }
 }
 
+/// Parses one node index. An index past the `u32` id range is refused by
+/// name instead of truncated onto another node.
+fn parse_node(p: &str) -> Result<NodeId, String> {
+    let raw = p
+        .parse::<usize>()
+        .map_err(|_| format!("events: bad node index \"{p}\""))?;
+    NodeId::try_new(raw).ok_or_else(|| format!("events: node index {raw} is out of range"))
+}
+
 /// Parses an `a-b` endpoint pair.
 fn parse_endpoints(s: &str) -> Result<(NodeId, NodeId), String> {
     let (a, b) = s
         .split_once('-')
         .ok_or_else(|| format!("events: expected \"a-b\" endpoints, got \"{s}\""))?;
-    let parse = |p: &str| {
-        p.parse::<usize>()
-            .map(NodeId::new)
-            .map_err(|_| format!("events: bad node index \"{p}\""))
-    };
-    Ok((parse(a)?, parse(b)?))
+    Ok((parse_node(a)?, parse_node(b)?))
 }
 
 /// A schedule of substrate events, ordered by round.
@@ -149,16 +148,8 @@ impl SubstrateEvents {
                     let (a, b) = parse_endpoints(rest)?;
                     SubstrateEvent::RecoverLink(a, b)
                 }
-                "fail-node" => SubstrateEvent::FailNode(
-                    rest.parse::<usize>()
-                        .map(NodeId::new)
-                        .map_err(|_| format!("events: bad node index \"{rest}\""))?,
-                ),
-                "recover-node" => SubstrateEvent::RecoverNode(
-                    rest.parse::<usize>()
-                        .map(NodeId::new)
-                        .map_err(|_| format!("events: bad node index \"{rest}\""))?,
-                ),
+                "fail-node" => SubstrateEvent::FailNode(parse_node(rest)?),
+                "recover-node" => SubstrateEvent::RecoverNode(parse_node(rest)?),
                 "degrade-link" => {
                     let (ep, factor) = rest.split_once(':').ok_or_else(|| {
                         format!("events: degrade-link needs \"a-b:factor\", got \"{rest}\"")
@@ -230,12 +221,14 @@ impl SubstrateEvents {
     }
 }
 
-/// An owned, mutable substrate: the graph, its (incrementally repaired)
+/// A copy-on-write substrate: the graph, its (incrementally repaired)
 /// distance matrix, and the failure bookkeeping needed to undo events.
+/// Graph and matrix stay shared with whoever handed them in until the
+/// first applied event copies them.
 #[derive(Clone, Debug)]
 pub struct DynamicWorld {
-    graph: Graph,
-    dist: DistanceMatrix,
+    graph: Arc<Graph>,
+    dist: Arc<DistanceMatrix>,
     /// Latency saved when a link failed via `fail-link`, keyed by the
     /// normalized endpoint pair.
     failed_links: BTreeMap<(usize, usize), f64>,
@@ -245,12 +238,13 @@ pub struct DynamicWorld {
 }
 
 impl DynamicWorld {
-    /// Wraps a substrate and its prebuilt matrix.
+    /// Wraps a substrate and its prebuilt matrix, owned or shared.
     ///
     /// # Panics
     ///
     /// Panics when the matrix size does not match the graph.
-    pub fn new(graph: Graph, dist: DistanceMatrix) -> Self {
+    pub fn new(graph: impl Into<Arc<Graph>>, dist: impl Into<Arc<DistanceMatrix>>) -> Self {
+        let (graph, dist) = (graph.into(), dist.into());
         assert_eq!(
             graph.node_count(),
             dist.node_count(),
@@ -274,6 +268,11 @@ impl DynamicWorld {
         &self.dist
     }
 
+    /// The pricing context over the current world (nearest routing).
+    pub(crate) fn context(&self, params: CostParams, load: LoadModel) -> SimContext<'_> {
+        SimContext::new(&self.graph, &self.dist, params, load)
+    }
+
     fn key(a: NodeId, b: NodeId) -> (usize, usize) {
         let (a, b) = (a.index(), b.index());
         if a <= b {
@@ -284,8 +283,8 @@ impl DynamicWorld {
     }
 
     /// Applies one event: mutates the graph, updates the bookkeeping and
-    /// repairs the distance matrix. Returns the number of matrix rows the
-    /// repair recomputed.
+    /// repairs the distance matrix, copying a shared graph and matrix
+    /// first. Returns the number of matrix rows the repair recomputed.
     ///
     /// Errors (unknown link, double failure, recovering a live link,
     /// degrading a failed link, node index out of range) leave the world
@@ -396,343 +395,25 @@ impl DynamicWorld {
                 }]
             }
         };
+        let graph = Arc::make_mut(&mut self.graph);
         for up in &updates {
-            self.graph
+            graph
                 .set_edge_latency(up.a, up.b, up.new_latency)
                 .map_err(|e| format!("events: {e}"))?;
         }
-        Ok(self.dist.repair(&self.graph, &updates))
-    }
-}
-
-/// A resumable online session over a *dynamic* substrate: the evented
-/// sibling of [`SimSession`](crate::session::SimSession).
-///
-/// Each [`step`](Self::step) first applies every scheduled event of the
-/// current round to the owned [`DynamicWorld`], then plays the round
-/// through the exact code path `SimSession` uses — with an empty schedule
-/// the two are bit-identical. Snapshots record the schedule (and the
-/// *mutated* substrate's fingerprint); [`resume`](Self::resume) replays
-/// the already-applied events onto the pristine substrate before the
-/// fingerprint guard runs, so resume-after-events stays bit-identical.
-pub struct EventedSession<S: OnlineStrategy> {
-    world: DynamicWorld,
-    schedule: SubstrateEvents,
-    params: CostParams,
-    load: LoadModel,
-    routing: RoutingPolicy,
-    strategy: S,
-    fleet: Fleet,
-    t: u64,
-}
-
-impl<S: OnlineStrategy> std::fmt::Debug for EventedSession<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventedSession")
-            .field("strategy", &self.strategy.name())
-            .field("t", &self.t)
-            .field("events", &self.schedule.len())
-            .field("fleet", &self.fleet)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<S: OnlineStrategy> EventedSession<S> {
-    /// Opens a session owning the given substrate (pristine: no events
-    /// applied yet) with the given initially active servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`SimContext::new`] on an empty graph, a mismatched
-    /// matrix or invalid parameters.
-    pub fn new(
-        graph: Graph,
-        dist: DistanceMatrix,
-        schedule: SubstrateEvents,
-        params: CostParams,
-        load: LoadModel,
-        mut strategy: S,
-        initial: Vec<NodeId>,
-    ) -> Self {
-        let world = DynamicWorld::new(graph, dist);
-        let fleet = Fleet::new(initial, &params);
-        let ctx = SimContext::new(&world.graph, &world.dist, params, load);
-        strategy.initialize(&ctx, &fleet);
-        EventedSession {
-            world,
-            schedule,
-            params,
-            load,
-            routing: RoutingPolicy::Nearest,
-            strategy,
-            fleet,
-            t: 0,
-        }
-    }
-
-    /// Builder-style override of the routing policy.
-    pub fn with_routing(mut self, routing: RoutingPolicy) -> Self {
-        self.routing = routing;
-        self
-    }
-
-    /// Applies every event scheduled for round `t`, in schedule order.
-    fn apply_due(&mut self, t: u64) -> Result<(), String> {
-        // Schedules are small; a linear scan per round beats cursor
-        // bookkeeping that live event appends would invalidate.
-        let due: Vec<SubstrateEvent> = self
-            .schedule
-            .entries
-            .iter()
-            .filter(|&&(et, _)| et == t)
-            .map(|&(_, e)| e)
-            .collect();
-        for event in due {
-            self.world
-                .apply(&event)
-                .map_err(|e| format!("round {t}: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// Plays one round: scheduled events fire first (the strategy sees the
-    /// changed world), then the round runs exactly as
-    /// [`SimSession::step`](crate::session::SimSession::step) would.
-    ///
-    /// An event that cannot be applied (e.g. failing an unknown link)
-    /// aborts the step *before* any cost is charged.
-    pub fn step(&mut self, batch: &RoundRequests) -> Result<RoundRecord, String> {
-        self.apply_due(self.t)?;
-        let ctx = SimContext::new(&self.world.graph, &self.world.dist, self.params, self.load)
-            .with_routing(self.routing);
-        let record = play_round(&ctx, &mut self.strategy, &mut self.fleet, self.t, batch);
-        self.t += 1;
-        Ok(record)
-    }
-
-    /// Rounds played so far (the next [`step`](Self::step) is round `t`).
-    #[inline]
-    pub fn t(&self) -> u64 {
-        self.t
-    }
-
-    /// The current fleet.
-    #[inline]
-    pub fn fleet(&self) -> &Fleet {
-        &self.fleet
-    }
-
-    /// The owned world in its current (post-events) state.
-    #[inline]
-    pub fn world(&self) -> &DynamicWorld {
-        &self.world
-    }
-
-    /// The event schedule.
-    #[inline]
-    pub fn schedule(&self) -> &SubstrateEvents {
-        &self.schedule
-    }
-
-    /// The driven strategy.
-    #[inline]
-    pub fn strategy(&self) -> &S {
-        &self.strategy
-    }
-
-    /// Appends events to the live schedule (the serve daemon's
-    /// `POST /sessions/<name>/events`). Events scheduled for rounds that
-    /// already played are refused — they could never fire.
-    pub fn append_events(&mut self, more: &SubstrateEvents) -> Result<(), String> {
-        if let Some(first) = more.first_time() {
-            if first < self.t {
-                return Err(format!(
-                    "events: cannot schedule an event at round {first}: session is at round {}",
-                    self.t
-                ));
-            }
-        }
-        self.schedule.extend(more);
-        Ok(())
-    }
-
-    /// Captures the session as a restorable [`SessionSnapshot`]: like
-    /// [`SimSession::snapshot`](crate::session::SimSession::snapshot), plus
-    /// the event schedule, with the fingerprint taken from the *mutated*
-    /// substrate.
-    pub fn snapshot(&self) -> Result<SessionSnapshot, String> {
-        let strategy_state = self.strategy.export_state().ok_or_else(|| {
-            format!(
-                "{}: strategy does not support checkpointing",
-                self.strategy.name()
-            )
-        })?;
-        let (active, inactive, epoch) = SessionSnapshot::fleet_fields(&self.fleet);
-        Ok(SessionSnapshot {
-            t: self.t,
-            substrate_fingerprint: self.world.graph.fingerprint(),
-            params_summary: self.params.summary(),
-            strategy_name: self.strategy.name(),
-            strategy_state,
-            active,
-            inactive,
-            epoch,
-            metrics: None,
-            substrate_events: if self.schedule.is_empty() {
-                None
-            } else {
-                Some(self.schedule.render())
-            },
-        })
-    }
-
-    /// Reopens a session from a snapshot against the **pristine** substrate
-    /// (no events applied): the schedule recorded in the snapshot is
-    /// parsed, every event with time `< snapshot.t` is replayed onto the
-    /// world, and only then do the usual resume guards (fingerprint,
-    /// parameter summary, strategy name, node bounds) run — so a
-    /// checkpoint taken after failures resumes bit-identically.
-    pub fn resume(
-        graph: Graph,
-        dist: DistanceMatrix,
-        params: CostParams,
-        load: LoadModel,
-        mut strategy: S,
-        snapshot: &SessionSnapshot,
-    ) -> Result<Self, String> {
-        let schedule = match &snapshot.substrate_events {
-            Some(text) => SubstrateEvents::parse(text)?,
-            None => SubstrateEvents::new(),
-        };
-        let mut world = DynamicWorld::new(graph, dist);
-        for &(et, event) in schedule.entries() {
-            if et >= snapshot.t {
-                break;
-            }
-            world
-                .apply(&event)
-                .map_err(|e| format!("resume: replaying round {et}: {e}"))?;
-        }
-        let fingerprint = world.graph.fingerprint();
-        if snapshot.substrate_fingerprint != fingerprint {
-            return Err(format!(
-                "resume: substrate fingerprint mismatch after event replay \
-                 (checkpoint {:016x}, context {:016x})",
-                snapshot.substrate_fingerprint, fingerprint
-            ));
-        }
-        let summary = params.summary();
-        if snapshot.params_summary != summary {
-            return Err(format!(
-                "resume: cost-parameter mismatch (checkpoint \"{}\", context \"{summary}\")",
-                snapshot.params_summary
-            ));
-        }
-        let name = strategy.name();
-        if snapshot.strategy_name != name {
-            return Err(format!(
-                "resume: strategy mismatch (checkpoint \"{}\", given \"{name}\")",
-                snapshot.strategy_name
-            ));
-        }
-        strategy.import_state(&snapshot.strategy_state)?;
-        check_nodes(snapshot, &strategy, world.graph.node_count())?;
-        let fleet = Fleet::from_parts(
-            snapshot.active.clone(),
-            snapshot.inactive.clone(),
-            snapshot.epoch,
-            &params,
-        )?;
-        Ok(EventedSession {
-            world,
-            schedule,
-            params,
-            load,
-            routing: RoutingPolicy::Nearest,
-            strategy,
-            fleet,
-            t: snapshot.t,
-        })
+        Ok(Arc::make_mut(&mut self.dist).repair(&self.graph, &updates))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RunRecord;
-    use crate::session::SimSession;
+    use crate::checkpoint::SessionSnapshot;
+    use crate::session::tests::{n, play, records_equal, trace_hopping, Chaser, Fx};
     use flexserve_graph::gen::{unit_line, GenConfig};
-    use flexserve_workload::{JsonValue, Trace};
+    use flexserve_workload::RoundRequests;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-
-    fn n(i: usize) -> NodeId {
-        NodeId::new(i)
-    }
-
-    /// Chases the first request origin and counts decisions (exportable
-    /// state, so snapshot/resume is exercised).
-    #[derive(Default)]
-    struct Chaser {
-        decisions: u64,
-    }
-
-    impl OnlineStrategy for Chaser {
-        fn name(&self) -> String {
-            "CHASER".into()
-        }
-        fn decide(
-            &mut self,
-            ctx: &SimContext<'_>,
-            _t: u64,
-            req: &RoundRequests,
-            _cost: f64,
-            fleet: &Fleet,
-        ) -> Option<Vec<NodeId>> {
-            self.decisions += 1;
-            // Chase the first origin still reachable from the current
-            // placement; a fully cut-off round keeps the placement.
-            let anchor = fleet.active()[0];
-            req.iter()
-                .find(|&o| ctx.dist.get(o, anchor).is_finite())
-                .map(|o| vec![o])
-        }
-        fn export_state(&self) -> Option<JsonValue> {
-            Some(JsonValue::Obj(vec![(
-                "decisions".into(),
-                JsonValue::from(self.decisions),
-            )]))
-        }
-        fn import_state(&mut self, state: &JsonValue) -> Result<(), String> {
-            self.decisions = state
-                .get("decisions")
-                .and_then(JsonValue::as_u64)
-                .ok_or("missing decisions")?;
-            Ok(())
-        }
-    }
-
-    fn trace_hopping(len: usize, rounds: usize) -> Trace {
-        Trace::new(
-            (0..rounds)
-                .map(|t| RoundRequests::new(vec![n(t % len); 3]))
-                .collect(),
-        )
-    }
-
-    fn records_equal(a: &RunRecord, b: &RunRecord) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.rounds.iter().zip(&b.rounds) {
-            assert_eq!(x.t, y.t);
-            assert_eq!(x.costs.access.to_bits(), y.costs.access.to_bits());
-            assert_eq!(x.costs.running.to_bits(), y.costs.running.to_bits());
-            assert_eq!(x.costs.migration.to_bits(), y.costs.migration.to_bits());
-            assert_eq!(x.costs.creation.to_bits(), y.costs.creation.to_bits());
-            assert_eq!(x.active_servers, y.active_servers);
-            assert_eq!(x.inactive_servers, y.inactive_servers);
-            assert_eq!(x.requests, y.requests);
-        }
-    }
 
     #[test]
     fn grammar_round_trips_and_sorts() {
@@ -771,6 +452,25 @@ mod tests {
         ] {
             assert!(SubstrateEvents::parse(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    /// Node ids past `u32` are refused by name, not truncated onto another
+    /// node (`4294967296` used to parse as node 0).
+    #[test]
+    fn grammar_refuses_node_ids_past_u32() {
+        for (bad, id) in [
+            ("5:fail-node:4294967296", "4294967296"),
+            ("5:recover-node:4294967297", "4294967297"),
+            ("6:fail-link:4294967297-2", "4294967297"),
+            ("6:recover-link:2-4294967298", "4294967298"),
+            ("7:degrade-link:4294967299-1:2", "4294967299"),
+        ] {
+            let err = SubstrateEvents::parse(bad).unwrap_err();
+            assert!(err.contains(id), "{bad}: {err}");
+        }
+        let max = u32::MAX;
+        let ok = SubstrateEvents::parse(&format!("5:fail-node:{max}")).unwrap();
+        assert_eq!(ok.render(), format!("5:fail-node:{max}"));
     }
 
     #[test]
@@ -829,32 +529,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn empty_schedule_is_bit_identical_to_sim_session() {
-        let g = unit_line(7).unwrap();
-        let dist = DistanceMatrix::build(&g);
-        let trace = trace_hopping(7, 20);
-
-        let ctx = SimContext::new(&g, &dist, CostParams::default(), LoadModel::Linear);
-        let mut plain = SimSession::new(ctx, Chaser::default(), vec![n(0)]);
-        let mut evented = EventedSession::new(
-            g.clone(),
-            dist.clone(),
-            SubstrateEvents::new(),
-            CostParams::default(),
-            LoadModel::Linear,
-            Chaser::default(),
-            vec![n(0)],
-        );
-        let mut a = RunRecord::default();
-        let mut b = RunRecord::default();
-        for round in trace.iter() {
-            a.rounds.push(plain.step(round));
-            b.rounds.push(evented.step(round).unwrap());
-        }
-        records_equal(&a, &b);
-    }
-
     /// The engine-level fail → recover pin: after a link fails and later
     /// recovers, the distance matrix is bit-identical to the pre-failure
     /// matrix, and a run whose fail/recover window sees no requests behind
@@ -864,42 +538,24 @@ mod tests {
     fn fail_recover_restores_matrix_and_trajectory() {
         let cfg = GenConfig::default();
         let mut rng = SmallRng::seed_from_u64(11);
-        let g = flexserve_graph::gen::erdos_renyi(24, 0.12, &cfg, &mut rng).unwrap();
-        let pristine = DistanceMatrix::build(&g);
+        let fx = Fx::new(flexserve_graph::gen::erdos_renyi(24, 0.12, &cfg, &mut rng).unwrap());
         let trace = trace_hopping(24, 30);
 
         // Pick an actual edge to fail.
-        let e = g.edges().next().unwrap();
-        let (a, b) = (e.source, e.target);
-        let schedule = SubstrateEvents::parse(&format!(
-            "10:fail-link:{}-{},11:recover-link:{}-{}",
-            a.index(),
-            b.index(),
-            a.index(),
-            b.index()
-        ))
-        .unwrap();
-
-        let mut evented = EventedSession::new(
-            g.clone(),
-            pristine.clone(),
-            schedule,
-            CostParams::default(),
-            LoadModel::Linear,
+        let e = fx.g.edges().next().unwrap();
+        let (a, b) = (e.source.index(), e.target.index());
+        let mut evented = fx.session(
+            &format!("10:fail-link:{a}-{b},11:recover-link:{a}-{b}"),
             Chaser::default(),
-            vec![n(0)],
         );
-        let fingerprint_before = g.fingerprint();
-        for round in trace.iter() {
-            evented.step(round).unwrap();
-        }
+        play(&mut evented, &trace);
         // Matrix and substrate restored bit for bit.
-        assert_eq!(evented.world().graph().fingerprint(), fingerprint_before);
-        for u in g.nodes() {
-            for v in g.nodes() {
+        assert_eq!(evented.world().graph().fingerprint(), fx.g.fingerprint());
+        for u in fx.g.nodes() {
+            for v in fx.g.nodes() {
                 assert_eq!(
                     evented.world().dist().get(u, v).to_bits(),
-                    pristine.get(u, v).to_bits(),
+                    fx.m.get(u, v).to_bits(),
                     "({u},{v}) differs after fail->recover"
                 );
             }
@@ -909,49 +565,17 @@ mod tests {
         // A fail → recover within the same round (applied in order before
         // the round plays) is a perfect no-op: the whole run's placement
         // trajectory is bit-identical to an event-free run.
-        let noop = SubstrateEvents::parse(&format!(
-            "10:fail-link:{}-{},10:recover-link:{}-{}",
-            a.index(),
-            b.index(),
-            a.index(),
-            b.index()
-        ))
-        .unwrap();
-        let run = |schedule: SubstrateEvents| {
-            let mut s = EventedSession::new(
-                g.clone(),
-                pristine.clone(),
-                schedule,
-                CostParams::default(),
-                LoadModel::Linear,
-                Chaser::default(),
-                vec![n(0)],
-            );
-            let mut rec = RunRecord::default();
-            for round in trace.iter() {
-                rec.rounds.push(s.step(round).unwrap());
-            }
-            rec
-        };
-        records_equal(&run(noop), &run(SubstrateEvents::new()));
+        let noop = format!("10:fail-link:{a}-{b},10:recover-link:{a}-{b}");
+        let run = |schedule: &str| play(&mut fx.session(schedule, Chaser::default()), &trace);
+        records_equal(&run(&noop), &run(""));
     }
 
     #[test]
     fn failures_reroute_and_penalize_without_panicking() {
         // Line 0-1-2-3-4, server chased along; fail node 4's only link so
         // requests at 4 become unreachable, then recover.
-        let g = unit_line(5).unwrap();
-        let dist = DistanceMatrix::build(&g);
-        let schedule = SubstrateEvents::parse("2:fail-node:4,4:recover-node:4").unwrap();
-        let mut s = EventedSession::new(
-            g,
-            dist,
-            schedule,
-            CostParams::default(),
-            LoadModel::None,
-            Chaser::default(),
-            vec![n(0)],
-        );
+        let fx = Fx::line(5);
+        let mut s = fx.session("2:fail-node:4,4:recover-node:4", Chaser::default());
         let all4 = RoundRequests::new(vec![n(4); 2]);
         let r0 = s.step(&all4).unwrap(); // reachable: chased to 4
         assert!(r0.costs.access.is_finite());
@@ -966,90 +590,40 @@ mod tests {
 
     #[test]
     fn snapshot_resume_mid_events_is_bit_identical() {
-        let g = unit_line(8).unwrap();
-        let dist = DistanceMatrix::build(&g);
+        let fx = Fx::line(8);
         let trace = trace_hopping(8, 24);
-        let schedule =
-            SubstrateEvents::parse("5:fail-link:3-4,9:degrade-link:0-1:2.5,15:recover-link:3-4")
-                .unwrap();
-        let make = || {
-            EventedSession::new(
-                g.clone(),
-                dist.clone(),
-                schedule.clone(),
-                CostParams::default(),
-                LoadModel::Linear,
-                Chaser::default(),
-                vec![n(0)],
-            )
-        };
-
-        let mut uninterrupted = make();
-        let mut full = RunRecord::default();
-        for round in trace.iter() {
-            full.rounds.push(uninterrupted.step(round).unwrap());
-        }
+        let schedule = "5:fail-link:3-4,9:degrade-link:0-1:2.5,15:recover-link:3-4";
+        let full = play(&mut fx.session(schedule, Chaser::default()), &trace);
 
         // Checkpoint at t=12: one failure and one degradation applied, the
         // recovery still pending.
-        let mut first = make();
-        let mut stitched = RunRecord::default();
-        for round in trace.iter().take(12) {
-            stitched.rounds.push(first.step(round).unwrap());
-        }
+        let mut first = fx.session(schedule, Chaser::default());
+        let mut stitched = play(&mut first, &trace.slice(0, 12));
         let snap = first.snapshot().unwrap();
-        assert_eq!(
-            snap.substrate_events.as_deref(),
-            Some(schedule.render()).as_deref()
-        );
+        assert_eq!(snap.substrate_events.as_deref(), Some(schedule));
         // Round-trip through the JSON text, as a daemon restart would.
         let snap = SessionSnapshot::from_json(&snap.to_json()).unwrap();
         drop(first);
 
-        let mut resumed = EventedSession::resume(
-            g.clone(),
-            dist.clone(),
-            CostParams::default(),
-            LoadModel::Linear,
-            Chaser::default(),
-            &snap,
-        )
-        .unwrap();
+        let params = CostParams::default();
+        let mut resumed = fx.resume(params, Chaser::default(), &snap).unwrap();
         assert_eq!(resumed.t(), 12);
-        for round in trace.iter().skip(12) {
-            stitched.rounds.push(resumed.step(round).unwrap());
-        }
+        stitched
+            .rounds
+            .extend(play(&mut resumed, &trace.slice(12, 24)).rounds);
         records_equal(&full, &stitched);
 
         // Resuming without replay (tampered schedule) trips the
         // fingerprint guard instead of silently diverging.
         let mut tampered = snap.clone();
         tampered.substrate_events = None;
-        let err = EventedSession::resume(
-            g.clone(),
-            dist.clone(),
-            CostParams::default(),
-            LoadModel::Linear,
-            Chaser::default(),
-            &tampered,
-        )
-        .unwrap_err();
+        let err = fx.resume(params, Chaser::default(), &tampered).unwrap_err();
         assert!(err.contains("fingerprint mismatch"), "{err}");
     }
 
     #[test]
     fn append_events_rejects_the_past() {
-        let g = unit_line(4).unwrap();
-        let dist = DistanceMatrix::build(&g);
-        let mut s = EventedSession::new(
-            g,
-            dist,
-            SubstrateEvents::new(),
-            CostParams::default(),
-            LoadModel::None,
-            Chaser::default(),
-            vec![n(0)],
-        );
+        let mut s = Fx::line(4).session("", Chaser::default());
         for _ in 0..3 {
             s.step(&RoundRequests::new(vec![n(1)])).unwrap();
         }
@@ -1067,18 +641,8 @@ mod tests {
 
     #[test]
     fn bad_event_aborts_step_before_costs() {
-        let g = unit_line(3).unwrap();
-        let dist = DistanceMatrix::build(&g);
-        let schedule = SubstrateEvents::parse("0:fail-link:0-2").unwrap(); // no such link
-        let mut s = EventedSession::new(
-            g,
-            dist,
-            schedule,
-            CostParams::default(),
-            LoadModel::None,
-            Chaser::default(),
-            vec![n(0)],
-        );
+        // No link 0-2 on the line.
+        let mut s = Fx::line(3).session("0:fail-link:0-2", Chaser::default());
         let err = s.step(&RoundRequests::new(vec![n(1)])).unwrap_err();
         assert!(err.contains("no link"), "{err}");
         assert_eq!(s.t(), 0, "failed step does not advance the round");

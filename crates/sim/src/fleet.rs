@@ -67,13 +67,18 @@ impl Fleet {
     /// inactive queue (oldest first, with absolute expiry epochs) and the
     /// epoch counter. Validates the same invariants [`Fleet::new`] and the
     /// queue discipline maintain, so a hand-edited or corrupted checkpoint
-    /// is rejected instead of resumed into an unreachable state.
+    /// is rejected instead of resumed into an unreachable state. That
+    /// includes an empty active set: the game never removes the last
+    /// server, and the strategies measure from one.
     pub fn from_parts(
         mut active: Vec<NodeId>,
         inactive: Vec<InactiveServer>,
         epoch: u64,
         params: &CostParams,
     ) -> Result<Self, String> {
+        if active.is_empty() {
+            return Err("fleet: no active server".into());
+        }
         active.sort();
         let before = active.len();
         active.dedup();
@@ -418,8 +423,9 @@ mod tests {
             node: n(node),
             expires_epoch: exp,
         };
-        // duplicate actives
+        // duplicate actives, or none
         assert!(Fleet::from_parts(vec![n(1), n(1)], vec![], 0, &p).is_err());
+        assert!(Fleet::from_parts(vec![], vec![inact(1, 9)], 0, &p).is_err());
         // queue over capacity
         assert!(Fleet::from_parts(
             vec![n(0)],

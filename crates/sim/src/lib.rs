@@ -18,11 +18,14 @@
 //! `SimContext` is `Copy` over shared borrows precisely so many runs can
 //! share one substrate and distance matrix across threads).
 //!
-//! The game loop has two forms over one implementation: the batch
-//! [`run_online`] over a recorded trace, and the resumable stepper
-//! [`SimSession`] (one round per [`SimSession::step`] call) that the
-//! `flexserve serve` daemon drives and that checkpoints to hand-rolled
-//! JSON ([`checkpoint`]) for bit-identical restore.
+//! The game loop has two forms over one round function: the batch
+//! [`run_online`] over a recorded trace and a borrowed context, and the
+//! one session type [`EventedSession`] (one round per
+//! [`EventedSession::step`] call). A session plays over a [`DynamicWorld`]
+//! that shares the caller's substrate until a scheduled substrate event
+//! ([`events`]) first changes it; with an empty schedule it is the static
+//! game. The `flexserve serve` daemon drives sessions, and they checkpoint
+//! to hand-rolled JSON ([`checkpoint`]) for bit-identical restore.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -43,10 +46,10 @@ pub use checkpoint::{SessionMetrics, SessionSnapshot, CHECKPOINT_FORMAT, CHECKPO
 pub use context::SimContext;
 pub use cost::CostBreakdown;
 pub use engine::{run_online, run_plan, OnlineStrategy, Plan, RoundRecord, RunRecord};
-pub use events::{DynamicWorld, EventedSession, SubstrateEvent, SubstrateEvents};
+pub use events::{DynamicWorld, SubstrateEvent, SubstrateEvents};
 pub use fleet::{Fleet, InactiveServer};
 pub use load::LoadModel;
 pub use params::CostParams;
 pub use routing::{route, route_counts, RoutingOutcome, RoutingPolicy, UNREACHABLE_PENALTY};
-pub use session::SimSession;
+pub use session::EventedSession;
 pub use transition::{config_transition_cost, TransitionOutcome, TransitionPlanner};
