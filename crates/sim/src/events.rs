@@ -409,6 +409,9 @@ impl DynamicWorld {
 mod tests {
     use super::*;
     use crate::checkpoint::SessionSnapshot;
+    use crate::engine::{OnlineStrategy, RunRecord};
+    use crate::fleet::Fleet;
+    use crate::session::play_round;
     use crate::session::tests::{n, play, records_equal, trace_hopping, Chaser, Fx};
     use flexserve_graph::gen::{unit_line, GenConfig};
     use flexserve_workload::RoundRequests;
@@ -568,6 +571,36 @@ mod tests {
         let noop = format!("10:fail-link:{a}-{b},10:recover-link:{a}-{b}");
         let run = |schedule: &str| play(&mut fx.session(schedule, Chaser::default()), &trace);
         records_equal(&run(&noop), &run(""));
+    }
+
+    /// An empty schedule is the static substrate: stepped round by round,
+    /// the session matches the borrowed-context step loop (fresh fleet,
+    /// `initialize`, then `play_round` per round) bit for bit, fleet
+    /// included, and never copies the shared matrix.
+    #[test]
+    fn empty_schedule_is_bit_identical_to_sim_session() {
+        let fx = Fx::line(7);
+        let trace = trace_hopping(7, 20);
+        let ctx = SimContext::new(&fx.g, &fx.m, CostParams::default(), LoadModel::Linear);
+        let mut strategy = Chaser::default();
+        let mut fleet = Fleet::new(vec![n(0)], &ctx.params);
+        strategy.initialize(&ctx, &fleet);
+
+        let mut evented = fx.session("", Chaser::default());
+        let mut a = RunRecord::default();
+        let mut b = RunRecord::default();
+        for (t, round) in (0..).zip(trace.iter()) {
+            a.rounds
+                .push(play_round(&ctx, &mut strategy, &mut fleet, t, round));
+            b.rounds.push(evented.step(round).unwrap());
+            assert_eq!(
+                evented.fleet().active(),
+                fleet.active(),
+                "fleet differs at t={t}"
+            );
+        }
+        records_equal(&a, &b);
+        assert!(std::ptr::eq(evented.world().dist(), &*fx.m));
     }
 
     #[test]
