@@ -14,9 +14,10 @@
 //! (`d1/s1`, `d2/s2`), after which any single-server change is scored in
 //! `O(1)` per origin — exactly (including non-additive load models),
 //! because per-round per-server request counts are re-derived per
-//! candidate. The migrations, the one family of size `n·k`, are first
-//! ruled out by a lower bound where it can, and only the rest are
-//! scored exactly (see [`best_candidate_with`]).
+//! candidate. The additions and the migrations (the one family of size
+//! `n·k`) are first ruled out by a lower bound from one row-streaming
+//! pass where it can, and only the rest are scored exactly (see
+//! [`best_candidate_with`] and [`best_new_server_position_scored`]).
 //!
 //! Scores include access cost (delay + load), active running cost
 //! (`Ra·|A'|` per round) and the transition cost of reaching the candidate
@@ -245,6 +246,11 @@ struct IndexEntry {
 /// reference; each candidate's arithmetic is independent of thread
 /// count.
 ///
+/// [`best_candidate_with`] and [`best_new_server_position_scored`] take
+/// that pass only for windows too long to prune. Otherwise one bound
+/// pass (`migration_bounds`) streams the same rows once, and only the
+/// additions it cannot rule out are scored, one by one.
+///
 /// The index also carries the second-nearest server per entry, which is
 /// what [`best_candidate`]'s migrate/deactivate scoring needs as the
 /// removal fallback — kept out of the hot entry table so the addition
@@ -261,6 +267,10 @@ pub struct WindowIndex {
     bounds: Vec<usize>,
     /// `strength(a_i)` per server of the indexed set.
     strengths: Vec<f64>,
+    /// Σ `cnt` over every entry: the window's request count.
+    requests: usize,
+    /// The largest of `strengths` (0 for an empty set).
+    max_strength: f64,
 }
 
 impl WindowIndex {
@@ -314,6 +324,20 @@ impl WindowIndex {
                 self.seconds.push((d2, s2 as u32));
             }
             self.bounds.push(self.entries.len());
+        }
+        self.requests = self.entries.iter().map(|e| e.cnt).sum();
+        self.max_strength = self.strengths.iter().fold(0.0, |m, &s| m.max(s));
+    }
+
+    /// A lower bound on the load every candidate with node `v` in it pays
+    /// over the window: with every strength at most `ω_max`, each round's
+    /// linear load is at least `requests / ω_max`; the other models get 0.
+    fn load_floor(&self, ctx: &SimContext<'_>, v: NodeId) -> f64 {
+        match ctx.load {
+            LoadModel::Linear => {
+                self.requests as f64 / self.max_strength.max(ctx.graph.strength(v))
+            }
+            _ => 0.0,
         }
     }
 
@@ -462,50 +486,66 @@ impl WindowIndex {
         total
     }
 
-    /// The delay part of every migration's lower bound, in one
-    /// row-streaming pass (entry-outer, candidate-inner like
+    /// The delay part of every addition's and migration's lower bound, in
+    /// one row-streaming pass (entry-outer, candidate-inner like
     /// [`WindowIndex::scan_chunk`]). For candidate `candidates[c]` and
     /// server slot `i`, with `nc = candidates.len()`:
     ///
     /// * `keep[i·nc + c] = Σ_{e: s1=i} cnt·min(d(o,v), d1)`: what the
     ///   entries nearest to `a_i` pay while `a_i` stays;
     /// * `moved[i·nc + c] = Σ_{e: s1=i} cnt·min(d(o,v), d2)`: what they
-    ///   pay once `a_i` is migrated to `v`.
+    ///   pay once `a_i` is migrated to `v` (skipped when `moved` is
+    ///   `None`, as for the position scan, which has no migrations).
     ///
-    /// So the delay of `A − u + v` is `Σ_{i≠u} keep[i] + moved[u]`; only
-    /// the load terms are left to bound.
+    /// So the delay of `A + v` is `Σ_i keep[i]` and that of `A − u + v`
+    /// is `Σ_{i≠u} keep[i] + moved[u]`; only the load terms are left to
+    /// bound.
     fn migration_bounds(
         &self,
         ctx: &SimContext<'_>,
         candidates: &[NodeId],
         keep: &mut Vec<f64>,
-        moved: &mut Vec<f64>,
+        mut moved: Option<&mut Vec<f64>>,
     ) {
         let nc = candidates.len();
         let size = self.strengths.len() * nc;
         keep.clear();
         keep.resize(size, 0.0);
-        moved.clear();
-        moved.resize(size, 0.0);
+        if let Some(moved) = moved.as_deref_mut() {
+            moved.clear();
+            moved.resize(size, 0.0);
+        }
         for (e, &(d2, _)) in self.entries.iter().zip(&self.seconds) {
             let row = ctx.dist.row(NodeId::new(e.origin as usize));
             let cnt = e.cnt as f64;
             let lo = e.s1 as usize * nc;
             let keep = &mut keep[lo..lo + nc];
-            let moved = &mut moved[lo..lo + nc];
-            for ((kept, gone), &v) in keep.iter_mut().zip(moved.iter_mut()).zip(candidates) {
-                let dv = row[v.index()];
-                *kept += cnt * if dv < e.d1 { dv } else { e.d1 };
-                *gone += cnt * if dv < d2 { dv } else { d2 };
+            match moved.as_deref_mut() {
+                Some(moved) => {
+                    let moved = &mut moved[lo..lo + nc];
+                    for ((kept, gone), &v) in keep.iter_mut().zip(moved.iter_mut()).zip(candidates)
+                    {
+                        let dv = row[v.index()];
+                        *kept += cnt * if dv < e.d1 { dv } else { e.d1 };
+                        *gone += cnt * if dv < d2 { dv } else { d2 };
+                    }
+                }
+                None => {
+                    for (kept, &v) in keep.iter_mut().zip(candidates) {
+                        let dv = row[v.index()];
+                        *kept += cnt * if dv < e.d1 { dv } else { e.d1 };
+                    }
+                }
             }
         }
     }
 
-    /// Relative slack `ε` of the migration prune test, or `None` when the
-    /// window has too many terms to prune safely.
+    /// Relative slack `ε` of the addition and migration prune tests, or
+    /// `None` when the window has too many terms to prune safely.
     ///
-    /// Every summand of an exact migration score `S` (`cnt·d`, a load
-    /// term, `Ra·k·|W|`, the transition cost) and of its bound `LB` is
+    /// Every summand of an exact migration or addition score `S` (`cnt·d`,
+    /// a load term, `Ra·k·|W|` or `Ra·(k+1)·|W|`, the transition cost)
+    /// and of its bound `LB` is
     /// non-negative and carries at most two roundings of its own; the
     /// sums add at most `m − 2` more along any summand's path, where
     /// `m = E + R·(k+1) + k + 8` over `E` entries, `R` rounds and `k`
@@ -519,10 +559,11 @@ impl WindowIndex {
     ///   `fl(LB)·(1−ε)(1+u)² < (1 − 2mu) · fl(LB) ≤ fl(S)`.
     ///
     /// So `fl(LB)·(1−ε) > best` implies `fl(S) > best`. The same holds
-    /// for the per-`v` floor `Σ_i keep[i] + …`, whose real value is at
-    /// most every `LB(u, v)`. Past
-    /// `ε = 1e-6` (`m` in the billions) the test would prune little, and
-    /// every move is scored exactly.
+    /// for the per-`v` migration floor `Σ_i keep[i] + …`, whose real value
+    /// is at most every `LB(u, v)`, and for an addition's bound, whose
+    /// delay part `Σ_i keep[i]` is its exact delay. Past `ε = 1e-6` (`m`
+    /// in the billions) the test would prune little, and every candidate
+    /// is scored exactly.
     fn prune_slack(&self) -> Option<f64> {
         let k = self.strengths.len();
         let terms = self.entries.len() + self.rounds() * (k + 1) + k + 8;
@@ -618,10 +659,12 @@ pub struct CandidateScratch {
     pub(crate) moved: Vec<f64>,
     /// Per-candidate suffix sums of `keep` over the server slots.
     pub(crate) suffix: Vec<f64>,
-    /// `A − u + v` pairs considered, and how many of them were scored
-    /// exactly (the rest were pruned by their lower bound).
-    pub(crate) migration_pairs: u64,
-    pub(crate) migration_evals: u64,
+    /// `(scored exactly, considered)` per family: `A − u + v` migrations,
+    /// `A + v` additions and the position scan's `A ∪ {v}` candidates (the
+    /// rest were pruned by their lower bound).
+    pub(crate) migrations: (u64, u64),
+    pub(crate) additions: (u64, u64),
+    pub(crate) positions: (u64, u64),
 }
 
 impl CandidateScratch {
@@ -634,7 +677,116 @@ impl CandidateScratch {
     /// this scratch has seen: how much of the neighbourhood the lower
     /// bound left for the exact scan.
     pub fn migration_evals(&self) -> (u64, u64) {
-        (self.migration_evals, self.migration_pairs)
+        self.migrations
+    }
+
+    /// [`CandidateScratch::migration_evals`] for the `A + v` additions of
+    /// [`best_candidate_with`].
+    pub fn addition_evals(&self) -> (u64, u64) {
+        self.additions
+    }
+
+    /// [`CandidateScratch::migration_evals`] for the candidates of
+    /// [`best_new_server_position_scored`].
+    pub fn position_evals(&self) -> (u64, u64) {
+        self.positions
+    }
+
+    /// Indexes `window` against `fleet.active()`, lists the candidates
+    /// `v ∉ A` and, when `bound` asks for it and the window is small
+    /// enough to prune, runs the bound pass (`moved` too for
+    /// `migrations`). Returns the prune slack, `None` when no bound was
+    /// computed.
+    fn prepare(
+        &mut self,
+        ctx: &SimContext<'_>,
+        fleet: &Fleet,
+        window: &EpochWindow,
+        bound: bool,
+        migrations: bool,
+    ) -> Option<f64> {
+        self.index.rebuild(ctx, fleet.active(), window);
+        self.candidates.clear();
+        self.candidates
+            .extend(ctx.graph.nodes().filter(|&v| !fleet.is_active_at(v)));
+        let slack = self.index.prune_slack().filter(|_| bound);
+        if slack.is_some() {
+            let moved = migrations.then_some(&mut self.moved);
+            self.index
+                .migration_bounds(ctx, &self.candidates, &mut self.keep, moved);
+        }
+        slack
+    }
+
+    /// Scores the `A ∪ {v}` additions as `price(v, access)` into
+    /// `scores`, lowering `known` to every exact score below it. Returns
+    /// how many candidates were scored exactly.
+    ///
+    /// With a prune slack `ε` (the bound pass ran), each candidate first
+    /// gets the lower bound `price(v, Σ_i keep[i] + load floor)`:
+    /// `Σ_i keep[i]` is the exact delay of `A + v`, summed in another
+    /// order. The candidate with the smallest bound is scored first, to
+    /// seed `known`, then the rest in order. One whose
+    /// `bound·(1 − ε) > known` scores strictly above some other
+    /// candidate, so it can never be the first minimum, and its slot
+    /// gets `∞` instead. Survivors are scored by
+    /// [`WindowIndex::score_change`], bit-identical to
+    /// [`WindowIndex::score_addition`]: the two differ only in the zero
+    /// load terms the former skips. Without a slack every candidate is
+    /// scored, in one transposed pass.
+    fn score_additions(
+        &mut self,
+        ctx: &SimContext<'_>,
+        slack: Option<f64>,
+        price: impl Fn(NodeId, f64) -> f64,
+        known: &mut f64,
+    ) -> u64 {
+        let CandidateScratch {
+            index,
+            candidates,
+            scores,
+            counts,
+            keep,
+            ..
+        } = self;
+        let nc = candidates.len();
+        let Some(eps) = slack else {
+            index.score_all_additions(ctx, candidates, scores, counts);
+            for (score, &v) in scores.iter_mut().zip(candidates.iter()) {
+                *score = price(v, *score);
+                if *score < *known {
+                    *known = *score;
+                }
+            }
+            return nc as u64;
+        };
+        // Σ_i keep[i·nc + c], slot-outer so each slot's row streams.
+        scores.clear();
+        scores.resize(nc, 0.0);
+        for row in keep.chunks_exact(nc.max(1)) {
+            for (floor, &x) in scores.iter_mut().zip(row) {
+                *floor += x;
+            }
+        }
+        for (bound, &v) in scores.iter_mut().zip(candidates.iter()) {
+            *bound = price(v, *bound + index.load_floor(ctx, v));
+        }
+        let seed = (0..nc).min_by(|&x, &y| scores[x].total_cmp(&scores[y]));
+        let mut evals = 0;
+        for c in seed.into_iter().chain((0..nc).filter(|&c| Some(c) != seed)) {
+            // NaN never prunes; ∞ prunes only against a finite best.
+            if scores[c] * (1.0 - eps) > *known {
+                scores[c] = f64::INFINITY;
+                continue;
+            }
+            evals += 1;
+            let v = candidates[c];
+            scores[c] = price(v, index.score_change(ctx, NONE, Some(v), counts));
+            if scores[c] < *known {
+                *known = scores[c];
+            }
+        }
+        evals
     }
 }
 
@@ -693,18 +845,23 @@ pub fn best_candidate(
     best_candidate_with(ctx, fleet, window, options, &mut CandidateScratch::new())
 }
 
+/// "No server removed" in [`WindowIndex::score_change`].
+const NONE: usize = usize::MAX;
+
 /// [`best_candidate`] with caller-owned scratch: strategies thread their
 /// [`CandidateScratch`] through so repeated epoch scoring reuses the
 /// window index and every buffer.
 ///
-/// The `O(n·k)` migrations are bound-pruned: stay, the deactivations and
-/// the additions are scored first, one row-streaming pass
-/// (`WindowIndex::migration_bounds`) then gives every `A − u + v` a
-/// lower bound, and only the moves whose bound cannot rule them out
-/// against the best score known so far are scored exactly. A pruned move
-/// scores strictly above some other candidate, so it is never the first
-/// minimum: winner and score are bit-identical to scoring every move
-/// (proptest-pinned against that loop).
+/// The `O(n)` additions and `O(n·k)` migrations are bound-pruned. One
+/// row-streaming pass (`WindowIndex::migration_bounds`) gives every
+/// `A + v` and every `A − u + v` a lower bound. Stay and the
+/// deactivations are scored first. The additions follow, bound then
+/// verify: only those whose bound cannot rule them out against the best
+/// score known so far are scored exactly. The migrations come last,
+/// pruned the same way. A pruned candidate scores strictly above some
+/// other candidate, so it is never the first minimum of the original
+/// selection order: winner and score are bit-identical to scoring every
+/// candidate (proptest-pinned against that loop).
 pub fn best_candidate_with(
     ctx: &SimContext<'_>,
     fleet: &Fleet,
@@ -717,26 +874,9 @@ pub fn best_candidate_with(
     assert!(k > 0, "best_candidate: no active servers");
     let wlen = window.len() as f64;
     let ra = ctx.params.run_active;
+    let add = options.add && k < ctx.params.max_servers;
+    let slack = scratch.prepare(ctx, fleet, window, add || options.migrate, options.migrate);
 
-    let CandidateScratch {
-        index,
-        candidates,
-        scores,
-        counts,
-        removals,
-        keep,
-        moved,
-        suffix,
-        migration_pairs,
-        migration_evals,
-    } = scratch;
-
-    // Precompute two nearest current servers per (round, origin).
-    index.rebuild(ctx, a, window);
-    candidates.clear();
-    candidates.extend(ctx.graph.nodes().filter(|&v| !fleet.is_active_at(v)));
-
-    const NONE: usize = usize::MAX;
     let mut best_target: Option<Vec<NodeId>> = None;
     let mut best_score = f64::INFINITY;
 
@@ -751,54 +891,59 @@ pub fn best_candidate_with(
     };
 
     // 1. Stay.
-    let stay_score = index.score_change(ctx, NONE, None, counts) + ra * k as f64 * wlen;
+    let stay_score = scratch
+        .index
+        .score_change(ctx, NONE, None, &mut scratch.counts)
+        + ra * k as f64 * wlen;
     consider(stay_score, &mut best_score, &mut best_target, a.to_vec());
 
     // The cheap families are scored up front, so their minimum can prune
-    // migrations; they are still *selected* after them, in the original
-    // order. `known` only ever holds a candidate's score (or ∞), never NaN.
+    // the rest; they are still *selected* after the migrations, in the
+    // original order. `known` only ever holds a candidate's score (or ∞),
+    // never NaN.
     let mut known = best_score;
-    removals.clear();
+    scratch.removals.clear();
     if options.deactivate && k >= 2 {
         for u_idx in 0..k {
-            let score = index.score_change(ctx, u_idx, None, counts) + ra * (k - 1) as f64 * wlen;
-            removals.push(score);
+            let score = scratch
+                .index
+                .score_change(ctx, u_idx, None, &mut scratch.counts)
+                + ra * (k - 1) as f64 * wlen;
+            scratch.removals.push(score);
             if score < known {
                 known = score;
             }
         }
     }
-    let add = options.add && k < ctx.params.max_servers;
     if add {
-        index.score_all_additions(ctx, candidates, scores, counts);
-        for (score, &v) in scores.iter_mut().zip(candidates.iter()) {
-            let trans = single_change_cost(ctx, fleet, ChangeKind::Add(v));
-            *score = *score + ra * (k + 1) as f64 * wlen + trans;
-            if *score < known {
-                known = *score;
-            }
-        }
+        let run = ra * (k + 1) as f64 * wlen;
+        let price = |v, access| access + run + single_change_cost(ctx, fleet, ChangeKind::Add(v));
+        let evals = scratch.score_additions(ctx, slack, price, &mut known);
+        scratch.additions.0 += evals;
+        scratch.additions.1 += scratch.candidates.len() as u64;
     }
+
+    let CandidateScratch {
+        index,
+        candidates,
+        scores,
+        counts,
+        removals,
+        keep,
+        moved,
+        suffix,
+        migrations,
+        ..
+    } = scratch;
 
     // 2. Migrate u -> v, v outer and u inner.
     if options.migrate {
         let mig_cost = single_change_cost(ctx, fleet, ChangeKind::Migrate);
         let run = ra * k as f64 * wlen;
-        let slack = index.prune_slack();
-        if slack.is_some() {
-            index.migration_bounds(ctx, candidates, keep, moved);
-        }
         let nc = candidates.len();
-        // Σ_rounds requests: with every strength at most `ω_max`, each
-        // round's linear load is at least `requests / ω_max`.
-        let requests: usize = index.entries.iter().map(|e| e.cnt).sum();
-        let max_active = index.strengths.iter().fold(0.0f64, |m, &s| m.max(s));
         for (c, &v) in candidates.iter().enumerate() {
-            let load_lb = match ctx.load {
-                LoadModel::Linear => requests as f64 / max_active.max(ctx.graph.strength(v)),
-                _ => 0.0,
-            };
-            *migration_pairs += k as u64;
+            let load_lb = index.load_floor(ctx, v);
+            migrations.1 += k as u64;
             if let Some(eps) = slack {
                 // Σ_{i≠u} keep[i] = (Σ_{i<u}) + (Σ_{i>u}): a running prefix
                 // plus `suffix[u + 1]`, added, never subtracted.
@@ -828,7 +973,7 @@ pub fn best_candidate_with(
                         continue;
                     }
                 }
-                *migration_evals += 1;
+                migrations.0 += 1;
                 let score = index.score_change(ctx, u_idx, Some(v), counts) + run + mig_cost;
                 if score < best_score {
                     let mut target = a.to_vec();
@@ -848,7 +993,7 @@ pub fn best_candidate_with(
         }
     }
 
-    // 4. Add v (respect the k budget), scored above in one transposed pass.
+    // 4. Add v (respect the k budget), scored above; pruned slots hold ∞.
     if add {
         for (&score, &v) in scores.iter().zip(candidates.iter()) {
             if score < best_score {
@@ -876,31 +1021,29 @@ pub fn best_new_server_position(
 }
 
 /// [`best_new_server_position`] with caller-owned scratch, also returning
-/// the winning access cost. One [`WindowIndex`] rebuild plus a single
-/// transposed scan replaces the per-candidate `access_cost_window`
-/// rescans (and their per-candidate `A ∪ {v}` allocation), so the
-/// steady-state large-epoch trigger allocates nothing.
+/// the winning access cost, so the steady-state large-epoch trigger
+/// allocates nothing.
+///
+/// Bound then verify, like the additions of [`best_candidate_with`]: one
+/// keep-only bound pass gives every `A ∪ {v}` a lower bound, the
+/// candidate with the smallest bound is scored exactly to seed the best
+/// known cost, and only candidates whose bound is within it are scored
+/// exactly after it. Selection keeps the first minimum in candidate order
+/// under strict `<`, so `(v, cost)` is bit-identical to scoring every
+/// candidate (proptest-pinned against the retired per-candidate loop).
 pub fn best_new_server_position_scored(
     ctx: &SimContext<'_>,
     fleet: &Fleet,
     window: &EpochWindow,
     scratch: &mut CandidateScratch,
 ) -> Option<(NodeId, f64)> {
-    let a = fleet.active();
-    let CandidateScratch {
-        index,
-        candidates,
-        scores,
-        counts,
-        ..
-    } = scratch;
-    index.rebuild(ctx, a, window);
-    candidates.clear();
-    candidates.extend(ctx.graph.nodes().filter(|&v| !fleet.is_active_at(v)));
-    index.score_all_additions(ctx, candidates, scores, counts);
+    let slack = scratch.prepare(ctx, fleet, window, true, false);
+    let mut known = f64::INFINITY;
+    let evals = scratch.score_additions(ctx, slack, |_, access| access, &mut known);
+    scratch.positions.0 += evals;
+    scratch.positions.1 += scratch.candidates.len() as u64;
     let mut best: Option<(NodeId, f64)> = None;
-    for (j, &v) in candidates.iter().enumerate() {
-        let cost = scores[j];
+    for (&v, &cost) in scratch.candidates.iter().zip(&scratch.scores) {
         if best.is_none_or(|(_, c)| cost < c) {
             best = Some((v, cost));
         }
@@ -1255,8 +1398,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bound_prunes_most_migrations_on_er100() {
+    /// Eight epochs of 20 rounds on ER-100, demand drifting between two
+    /// hot spots: `best_candidate_with` picks each epoch's move, and
+    /// `position` sees the same window. Returns the scratch, for its
+    /// pruning counters.
+    fn er100_drift(
+        mut position: impl FnMut(&SimContext<'_>, &Fleet, &EpochWindow),
+    ) -> CandidateScratch {
         use flexserve_graph::gen::{erdos_renyi, GenConfig};
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
@@ -1267,7 +1415,6 @@ mod tests {
         let ctx = SimContext::new(&g, &m, CostParams::default(), LoadModel::Linear);
         let mut fleet = Fleet::new(vec![n(3), n(40), n(77)], &ctx.params);
         let mut scratch = CandidateScratch::new();
-        // Eight epochs of 20 rounds, demand drifting between two hot spots.
         for epoch in 0..8 {
             let mut w = EpochWindow::new();
             for _ in 0..20 {
@@ -1282,16 +1429,40 @@ mod tests {
                 }
                 w.push(&batch);
             }
+            position(&ctx, &fleet, &w);
             let (target, _) =
                 best_candidate_with(&ctx, &fleet, &w, CandidateOptions::all(), &mut scratch);
             TransitionPlanner::apply(&mut fleet, &target, &ctx.params);
         }
-        let (evals, pairs) = scratch.migration_evals();
+        scratch
+    }
+
+    #[test]
+    fn bound_prunes_most_migrations_on_er100() {
+        let (evals, pairs) = er100_drift(|_, _, _| {}).migration_evals();
         assert!(pairs > 0);
         assert!(
             4 * evals < pairs,
             "the lower bound must rule out most moves: {evals} of {pairs} scored exactly"
         );
+    }
+
+    #[test]
+    fn bound_prunes_most_additions_and_positions_on_er100() {
+        let mut positions = CandidateScratch::new();
+        let scratch = er100_drift(|ctx, fleet, w| {
+            best_new_server_position_scored(ctx, fleet, w, &mut positions);
+        });
+        for (family, (evals, pairs)) in [
+            ("additions", scratch.addition_evals()),
+            ("positions", positions.position_evals()),
+        ] {
+            assert!(pairs > 0, "{family}: nothing considered");
+            assert!(
+                4 * evals < pairs,
+                "the lower bound must rule out most {family}: {evals} of {pairs} scored exactly"
+            );
+        }
     }
 
     #[test]

@@ -32,17 +32,23 @@
 //! 1. configurations are grouped by position bitmask (`g ≪ s` groups:
 //!    a set of `p` positions hosts `2^p − 1` activation patterns);
 //! 2. each round first reduces every group to its cheapest member
-//!    (`O(s)`), then minimizes per target over *groups*, computing the
-//!    group-to-group cost from two popcounts on the fly (`O(s·g)` with no
-//!    transition storage at all).
+//!    (`O(s)`), then minimizes per *target group* over source groups,
+//!    computing the group-to-group cost from two popcounts on the fly
+//!    (`O(g²)` with no transition storage at all): a column's
+//!    predecessor minimum depends only on its position set;
+//! 3. each column then adds its own running and access cost to its
+//!    group's minimum (`O(s)`).
 //!
 //! Because `min_i (prev[i]) + T = min_i (prev[i] + T)` exactly (adding a
 //! constant is monotone in IEEE floats), the grouped minimum is
-//! bit-identical to the naive full scan — a golden regression test and a
-//! dense in-test reference pin this. The per-round column loop over
-//! targets is parallelized with rayon (each column only reads `prev` and
-//! the group minima), which keeps rounds deterministic: every column's
-//! arithmetic is independent of thread count.
+//! bit-identical to the naive full scan. Ties go to the first source
+//! group in enumeration order of first appearance, then to its first
+//! cheapest member. A golden regression test and a dense in-test
+//! reference that scans predecessors in that order pin the cost bits and
+//! the plans. The per-round loop over target groups is parallelized with
+//! rayon (each group only reads the group minima), which keeps rounds
+//! deterministic: every group's arithmetic is independent of thread
+//! count.
 //!
 //! Access cost is memoized the same way: it depends only on a
 //! configuration's *active set*, so each round evaluates it once per
@@ -56,10 +62,11 @@ use flexserve_sim::{Plan, SimContext};
 use flexserve_workload::Trace;
 use rayon::prelude::*;
 
-/// Safety cap on the configuration count. The grouped DP is `O(t · s · g)`
-/// time and `O(t · s)` memory (backtracking parents) — no `s × s`
-/// materialization — so substrates well beyond the paper's five-node line
-/// graphs are feasible (`s = 58 025` covers `n = 10` with `k = 10`).
+/// Safety cap on the configuration count. The grouped DP is
+/// `O(t · (s + g²))` time and `O(t · s)` memory (backtracking parents) —
+/// no `s × s` materialization — so substrates well beyond the paper's
+/// five-node line graphs are feasible (`s = 58 025` covers `n = 10` with
+/// `k = 10`).
 pub const MAX_STATES: usize = 60_000;
 
 /// One DP configuration, with bitmask mirrors of the sorted node lists.
@@ -216,11 +223,11 @@ pub fn optimal_plan(ctx: &SimContext<'_>, trace: &Trace, initial: &[NodeId]) -> 
         parents.push(vec![u32::MAX; s]);
     }
 
-    // Per-round scratch, reused every round: group minima and the
-    // (cost, parent) column results.
+    // Per-round scratch, reused every round: group minima and each
+    // target group's (cost, parent) predecessor choice.
     let mut group_min = vec![f64::INFINITY; g];
     let mut group_arg = vec![u32::MAX; g];
-    let mut results: Vec<(f64, u32)> = vec![(0.0, u32::MAX); s];
+    let mut group_best: Vec<(f64, u32)> = vec![(f64::INFINITY, u32::MAX); g];
 
     for t in 1..t_max {
         std::mem::swap(&mut prev, &mut cur);
@@ -236,40 +243,40 @@ pub fn optimal_plan(ctx: &SimContext<'_>, trace: &Trace, initial: &[NodeId]) -> 
             }
         }
 
-        // Phase 2 (parallel, O(s·g)): per target column, minimize over
-        // groups with the popcount transition cost. Columns land in the
-        // reusable `results` buffer and are unzipped serially (O(s)).
-        fill_access(&mut access_of, t);
+        // Phase 2 (parallel, O(g²)): a column's predecessor minimum
+        // depends only on its position set, so it is taken once per
+        // target group, over source groups with the popcount transition
+        // cost.
         {
             let group_min = &group_min;
             let group_arg = &group_arg;
             let group_masks = &group_masks;
-            let access_of = &access_of;
-            let acc_group_of = &acc_group_of;
-            par_columns(&mut results, s, |j, _col| {
-                let cfg = &configs[j];
+            par_columns(&mut group_best, g, |gj, _col| {
+                let to = group_masks[gj];
                 let mut best = f64::INFINITY;
                 let mut best_p = u32::MAX;
-                for gi in 0..group_masks.len() {
-                    let m = group_min[gi];
+                for (gi, &m) in group_min.iter().enumerate() {
                     if !m.is_finite() {
                         continue;
                     }
-                    let v =
-                        m + mask_transition_cost(group_masks[gi], cfg.position_mask, &ctx.params);
+                    let v = m + mask_transition_cost(group_masks[gi], to, &ctx.params);
                     if v < best {
                         best = v;
                         best_p = group_arg[gi];
                     }
                 }
-                let acc = access_of[acc_group_of[j] as usize];
-                (best + running[j] + acc, best_p)
+                (best, best_p)
             });
         }
-        let mut parent = vec![u32::MAX; s];
-        for (j, &(c, p)) in results.iter().enumerate() {
-            cur[j] = c;
-            parent[j] = p;
+
+        // Phase 3 (serial, O(s)): each column adds its own running and
+        // access cost to its group's predecessor minimum.
+        fill_access(&mut access_of, t);
+        let mut parent = Vec::with_capacity(s);
+        for (j, c) in cur.iter_mut().enumerate() {
+            let (best, p) = group_best[group_of[j] as usize];
+            *c = best + running[j] + access_of[acc_group_of[j] as usize];
+            parent.push(p);
         }
         parents.push(parent);
     }
@@ -449,6 +456,7 @@ mod tests {
     use flexserve_graph::DistanceMatrix;
     use flexserve_sim::{config_transition_cost, CostParams, LoadModel};
     use flexserve_workload::RoundRequests;
+    use proptest::prelude::*;
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -476,8 +484,11 @@ mod tests {
 
     /// The naive `O(t·s²)` DP with a dense transition matrix — the
     /// structure this module replaced — kept as an in-test reference for
-    /// the equivalence tests below.
-    fn optimal_cost_dense(ctx: &SimContext<'_>, trace: &Trace, initial: &[NodeId]) -> f64 {
+    /// the equivalence tests below. It scans every predecessor, in the
+    /// grouped DP's tie-breaking order (position groups by first
+    /// appearance, members in enumeration order), and backtracks its plan
+    /// the same way.
+    fn optimal_dense(ctx: &SimContext<'_>, trace: &Trace, initial: &[NodeId]) -> OptResult {
         let n = ctx.graph.node_count();
         let k = ctx.params.max_servers.min(n);
         let configs = enumerate_configs(n, k);
@@ -498,6 +509,9 @@ mod tests {
                 );
             }
         }
+        let first_seen = |mask: u64| configs.iter().position(|c| c.position_mask == mask);
+        let mut order: Vec<usize> = (0..s).collect();
+        order.sort_by_key(|&i| first_seen(configs[i].position_mask));
         let mut init_sorted: Vec<NodeId> = initial.to_vec();
         init_sorted.sort();
         let mut cur = vec![f64::INFINITY; s];
@@ -507,20 +521,40 @@ mod tests {
             cur[j] = tcost + running[j] + ctx.access_cost(&cfg.active, trace.round(0));
         }
         let mut prev = vec![0.0f64; s];
+        let mut parents = vec![vec![u32::MAX; s]];
         for t in 1..trace.len() {
             std::mem::swap(&mut prev, &mut cur);
+            let mut parent = vec![u32::MAX; s];
             for (j, cfg) in configs.iter().enumerate() {
                 let mut best = f64::INFINITY;
-                for i in 0..s {
+                for &i in &order {
                     let v = prev[i] + trans[i * s + j];
                     if v < best {
                         best = v;
+                        parent[j] = i as u32;
                     }
                 }
                 cur[j] = best + running[j] + ctx.access_cost(&cfg.active, trace.round(t));
             }
+            parents.push(parent);
         }
-        cur.iter().copied().fold(f64::INFINITY, f64::min)
+        let (mut best_j, mut cost) = (0usize, f64::INFINITY);
+        for (j, &v) in cur.iter().enumerate() {
+            if v < cost {
+                cost = v;
+                best_j = j;
+            }
+        }
+        let mut order = vec![best_j; trace.len()];
+        for t in (1..trace.len()).rev() {
+            order[t - 1] = parents[t][order[t]] as usize;
+        }
+        OptResult {
+            plan: order.iter().map(|&j| configs[j].active.clone()).collect(),
+            inactive_plan: order.iter().map(|&j| configs[j].inactive.clone()).collect(),
+            cost,
+            states: s,
+        }
     }
 
     #[test]
@@ -572,24 +606,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn grouped_dp_bit_identical_to_dense_reference() {
-        for (len, k, seed) in [(4usize, 2usize, 0u64), (5, 3, 1), (5, 5, 2)] {
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Lines of 2–6 nodes, any budget `k ≤ n`, both `β` regimes, no
+        /// or linear load, random demand: the grouped DP's cost bits,
+        /// plan and inactive plan are those of the dense reference. The
+        /// cheap prices make ties common, so the plans pin the
+        /// tie-breaking as well.
+        #[test]
+        fn grouped_dp_bit_identical_to_dense_reference(
+            len in 2usize..7,
+            k_pick in 0usize..6,
+            regime in 0usize..4,
+            linear in 0usize..2,
+            start in 0usize..6,
+            rounds in prop::collection::vec(
+                prop::collection::vec((0usize..6, 1usize..5), 0..4), 1..12),
+        ) {
             let fx = Fx::new(len);
-            let ctx = fx.ctx(k);
-            let mut rounds = Vec::new();
-            for t in 0..25u64 {
-                let node = ((t.wrapping_mul(seed + 3)) as usize) % len;
-                rounds.push(RoundRequests::new(vec![n(node); 1 + (t % 4) as usize]));
-            }
-            let trace = Trace::new(rounds);
-            let fast = optimal_plan(&ctx, &trace, &[n(0)]).cost;
-            let dense = optimal_cost_dense(&ctx, &trace, &[n(0)]);
-            assert_eq!(
-                fast.to_bits(),
-                dense.to_bits(),
-                "len={len} k={k} seed={seed}: {fast} vs {dense}"
+            let k = 1 + k_pick % len;
+            // β < c and β > c, at the paper's prices and at prices short
+            // traces can pay off, where equal-cost plans (and ties) abound.
+            let (beta, c) = [(40.0, 400.0), (400.0, 40.0), (2.0, 20.0), (20.0, 2.0)][regime];
+            let params = CostParams::default().with_costs(beta, c);
+            let load = if linear == 1 { LoadModel::Linear } else { LoadModel::None };
+            let ctx = SimContext::new(&fx.g, &fx.m, params.with_max_servers(k), load);
+            let trace = Trace::new(
+                rounds
+                    .iter()
+                    .map(|round| {
+                        let mut batch = RoundRequests::empty();
+                        for &(node, cnt) in round {
+                            batch.push_many(n(node % len), cnt);
+                        }
+                        batch
+                    })
+                    .collect(),
             );
+            let initial = [n(start % len)];
+            let fast = optimal_plan(&ctx, &trace, &initial);
+            let dense = optimal_dense(&ctx, &trace, &initial);
+            prop_assert_eq!(fast.cost.to_bits(), dense.cost.to_bits(),
+                "len={} k={}: {} vs {}", len, k, fast.cost, dense.cost);
+            prop_assert_eq!(&fast.plan, &dense.plan);
+            prop_assert_eq!(&fast.inactive_plan, &dense.inactive_plan);
         }
     }
 
@@ -619,7 +680,7 @@ mod tests {
         }
         let trace = Trace::new(rounds);
         let res = optimal_plan(&ctx, &trace, &[n(2)]);
-        let golden = optimal_cost_dense(&ctx, &trace, &[n(2)]);
+        let golden = optimal_dense(&ctx, &trace, &[n(2)]).cost;
         assert_eq!(res.cost.to_bits(), golden.to_bits());
         const GOLDEN_COST: f64 = 670.0;
         assert!(

@@ -143,6 +143,13 @@ proptest! {
         }
     }
 
+}
+
+proptest! {
+    // More cases than the scans above: the position scan is pruned, and a
+    // pruned-away winner shows only where the bound is close to the best.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
     #[test]
     fn scored_position_matches_naive_loop(
         n in 3usize..14,

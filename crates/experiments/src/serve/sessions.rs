@@ -2,14 +2,14 @@
 //! stepping [`EventedSession`]s under one [`SessionManager`].
 //!
 //! Each session runs on its **own actor thread** that owns the full
-//! per-session world — an owned substrate clone (fetched through the
-//! process-wide [`DistCache`](crate::cache::DistCache) and cloned once,
-//! because substrate events mutate link latencies in place while the
-//! cache copy must stay pristine), the boxed strategy, the
-//! [`EventedSession`] and its [`RequestSource`] — and serializes that
-//! session's operations through an `mpsc` command channel. This gives
-//! exactly the concurrency the placement game allows: *within* a session
-//! the online game stays strictly sequential (channel FIFO), while
+//! per-session world — the substrate, shared with the process-wide
+//! [`DistCache`](crate::cache::DistCache) through `Arc`s until the
+//! session's first substrate event copies it (the cache copy stays
+//! pristine), the boxed strategy, the [`EventedSession`] and its
+//! [`RequestSource`] — and serializes that session's operations through
+//! an `mpsc` command channel. This gives exactly the concurrency the
+//! placement game allows: *within* a session the online game stays
+//! strictly sequential (channel FIFO), while
 //! *distinct* sessions step in parallel with no shared mutable state, so
 //! every session's placements are bit-identical to the same cell served
 //! alone (pinned by `tests/serve_sessions.rs`).

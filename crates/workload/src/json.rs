@@ -161,6 +161,7 @@ impl JsonValue {
     /// a stack overflow).
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -234,6 +235,7 @@ impl From<String> for JsonValue {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -314,44 +316,41 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Strings are parsed bytewise for escapes, charwise otherwise.
-            let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                .map_err(|_| "json: invalid utf-8".to_string())?;
-            match rest.chars().next() {
-                None => return Err("json: unterminated string".into()),
-                Some('"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some('\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("json: bad \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "json: bad \\u escape".to_string())?;
-                            out.push(char::from_u32(code).ok_or("json: \\u escape not a scalar")?);
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("json: bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(c) => {
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash as one slice:
+            // both are ASCII, so the run ends on a char boundary of the
+            // already-valid input, and each byte is looked at once.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("json: unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or("json: bad \\u escape")?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| "json: bad \\u escape".to_string())?;
+                    out.push(char::from_u32(code).ok_or("json: \\u escape not a scalar")?);
+                    self.pos += 4;
+                }
+                _ => return Err(format!("json: bad escape at byte {}", self.pos)),
+            }
+            self.pos += 1;
         }
     }
 
@@ -529,6 +528,34 @@ mod tests {
         // siblings don't accumulate depth
         let wide = format!("[{}]", vec!["[0]"; 1000].join(","));
         assert!(JsonValue::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn string_parse_time_is_linear() {
+        // A 1 MiB string must parse within a linear multiple of a 1 KiB
+        // one. The old charwise scan re-validated the rest of the input
+        // per character, which made the 1 MiB parse about a million
+        // times slower than the 1 KiB one instead of about a thousand.
+        fn fastest(doc: &str, reps: usize) -> std::time::Duration {
+            (0..reps)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    let value = JsonValue::parse(doc).unwrap();
+                    let took = start.elapsed();
+                    // the quotes and the escape's backslash are gone
+                    assert_eq!(value.as_str().map(str::len), Some(doc.len() - 3));
+                    took
+                })
+                .min()
+                .unwrap()
+        }
+        let doc = |len: usize| format!("\"é{}\\n\"", "a".repeat(len - 2));
+        let small = fastest(&doc(1 << 10), 64);
+        let large = fastest(&doc(1 << 20), 3);
+        assert!(
+            large < small * 1024 * 32,
+            "1 MiB took {large:?}, 1 KiB {small:?}: not linear"
+        );
     }
 
     #[test]
