@@ -246,11 +246,6 @@ struct IndexEntry {
 /// reference; each candidate's arithmetic is independent of thread
 /// count.
 ///
-/// [`best_candidate_with`] and [`best_new_server_position_scored`] take
-/// that pass only for windows too long to prune. Otherwise one bound
-/// pass (`migration_bounds`) streams the same rows once, and only the
-/// additions it cannot rule out are scored, one by one.
-///
 /// The index also carries the second-nearest server per entry, which is
 /// what [`best_candidate`]'s migrate/deactivate scoring needs as the
 /// removal fallback — kept out of the hot entry table so the addition
@@ -494,8 +489,7 @@ impl WindowIndex {
     /// * `keep[i·nc + c] = Σ_{e: s1=i} cnt·min(d(o,v), d1)`: what the
     ///   entries nearest to `a_i` pay while `a_i` stays;
     /// * `moved[i·nc + c] = Σ_{e: s1=i} cnt·min(d(o,v), d2)`: what they
-    ///   pay once `a_i` is migrated to `v` (skipped when `moved` is
-    ///   `None`, as for the position scan, which has no migrations).
+    ///   pay once `a_i` is migrated to `v`.
     ///
     /// So the delay of `A + v` is `Σ_i keep[i]` and that of `A − u + v`
     /// is `Σ_{i≠u} keep[i] + moved[u]`; only the load terms are left to
@@ -505,37 +499,24 @@ impl WindowIndex {
         ctx: &SimContext<'_>,
         candidates: &[NodeId],
         keep: &mut Vec<f64>,
-        mut moved: Option<&mut Vec<f64>>,
+        moved: &mut Vec<f64>,
     ) {
         let nc = candidates.len();
         let size = self.strengths.len() * nc;
         keep.clear();
         keep.resize(size, 0.0);
-        if let Some(moved) = moved.as_deref_mut() {
-            moved.clear();
-            moved.resize(size, 0.0);
-        }
+        moved.clear();
+        moved.resize(size, 0.0);
         for (e, &(d2, _)) in self.entries.iter().zip(&self.seconds) {
             let row = ctx.dist.row(NodeId::new(e.origin as usize));
             let cnt = e.cnt as f64;
             let lo = e.s1 as usize * nc;
             let keep = &mut keep[lo..lo + nc];
-            match moved.as_deref_mut() {
-                Some(moved) => {
-                    let moved = &mut moved[lo..lo + nc];
-                    for ((kept, gone), &v) in keep.iter_mut().zip(moved.iter_mut()).zip(candidates)
-                    {
-                        let dv = row[v.index()];
-                        *kept += cnt * if dv < e.d1 { dv } else { e.d1 };
-                        *gone += cnt * if dv < d2 { dv } else { d2 };
-                    }
-                }
-                None => {
-                    for (kept, &v) in keep.iter_mut().zip(candidates) {
-                        let dv = row[v.index()];
-                        *kept += cnt * if dv < e.d1 { dv } else { e.d1 };
-                    }
-                }
+            let moved = &mut moved[lo..lo + nc];
+            for ((kept, gone), &v) in keep.iter_mut().zip(moved.iter_mut()).zip(candidates) {
+                let dv = row[v.index()];
+                *kept += cnt * if dv < e.d1 { dv } else { e.d1 };
+                *gone += cnt * if dv < d2 { dv } else { d2 };
             }
         }
     }
@@ -694,16 +675,14 @@ impl CandidateScratch {
 
     /// Indexes `window` against `fleet.active()`, lists the candidates
     /// `v ∉ A` and, when `bound` asks for it and the window is small
-    /// enough to prune, runs the bound pass (`moved` too for
-    /// `migrations`). Returns the prune slack, `None` when no bound was
-    /// computed.
+    /// enough to prune, runs the bound pass. Returns the prune slack,
+    /// `None` when no bound was computed.
     fn prepare(
         &mut self,
         ctx: &SimContext<'_>,
         fleet: &Fleet,
         window: &EpochWindow,
         bound: bool,
-        migrations: bool,
     ) -> Option<f64> {
         self.index.rebuild(ctx, fleet.active(), window);
         self.candidates.clear();
@@ -711,9 +690,8 @@ impl CandidateScratch {
             .extend(ctx.graph.nodes().filter(|&v| !fleet.is_active_at(v)));
         let slack = self.index.prune_slack().filter(|_| bound);
         if slack.is_some() {
-            let moved = migrations.then_some(&mut self.moved);
             self.index
-                .migration_bounds(ctx, &self.candidates, &mut self.keep, moved);
+                .migration_bounds(ctx, &self.candidates, &mut self.keep, &mut self.moved);
         }
         slack
     }
@@ -733,7 +711,7 @@ impl CandidateScratch {
     /// [`WindowIndex::score_change`], bit-identical to
     /// [`WindowIndex::score_addition`]: the two differ only in the zero
     /// load terms the former skips. Without a slack every candidate is
-    /// scored, in one transposed pass.
+    /// scored, in order.
     fn score_additions(
         &mut self,
         ctx: &SimContext<'_>,
@@ -750,34 +728,29 @@ impl CandidateScratch {
             ..
         } = self;
         let nc = candidates.len();
-        let Some(eps) = slack else {
-            index.score_all_additions(ctx, candidates, scores, counts);
-            for (score, &v) in scores.iter_mut().zip(candidates.iter()) {
-                *score = price(v, *score);
-                if *score < *known {
-                    *known = *score;
-                }
-            }
-            return nc as u64;
-        };
-        // Σ_i keep[i·nc + c], slot-outer so each slot's row streams.
         scores.clear();
         scores.resize(nc, 0.0);
-        for row in keep.chunks_exact(nc.max(1)) {
-            for (floor, &x) in scores.iter_mut().zip(row) {
-                *floor += x;
+        let mut seed = None;
+        if slack.is_some() {
+            // Σ_i keep[i·nc + c], slot-outer so each slot's row streams.
+            for row in keep.chunks_exact(nc.max(1)) {
+                for (floor, &x) in scores.iter_mut().zip(row) {
+                    *floor += x;
+                }
             }
+            for (bound, &v) in scores.iter_mut().zip(candidates.iter()) {
+                *bound = price(v, *bound + index.load_floor(ctx, v));
+            }
+            seed = (0..nc).min_by(|&x, &y| scores[x].total_cmp(&scores[y]));
         }
-        for (bound, &v) in scores.iter_mut().zip(candidates.iter()) {
-            *bound = price(v, *bound + index.load_floor(ctx, v));
-        }
-        let seed = (0..nc).min_by(|&x, &y| scores[x].total_cmp(&scores[y]));
         let mut evals = 0;
         for c in seed.into_iter().chain((0..nc).filter(|&c| Some(c) != seed)) {
-            // NaN never prunes; ∞ prunes only against a finite best.
-            if scores[c] * (1.0 - eps) > *known {
-                scores[c] = f64::INFINITY;
-                continue;
+            if let Some(eps) = slack {
+                // NaN never prunes; ∞ prunes only against a finite best.
+                if scores[c] * (1.0 - eps) > *known {
+                    scores[c] = f64::INFINITY;
+                    continue;
+                }
             }
             evals += 1;
             let v = candidates[c];
@@ -875,7 +848,7 @@ pub fn best_candidate_with(
     let wlen = window.len() as f64;
     let ra = ctx.params.run_active;
     let add = options.add && k < ctx.params.max_servers;
-    let slack = scratch.prepare(ctx, fleet, window, add || options.migrate, options.migrate);
+    let slack = scratch.prepare(ctx, fleet, window, add || options.migrate);
 
     let mut best_target: Option<Vec<NodeId>> = None;
     let mut best_score = f64::INFINITY;
@@ -1024,8 +997,8 @@ pub fn best_new_server_position(
 /// the winning access cost, so the steady-state large-epoch trigger
 /// allocates nothing.
 ///
-/// Bound then verify, like the additions of [`best_candidate_with`]: one
-/// keep-only bound pass gives every `A ∪ {v}` a lower bound, the
+/// Bound then verify, like the additions of [`best_candidate_with`]: the
+/// same bound pass gives every `A ∪ {v}` a lower bound, the
 /// candidate with the smallest bound is scored exactly to seed the best
 /// known cost, and only candidates whose bound is within it are scored
 /// exactly after it. Selection keeps the first minimum in candidate order
@@ -1037,7 +1010,7 @@ pub fn best_new_server_position_scored(
     window: &EpochWindow,
     scratch: &mut CandidateScratch,
 ) -> Option<(NodeId, f64)> {
-    let slack = scratch.prepare(ctx, fleet, window, true, false);
+    let slack = scratch.prepare(ctx, fleet, window, true);
     let mut known = f64::INFINITY;
     let evals = scratch.score_additions(ctx, slack, |_, access| access, &mut known);
     scratch.positions.0 += evals;
@@ -1368,9 +1341,9 @@ mod tests {
 
     #[test]
     fn scored_position_matches_retired_per_candidate_rescan() {
-        // Micro-assert for the allocation fix: the transposed
-        // `best_new_server_position_scored` returns the exact `(v, cost)`
-        // the retired per-candidate `access_cost_window(A ∪ {v})` loop did.
+        // The bound-pruned `best_new_server_position_scored` returns the
+        // exact `(v, cost)` the retired per-candidate
+        // `access_cost_window(A ∪ {v})` loop did.
         let f = Fixture::line(30);
         for load in [LoadModel::None, LoadModel::Quadratic] {
             let ctx = f.ctx(load);

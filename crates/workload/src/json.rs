@@ -162,14 +162,13 @@ impl JsonValue {
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
             text,
-            bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("json: trailing data at byte {}", p.pos));
         }
         Ok(v)
@@ -236,14 +235,17 @@ impl From<String> for JsonValue {
 
 struct Parser<'a> {
     text: &'a str,
-    bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -253,7 +255,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -269,7 +271,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -305,7 +307,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let token = std::str::from_utf8(&self.bytes()[start..self.pos]).expect("ascii digits");
         token
             .parse::<f64>()
             .map(JsonValue::Num)
@@ -319,13 +321,13 @@ impl Parser<'_> {
             // Copy the run up to the next quote or backslash as one slice:
             // both are ASCII, so the run ends on a char boundary of the
             // already-valid input, and each byte is looked at once.
-            let run = self.bytes[self.pos..]
+            let run = self.bytes()[self.pos..]
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\')
                 .ok_or("json: unterminated string")?;
             out.push_str(&self.text[self.pos..self.pos + run]);
             self.pos += run;
-            if self.bytes[self.pos] == b'"' {
+            if self.bytes()[self.pos] == b'"' {
                 self.pos += 1;
                 return Ok(out);
             }
@@ -339,7 +341,7 @@ impl Parser<'_> {
                 Some(b't') => out.push('\t'),
                 Some(b'u') => {
                     let hex = self
-                        .bytes
+                        .bytes()
                         .get(self.pos + 1..self.pos + 5)
                         .and_then(|h| std::str::from_utf8(h).ok())
                         .ok_or("json: bad \\u escape")?;
