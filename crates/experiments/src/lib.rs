@@ -27,9 +27,9 @@
 //! * [`figures`] — one pipeline function per paper figure/table,
 //! * [`runner`] — seed-parallel averaging over a cell's seeds,
 //! * [`serve`] — the `flexserve serve` daemon: a concurrent multi-session
-//!   streaming placement service (a `SessionManager` of per-session actor
-//!   threads behind a worker-pool HTTP front end) with per-session
-//!   checkpoint/restore, documented in `docs/SERVING.md`,
+//!   streaming placement service (a `SessionManager` of sessions, each
+//!   behind its own lock, stepped by a worker-pool HTTP front end) with
+//!   per-session checkpoint/restore, documented in `docs/SERVING.md`,
 //! * [`output`] — aligned-table stdout reporting plus CSV files under
 //!   `results/` (override with `FLEXSERVE_RESULTS_DIR`).
 //!

@@ -1,9 +1,9 @@
 //! The serve tier's request handler: one parsed request in, one status
 //! and JSON body out. The shared front end (`event_loop.rs`) owns the
 //! connections and calls [`handle`] from its worker pool; everything
-//! session-shaped is delegated to the [`SessionManager`] (and thus to the
-//! per-session actor threads), so handlers never touch simulation state
-//! directly.
+//! session-shaped is delegated to the [`SessionManager`], which runs it
+//! on this worker under the session's lock, so handlers never touch
+//! simulation state directly.
 
 use flexserve_workload::JsonValue;
 

@@ -4,8 +4,8 @@
 //! Where `flexserve run` replays a recorded trace in a closed loop,
 //! `serve` keeps the loop open — and since this revision it keeps *many*
 //! loops open: a [`SessionManager`] owns any number of named
-//! [`EventedSession`](flexserve_sim::EventedSession)s (each on its own
-//! actor thread, with its own strategy, its own mutable substrate world,
+//! [`EventedSession`](flexserve_sim::EventedSession)s (each behind its own
+//! lock, with its own strategy, its own mutable substrate world,
 //! and its own [`RequestSource`](flexserve_workload::RequestSource),
 //! sharing pristine substrates through the process-wide
 //! [`DistCache`](crate::cache::DistCache)), behind an event-driven HTTP
@@ -38,12 +38,12 @@
 //! working unchanged (pinned by `tests/serve_http.rs`).
 //!
 //! Concurrency follows the problem's shape: each session is a sequential
-//! online game, so its operations serialize through its actor's channel;
-//! distinct sessions share no mutable state and step in parallel across
-//! workers, bit-identical to each cell served alone (pinned by
-//! `tests/serve_sessions.rs`). Checkpoints use the v2 engine format
-//! carrying cumulative metrics and the substrate-event schedule; v1 files
-//! still restore. Restarting with `resume=true` continues the default
+//! online game, so its operations serialize on its lock, each running on
+//! the worker that received it; distinct sessions share no mutable state
+//! and step in parallel across workers, bit-identical to each cell served
+//! alone (pinned by `tests/serve_sessions.rs`). Checkpoints use the v2
+//! engine format carrying cumulative metrics and the substrate-event
+//! schedule; v1 files still restore. Restarting with `resume=true` continues the default
 //! session **bit-identically** to a daemon that was never stopped — event
 //! history included (the snapshot's schedule is replayed onto a pristine
 //! substrate and fingerprint-checked).

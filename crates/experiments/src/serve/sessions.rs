@@ -1,29 +1,31 @@
 //! The session layer of the serve daemon: many named, concurrently
 //! stepping [`EventedSession`]s under one [`SessionManager`].
 //!
-//! Each session runs on its **own actor thread** that owns the full
-//! per-session world — the substrate, shared with the process-wide
+//! A session is plain data: a `SessionState` that owns its
+//! [`EventedSession`] (whose substrate is shared with the process-wide
 //! [`DistCache`](crate::cache::DistCache) through `Arc`s until the
-//! session's first substrate event copies it (the cache copy stays
-//! pristine), the boxed strategy, the [`EventedSession`] and its
-//! [`RequestSource`] — and serializes that session's operations through
-//! an `mpsc` command channel. This gives exactly the concurrency the
+//! session's first substrate event copies it, so the cache copy stays
+//! pristine), its boxed strategy and its [`RequestSource`], behind one
+//! mutex per session. Every operation runs on the calling HTTP worker
+//! while it holds that lock. This gives exactly the concurrency the
 //! placement game allows: *within* a session the online game stays
-//! strictly sequential (channel FIFO), while
-//! *distinct* sessions step in parallel with no shared mutable state, so
-//! every session's placements are bit-identical to the same cell served
-//! alone (pinned by `tests/serve_sessions.rs`).
+//! strictly sequential (one lock holder at a time), while *distinct*
+//! sessions step in parallel on different workers with no shared mutable
+//! state, so every session's placements are bit-identical to the same
+//! cell served alone (pinned by `tests/serve_sessions.rs`). No session
+//! owns a thread, so the daemon's thread count does not grow with its
+//! sessions.
 //!
 //! The manager is the only cross-session structure: a mutex-guarded name
 //! table (plus the retired default session's stats for the daemon
-//! summary), locked only long enough to clone a channel sender — never
-//! across a step.
+//! summary), locked only long enough to clone a session's lock handle —
+//! never across a step. Code that holds a session lock may take the table
+//! lock (an evictor swapping in a tombstone), never the other way round.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use flexserve_core::{initial_center, OffStatPlacement};
@@ -46,9 +48,10 @@ use crate::spec::{CellBuilder, CellSpec, StrategySpec};
 pub const DEFAULT_SESSION: &str = "default";
 
 /// Largest accepted `/step` batch (both the JSON-array and the
-/// `{"n": <k>}` forms). A batch occupies its session's actor for the
-/// whole run, so the cap bounds how long other commands (checkpoint,
-/// eviction) can queue behind one request; oversized batches are a 413.
+/// `{"n": <k>}` forms). A batch holds its session's lock for the whole
+/// run, so the cap bounds how long other operations on that session
+/// (checkpoint, eviction) wait behind one request; oversized batches are
+/// a 413.
 pub const MAX_BATCH_ROUNDS: usize = 4096;
 
 /// Where a session's rounds come from when `POST .../step` has an empty
@@ -168,7 +171,8 @@ pub enum ServeError {
     Exhausted,
     /// A step batch exceeds [`MAX_BATCH_ROUNDS`] (413).
     TooLarge(String),
-    /// The session thread died or checkpointing failed (500).
+    /// The session died (a panic in its strategy) or checkpointing
+    /// failed (500).
     Internal(String),
 }
 
@@ -186,52 +190,6 @@ impl std::fmt::Display for ServeError {
     }
 }
 
-/// One request to a session actor; replies come back over a one-shot
-/// channel so the calling HTTP worker blocks only on its own session.
-enum Command {
-    /// Play one round (empty body = pull the configured source).
-    Step {
-        body: String,
-        reply: Sender<Result<JsonValue, ServeError>>,
-    },
-    /// Play a whole batch of rounds in one actor hop — the batched
-    /// `/step` forms. Replies with the array of per-round step
-    /// documents, bit-identical to stepping the same rounds singly; a
-    /// malformed batch applies nothing, and a source shortfall restores
-    /// every pulled round before failing (410).
-    StepBatch {
-        spec: BatchSpec,
-        reply: Sender<Result<JsonValue, ServeError>>,
-    },
-    /// Current placement without playing a round.
-    Placement { reply: Sender<JsonValue> },
-    /// Cumulative counters.
-    Metrics { reply: Sender<JsonValue> },
-    /// Snapshot to the checkpoint file; replies with the document text.
-    Checkpoint {
-        reply: Sender<Result<String, ServeError>>,
-    },
-    /// Append substrate events to the live schedule.
-    Events {
-        body: String,
-        reply: Sender<Result<JsonValue, ServeError>>,
-    },
-    /// One row of `GET /sessions`.
-    Info { reply: Sender<JsonValue> },
-    /// Checkpoint and stop in **one** command — the idle reaper's and
-    /// the migration hand-off's atomic finish. Because the actor
-    /// serializes commands, no step (single or batch) can land between
-    /// the snapshot and the stop, so every round ever acknowledged to a
-    /// client is in the checkpoint. On a checkpoint failure the actor
-    /// replies `Err` and *keeps running*; the caller decides whether to
-    /// abort (migration) or force a plain `Stop` (idle eviction).
-    Finish {
-        reply: Sender<Result<SessionStats, ServeError>>,
-    },
-    /// Stop the actor (evict / daemon shutdown).
-    Stop { reply: Sender<SessionStats> },
-}
-
 /// What a batched step plays: explicit round bodies, or the next `k`
 /// rounds of the session's demand source.
 enum BatchSpec {
@@ -243,19 +201,24 @@ enum BatchSpec {
 }
 
 enum Entry {
-    /// Reserved while the actor builds its substrate — holds the name
-    /// against duplicates without blocking the table during a long build.
+    /// Reserved while the session's world is built (or while an evictor
+    /// checkpoints it) — holds the name against duplicates without
+    /// blocking the table during a long build.
     Starting,
     Live(Handle),
 }
 
+/// One session's lock. The state is `None` once the session finished
+/// (removed, evicted, migrated) or died (a panic in its strategy), so an
+/// operation that waited for the lock finds it gone, never half-stopped.
+type Slot = Mutex<Option<SessionState>>;
+
 struct Handle {
-    tx: Sender<Command>,
-    join: JoinHandle<()>,
-    /// Distinguishes incarnations of a reused name, so a failed
-    /// round-trip can only [`reap`](SessionManager::reap) the exact
-    /// incarnation it talked to — never a session recreated under the
-    /// same name in the meantime.
+    slot: Arc<Slot>,
+    /// Distinguishes incarnations of a reused name, so an operation that
+    /// found its session gone can only remove the exact incarnation it
+    /// talked to — never a session recreated under the same name in the
+    /// meantime.
     generation: u64,
     /// When a client last operated on this session (step / placement /
     /// metrics / checkpoint). `GET /sessions` info rows do *not* count —
@@ -330,8 +293,8 @@ impl SessionManager {
         }
     }
 
-    /// Creates and starts a session, blocking until its substrate is
-    /// built (or resumed from checkpoint) so a broken spec fails the
+    /// Creates a session, building its substrate (or resuming it from
+    /// checkpoint) on the calling thread so a broken spec fails the
     /// request instead of a half-started session. Returns the session's
     /// info document.
     pub fn create(&self, name: &str, cfg: SessionConfig) -> Result<JsonValue, ServeError> {
@@ -353,81 +316,71 @@ impl SessionManager {
             }
             inner.entries.insert(name.to_string(), Entry::Starting);
         }
-        let (ready_tx, ready_rx) = mpsc::channel();
-        let (cmd_tx, cmd_rx) = mpsc::channel();
         let checkpoint = cfg.checkpoint.clone();
-        let actor_name = name.to_string();
-        let spawned = std::thread::Builder::new()
-            .name(format!("session-{name}"))
-            .spawn(move || run_session(&actor_name, cfg, &ready_tx, &cmd_rx));
-        let join = match spawned {
-            Ok(join) => join,
+        // A panicking build must neither keep the name reserved nor take
+        // the worker thread down with it.
+        let built = match catch_unwind(AssertUnwindSafe(|| build_session(name, cfg))) {
+            Ok(Ok(state)) => Ok(state),
+            Ok(Err(e)) => Err(ServeError::Bad(e)),
+            Err(_) => Err(ServeError::Internal(format!(
+                "session {name:?} died during startup"
+            ))),
+        };
+        let mut inner = self.inner.lock().unwrap();
+        let state = match built {
+            Ok(state) => state,
             Err(e) => {
-                self.inner.lock().unwrap().entries.remove(name);
-                return Err(ServeError::Internal(format!("cannot spawn session: {e}")));
+                inner.entries.remove(name);
+                return Err(e);
             }
         };
-        match ready_rx.recv() {
-            Ok(Ok(info)) => {
-                let mut inner = self.inner.lock().unwrap();
-                let generation = inner.next_generation;
-                inner.next_generation += 1;
-                // A recreated name supersedes its idle-eviction tombstone.
-                inner.evicted.remove(name);
-                inner.entries.insert(
-                    name.to_string(),
-                    Entry::Live(Handle {
-                        tx: cmd_tx,
-                        join,
-                        generation,
-                        last_used: Instant::now(),
-                        checkpoint,
-                    }),
-                );
-                Ok(info)
-            }
-            Ok(Err(e)) => {
-                let _ = join.join();
-                self.inner.lock().unwrap().entries.remove(name);
-                Err(ServeError::Bad(e))
-            }
-            Err(_) => {
-                let _ = join.join();
-                self.inner.lock().unwrap().entries.remove(name);
-                Err(ServeError::Internal(format!(
-                    "session {name:?} died during startup"
-                )))
-            }
-        }
+        let info = info_json(&state);
+        let generation = inner.next_generation;
+        inner.next_generation += 1;
+        // A recreated name supersedes its idle-eviction tombstone.
+        inner.evicted.remove(name);
+        inner.entries.insert(
+            name.to_string(),
+            Entry::Live(Handle {
+                slot: Arc::new(Mutex::new(Some(state))),
+                generation,
+                last_used: Instant::now(),
+                checkpoint,
+            }),
+        );
+        Ok(info)
     }
 
     /// Plays one round on `name` — an empty `body` pulls the session's
     /// demand source, a `{"origins": [...]}` body plays that multi-set —
-    /// or a whole batch in one actor round-trip: a JSON array body is a
-    /// batch of explicit rounds, `{"n": <k>}` pulls the next `k` source
-    /// rounds. A batch replies with the array of per-round step
-    /// documents, bit-identical to stepping the same rounds singly.
+    /// or a whole batch under one hold of the session lock: a JSON array
+    /// body is a batch of explicit rounds, `{"n": <k>}` pulls the next
+    /// `k` source rounds. A batch replies with the array of per-round
+    /// step documents, bit-identical to stepping the same rounds singly;
+    /// a malformed batch applies nothing, and a source shortfall restores
+    /// every pulled round before failing (410).
     pub fn step(&self, name: &str, body: &str) -> Result<JsonValue, ServeError> {
-        if let Some(spec) = parse_batch_body(body)? {
-            return self.roundtrip(name, |reply| Command::StepBatch { spec, reply })?;
+        match parse_batch_body(body)? {
+            Some(spec) => self.with_live(name, |state| step_batch(state, spec))?,
+            None => self.with_live(name, |state| step(state, body))?,
         }
-        let body = body.to_string();
-        self.roundtrip(name, |reply| Command::Step { body, reply })?
     }
 
     /// Current placement of `name`.
     pub fn placement(&self, name: &str) -> Result<JsonValue, ServeError> {
-        self.roundtrip(name, |reply| Command::Placement { reply })
+        self.with_live(name, |state| placement_json(state))
     }
 
     /// Cumulative counters of `name`.
     pub fn metrics(&self, name: &str) -> Result<JsonValue, ServeError> {
-        self.roundtrip(name, |reply| Command::Metrics { reply })
+        self.with_live(name, |state| metrics_json(state))
     }
 
     /// Checkpoints `name`; returns the written document text.
     pub fn checkpoint(&self, name: &str) -> Result<String, ServeError> {
-        self.roundtrip(name, |reply| Command::Checkpoint { reply })?
+        self.with_live(name, |state| {
+            checkpoint(state).map_err(ServeError::Internal)
+        })?
     }
 
     /// Appends substrate events to `name`'s live schedule — the
@@ -436,8 +389,7 @@ impl SessionManager {
     /// (`docs/FAULTS.md`); events scheduled before the session's current
     /// round are refused.
     pub fn events(&self, name: &str, body: &str) -> Result<JsonValue, ServeError> {
-        let body = body.to_string();
-        self.roundtrip(name, |reply| Command::Events { body, reply })?
+        self.with_live(name, |state| append_events(state, body))?
     }
 
     /// Checkpoints every live session to its checkpoint file without
@@ -447,28 +399,23 @@ impl SessionManager {
     /// skipped (a full disk must not wedge the shutdown). Returns the
     /// names checkpointed, sorted.
     pub fn checkpoint_all(&self) -> Vec<String> {
-        let targets: Vec<(String, Sender<Command>)> = {
+        let targets: Vec<(String, Arc<Slot>)> = {
             let inner = self.inner.lock().unwrap();
             inner
                 .entries
                 .iter()
                 .filter_map(|(name, e)| match e {
-                    Entry::Live(h) => Some((name.clone(), h.tx.clone())),
+                    Entry::Live(h) => Some((name.clone(), Arc::clone(&h.slot))),
                     Entry::Starting => None,
                 })
                 .collect()
         };
         let mut saved = Vec::with_capacity(targets.len());
-        for (name, tx) in targets {
-            let (rtx, rrx) = mpsc::channel();
-            if tx.send(Command::Checkpoint { reply: rtx }).is_err() {
-                eprintln!("serve: shutdown checkpoint {name:?}: session died");
-                continue;
-            }
-            match rrx.recv() {
-                Ok(Ok(_)) => saved.push(name),
-                Ok(Err(e)) => eprintln!("serve: shutdown checkpoint {name:?}: {e}"),
-                Err(_) => eprintln!("serve: shutdown checkpoint {name:?}: session died"),
+        for (name, slot) in targets {
+            match run_guarded(&mut slot.lock().unwrap(), |s| s.as_mut().map(checkpoint)) {
+                Some(Ok(_)) => saved.push(name),
+                Some(Err(e)) => eprintln!("serve: shutdown checkpoint {name:?}: {e}"),
+                None => eprintln!("serve: shutdown checkpoint {name:?}: session died"),
             }
         }
         saved.sort();
@@ -503,7 +450,7 @@ impl SessionManager {
                 _ => unreachable!("checked above"),
             }
         };
-        let stats = stop_actor(handle);
+        let stats = take_stats(&mut handle.slot.lock().unwrap());
         if name == DEFAULT_SESSION {
             self.inner.lock().unwrap().default_stats = Some(stats);
         }
@@ -543,55 +490,7 @@ impl SessionManager {
                 _ => unreachable!("checked above"),
             }
         };
-        // Checkpoint-and-stop in ONE actor command (`Finish`): a step
-        // batch already queued on the actor is either fully applied
-        // before the snapshot or never runs — no acknowledged round can
-        // fall between the checkpoint and the stop.
-        let (rtx, rrx) = mpsc::channel();
-        let finished = match handle.tx.send(Command::Finish { reply: rtx }) {
-            Err(_) => None, // actor dead: fall through to plain removal
-            Ok(()) => rrx.recv().ok(),
-        };
-        let checkpoint = handle.checkpoint.clone();
-        let stats = match finished {
-            Some(Ok(stats)) => {
-                // The actor checkpointed and exited after replying.
-                drop(handle.tx);
-                let _ = handle.join.join();
-                stats
-            }
-            Some(Err(e)) => {
-                // Checkpointing failed but the actor lives: put the entry
-                // back and report, so the caller's migration aborts with
-                // the session still serving where it was.
-                let mut inner = self.inner.lock().unwrap();
-                debug_assert!(matches!(inner.entries.get(name), Some(Entry::Starting)));
-                inner.entries.insert(name.to_string(), Entry::Live(handle));
-                return Err(e);
-            }
-            None => {
-                // The actor died under us — nothing left to migrate.
-                let mut inner = self.inner.lock().unwrap();
-                inner.entries.remove(name);
-                drop(handle.tx);
-                let _ = handle.join.join();
-                return Err(ServeError::Internal(format!("session {name:?} died")));
-            }
-        };
-        let mut inner = self.inner.lock().unwrap();
-        debug_assert!(matches!(inner.entries.get(name), Some(Entry::Starting)));
-        inner.entries.remove(name);
-        if name == DEFAULT_SESSION {
-            inner.default_stats = Some(stats);
-        }
-        insert_tombstone(
-            &mut inner,
-            name,
-            checkpoint,
-            stats.final_t,
-            Some(migrated_to.to_string()),
-        );
-        Ok(stats)
+        self.retire(name, handle, Some(migrated_to))
     }
 
     /// Evicts every live session no client has touched for `idle`:
@@ -628,49 +527,70 @@ impl SessionManager {
         };
         let mut evicted = Vec::with_capacity(victims.len());
         for (name, handle) in victims {
-            // Checkpoint-and-stop in ONE actor command (`Finish`), so the
-            // idle state is recoverable and a step batch racing the
-            // eviction is either fully in the snapshot or cleanly 404s —
-            // never acknowledged and then lost. A checkpoint failure
-            // (full disk, dead actor) still evicts, via a plain `Stop` —
-            // an unreapable session would defeat the whole mechanism.
-            let (rtx, rrx) = mpsc::channel();
-            let finished = if handle.tx.send(Command::Finish { reply: rtx }).is_ok() {
-                rrx.recv().ok()
-            } else {
-                None
-            };
-            let checkpoint = handle.checkpoint.clone();
-            let stats = match finished {
-                Some(Ok(stats)) => {
-                    drop(handle.tx);
-                    let _ = handle.join.join();
-                    stats
-                }
-                Some(Err(e)) => {
-                    eprintln!("serve: idle-evict {name:?}: checkpoint failed: {e}");
-                    stop_actor(handle)
-                }
-                None => {
-                    eprintln!("serve: idle-evict {name:?}: session died");
-                    stop_actor(handle)
-                }
-            };
-            // Swap our reservation for the tombstone. Nothing can have
-            // replaced it: create refuses existing names and reap only
-            // matches Live generations.
-            let mut inner = self.inner.lock().unwrap();
-            debug_assert!(matches!(inner.entries.get(&name), Some(Entry::Starting)));
-            inner.entries.remove(&name);
-            if name == DEFAULT_SESSION {
-                inner.default_stats = Some(stats);
-            }
-            insert_tombstone(&mut inner, &name, checkpoint, stats.final_t, None);
-            drop(inner);
+            // A checkpoint failure (full disk) still evicts: an
+            // unreapable session would defeat the whole mechanism.
+            let _ = self.retire(&name, handle, None);
             evicted.push(name);
         }
         evicted.sort();
         evicted
+    }
+
+    /// Checkpoints and stops a session whose name the caller holds
+    /// reserved (`Starting`), then swaps the reservation for a tombstone:
+    /// an idle eviction's (`migrated_to: None`) or a migration's. The
+    /// session lock is held from the snapshot until the tombstone is in,
+    /// so a step batch that got the lock first is wholly in the
+    /// checkpoint and one that gets it after finds the tombstone (404) —
+    /// no acknowledged round can fall between the checkpoint and the
+    /// stop. A failed checkpoint stops an idle session anyway, but aborts
+    /// a migration with the session put back live, where it was.
+    fn retire(
+        &self,
+        name: &str,
+        handle: Handle,
+        migrated_to: Option<&str>,
+    ) -> Result<SessionStats, ServeError> {
+        let mut slot = handle.slot.lock().unwrap();
+        // `None` when the session had already died; on a failed
+        // checkpoint the session stays in its slot.
+        let finished = run_guarded(&mut slot, |s| {
+            let saved = checkpoint(s.as_mut()?).map_err(ServeError::Internal);
+            Some(saved.map(|_| take_stats(s)))
+        });
+        // Nothing can have replaced the reservation: create refuses
+        // existing names and only Live entries are ever reaped.
+        let mut inner = self.inner.lock().unwrap();
+        debug_assert!(matches!(inner.entries.get(name), Some(Entry::Starting)));
+        let stats = match finished {
+            Some(Ok(stats)) => stats,
+            Some(Err(e)) if migrated_to.is_some() => {
+                drop(slot);
+                inner.entries.insert(name.to_string(), Entry::Live(handle));
+                return Err(e);
+            }
+            None if migrated_to.is_some() => {
+                // The session died under us — nothing left to migrate.
+                inner.entries.remove(name);
+                return Err(ServeError::Internal(format!("session {name:?} died")));
+            }
+            Some(Err(e)) => {
+                eprintln!("serve: idle-evict {name:?}: checkpoint failed: {e}");
+                take_stats(&mut slot)
+            }
+            None => {
+                eprintln!("serve: idle-evict {name:?}: session died");
+                SessionStats::default()
+            }
+        };
+        inner.entries.remove(name);
+        if name == DEFAULT_SESSION {
+            inner.default_stats = Some(stats);
+        }
+        let checkpoint = handle.checkpoint.clone();
+        let migrated_to = migrated_to.map(str::to_string);
+        insert_tombstone(&mut inner, name, checkpoint, stats.final_t, migrated_to);
+        Ok(stats)
     }
 
     /// Stops every live session (daemon shutdown).
@@ -704,7 +624,7 @@ impl SessionManager {
     /// (`evicted: true`, with the checkpoint file the session was
     /// snapshotted to). `count` counts live sessions only.
     pub fn list(&self) -> JsonValue {
-        type LiveRows = Vec<(String, Option<Sender<Command>>)>;
+        type LiveRows = Vec<(String, Option<Arc<Slot>>)>;
         let (mut rows, mut tombstones): (LiveRows, Vec<(String, EvictedRow)>) = {
             let inner = self.inner.lock().unwrap();
             (
@@ -712,11 +632,11 @@ impl SessionManager {
                     .entries
                     .iter()
                     .map(|(name, e)| {
-                        let tx = match e {
+                        let slot = match e {
                             Entry::Starting => None,
-                            Entry::Live(h) => Some(h.tx.clone()),
+                            Entry::Live(h) => Some(Arc::clone(&h.slot)),
                         };
-                        (name.clone(), tx)
+                        (name.clone(), slot)
                     })
                     .collect(),
                 inner
@@ -731,23 +651,16 @@ impl SessionManager {
         let count = rows.len();
         let mut sessions: Vec<JsonValue> = rows
             .into_iter()
-            .map(|(name, tx)| {
-                let starting = || {
+            .map(|(name, slot)| {
+                slot.and_then(|slot| {
+                    run_guarded(&mut slot.lock().unwrap(), |s| s.as_ref().map(info_json))
+                })
+                .unwrap_or_else(|| {
                     JsonValue::Obj(vec![
                         ("name".into(), JsonValue::from(name.as_str())),
                         ("status".into(), JsonValue::from("starting")),
                     ])
-                };
-                match tx {
-                    None => starting(),
-                    Some(tx) => {
-                        let (rtx, rrx) = mpsc::channel();
-                        if tx.send(Command::Info { reply: rtx }).is_err() {
-                            return starting();
-                        }
-                        rrx.recv().unwrap_or_else(|_| starting())
-                    }
-                }
+                })
             })
             .collect();
         sessions.extend(tombstones.into_iter().map(|(name, row)| {
@@ -779,15 +692,16 @@ impl SessionManager {
         ])
     }
 
-    /// Sends one command to a live session and waits for its reply. A
-    /// dead actor (panicked strategy) is evicted so later requests see a
-    /// clean 404 instead of a wedged name.
-    fn roundtrip<T>(
+    /// Runs `op` on live session `name` under its lock, on the calling
+    /// thread. A session that is gone by the time the lock is held, or
+    /// whose `op` panics, is removed from the table so later requests
+    /// see a clean 404 instead of a wedged name.
+    fn with_live<T>(
         &self,
         name: &str,
-        make: impl FnOnce(Sender<T>) -> Command,
+        op: impl FnOnce(&mut SessionState) -> T,
     ) -> Result<T, ServeError> {
-        let (tx, generation) = {
+        let (slot, generation) = {
             let mut inner = self.inner.lock().unwrap();
             match inner.entries.get_mut(name) {
                 None => return Err(ServeError::NotFound(name.to_string())),
@@ -798,57 +712,54 @@ impl SessionManager {
                 }
                 Some(Entry::Live(h)) => {
                     h.last_used = Instant::now();
-                    (h.tx.clone(), h.generation)
+                    (Arc::clone(&h.slot), h.generation)
                 }
             }
         };
-        let (rtx, rrx) = mpsc::channel();
-        let died = |this: &Self| {
-            this.reap(name, generation);
-            // The common way to lose this race is the idle reaper (or a
-            // migration) finishing the session between our table lookup
-            // and the actor hearing from us — that is an eviction, and
-            // must read like one (404 with the tombstone in place), not
-            // an internal error. A genuinely crashed actor leaves no
-            // tombstone and still reports 500.
-            let inner = this.inner.lock().unwrap();
-            if !inner.entries.contains_key(name) && inner.evicted.contains_key(name) {
-                ServeError::NotFound(name.to_string())
-            } else {
-                ServeError::Internal(format!("session {name:?} died"))
-            }
-        };
-        if tx.send(make(rtx)).is_err() {
-            return Err(died(self));
-        }
-        rrx.recv().map_err(|_| died(self))
+        let done = run_guarded(&mut slot.lock().unwrap(), |s| s.as_mut().map(op));
+        done.ok_or_else(|| self.gone(name, generation))
     }
 
-    /// Removes a dead session's entry so later requests see a clean 404.
-    /// Only the incarnation the failed round-trip actually talked to is
-    /// removed (by generation) — a session recreated under the same name
-    /// in the meantime is left alone.
-    fn reap(&self, name: &str, generation: u64) {
-        let handle = {
-            let mut inner = self.inner.lock().unwrap();
-            match inner.entries.get(name) {
-                Some(Entry::Live(h)) if h.generation == generation => {
-                    match inner.entries.remove(name) {
-                        Some(Entry::Live(handle)) => Some(handle),
-                        _ => unreachable!("checked above"),
-                    }
-                }
-                _ => None,
-            }
-        };
-        if let Some(handle) = handle {
-            // Close our command sender before joining: if the actor were
-            // somehow still draining its queue, a held sender would keep
-            // its recv() loop alive and wedge this join forever.
-            drop(handle.tx);
-            let _ = handle.join.join();
+    /// The error for an operation whose session was gone once it held
+    /// the lock, after removing that session's entry. Only the
+    /// incarnation the operation looked up is removed (by generation) —
+    /// a session recreated under the same name in the meantime is left
+    /// alone. The common way to lose this race is the idle reaper (or a
+    /// migration) finishing the session between the table lookup and the
+    /// lock; that is an eviction and must read like one (404 with the
+    /// tombstone in place), not an internal error. A session that died
+    /// leaves no tombstone and reports 500.
+    fn gone(&self, name: &str, generation: u64) -> ServeError {
+        let mut inner = self.inner.lock().unwrap();
+        if matches!(inner.entries.get(name), Some(Entry::Live(h)) if h.generation == generation) {
+            inner.entries.remove(name);
+        }
+        if !inner.entries.contains_key(name) && inner.evicted.contains_key(name) {
+            ServeError::NotFound(name.to_string())
+        } else {
+            ServeError::Internal(format!("session {name:?} died"))
         }
     }
+}
+
+/// Runs `op` on the contents of a held session lock. A panic in `op`
+/// empties the slot — the session dies — and yields `None`; the guard
+/// stays held through the unwind, so the mutex is not poisoned and the
+/// calling worker thread carries on.
+fn run_guarded<T>(
+    slot: &mut Option<SessionState>,
+    op: impl FnOnce(&mut Option<SessionState>) -> Option<T>,
+) -> Option<T> {
+    catch_unwind(AssertUnwindSafe(|| op(&mut *slot))).unwrap_or_else(|_| {
+        *slot = None;
+        None
+    })
+}
+
+/// Takes the session out of a held lock, returning its final stats
+/// (zeros when it had already died).
+fn take_stats(slot: &mut Option<SessionState>) -> SessionStats {
+    slot.take().map(|state| state.stats()).unwrap_or_default()
 }
 
 /// Records a tombstone for a session that left the table (idle eviction
@@ -881,18 +792,6 @@ fn insert_tombstone(
             .expect("non-empty map has a minimum");
         inner.evicted.remove(&oldest);
     }
-}
-
-/// Stops one live actor and collects its stats.
-fn stop_actor(handle: Handle) -> SessionStats {
-    let (rtx, rrx) = mpsc::channel();
-    let stats = if handle.tx.send(Command::Stop { reply: rtx }).is_ok() {
-        rrx.recv().unwrap_or_default()
-    } else {
-        SessionStats::default()
-    };
-    let _ = handle.join.join();
-    stats
 }
 
 /// Recognizes the batched `/step` body forms: a JSON array of rounds, or
@@ -960,14 +859,15 @@ fn validate_name(name: &str) -> Result<(), ServeError> {
 }
 
 // ---------------------------------------------------------------------
-// The per-session actor.
+// Per-session state and the operations run on it under its lock.
 // ---------------------------------------------------------------------
 
-/// Mutable per-session serving state, owned by the actor thread.
-struct SessionState<'s> {
-    name: &'s str,
-    session: &'s mut EventedSession<Box<dyn OnlineStrategy>>,
-    source: &'s mut dyn RequestSource,
+/// Everything one session owns; the manager holds it behind the
+/// session's lock.
+struct SessionState {
+    name: String,
+    session: EventedSession<Box<dyn OnlineStrategy + Send>>,
+    source: Box<dyn RequestSource + Send>,
     spec: String,
     checkpoint: PathBuf,
     resumed_at: u64,
@@ -990,7 +890,7 @@ struct SessionState<'s> {
     started: Instant,
 }
 
-impl SessionState<'_> {
+impl SessionState {
     /// Lifetime totals right now: checkpoint-carried plus this process.
     fn cumulative(&self) -> SessionMetrics {
         SessionMetrics {
@@ -1016,22 +916,12 @@ impl SessionState<'_> {
     }
 }
 
-/// The actor body: build the session world (reporting the outcome over
-/// `ready`), then serve commands until `Stop` or the manager hangs up.
-fn run_session(
-    name: &str,
-    cfg: SessionConfig,
-    ready: &Sender<Result<JsonValue, String>>,
-    commands: &Receiver<Command>,
-) {
-    let fail = |e: String| {
-        let _ = ready.send(Err(e));
-    };
+/// Builds a session's world from its config: substrate, strategy,
+/// [`EventedSession`] (fresh or resumed from the checkpoint) and demand
+/// source. Any error fails the creation before the session is listed.
+fn build_session(name: &str, cfg: SessionConfig) -> Result<SessionState, String> {
     let seed = cfg.cell.seeds[0];
-    let env = match ExperimentEnv::from_spec(&cfg.cell.topology, seed) {
-        Ok(env) => env,
-        Err(e) => return fail(e),
-    };
+    let env = ExperimentEnv::from_spec(&cfg.cell.topology, seed)?;
     let ctx = env.context(cfg.cell.params, cfg.cell.load);
     let node_count = env.graph.node_count();
     // Sessions share the cache's graph and matrix; a session's first
@@ -1043,19 +933,9 @@ fn run_session(
     // Resume state, read before anything is constructed so a bad
     // checkpoint aborts the creation instead of a half-served session.
     let (snapshot, source_consumed) = if cfg.resume {
-        let text = match std::fs::read_to_string(&cfg.checkpoint) {
-            Ok(text) => text,
-            Err(e) => {
-                return fail(format!(
-                    "cannot read checkpoint {}: {e}",
-                    cfg.checkpoint.display()
-                ))
-            }
-        };
-        let snap = match SessionSnapshot::from_json(&text) {
-            Ok(snap) => snap,
-            Err(e) => return fail(e),
-        };
+        let text = std::fs::read_to_string(&cfg.checkpoint)
+            .map_err(|e| format!("cannot read checkpoint {}: {e}", cfg.checkpoint.display()))?;
+        let snap = SessionSnapshot::from_json(&text)?;
         // The daemon's sidecar field (see `checkpoint()`): how many rounds
         // came out of the demand source, as opposed to explicit-body
         // steps. Fast-forwarding by `t` instead would over-skip source
@@ -1065,7 +945,7 @@ fn run_session(
             .and_then(|v| v.get("source_rounds").and_then(JsonValue::as_u64))
             .unwrap_or(snap.t);
         if consumed > snap.t {
-            return fail(format!(
+            return Err(format!(
                 "corrupt checkpoint: source_rounds {consumed} exceeds t {}",
                 snap.t
             ));
@@ -1090,27 +970,24 @@ fn run_session(
     // The strategy. OFFSTAT has no pure-streaming form: its placement is
     // computed from the recorded scenario trace (scenario sources only) —
     // on resume the placement travels inside the checkpoint instead.
-    let strategy: Box<dyn OnlineStrategy> = if cfg.cell.strategy == StrategySpec::OffStat {
+    let strategy: Box<dyn OnlineStrategy + Send> = if cfg.cell.strategy == StrategySpec::OffStat {
         if snapshot.is_some() {
             Box::new(OffStatPlacement::new(Vec::new()))
         } else if cfg.source == SourceKind::Scenario {
             let trace = record_cell_trace(&cfg.cell, &env, seed);
             Box::new(OffStatPlacement::from_trace(&ctx, &trace))
         } else {
-            return fail(
+            return Err(
                 "strat=offstat needs source=scenario (the placement is computed \
                  from the recorded scenario trace)"
                     .into(),
             );
         }
     } else {
-        match cfg.cell.strategy.instantiate_online(&ctx, seed) {
-            Ok(s) => s,
-            Err(e) => return fail(e),
-        }
+        cfg.cell.strategy.instantiate_online(&ctx, seed)?
     };
 
-    let mut session = match &snapshot {
+    let session = match &snapshot {
         Some(snap) => {
             // The checkpoint's recorded schedule is authoritative on
             // resume: an `events=` key restating it verbatim is accepted
@@ -1118,7 +995,7 @@ fn run_session(
             // is refused rather than silently merged or doubled.
             let recorded = snap.substrate_events.clone().unwrap_or_default();
             if !cfg.cell.events.is_empty() && cfg.cell.events.render() != recorded {
-                return fail(format!(
+                return Err(format!(
                     "resume: events= ({}) conflicts with the checkpointed schedule ({}); \
                      the checkpoint restores its own events — append new ones via \
                      POST /sessions/<name>/events",
@@ -1130,17 +1007,7 @@ fn run_session(
                     },
                 ));
             }
-            match EventedSession::resume(
-                graph,
-                dist,
-                cfg.cell.params,
-                cfg.cell.load,
-                strategy,
-                snap,
-            ) {
-                Ok(session) => session,
-                Err(e) => return fail(e),
-            }
+            EventedSession::resume(graph, dist, cfg.cell.params, cfg.cell.load, strategy, snap)?
         }
         None => EventedSession::new(
             graph,
@@ -1157,7 +1024,7 @@ fn run_session(
     // history actually consumed from it (explicit-body steps do not
     // advance the source), so a resumed session sees the same source
     // rounds an uninterrupted one would.
-    let mut source: Box<dyn RequestSource> = match &cfg.source {
+    let source: Box<dyn RequestSource + Send> = match &cfg.source {
         SourceKind::Scenario => {
             let scenario = cfg.cell.workload.instantiate(
                 &env.graph,
@@ -1173,31 +1040,28 @@ fn run_session(
         SourceKind::File(path) => {
             // Packed or JSONL, sniffed by magic. A packed replay skips by
             // an O(1) frame-index seek; JSONL pulls and discards.
-            let mut replay = match replay_source(path, node_count) {
-                Ok(replay) => replay,
-                Err(e) => return fail(e),
-            };
-            if let Err(e) = replay.skip(source_consumed) {
-                return fail(if e.contains("exhausted") {
+            let mut replay = replay_source(path, node_count)?;
+            replay.skip(source_consumed).map_err(|e| {
+                if e.contains("exhausted") {
                     format!(
                         "replay {path} is shorter than the checkpoint \
                          (source_rounds={source_consumed})"
                     )
                 } else {
                     e
-                });
-            }
+                }
+            })?;
             replay
         }
         SourceKind::Stdin => Box::new(stdin_source(node_count)),
     };
 
-    let mut state = SessionState {
-        name,
-        session: &mut session,
-        source: source.as_mut(),
+    Ok(SessionState {
+        name: name.to_string(),
+        session,
+        source,
         spec: cfg.cell.describe(),
-        checkpoint: cfg.checkpoint.clone(),
+        checkpoint: cfg.checkpoint,
         resumed_at,
         source_consumed,
         pending: VecDeque::new(),
@@ -1206,49 +1070,7 @@ fn run_session(
         step_seconds_total: 0.0,
         carried,
         started: Instant::now(),
-    };
-    if ready.send(Ok(info_json(&state))).is_err() {
-        return; // manager gave up on us
-    }
-
-    while let Ok(cmd) = commands.recv() {
-        match cmd {
-            Command::Step { body, reply } => {
-                let _ = reply.send(step(&mut state, &body));
-            }
-            Command::StepBatch { spec, reply } => {
-                let _ = reply.send(step_batch(&mut state, spec));
-            }
-            Command::Placement { reply } => {
-                let _ = reply.send(placement_json(&state));
-            }
-            Command::Metrics { reply } => {
-                let _ = reply.send(metrics_json(&state));
-            }
-            Command::Checkpoint { reply } => {
-                let _ = reply.send(checkpoint(&mut state).map_err(ServeError::Internal));
-            }
-            Command::Events { body, reply } => {
-                let _ = reply.send(append_events(&mut state, &body));
-            }
-            Command::Info { reply } => {
-                let _ = reply.send(info_json(&state));
-            }
-            Command::Finish { reply } => match checkpoint(&mut state) {
-                Ok(_) => {
-                    let _ = reply.send(Ok(state.stats()));
-                    return;
-                }
-                Err(e) => {
-                    let _ = reply.send(Err(ServeError::Internal(e)));
-                }
-            },
-            Command::Stop { reply } => {
-                let _ = reply.send(state.stats());
-                return;
-            }
-        }
-    }
+    })
 }
 
 /// Records the cell's scenario into a trace (OFFSTAT placement input).
@@ -1259,7 +1081,7 @@ fn record_cell_trace(cell: &CellSpec, env: &ExperimentEnv, seed: u64) -> Trace {
     record(scenario.as_mut(), cell.rounds)
 }
 
-fn step(state: &mut SessionState<'_>, body: &str) -> Result<JsonValue, ServeError> {
+fn step(state: &mut SessionState, body: &str) -> Result<JsonValue, ServeError> {
     let batch = if body.trim().is_empty() {
         // A round restored by a failed batch is replayed before the
         // source is pulled again (it was already counted at pull time).
@@ -1290,13 +1112,13 @@ fn step(state: &mut SessionState<'_>, body: &str) -> Result<JsonValue, ServeErro
     Ok(round_json(state, &rec))
 }
 
-/// Plays a whole batch in one actor hop. Explicit rounds are parsed
-/// up front, so a malformed batch applies nothing; a source shortfall
-/// restores every pulled round to the pending backlog and fails the
-/// whole batch with 410. A mid-batch step failure (a substrate event
+/// Plays a whole batch under one hold of the session lock. Explicit
+/// rounds are parsed up front, so a malformed batch applies nothing; a
+/// source shortfall restores every pulled round to the pending backlog
+/// and fails the whole batch with 410. A mid-batch step failure (a substrate event
 /// that cannot apply) reports how far the batch got — exactly the state
 /// the same rounds stepped singly would have left.
-fn step_batch(state: &mut SessionState<'_>, spec: BatchSpec) -> Result<JsonValue, ServeError> {
+fn step_batch(state: &mut SessionState, spec: BatchSpec) -> Result<JsonValue, ServeError> {
     let (mut rounds, from_source) = match spec {
         BatchSpec::Rounds(values) => {
             let node_count = state.session.world().graph().node_count();
@@ -1366,7 +1188,7 @@ fn step_batch(state: &mut SessionState<'_>, spec: BatchSpec) -> Result<JsonValue
 
 /// Puts pulled-but-unplayed source rounds back at the head of the
 /// pending backlog, preserving demand order.
-fn restore_pending(state: &mut SessionState<'_>, rounds: Vec<RoundRequests>) {
+fn restore_pending(state: &mut SessionState, rounds: Vec<RoundRequests>) {
     for round in rounds.into_iter().rev() {
         state.pending.push_front(round);
     }
@@ -1376,7 +1198,7 @@ fn restore_pending(state: &mut SessionState<'_>, rounds: Vec<RoundRequests>) {
 /// grammar>"}` from the body and appends to the live schedule. Past
 /// events (before the session's current round) are refused by
 /// [`EventedSession::append_events`].
-fn append_events(state: &mut SessionState<'_>, body: &str) -> Result<JsonValue, ServeError> {
+fn append_events(state: &mut SessionState, body: &str) -> Result<JsonValue, ServeError> {
     let value = JsonValue::parse(body.trim()).map_err(ServeError::Bad)?;
     let text = value
         .get("events")
@@ -1392,7 +1214,7 @@ fn append_events(state: &mut SessionState<'_>, body: &str) -> Result<JsonValue, 
         .map_err(ServeError::Bad)?;
     Ok(JsonValue::Obj(vec![
         ("ok".into(), JsonValue::Bool(true)),
-        ("session".into(), JsonValue::from(state.name)),
+        ("session".into(), JsonValue::from(state.name.as_str())),
         ("appended".into(), JsonValue::from(more.len())),
         (
             "events".into(),
@@ -1402,7 +1224,7 @@ fn append_events(state: &mut SessionState<'_>, body: &str) -> Result<JsonValue, 
     ]))
 }
 
-fn checkpoint(state: &mut SessionState<'_>) -> Result<String, String> {
+fn checkpoint(state: &mut SessionState) -> Result<String, String> {
     let mut snap = state.session.snapshot()?;
     // v2: the checkpoint carries the session's lifetime totals, so a
     // restarted daemon keeps counting where this one stops.
@@ -1445,7 +1267,7 @@ fn costs_json(costs: &CostBreakdown) -> JsonValue {
     ])
 }
 
-fn fleet_json(state: &SessionState<'_>) -> Vec<(String, JsonValue)> {
+fn fleet_json(state: &SessionState) -> Vec<(String, JsonValue)> {
     let fleet = state.session.fleet();
     vec![
         (
@@ -1476,7 +1298,7 @@ fn fleet_json(state: &SessionState<'_>) -> Vec<(String, JsonValue)> {
     ]
 }
 
-fn round_json(state: &SessionState<'_>, rec: &RoundRecord) -> JsonValue {
+fn round_json(state: &SessionState, rec: &RoundRecord) -> JsonValue {
     let mut pairs = vec![
         ("t".into(), JsonValue::from(rec.t)),
         ("requests".into(), JsonValue::from(rec.requests)),
@@ -1486,16 +1308,16 @@ fn round_json(state: &SessionState<'_>, rec: &RoundRecord) -> JsonValue {
     JsonValue::Obj(pairs)
 }
 
-fn placement_json(state: &SessionState<'_>) -> JsonValue {
+fn placement_json(state: &SessionState) -> JsonValue {
     let mut pairs = vec![("t".into(), JsonValue::from(state.session.t()))];
     pairs.extend(fleet_json(state));
     JsonValue::Obj(pairs)
 }
 
-fn metrics_json(state: &SessionState<'_>) -> JsonValue {
+fn metrics_json(state: &SessionState) -> JsonValue {
     let cumulative = state.cumulative();
     JsonValue::Obj(vec![
-        ("session".into(), JsonValue::from(state.name)),
+        ("session".into(), JsonValue::from(state.name.as_str())),
         (
             "strategy".into(),
             JsonValue::from(state.session.strategy().name()),
@@ -1536,9 +1358,9 @@ fn metrics_json(state: &SessionState<'_>) -> JsonValue {
 }
 
 /// One `GET /sessions` row (also the `POST /sessions` response).
-fn info_json(state: &SessionState<'_>) -> JsonValue {
+fn info_json(state: &SessionState) -> JsonValue {
     let mut pairs = vec![
-        ("name".into(), JsonValue::from(state.name)),
+        ("name".into(), JsonValue::from(state.name.as_str())),
         ("status".into(), JsonValue::from("live")),
         ("spec".into(), JsonValue::from(state.spec.clone())),
         (
@@ -2059,44 +1881,95 @@ mod tests {
         let ck = dir.join("racer.json");
         let ck_arg = format!("checkpoint={}", ck.display());
         let mgr = SessionManager::new(4);
-        mgr.create("racer", tiny("racer", &[&ck_arg])).unwrap();
-        mgr.step("racer", "").unwrap();
+        for _ in 0..400 {
+            mgr.create("racer", tiny("racer", &[&ck_arg])).unwrap();
+            mgr.step("racer", "").unwrap();
 
-        // Queue a batch directly on the actor channel, then run the
-        // evictor: command FIFO means the batch lands before the
-        // evictor's atomic checkpoint-and-stop, so every acknowledged
-        // round must be in the auto-checkpoint.
-        let tx = {
-            let inner = mgr.inner.lock().unwrap();
-            match inner.entries.get("racer") {
-                Some(Entry::Live(h)) => h.tx.clone(),
+            // Hold the session's lock so that a real {"n": 3} batch and
+            // the evictor's checkpoint-and-stop both queue on it, then let
+            // them race for it. Whichever wins, the batch is either
+            // acknowledged in full and inside the auto-checkpoint, or
+            // refused with nothing applied — never acknowledged and lost.
+            let slot = match mgr.inner.lock().unwrap().entries.get("racer") {
+                Some(Entry::Live(h)) => Arc::clone(&h.slot),
                 _ => panic!("racer must be live"),
+            };
+            let held = slot.lock().unwrap();
+            let (batch, evicted) = std::thread::scope(|s| {
+                let batch = s.spawn(|| mgr.step("racer", r#"{"n": 3}"#));
+                // The batch holds a handle to the lock once it has looked
+                // the session up.
+                while Arc::strong_count(&slot) < 3 {
+                    std::thread::yield_now();
+                }
+                let evictor = s.spawn(|| mgr.evict_idle(std::time::Duration::ZERO));
+                // The evictor has reserved the name and waits for the lock.
+                while !matches!(
+                    mgr.inner.lock().unwrap().entries.get("racer"),
+                    Some(Entry::Starting)
+                ) {
+                    std::thread::yield_now();
+                }
+                drop(held);
+                (batch.join().unwrap(), evictor.join().unwrap())
+            });
+            assert_eq!(evicted, vec!["racer"]);
+            let text = std::fs::read_to_string(&ck).expect("auto-checkpoint written");
+            let t = JsonValue::parse(&text).unwrap().get("t").unwrap().as_u64();
+            match batch {
+                Ok(JsonValue::Arr(rows)) => {
+                    assert_eq!(rows.len(), 3, "the batch was acknowledged in full");
+                    assert_eq!(t, Some(4), "checkpoint must include the batch: {text}");
+                }
+                Err(ServeError::NotFound(_)) => {
+                    assert_eq!(t, Some(1), "a refused batch applies nothing: {text}");
+                }
+                other => panic!("batch must be acknowledged or 404, got {other:?}"),
             }
-        };
-        let (rtx, rrx) = mpsc::channel();
-        tx.send(Command::StepBatch {
-            spec: BatchSpec::FromSource(3),
-            reply: rtx,
-        })
-        .unwrap();
-        assert_eq!(mgr.evict_idle(std::time::Duration::ZERO), vec!["racer"]);
-        let rows = match rrx.recv().unwrap().unwrap() {
-            JsonValue::Arr(rows) => rows,
-            other => panic!("batch reply must be an array, got {other:?}"),
-        };
-        assert_eq!(rows.len(), 3, "the queued batch was acknowledged in full");
-        let text = std::fs::read_to_string(&ck).expect("auto-checkpoint written");
-        assert!(
-            text.contains("\"t\":4"),
-            "checkpoint must include the acknowledged batch: {text}"
-        );
 
-        // After the eviction the whole batch path reads as a clean 404 —
-        // no partial rounds anywhere.
-        match mgr.step("racer", r#"{"n": 2}"#) {
-            Err(ServeError::NotFound(_)) => {}
-            other => panic!("evicted session must 404, got {other:?}"),
+            // After the eviction the whole batch path reads as a clean 404
+            // — no partial rounds anywhere.
+            match mgr.step("racer", r#"{"n": 2}"#) {
+                Err(ServeError::NotFound(_)) => {}
+                other => panic!("evicted session must 404, got {other:?}"),
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_session_dies_alone() {
+        let mgr = SessionManager::new(4);
+        mgr.create("doomed", tiny("doomed", &[])).unwrap();
+        mgr.create("other", tiny("other", &[])).unwrap();
+        mgr.step("doomed", "").unwrap();
+        mgr.step("other", "").unwrap();
+
+        // A panic under the session lock (a strategy bug) kills that
+        // session only: the call reports 500 and this thread carries on.
+        match mgr.with_live("doomed", |_| -> JsonValue { panic!("strategy bug") }) {
+            Err(ServeError::Internal(msg)) => assert!(msg.contains("died"), "{msg}"),
+            other => panic!("a panicking session must be Internal, got {other:?}"),
+        }
+        match mgr.step("doomed", "") {
+            Err(ServeError::NotFound(_)) => {}
+            other => panic!("a dead session must 404, got {other:?}"),
+        }
+        let list = mgr.list();
+        assert_eq!(list.get("count").unwrap().as_u64(), Some(1));
+        match list.get("sessions").unwrap() {
+            JsonValue::Arr(rows) => {
+                assert_eq!(rows.len(), 1);
+                assert_eq!(rows[0].get("name").unwrap().as_str(), Some("other"));
+            }
+            other => panic!("sessions must be an array, got {other:?}"),
+        }
+        for t in 1..4 {
+            let round = mgr.step("other", "").unwrap();
+            assert_eq!(round.get("t").unwrap().as_u64(), Some(t));
+        }
+        // The dead session's name is free again.
+        mgr.create("doomed", tiny("doomed", &[])).unwrap();
+        mgr.shutdown_all();
     }
 }

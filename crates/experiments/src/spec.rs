@@ -678,7 +678,7 @@ impl StrategySpec {
         self,
         ctx: &SimContext<'_>,
         seed: u64,
-    ) -> Result<Box<dyn OnlineStrategy>, String> {
+    ) -> Result<Box<dyn OnlineStrategy + Send>, String> {
         match self {
             StrategySpec::OnTh => Ok(Box::new(OnTh::new())),
             StrategySpec::OnBrFixed => Ok(Box::new(OnBr::fixed(ctx))),

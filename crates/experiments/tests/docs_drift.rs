@@ -437,3 +437,23 @@ fn no_doc_names_the_retired_static_session() {
         );
     }
 }
+
+#[test]
+fn no_doc_describes_the_retired_session_actors() {
+    // A session is data behind its own lock, run on the calling worker;
+    // no session owns a thread or a command channel ("reactor thread"
+    // names the front end's event loops and stays)
+    for (path, text) in doc_tree() {
+        let text = text.to_lowercase();
+        for retired in [concat!("actor", " thread"), concat!("actor", " channel")] {
+            let named = text
+                .match_indices(retired)
+                .any(|(at, _)| !text[..at].ends_with(|c: char| c.is_alphabetic()));
+            assert!(
+                !named,
+                "{} must not describe the retired session {retired}",
+                path.display()
+            );
+        }
+    }
+}

@@ -400,3 +400,56 @@ fn ten_thousand_idle_connections_cost_fds_not_threads() {
     }
     let _ = std::fs::remove_file(&ck);
 }
+
+/// Sessions are data, not threads: each runs on whichever worker serves
+/// its request, under its own lock, so creating 32 sessions leaves the
+/// daemon's thread count where its fixed pools put it.
+#[test]
+#[cfg(target_os = "linux")]
+fn sessions_cost_no_threads() {
+    let dir = std::env::temp_dir().join(format!("flexserve-batch-threads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cell = [
+        "topo=unit-line:8",
+        "wl=uniform:req=3",
+        "strat=onth",
+        "rounds=40",
+        "seed=3",
+        "k=4",
+    ];
+    let ck_arg = format!("checkpoint={}", dir.join("default.json").display());
+    let mut daemon_args = vec!["serve", "bind=127.0.0.1:0", "workers=2", "max-sessions=40"];
+    daemon_args.extend(cell);
+    daemon_args.push(&ck_arg);
+    let (mut daemon, addr) = spawn_announced(&daemon_args);
+
+    // Warm up first so the fixed pools exist before the baseline sample.
+    let (status, body) = http(addr, "POST", "/step", "");
+    assert_eq!(status, 200, "{body}");
+    let baseline_threads = thread_count(daemon.id());
+    for i in 0..32 {
+        let name = format!("s{i}");
+        let mut args: Vec<String> = cell.iter().map(|s| s.to_string()).collect();
+        args.push(format!(
+            "checkpoint={}",
+            dir.join(format!("{name}.json")).display()
+        ));
+        create_session(addr, &name, &args);
+    }
+    let (status, listing) = http(addr, "GET", "/sessions", "");
+    let threads = thread_count(daemon.id());
+    // Stop the daemon before asserting, so a failure leaves no process.
+    let (shutdown, _) = http(addr, "POST", "/shutdown", "");
+    let exit = daemon.wait().expect("process exit");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(status, 200, "{listing}");
+    assert_eq!(json(&listing).get("count").unwrap().as_u64(), Some(33));
+    assert!(
+        threads <= baseline_threads + 2,
+        "thread count must not scale with sessions \
+         (baseline {baseline_threads}, with 32 more sessions {threads})"
+    );
+    assert_eq!(shutdown, 200);
+    assert!(exit.success(), "daemon exited with {exit}");
+}

@@ -336,24 +336,43 @@ impl<'a> Parser<'a> {
                 Some(b'"') => out.push('"'),
                 Some(b'\\') => out.push('\\'),
                 Some(b'/') => out.push('/'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
                 Some(b'n') => out.push('\n'),
                 Some(b'r') => out.push('\r'),
                 Some(b't') => out.push('\t'),
                 Some(b'u') => {
-                    let hex = self
-                        .bytes()
-                        .get(self.pos + 1..self.pos + 5)
-                        .and_then(|h| std::str::from_utf8(h).ok())
-                        .ok_or("json: bad \\u escape")?;
-                    let code = u32::from_str_radix(hex, 16)
-                        .map_err(|_| "json: bad \\u escape".to_string())?;
-                    out.push(char::from_u32(code).ok_or("json: \\u escape not a scalar")?);
+                    let mut code = self.hex4(self.pos + 1)?;
                     self.pos += 4;
+                    // A high surrogate and the escaped low one after it
+                    // encode one character outside the BMP.
+                    if (0xD800..0xDC00).contains(&code) {
+                        let low = match self.bytes().get(self.pos + 1..self.pos + 3) {
+                            Some(b"\\u") => self.hex4(self.pos + 3)?,
+                            _ => return Err("json: lone surrogate in \\u escape".into()),
+                        };
+                        if !(0xDC00..0xE000).contains(&low) {
+                            return Err("json: lone surrogate in \\u escape".into());
+                        }
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        self.pos += 6;
+                    }
+                    out.push(char::from_u32(code).ok_or("json: lone surrogate in \\u escape")?);
                 }
                 _ => return Err(format!("json: bad escape at byte {}", self.pos)),
             }
             self.pos += 1;
         }
+    }
+
+    /// The four hex digits of a `\u` escape starting at byte `at` —
+    /// exactly four ASCII hex digits, no sign or other prefix.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let digits = self.bytes().get(at..at + 4).ok_or("json: bad \\u escape")?;
+        digits.iter().try_fold(0, |code, &b| {
+            let digit = (b as char).to_digit(16).ok_or("json: bad \\u escape")?;
+            Ok(code << 4 | digit)
+        })
     }
 
     fn enter(&mut self) -> Result<(), String> {
@@ -573,5 +592,63 @@ mod tests {
         let rendered = JsonValue::Str("\u{1}".into()).render();
         assert_eq!(rendered, "\"\\u0001\"");
         assert_eq!(JsonValue::parse(&rendered).unwrap().as_str(), Some("\u{1}"));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u041""#,
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "{bad} must be refused");
+        }
+        assert_eq!(
+            JsonValue::parse(r#""\u00E9\u00e9""#).unwrap().as_str(),
+            Some("éé")
+        );
+        // the two short escapes JSON has besides \n, \r and \t
+        assert_eq!(
+            JsonValue::parse(r#""\b\f""#).unwrap().as_str(),
+            Some("\u{8}\u{c}")
+        );
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        assert_eq!(
+            JsonValue::parse(r#""a\ud83d\ude00b""#).unwrap().as_str(),
+            Some("a\u{1F600}b")
+        );
+        assert_eq!(
+            JsonValue::parse(r#""\uDBFF\uDFFF""#).unwrap().as_str(),
+            Some("\u{10FFFF}")
+        );
+    }
+
+    #[test]
+    fn lone_or_reversed_surrogates_are_refused() {
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\n""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+            r#""\ud83d\ud83d""#,
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "{bad} must be refused");
+        }
+    }
+
+    #[test]
+    fn non_bmp_strings_round_trip() {
+        let v = JsonValue::Obj(vec![(
+            "emoji".into(),
+            JsonValue::from("x\u{1F600}\u{10348}y"),
+        )]);
+        assert_eq!(JsonValue::parse(&v.render()).unwrap(), v);
     }
 }

@@ -14,8 +14,10 @@ use crate::round_trace::RoundTrace;
 /// A demand generator: produces the request multi-set `σt` for each round.
 ///
 /// Implementations are deterministic given their construction-time seed, so
-/// identical scenario objects replay identical demand.
-pub trait Scenario {
+/// identical scenario objects replay identical demand. Scenarios are
+/// `Send` so a serve session that streams one can be stepped from any
+/// worker thread.
+pub trait Scenario: Send {
     /// Requests arriving in round `t`. Rounds are queried in increasing
     /// order starting at 0; implementations may keep internal state.
     fn requests(&mut self, t: u64) -> RoundRequests;

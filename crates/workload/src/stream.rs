@@ -36,8 +36,8 @@ pub trait RequestSource {
     fn next_round(&mut self) -> Result<Option<RoundRequests>, String>;
 
     /// Pulls up to `n` rounds in one call — the batched `/step` path
-    /// (`{"n": <k>}` bodies), where one actor-channel hop amortizes over
-    /// the whole batch. Returns fewer than `n` rounds only when the
+    /// (`{"n": <k>}` bodies), where one request and one hold of the
+    /// session's lock amortize over the whole batch. Returns fewer than `n` rounds only when the
     /// source runs dry; the caller decides whether a shortfall is an
     /// error. The default loops over [`next_round`](Self::next_round).
     fn next_rounds(&mut self, n: u64) -> Result<Vec<RoundRequests>, String> {
@@ -249,7 +249,7 @@ pub fn file_source(
 /// streaming fallback), anything else a [`JsonlReplay`]. This is the one
 /// entry point behind `wl=replay:<path>` and `source=<path>`, so packed
 /// and JSONL traces are interchangeable everywhere.
-pub fn replay_source(path: &str, max_node: usize) -> Result<Box<dyn RequestSource>, String> {
+pub fn replay_source(path: &str, max_node: usize) -> Result<Box<dyn RequestSource + Send>, String> {
     if crate::packed::is_packed_file(path)? {
         Ok(Box::new(crate::packed::PackedReplay::open(path, max_node)?))
     } else {
