@@ -111,8 +111,9 @@ impl EpochWindow {
     }
 
     /// Restores a window from [`EpochWindow::export_json`] output. Rows
-    /// are re-sorted by origin, so a restored window is byte-for-byte the
-    /// window `push` would have built from the same rounds.
+    /// are re-sorted by origin and zero counts dropped, so a restored
+    /// window is byte-for-byte the window `push` would have built from
+    /// the same rounds.
     pub fn import_json(value: &JsonValue) -> Result<Self, String> {
         let rows = value.as_array().ok_or("epoch window: expected an array")?;
         let mut rounds = Vec::with_capacity(rows.len());
@@ -127,7 +128,10 @@ impl EpochWindow {
                         let raw = origin.as_usize().ok_or("epoch window: bad origin id")?;
                         let origin = NodeId::try_new(raw)
                             .ok_or_else(|| format!("epoch window: origin {raw} is out of range"))?;
-                        counts.push((origin, cnt.as_usize().ok_or("epoch window: bad count")?));
+                        let cnt = cnt.as_usize().ok_or("epoch window: bad count")?;
+                        if cnt > 0 {
+                            counts.push((origin, cnt));
+                        }
                     }
                     _ => return Err("epoch window: entry must be [origin, count]".into()),
                 }
@@ -224,13 +228,34 @@ struct IndexEntry {
     d1: f64,
 }
 
+/// One bound row of the window scoring index: a distinct origin of the
+/// window with its request count summed over every round. With `A` fixed,
+/// `d1/s1/d2` depend on the origin alone, so the bound pass streams each
+/// origin's distance row once, however many rounds it appears in.
+#[derive(Clone, Copy, Debug)]
+struct OriginRow {
+    /// `NodeId::index()` of the origin.
+    origin: u32,
+    /// Index in the active set of the nearest server.
+    s1: u32,
+    /// Σ `cnt` over the origin's entries.
+    cnt: usize,
+    /// Distance to the nearest server.
+    d1: f64,
+    /// Distance to the second-nearest server (`∞` when `|A| = 1`).
+    d2: f64,
+    /// Index in the active set of the second-nearest server.
+    s2: u32,
+}
+
 /// Per-epoch-window scoring index against a fixed active set `A`.
 ///
 /// Built once per scoring pass ([`WindowIndex::rebuild`], reusing its
 /// buffers), the index flattens the window to one `(origin, cnt, d1, s1)`
 /// entry per `(round, origin)` pair, where `d1`/`s1` are the nearest
 /// current server under the exact strict-`<` scan of
-/// [`access_cost_window`]. Every `A ∪ {v}` candidate is then scored in a
+/// [`access_cost_window`], and to one `(origin, s1, Σcnt, d1, d2)` bound
+/// row per distinct origin. Every `A ∪ {v}` candidate is then scored in a
 /// single *transposed* pass ([`WindowIndex::score_all_additions`]): per
 /// index entry, the origin's [`DistanceMatrix`] row is walked
 /// sequentially across the whole candidate block (one cache-friendly
@@ -258,6 +283,10 @@ pub struct WindowIndex {
     entries: Vec<IndexEntry>,
     /// Second-nearest `(d2, s2)` per entry, aligned with `entries`.
     seconds: Vec<(f64, u32)>,
+    /// One bound row per distinct origin, in first-seen window order.
+    origins: Vec<OriginRow>,
+    /// `origins` row of each node (`u32::MAX` = not in the window).
+    row_of: Vec<u32>,
     /// Round `r` covers `entries[bounds[r]..bounds[r + 1]]`.
     bounds: Vec<usize>,
     /// `strength(a_i)` per server of the indexed set.
@@ -286,9 +315,14 @@ impl WindowIndex {
 
     /// Rebuilds the index for `servers` over `window`, recycling every
     /// buffer — a strategy's steady state allocates nothing per epoch.
+    /// The nearest two servers are found once per distinct origin and
+    /// copied into each of its entries.
     pub fn rebuild(&mut self, ctx: &SimContext<'_>, servers: &[NodeId], window: &EpochWindow) {
         self.entries.clear();
         self.seconds.clear();
+        self.origins.clear();
+        self.row_of.clear();
+        self.row_of.resize(ctx.graph.node_count(), u32::MAX);
         self.bounds.clear();
         self.bounds.push(0);
         self.strengths.clear();
@@ -296,27 +330,44 @@ impl WindowIndex {
             .extend(servers.iter().map(|&s| ctx.graph.strength(s)));
         for round in window.rounds() {
             for &(origin, cnt) in round {
-                let (mut d1, mut s1, mut d2, mut s2) =
-                    (f64::INFINITY, 0usize, f64::INFINITY, 0usize);
-                for (i, &s) in servers.iter().enumerate() {
-                    let d = ctx.dist.get(origin, s);
-                    if d < d1 {
-                        d2 = d1;
-                        s2 = s1;
-                        d1 = d;
-                        s1 = i;
-                    } else if d < d2 {
-                        d2 = d;
-                        s2 = i;
+                let r = match self.row_of[origin.index()] {
+                    u32::MAX => {
+                        let (mut d1, mut s1, mut d2, mut s2) =
+                            (f64::INFINITY, 0usize, f64::INFINITY, 0usize);
+                        for (i, &s) in servers.iter().enumerate() {
+                            let d = ctx.dist.get(origin, s);
+                            if d < d1 {
+                                d2 = d1;
+                                s2 = s1;
+                                d1 = d;
+                                s1 = i;
+                            } else if d < d2 {
+                                d2 = d;
+                                s2 = i;
+                            }
+                        }
+                        self.row_of[origin.index()] = self.origins.len() as u32;
+                        self.origins.push(OriginRow {
+                            origin: origin.index() as u32,
+                            s1: s1 as u32,
+                            cnt: 0,
+                            d1,
+                            d2,
+                            s2: s2 as u32,
+                        });
+                        self.origins.len() - 1
                     }
-                }
+                    r => r as usize,
+                };
+                let row = &mut self.origins[r];
+                row.cnt += cnt;
                 self.entries.push(IndexEntry {
-                    origin: origin.index() as u32,
-                    s1: s1 as u32,
+                    origin: row.origin,
+                    s1: row.s1,
                     cnt,
-                    d1,
+                    d1: row.d1,
                 });
-                self.seconds.push((d2, s2 as u32));
+                self.seconds.push((row.d2, row.s2));
             }
             self.bounds.push(self.entries.len());
         }
@@ -482,40 +533,37 @@ impl WindowIndex {
     }
 
     /// The delay part of every addition's and migration's lower bound, in
-    /// one row-streaming pass (entry-outer, candidate-inner like
-    /// [`WindowIndex::scan_chunk`]). For candidate `candidates[c]` and
-    /// server slot `i`, with `nc = candidates.len()`:
+    /// one row-streaming pass over the window's distinct origins. The
+    /// accumulators are node-indexed: for node `v` and server slot `i`,
+    /// with `n` nodes,
     ///
-    /// * `keep[i·nc + c] = Σ_{e: s1=i} cnt·min(d(o,v), d1)`: what the
-    ///   entries nearest to `a_i` pay while `a_i` stays;
-    /// * `moved[i·nc + c] = Σ_{e: s1=i} cnt·min(d(o,v), d2)`: what they
-    ///   pay once `a_i` is migrated to `v`.
+    /// * `keep[i·n + v] = Σ_{o: s1=i} C_o·min(d(o,v), d1_o)`: what the
+    ///   origins nearest to `a_i` pay while `a_i` stays;
+    /// * `moved[i·n + v] = Σ_{o: s1=i} C_o·min(d(o,v), d2_o)`: what they
+    ///   pay once `a_i` is migrated to `v`,
     ///
+    /// where `C_o` is origin `o`'s request count over the whole window.
     /// So the delay of `A + v` is `Σ_i keep[i]` and that of `A − u + v`
     /// is `Σ_{i≠u} keep[i] + moved[u]`; only the load terms are left to
-    /// bound.
-    fn migration_bounds(
-        &self,
-        ctx: &SimContext<'_>,
-        candidates: &[NodeId],
-        keep: &mut Vec<f64>,
-        moved: &mut Vec<f64>,
-    ) {
-        let nc = candidates.len();
-        let size = self.strengths.len() * nc;
+    /// bound. Each origin's distance row is zipped whole against its
+    /// slot's two accumulator rows — the columns of the `k` active nodes
+    /// are computed and never read — so the loop is contiguous and
+    /// compiles to packed `min`/`mul`/`add` at the baseline target.
+    fn migration_bounds(&self, ctx: &SimContext<'_>, keep: &mut Vec<f64>, moved: &mut Vec<f64>) {
+        let n = ctx.graph.node_count();
+        let size = self.strengths.len() * n;
         keep.clear();
         keep.resize(size, 0.0);
         moved.clear();
         moved.resize(size, 0.0);
-        for (e, &(d2, _)) in self.entries.iter().zip(&self.seconds) {
-            let row = ctx.dist.row(NodeId::new(e.origin as usize));
-            let cnt = e.cnt as f64;
-            let lo = e.s1 as usize * nc;
-            let keep = &mut keep[lo..lo + nc];
-            let moved = &mut moved[lo..lo + nc];
-            for ((kept, gone), &v) in keep.iter_mut().zip(moved.iter_mut()).zip(candidates) {
-                let dv = row[v.index()];
-                *kept += cnt * if dv < e.d1 { dv } else { e.d1 };
+        for o in &self.origins {
+            let row = ctx.dist.row(NodeId::new(o.origin as usize));
+            let (cnt, d1, d2) = (o.cnt as f64, o.d1, o.d2);
+            let lo = o.s1 as usize * n;
+            let keep = &mut keep[lo..lo + n];
+            let moved = &mut moved[lo..lo + n];
+            for ((kept, gone), &dv) in keep.iter_mut().zip(moved.iter_mut()).zip(row) {
+                *kept += cnt * if dv < d1 { dv } else { d1 };
                 *gone += cnt * if dv < d2 { dv } else { d2 };
             }
         }
@@ -524,27 +572,32 @@ impl WindowIndex {
     /// Relative slack `ε` of the addition and migration prune tests, or
     /// `None` when the window has too many terms to prune safely.
     ///
-    /// Every summand of an exact migration or addition score `S` (`cnt·d`,
-    /// a load term, `Ra·k·|W|` or `Ra·(k+1)·|W|`, the transition cost)
-    /// and of its bound `LB` is
-    /// non-negative and carries at most two roundings of its own; the
-    /// sums add at most `m − 2` more along any summand's path, where
+    /// An exact migration or addition score `S` sums, in window order,
+    /// one `cnt·d` per `(round, origin)` entry, the load terms,
+    /// `Ra·k·|W|` or `Ra·(k+1)·|W|` and the transition cost. Its bound
+    /// `LB` sums one `C_o·min(…)` per distinct origin (`C_o` an integer,
+    /// so exact in `f64`) into its slot, the `k` slots, a load floor and
+    /// the same price terms. Every summand of either is non-negative and
+    /// carries at most two roundings of its own; the sums add at most
+    /// `m − 2` more along any summand's path, where
     /// `m = E + R·(k+1) + k + 8` over `E` entries, `R` rounds and `k`
-    /// servers. With unit roundoff `u`, and no overflow or subnormal
-    /// terms:
+    /// servers — `LB` has fewer, since it has at most `E` origin rows and
+    /// no per-round load terms. With unit roundoff `u`, and no overflow
+    /// or subnormal terms:
     ///
-    /// * `fl(S) ≥ (1−u)^m · S`, `fl(LB) ≤ (1+u)^m · LB` and `LB ≤ S` (the
-    ///   load terms `LB` leaves out only raise `S`), so
-    ///   `fl(S) ≥ ((1−u)/(1+u))^m · fl(LB) ≥ (1 − 2mu) · fl(LB)`;
+    /// * `fl(S) ≥ (1−u)^m · S`, `fl(LB) ≤ (1+u)^m · LB` and `LB ≤ S` as
+    ///   real numbers (the per-origin products equal the per-entry sums
+    ///   they replace, and the load terms `LB` leaves out only raise
+    ///   `S`), so `fl(S) ≥ ((1−u)/(1+u))^m · fl(LB) ≥ (1 − 2mu) · fl(LB)`;
     /// * with `ε = 2m·2u`, the computed `fl(fl(LB)·fl(1−ε))` is at most
     ///   `fl(LB)·(1−ε)(1+u)² < (1 − 2mu) · fl(LB) ≤ fl(S)`.
     ///
     /// So `fl(LB)·(1−ε) > best` implies `fl(S) > best`. The same holds
     /// for the per-`v` migration floor `Σ_i keep[i] + …`, whose real value
     /// is at most every `LB(u, v)`, and for an addition's bound, whose
-    /// delay part `Σ_i keep[i]` is its exact delay. Past `ε = 1e-6` (`m`
-    /// in the billions) the test would prune little, and every candidate
-    /// is scored exactly.
+    /// delay part `Σ_i keep[i]` has the real value of its exact delay.
+    /// Past `ε = 1e-6` (`m` in the billions) the test would prune little,
+    /// and every candidate is scored exactly.
     fn prune_slack(&self) -> Option<f64> {
         let k = self.strengths.len();
         let terms = self.entries.len() + self.rounds() * (k + 1) + k + 8;
@@ -635,11 +688,16 @@ pub struct CandidateScratch {
     pub(crate) counts: Vec<usize>,
     /// Deactivation scores, one per server.
     pub(crate) removals: Vec<f64>,
-    /// Migration bound accumulators (see [`WindowIndex::migration_bounds`]).
+    /// Node-indexed bound accumulators (see
+    /// [`WindowIndex::migration_bounds`]).
     pub(crate) keep: Vec<f64>,
     pub(crate) moved: Vec<f64>,
-    /// Per-candidate suffix sums of `keep` over the server slots.
-    pub(crate) suffix: Vec<f64>,
+    /// `floor[v] = Σ_i keep[i·n + v]`: the delay part of `A + v`'s bound
+    /// and of the floor under every `A − u + v`.
+    pub(crate) floor: Vec<f64>,
+    /// Delay parts of one `v`'s `A − u + v` bounds, one per `u` (see
+    /// [`migration_delays`]).
+    pub(crate) delays: Vec<f64>,
     /// `(scored exactly, considered)` per family: `A − u + v` migrations,
     /// `A + v` additions and the position scan's `A ∪ {v}` candidates (the
     /// rest were pruned by their lower bound).
@@ -675,7 +733,8 @@ impl CandidateScratch {
 
     /// Indexes `window` against `fleet.active()`, lists the candidates
     /// `v ∉ A` and, when `bound` asks for it and the window is small
-    /// enough to prune, runs the bound pass. Returns the prune slack,
+    /// enough to prune, runs the bound pass and sums its slot rows into
+    /// `floor`, slot-outer so every row streams. Returns the prune slack,
     /// `None` when no bound was computed.
     fn prepare(
         &mut self,
@@ -691,7 +750,15 @@ impl CandidateScratch {
         let slack = self.index.prune_slack().filter(|_| bound);
         if slack.is_some() {
             self.index
-                .migration_bounds(ctx, &self.candidates, &mut self.keep, &mut self.moved);
+                .migration_bounds(ctx, &mut self.keep, &mut self.moved);
+            let n = ctx.graph.node_count();
+            self.floor.clear();
+            self.floor.resize(n, 0.0);
+            for row in self.keep.chunks_exact(n.max(1)) {
+                for (floor, &x) in self.floor.iter_mut().zip(row) {
+                    *floor += x;
+                }
+            }
         }
         slack
     }
@@ -701,9 +768,10 @@ impl CandidateScratch {
     /// how many candidates were scored exactly.
     ///
     /// With a prune slack `ε` (the bound pass ran), each candidate first
-    /// gets the lower bound `price(v, Σ_i keep[i] + load floor)`:
-    /// `Σ_i keep[i]` is the exact delay of `A + v`, summed in another
-    /// order. The candidate with the smallest bound is scored first, to
+    /// gets the lower bound `price(v, floor[v] + load floor)`: `floor[v]`
+    /// has the real value of `A + v`'s exact delay, summed per origin
+    /// instead of per entry (see [`WindowIndex::prune_slack`]). The
+    /// candidate with the smallest bound is scored first, to
     /// seed `known`, then the rest in order. One whose
     /// `bound·(1 − ε) > known` scores strictly above some other
     /// candidate, so it can never be the first minimum, and its slot
@@ -724,7 +792,7 @@ impl CandidateScratch {
             candidates,
             scores,
             counts,
-            keep,
+            floor,
             ..
         } = self;
         let nc = candidates.len();
@@ -732,14 +800,8 @@ impl CandidateScratch {
         scores.resize(nc, 0.0);
         let mut seed = None;
         if slack.is_some() {
-            // Σ_i keep[i·nc + c], slot-outer so each slot's row streams.
-            for row in keep.chunks_exact(nc.max(1)) {
-                for (floor, &x) in scores.iter_mut().zip(row) {
-                    *floor += x;
-                }
-            }
             for (bound, &v) in scores.iter_mut().zip(candidates.iter()) {
-                *bound = price(v, *bound + index.load_floor(ctx, v));
+                *bound = price(v, floor[v.index()] + index.load_floor(ctx, v));
             }
             seed = (0..nc).min_by(|&x, &y| scores[x].total_cmp(&scores[y]));
         }
@@ -816,6 +878,27 @@ pub fn best_candidate(
     options: CandidateOptions,
 ) -> (Vec<NodeId>, f64) {
     best_candidate_with(ctx, fleet, window, options, &mut CandidateScratch::new())
+}
+
+/// The delay parts of `v`'s `A − u + v` bounds from the bound pass's
+/// node-indexed slot rows, into `out[u]` for every server slot `u`:
+/// `Σ_{i≠u} keep[i] + moved[u]`, as a running prefix plus a suffix sum —
+/// added, never subtracted, so no cancellation enters the bound.
+fn migration_delays(keep: &[f64], moved: &[f64], k: usize, v: NodeId, out: &mut Vec<f64>) {
+    let n = keep.len() / k;
+    let at = |i: usize| i * n + v.index();
+    // out[i] = Σ_{j≥i} keep[j] first; the forward pass then reads
+    // out[u + 1] before it overwrites out[u].
+    out.clear();
+    out.resize(k + 1, 0.0);
+    for i in (0..k).rev() {
+        out[i] = keep[at(i)] + out[i + 1];
+    }
+    let mut prefix = 0.0;
+    for u in 0..k {
+        out[u] = prefix + out[u + 1] + moved[at(u)];
+        prefix += keep[at(u)];
+    }
 }
 
 /// "No server removed" in [`WindowIndex::score_change`].
@@ -904,7 +987,8 @@ pub fn best_candidate_with(
         removals,
         keep,
         moved,
-        suffix,
+        floor,
+        delays,
         migrations,
         ..
     } = scratch;
@@ -913,34 +997,21 @@ pub fn best_candidate_with(
     if options.migrate {
         let mig_cost = single_change_cost(ctx, fleet, ChangeKind::Migrate);
         let run = ra * k as f64 * wlen;
-        let nc = candidates.len();
-        for (c, &v) in candidates.iter().enumerate() {
+        for &v in candidates.iter() {
             let load_lb = index.load_floor(ctx, v);
             migrations.1 += k as u64;
             if let Some(eps) = slack {
-                // Σ_{i≠u} keep[i] = (Σ_{i<u}) + (Σ_{i>u}): a running prefix
-                // plus `suffix[u + 1]`, added, never subtracted.
-                suffix.clear();
-                suffix.resize(k + 1, 0.0);
-                for i in (0..k).rev() {
-                    suffix[i] = keep[i * nc + c] + suffix[i + 1];
-                }
-                // `moved[u] ≥ keep[u]` (d2 ≥ d1), so `suffix[0]` floors
+                // `moved[u] ≥ keep[u]` (d2 ≥ d1), so `floor[v]` floors
                 // every u's bound: one test can rule out the whole v.
-                if (suffix[0] + load_lb + run + mig_cost) * (1.0 - eps) > known.min(best_score) {
+                let floor = floor[v.index()] + load_lb + run + mig_cost;
+                if floor * (1.0 - eps) > known.min(best_score) {
                     continue;
                 }
+                migration_delays(keep, moved, k, v, delays);
             }
-            let mut prefix = 0.0;
             for u_idx in 0..k {
                 if let Some(eps) = slack {
-                    let lb = prefix
-                        + suffix[u_idx + 1]
-                        + moved[u_idx * nc + c]
-                        + load_lb
-                        + run
-                        + mig_cost;
-                    prefix += keep[u_idx * nc + c];
+                    let lb = delays[u_idx] + load_lb + run + mig_cost;
                     // NaN never prunes; ∞ prunes only against a finite best.
                     if lb * (1.0 - eps) > known.min(best_score) {
                         continue;
@@ -1030,6 +1101,7 @@ mod tests {
     use flexserve_graph::gen::unit_line;
     use flexserve_graph::DistanceMatrix;
     use flexserve_sim::{CostParams, LoadModel, TransitionPlanner};
+    use proptest::prelude::*;
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -1119,6 +1191,10 @@ mod tests {
             EpochWindow::import_json(&JsonValue::parse("[[[1]]]").unwrap()).is_err(),
             "pair arity must be checked"
         );
+        // A zero count is no request, as `push` would have folded it.
+        let zero = EpochWindow::import_json(&JsonValue::parse("[[[4, 0], [2, 1]]]").unwrap());
+        let rows: Vec<Vec<(NodeId, usize)>> = zero.unwrap().rounds().map(|r| r.to_vec()).collect();
+        assert_eq!(rows, vec![vec![(n(2), 1)]]);
     }
 
     #[test]
@@ -1435,6 +1511,128 @@ mod tests {
                 4 * evals < pairs,
                 "the lower bound must rule out most {family}: {evals} of {pairs} scored exactly"
             );
+        }
+    }
+
+    /// Node `i` of strength `strengths[i]` (1.0 past its end); roughly one
+    /// edge in seven (`fail == 0`) fails to `∞` latency afterwards — the
+    /// generators of `tests/candidate_scan.rs`.
+    fn random_graph(
+        len: usize,
+        strengths: &[f64],
+        edges: &[(usize, usize, f64, usize)],
+    ) -> flexserve_graph::Graph {
+        let mut g = flexserve_graph::Graph::new();
+        for i in 0..len {
+            g.add_node(strengths.get(i).copied().unwrap_or(1.0));
+        }
+        for &(a, b, lat, fail) in edges {
+            let (a, b) = (a % len, b % len);
+            if a != b {
+                let _ = g.add_edge(n(a), n(b), lat, flexserve_graph::Bandwidth::T1);
+                if fail == 0 {
+                    let _ = g.set_edge_latency(n(a), n(b), f64::INFINITY);
+                }
+            }
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every lower bound the scans prune by is at most the exact score
+        /// it stands for, after the `(1 − ε)` slack: each addition, each
+        /// `A − u + v` migration, each whole-`v` migration floor and each
+        /// position candidate, against `access_cost_window` plus the same
+        /// price terms.
+        #[test]
+        fn bounds_never_exceed_exact_scores(
+            len in 3usize..18,
+            strengths in prop::collection::vec(0.5f64..4.0, 0..18),
+            edges in prop::collection::vec(
+                (0usize..18, 0usize..18, 0.5f64..50.0, 0usize..7), 2..45),
+            load_dominated in 0usize..2,
+            rounds in prop::collection::vec(
+                prop::collection::vec((0usize..18, 1usize..6), 0..6), 1..5),
+            picks in prop::collection::vec(0usize..18, 1..5),
+            cached in prop::collection::vec(0usize..18, 0..3),
+            lm in 0usize..4,
+            regime in 0usize..3,
+            full_budget in 0usize..2,
+        ) {
+            // Short links let the load terms, and so the load floor, decide.
+            let scale = if load_dominated == 1 { 0.01 } else { 1.0 };
+            let edges: Vec<_> =
+                edges.iter().map(|&(a, b, lat, fail)| (a, b, lat * scale, fail)).collect();
+            let g = random_graph(len, &strengths, &edges);
+            let m = DistanceMatrix::build(&g);
+            let mut active: Vec<NodeId> = Vec::new();
+            for &p in &picks {
+                if !active.contains(&n(p % len)) {
+                    active.push(n(p % len));
+                }
+            }
+            let base = match regime {
+                0 => CostParams::default(),
+                1 => CostParams::flipped(),
+                _ => CostParams::default().with_costs(0.5, 2.0).with_running(0.1, 0.05),
+            };
+            let budget = if full_budget == 1 { active.len() } else { len };
+            let load = [LoadModel::None, LoadModel::Linear, LoadModel::Quadratic, LoadModel::Power(1.5)][lm];
+            let ctx = SimContext::new(&g, &m, base.with_max_servers(budget), load);
+            let inactive = cached
+                .iter()
+                .map(|&c| flexserve_sim::InactiveServer { node: n(c % len), expires_epoch: 5 })
+                .collect();
+            let fleet = Fleet::from_parts(active.clone(), inactive, 0, &ctx.params)
+                .unwrap_or_else(|_| Fleet::new(active.clone(), &ctx.params));
+            let mut w = EpochWindow::new();
+            for round in &rounds {
+                let mut batch = RoundRequests::empty();
+                for &(origin, cnt) in round {
+                    batch.push_many(n(origin % len), cnt);
+                }
+                w.push(&batch);
+            }
+
+            let mut scratch = CandidateScratch::new();
+            let eps = scratch.prepare(&ctx, &fleet, &w, true).expect("a small window prunes");
+            // Slot order is the fleet's, which may differ from the picks'.
+            let active = fleet.active();
+            let k = active.len();
+            let wlen = w.len() as f64;
+            let run_add = ctx.params.run_active * (k + 1) as f64 * wlen;
+            let run_mig = ctx.params.run_active * k as f64 * wlen;
+            let mig_cost = single_change_cost(&ctx, &fleet, ChangeKind::Migrate);
+            let mut delays = Vec::new();
+            for &v in &scratch.candidates {
+                let load_lb = scratch.index.load_floor(&ctx, v);
+                let mut with_v = active.to_vec();
+                with_v.push(v);
+                let access = access_cost_window(&ctx, &with_v, &w);
+                let position = scratch.floor[v.index()] + load_lb;
+                prop_assert!(position * (1.0 - eps) <= access,
+                    "position v={:?}: bound {} > exact {}", v, position, access);
+                let trans = single_change_cost(&ctx, &fleet, ChangeKind::Add(v));
+                let (bound, exact) = (position + run_add + trans, access + run_add + trans);
+                prop_assert!(bound * (1.0 - eps) <= exact,
+                    "addition v={:?}: bound {} > exact {}", v, bound, exact);
+
+                let floor = scratch.floor[v.index()] + load_lb + run_mig + mig_cost;
+                migration_delays(&scratch.keep, &scratch.moved, k, v, &mut delays);
+                for u in 0..k {
+                    let mut target: Vec<NodeId> =
+                        active.iter().copied().filter(|&s| s != active[u]).collect();
+                    target.push(v);
+                    let exact = access_cost_window(&ctx, &target, &w) + run_mig + mig_cost;
+                    let bound = delays[u] + load_lb + run_mig + mig_cost;
+                    prop_assert!(bound * (1.0 - eps) <= exact,
+                        "migration {:?}->{:?}: bound {} > exact {}", active[u], v, bound, exact);
+                    prop_assert!(floor * (1.0 - eps) <= exact,
+                        "floor of v={:?}: {} > exact {} (u={:?})", v, floor, exact, active[u]);
+                }
+            }
         }
     }
 

@@ -32,10 +32,12 @@
 //! 1. configurations are grouped by position bitmask (`g ≪ s` groups:
 //!    a set of `p` positions hosts `2^p − 1` activation patterns);
 //! 2. each round first reduces every group to its cheapest member
-//!    (`O(s)`), then minimizes per *target group* over source groups,
-//!    computing the group-to-group cost from two popcounts on the fly
-//!    (`O(g²)` with no transition storage at all): a column's
-//!    predecessor minimum depends only on its position set;
+//!    (`O(s)`), then minimizes per *target group* over source groups
+//!    (`O(g²)`): a column's predecessor minimum depends only on its
+//!    position set. The group-to-group costs come from a `g × g` table
+//!    built once per run from two popcounts per pair (7.7 KB at the
+//!    figures' `n = 5`, 8.4 MB at [`MAX_STATES`]), so a round reads one
+//!    contiguous row per target group instead of recomputing them;
 //! 3. each column then adds its own running and access cost to its
 //!    group's minimum (`O(s)`).
 //!
@@ -63,10 +65,11 @@ use flexserve_workload::Trace;
 use rayon::prelude::*;
 
 /// Safety cap on the configuration count. The grouped DP is
-/// `O(t · (s + g²))` time and `O(t · s)` memory (backtracking parents) —
-/// no `s × s` materialization — so substrates well beyond the paper's
+/// `O(t · (s + g²))` time and `O(t · s + g²)` memory (`4 B` backtracking
+/// parents per state and round, plus the `g × g` group transition table)
+/// — no `s × s` materialization — so substrates well beyond the paper's
 /// five-node line graphs are feasible (`s = 58 025` covers `n = 10` with
-/// `k = 10`).
+/// `k = 10`; its `g = 1 023` position groups table in 8.4 MB).
 pub const MAX_STATES: usize = 60_000;
 
 /// One DP configuration, with bitmask mirrors of the sorted node lists.
@@ -223,6 +226,19 @@ pub fn optimal_plan(ctx: &SimContext<'_>, trace: &Trace, initial: &[NodeId]) -> 
         parents.push(vec![u32::MAX; s]);
     }
 
+    // Group-to-group transition costs, built once: row `gj` holds the
+    // cost of reaching group `gj` from every source group `gi`, so phase
+    // 2's inner loop streams one contiguous row. The same `f64` values
+    // the popcount formula gives, so the DP is bit-identical to it.
+    let transition: Vec<f64> = group_masks
+        .iter()
+        .flat_map(|&to| {
+            group_masks
+                .iter()
+                .map(move |&from| mask_transition_cost(from, to, &ctx.params))
+        })
+        .collect();
+
     // Per-round scratch, reused every round: group minima and each
     // target group's (cost, parent) predecessor choice.
     let mut group_min = vec![f64::INFINITY; g];
@@ -245,21 +261,21 @@ pub fn optimal_plan(ctx: &SimContext<'_>, trace: &Trace, initial: &[NodeId]) -> 
 
         // Phase 2 (parallel, O(g²)): a column's predecessor minimum
         // depends only on its position set, so it is taken once per
-        // target group, over source groups with the popcount transition
+        // target group, over source groups with the tabled transition
         // cost.
         {
             let group_min = &group_min;
             let group_arg = &group_arg;
-            let group_masks = &group_masks;
+            let transition = &transition;
             par_columns(&mut group_best, g, |gj, _col| {
-                let to = group_masks[gj];
+                let costs = &transition[gj * g..(gj + 1) * g];
                 let mut best = f64::INFINITY;
                 let mut best_p = u32::MAX;
-                for (gi, &m) in group_min.iter().enumerate() {
+                for (gi, (&m, &cost)) in group_min.iter().zip(costs).enumerate() {
                     if !m.is_finite() {
                         continue;
                     }
-                    let v = m + mask_transition_cost(group_masks[gi], to, &ctx.params);
+                    let v = m + cost;
                     if v < best {
                         best = v;
                         best_p = group_arg[gi];

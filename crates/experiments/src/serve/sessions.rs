@@ -201,11 +201,38 @@ enum BatchSpec {
 }
 
 enum Entry {
-    /// Reserved while the session's world is built (or while an evictor
-    /// checkpoints it) — holds the name against duplicates without
-    /// blocking the table during a long build.
+    /// Reserved while the session's world is built — holds the name
+    /// against duplicates without blocking the table during a long build.
     Starting,
+    /// Held by an idle eviction or a migration while it checkpoints and
+    /// stops the session. Requests wait on the session's lock and then
+    /// see what the finish left (see [`SessionManager::with_live`]).
+    Leaving(Leaving),
     Live(Handle),
+}
+
+/// The reservation of a session on its way out.
+struct Leaving {
+    slot: Arc<Slot>,
+    generation: u64,
+    /// A migration hand-off, not an idle eviction.
+    migrating: bool,
+}
+
+impl Leaving {
+    /// What the session is doing, for errors and the listing.
+    fn status(&self) -> &'static str {
+        if self.migrating {
+            "migrating"
+        } else {
+            "evicting"
+        }
+    }
+
+    /// The `409` for an operation that cannot wait for the departure.
+    fn busy(&self, name: &str) -> ServeError {
+        ServeError::Conflict(format!("session {name:?} is {}", self.status()))
+    }
 }
 
 /// One session's lock. The state is `None` once the session finished
@@ -406,7 +433,7 @@ impl SessionManager {
                 .iter()
                 .filter_map(|(name, e)| match e {
                     Entry::Live(h) => Some((name.clone(), Arc::clone(&h.slot))),
-                    Entry::Starting => None,
+                    Entry::Starting | Entry::Leaving(_) => None,
                 })
                 .collect()
         };
@@ -443,6 +470,7 @@ impl SessionManager {
                         "session {name:?} is still starting"
                     )))
                 }
+                Some(Entry::Leaving(leaving)) => return Err(leaving.busy(name)),
                 Some(Entry::Live(_)) => {}
             }
             match inner.entries.remove(name) {
@@ -483,11 +511,8 @@ impl SessionManager {
                         "session {name:?} is still starting"
                     )))
                 }
-                Some(Entry::Live(_)) => {}
-            }
-            match inner.entries.insert(name.to_string(), Entry::Starting) {
-                Some(Entry::Live(handle)) => handle,
-                _ => unreachable!("checked above"),
+                Some(Entry::Leaving(leaving)) => return Err(leaving.busy(name)),
+                Some(Entry::Live(_)) => leave(&mut inner, name, true),
             }
         };
         self.retire(name, handle, Some(migrated_to))
@@ -501,7 +526,7 @@ impl SessionManager {
     /// Returns the evicted names. Driven by the daemon's reaper thread
     /// when the `idle-evict=<secs>` serve key is set.
     pub fn evict_idle(&self, idle: std::time::Duration) -> Vec<String> {
-        // Swap each victim's entry for a `Starting` reservation while the
+        // Swap each victim's entry for a `Leaving` reservation while the
         // checkpoint is written: a concurrent create of the same name
         // gets a clean 409 instead of racing the eviction (and possibly
         // resuming from a checkpoint the evictor has not written yet).
@@ -517,12 +542,10 @@ impl SessionManager {
                 .collect();
             names
                 .into_iter()
-                .map(
-                    |name| match inner.entries.insert(name.clone(), Entry::Starting) {
-                        Some(Entry::Live(handle)) => (name, handle),
-                        _ => unreachable!("filtered on Live above"),
-                    },
-                )
+                .map(|name| {
+                    let handle = leave(&mut inner, &name, false);
+                    (name, handle)
+                })
                 .collect()
         };
         let mut evicted = Vec::with_capacity(victims.len());
@@ -537,7 +560,7 @@ impl SessionManager {
     }
 
     /// Checkpoints and stops a session whose name the caller holds
-    /// reserved (`Starting`), then swaps the reservation for a tombstone:
+    /// reserved (`Leaving`), then swaps the reservation for a tombstone:
     /// an idle eviction's (`migrated_to: None`) or a migration's. The
     /// session lock is held from the snapshot until the tombstone is in,
     /// so a step batch that got the lock first is wholly in the
@@ -561,7 +584,7 @@ impl SessionManager {
         // Nothing can have replaced the reservation: create refuses
         // existing names and only Live entries are ever reaped.
         let mut inner = self.inner.lock().unwrap();
-        debug_assert!(matches!(inner.entries.get(name), Some(Entry::Starting)));
+        debug_assert!(matches!(inner.entries.get(name), Some(Entry::Leaving(_))));
         let stats = match finished {
             Some(Ok(stats)) => stats,
             Some(Err(e)) if migrated_to.is_some() => {
@@ -624,7 +647,7 @@ impl SessionManager {
     /// (`evicted: true`, with the checkpoint file the session was
     /// snapshotted to). `count` counts live sessions only.
     pub fn list(&self) -> JsonValue {
-        type LiveRows = Vec<(String, Option<Arc<Slot>>)>;
+        type LiveRows = Vec<(String, Option<Arc<Slot>>, &'static str)>;
         let (mut rows, mut tombstones): (LiveRows, Vec<(String, EvictedRow)>) = {
             let inner = self.inner.lock().unwrap();
             (
@@ -632,11 +655,13 @@ impl SessionManager {
                     .entries
                     .iter()
                     .map(|(name, e)| {
-                        let slot = match e {
-                            Entry::Starting => None,
-                            Entry::Live(h) => Some(Arc::clone(&h.slot)),
+                        // A live slot renders its own info row.
+                        let (slot, status) = match e {
+                            Entry::Starting => (None, "starting"),
+                            Entry::Leaving(leaving) => (None, leaving.status()),
+                            Entry::Live(h) => (Some(Arc::clone(&h.slot)), "starting"),
                         };
-                        (name.clone(), slot)
+                        (name.clone(), slot, status)
                     })
                     .collect(),
                 inner
@@ -651,14 +676,14 @@ impl SessionManager {
         let count = rows.len();
         let mut sessions: Vec<JsonValue> = rows
             .into_iter()
-            .map(|(name, slot)| {
+            .map(|(name, slot, status)| {
                 slot.and_then(|slot| {
                     run_guarded(&mut slot.lock().unwrap(), |s| s.as_ref().map(info_json))
                 })
                 .unwrap_or_else(|| {
                     JsonValue::Obj(vec![
                         ("name".into(), JsonValue::from(name.as_str())),
-                        ("status".into(), JsonValue::from("starting")),
+                        ("status".into(), JsonValue::from(status)),
                     ])
                 })
             })
@@ -696,6 +721,14 @@ impl SessionManager {
     /// thread. A session that is gone by the time the lock is held, or
     /// whose `op` panics, is removed from the table so later requests
     /// see a clean 404 instead of a wedged name.
+    ///
+    /// A session that an idle eviction or a migration is finishing is
+    /// waited for on its lock, not refused: once the finish is done the
+    /// request reads as one that arrived just after it — a 404 with the
+    /// tombstone in place, or served if a migration's checkpoint failed
+    /// and the session went back live. A request that wins the lock
+    /// before the finish is served first and lands in its checkpoint,
+    /// like one that arrived before the finish began.
     fn with_live<T>(
         &self,
         name: &str,
@@ -710,6 +743,7 @@ impl SessionManager {
                         "session {name:?} is still starting"
                     )))
                 }
+                Some(Entry::Leaving(leaving)) => (Arc::clone(&leaving.slot), leaving.generation),
                 Some(Entry::Live(h)) => {
                     h.last_used = Instant::now();
                     (Arc::clone(&h.slot), h.generation)
@@ -740,6 +774,23 @@ impl SessionManager {
             ServeError::Internal(format!("session {name:?} died"))
         }
     }
+}
+
+/// Swaps live session `name`'s entry for a `Leaving` reservation and
+/// returns its handle, for [`SessionManager::retire`] to finish.
+fn leave(inner: &mut Inner, name: &str, migrating: bool) -> Handle {
+    let Some(Entry::Live(handle)) = inner.entries.remove(name) else {
+        unreachable!("only live sessions leave")
+    };
+    let leaving = Leaving {
+        slot: Arc::clone(&handle.slot),
+        generation: handle.generation,
+        migrating,
+    };
+    inner
+        .entries
+        .insert(name.to_string(), Entry::Leaving(leaving));
+    handle
 }
 
 /// Runs `op` on the contents of a held session lock. A panic in `op`
@@ -1906,7 +1957,7 @@ mod tests {
                 // The evictor has reserved the name and waits for the lock.
                 while !matches!(
                     mgr.inner.lock().unwrap().entries.get("racer"),
-                    Some(Entry::Starting)
+                    Some(Entry::Leaving(_))
                 ) {
                     std::thread::yield_now();
                 }
@@ -1934,6 +1985,98 @@ mod tests {
                 other => panic!("evicted session must 404, got {other:?}"),
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Holds `name`'s session lock, starts `finish` (an eviction or a
+    /// migration) and, once it has reserved the name, a request and a
+    /// `DELETE` on it, then releases the lock. Returns the request's
+    /// answer, the `DELETE`'s and the finish's.
+    fn race_a_departure<F: Send>(
+        mgr: &SessionManager,
+        name: &str,
+        finish: impl FnOnce() -> F + Send,
+    ) -> (Result<JsonValue, ServeError>, ServeError, F) {
+        let slot = match mgr.inner.lock().unwrap().entries.get(name) {
+            Some(Entry::Live(h)) => Arc::clone(&h.slot),
+            _ => panic!("{name} must be live"),
+        };
+        let held = slot.lock().unwrap();
+        std::thread::scope(|s| {
+            let finisher = s.spawn(finish);
+            while !matches!(
+                mgr.inner.lock().unwrap().entries.get(name),
+                Some(Entry::Leaving(_))
+            ) {
+                std::thread::yield_now();
+            }
+            // The name is reserved: a DELETE is refused at once, a
+            // request queues on the session's lock.
+            let deleted = mgr.remove(name).expect_err("DELETE must wait its turn");
+            let request = s.spawn(|| mgr.step(name, ""));
+            while Arc::strong_count(&slot) < 4 {
+                std::thread::yield_now();
+            }
+            drop(held);
+            (request.join().unwrap(), deleted, finisher.join().unwrap())
+        })
+    }
+
+    #[test]
+    fn a_request_racing_an_eviction_waits_for_it() {
+        let dir = std::env::temp_dir().join(format!("flexserve-leaving-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ck = dir.join("leaver.json");
+        let ck_arg = format!("checkpoint={}", ck.display());
+        let mgr = SessionManager::new(4);
+        for _ in 0..100 {
+            mgr.create("leaver", tiny("leaver", &[&ck_arg])).unwrap();
+            mgr.step("leaver", "").unwrap();
+            let (request, deleted, evicted) =
+                race_a_departure(&mgr, "leaver", || mgr.evict_idle(std::time::Duration::ZERO));
+            assert_eq!(evicted, vec!["leaver"]);
+            match deleted {
+                ServeError::Conflict(msg) => assert!(msg.contains("evicting"), "{msg}"),
+                other => panic!("DELETE during an eviction must be 409, got {other:?}"),
+            }
+            // Never "still starting": the request is served ahead of the
+            // eviction (and checkpointed), or sees the tombstone.
+            let text = std::fs::read_to_string(&ck).expect("auto-checkpoint written");
+            let t = JsonValue::parse(&text).unwrap().get("t").unwrap().as_u64();
+            match request {
+                Ok(_) => assert_eq!(t, Some(2), "a served step is checkpointed: {text}"),
+                Err(ServeError::NotFound(_)) => assert_eq!(t, Some(1), "{text}"),
+                other => panic!("request must be served or 404, got {other:?}"),
+            }
+            mgr.remove("leaver").unwrap(); // clears the tombstone
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_request_racing_a_failed_migration_is_served() {
+        let dir = std::env::temp_dir().join(format!("flexserve-stayer-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // A file where the checkpoint's directory should be: every
+        // checkpoint fails, so the migration aborts.
+        std::fs::write(dir.join("blocker"), "").unwrap();
+        let ck_arg = format!("checkpoint={}", dir.join("blocker/stayer.json").display());
+        let mgr = SessionManager::new(4);
+        mgr.create("stayer", tiny("stayer", &[&ck_arg])).unwrap();
+        for t in 0..20u64 {
+            let (request, deleted, migrated) = race_a_departure(&mgr, "stayer", || {
+                mgr.remove_migrated("stayer", "127.0.0.1:1")
+            });
+            assert!(matches!(migrated, Err(ServeError::Internal(_))));
+            match deleted {
+                ServeError::Conflict(msg) => assert!(msg.contains("migrating"), "{msg}"),
+                other => panic!("DELETE during a migration must be 409, got {other:?}"),
+            }
+            // The session went back live, so the request is served.
+            let round = request.expect("request on a session that stayed live");
+            assert_eq!(round.get("t").unwrap().as_u64(), Some(t));
+        }
+        mgr.shutdown_all();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

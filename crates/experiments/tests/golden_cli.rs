@@ -4,10 +4,11 @@
 //!   captured CSV (`golden/<name>_quick.csv`) byte for byte — the
 //!   distance-matrix and trace caches, the registry dispatch and any
 //!   refactor of the figure pipelines may never change experiment output.
-//!   Since the strategies moved to the one-pass transposed candidate scan
-//!   (`WindowIndex` in `flexserve-core`), these goldens also pin that scan
-//!   end to end: any non-bit-identical scoring change shifts placements
-//!   and shows up here as a CSV diff.
+//!   Since the strategies score candidates through the window scoring
+//!   index and its bound-pruned scan (`WindowIndex` in `flexserve-core`),
+//!   these goldens also pin that scan end to end: any non-bit-identical
+//!   scoring or pruning change shifts placements and shows up here as a
+//!   CSV diff.
 //! * Two ER-500 sweeps (`golden/er500_sweep.csv`, default and flipped
 //!   parameters) pin the candidate scan at the standard figures' scale,
 //!   which the quick goldens (n ≤ 60) do not reach.
