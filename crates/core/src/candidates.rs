@@ -293,6 +293,9 @@ pub struct WindowIndex {
     strengths: Vec<f64>,
     /// Σ `cnt` over every entry: the window's request count.
     requests: usize,
+    /// `Σ_r R_r²` over the rounds' request counts `R_r`, saturating (a
+    /// saturated sum is still a lower bound).
+    squared_requests: usize,
     /// The largest of `strengths` (0 for an empty set).
     max_strength: f64,
 }
@@ -328,8 +331,11 @@ impl WindowIndex {
         self.strengths.clear();
         self.strengths
             .extend(servers.iter().map(|&s| ctx.graph.strength(s)));
+        self.squared_requests = 0;
         for round in window.rounds() {
+            let mut round_requests = 0usize;
             for &(origin, cnt) in round {
+                round_requests += cnt;
                 let r = match self.row_of[origin.index()] {
                     u32::MAX => {
                         let (mut d1, mut s1, mut d2, mut s2) =
@@ -369,20 +375,35 @@ impl WindowIndex {
                 });
                 self.seconds.push((row.d2, row.s2));
             }
+            self.squared_requests = self
+                .squared_requests
+                .saturating_add(round_requests.saturating_mul(round_requests));
             self.bounds.push(self.entries.len());
         }
         self.requests = self.entries.iter().map(|e| e.cnt).sum();
         self.max_strength = self.strengths.iter().fold(0.0, |m, &s| m.max(s));
     }
 
-    /// A lower bound on the load every candidate with node `v` in it pays
-    /// over the window: with every strength at most `ω_max`, each round's
-    /// linear load is at least `requests / ω_max`; the other models get 0.
-    fn load_floor(&self, ctx: &SimContext<'_>, v: NodeId) -> f64 {
+    /// A lower bound on the load that every candidate set of `servers`
+    /// servers, drawn from `A ∪ {v}`, pays over the window. Every strength
+    /// is at most `ω_max = max(max strength of A, strength(v))`, and round
+    /// `r`'s `R_r` requests split as `η_1 + … + η_k′ = R_r` over the
+    /// `k′ = servers` servers:
+    ///
+    /// * linear: the round pays `Σ η_i/ω_i ≥ R_r/ω_max`, so the window
+    ///   pays at least `requests / ω_max`;
+    /// * quadratic: the round pays `Σ η_i²/ω_i ≥ Σ η_i²/ω_max ≥
+    ///   R_r²/(k′·ω_max)` by Cauchy–Schwarz, so the window pays at least
+    ///   `Σ_r R_r² / (k′·ω_max)`;
+    /// * `Power(p)` gets 0: its bound `R_r^p / (k′^(p−1)·ω_max)` goes
+    ///   through `powf`, whose rounding needs an argument of its own
+    ///   before [`WindowIndex::prune_slack`] could cover it. `None` has
+    ///   no load.
+    fn load_floor(&self, ctx: &SimContext<'_>, v: NodeId, servers: usize) -> f64 {
+        let omega = self.max_strength.max(ctx.graph.strength(v));
         match ctx.load {
-            LoadModel::Linear => {
-                self.requests as f64 / self.max_strength.max(ctx.graph.strength(v))
-            }
+            LoadModel::Linear => self.requests as f64 / omega,
+            LoadModel::Quadratic => self.squared_requests as f64 / (servers as f64 * omega),
             _ => 0.0,
         }
     }
@@ -577,12 +598,19 @@ impl WindowIndex {
     /// `Ra·k·|W|` or `Ra·(k+1)·|W|` and the transition cost. Its bound
     /// `LB` sums one `C_o·min(…)` per distinct origin (`C_o` an integer,
     /// so exact in `f64`) into its slot, the `k` slots, a load floor and
-    /// the same price terms. Every summand of either is non-negative and
+    /// the same price terms. Every summand of `S` is non-negative and
     /// carries at most two roundings of its own; the sums add at most
     /// `m − 2` more along any summand's path, where
     /// `m = E + R·(k+1) + k + 8` over `E` entries, `R` rounds and `k`
-    /// servers — `LB` has fewer, since it has at most `E` origin rows and
-    /// no per-round load terms. With unit roundoff `u`, and no overflow
+    /// servers. `LB`'s summands carry at most two roundings of their own
+    /// too, except the quadratic load floor `fl(Q) / fl(k′·ω_max)`
+    /// ([`WindowIndex::load_floor`], `Q = Σ_r R_r²` summed exactly in
+    /// integers), which carries four: one to convert `Q`, one for the
+    /// product, and a division by a denominator rounded down by up to
+    /// `(1−u)`, worth two since `1/(1−u) ≤ (1+u)²`. `LB`'s paths are
+    /// short enough for that: at most `E` origin rows, the `k` slot sums
+    /// and three price additions, so no summand of `LB` sees more than
+    /// `E + k + 7 < m` roundings. With unit roundoff `u`, and no overflow
     /// or subnormal terms:
     ///
     /// * `fl(S) ≥ (1−u)^m · S`, `fl(LB) ≤ (1+u)^m · LB` and `LB ≤ S` as
@@ -768,7 +796,8 @@ impl CandidateScratch {
     /// how many candidates were scored exactly.
     ///
     /// With a prune slack `ε` (the bound pass ran), each candidate first
-    /// gets the lower bound `price(v, floor[v] + load floor)`: `floor[v]`
+    /// gets the lower bound `price(v, floor[v] + load floor)`, the load
+    /// floor taken over `k + 1` servers: `floor[v]`
     /// has the real value of `A + v`'s exact delay, summed per origin
     /// instead of per entry (see [`WindowIndex::prune_slack`]). The
     /// candidate with the smallest bound is scored first, to
@@ -796,12 +825,13 @@ impl CandidateScratch {
             ..
         } = self;
         let nc = candidates.len();
+        let k = index.servers();
         scores.clear();
         scores.resize(nc, 0.0);
         let mut seed = None;
         if slack.is_some() {
             for (bound, &v) in scores.iter_mut().zip(candidates.iter()) {
-                *bound = price(v, floor[v.index()] + index.load_floor(ctx, v));
+                *bound = price(v, floor[v.index()] + index.load_floor(ctx, v, k + 1));
             }
             seed = (0..nc).min_by(|&x, &y| scores[x].total_cmp(&scores[y]));
         }
@@ -998,7 +1028,7 @@ pub fn best_candidate_with(
         let mig_cost = single_change_cost(ctx, fleet, ChangeKind::Migrate);
         let run = ra * k as f64 * wlen;
         for &v in candidates.iter() {
-            let load_lb = index.load_floor(ctx, v);
+            let load_lb = index.load_floor(ctx, v, k);
             migrations.1 += k as u64;
             if let Some(eps) = slack {
                 // `moved[u] ≥ keep[u]` (d2 ≥ d1), so `floor[v]` floors
@@ -1607,11 +1637,12 @@ mod tests {
             let mig_cost = single_change_cost(&ctx, &fleet, ChangeKind::Migrate);
             let mut delays = Vec::new();
             for &v in &scratch.candidates {
-                let load_lb = scratch.index.load_floor(&ctx, v);
+                let add_load_lb = scratch.index.load_floor(&ctx, v, k + 1);
+                let load_lb = scratch.index.load_floor(&ctx, v, k);
                 let mut with_v = active.to_vec();
                 with_v.push(v);
                 let access = access_cost_window(&ctx, &with_v, &w);
-                let position = scratch.floor[v.index()] + load_lb;
+                let position = scratch.floor[v.index()] + add_load_lb;
                 prop_assert!(position * (1.0 - eps) <= access,
                     "position v={:?}: bound {} > exact {}", v, position, access);
                 let trans = single_change_cost(&ctx, &fleet, ChangeKind::Add(v));

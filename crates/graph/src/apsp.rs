@@ -10,25 +10,50 @@
 //! ## How `build` is fast
 //!
 //! Dijkstra sources are embarrassingly parallel, and [`DistanceMatrix::build`]
-//! exploits the structure on three levels:
+//! exploits the structure on four levels:
 //!
 //! 1. **CSR layout** — the graph is flattened once into a
 //!    [`CsrAdjacency`] (offset/target/weight
 //!    arrays), so each relaxation scans one contiguous `(targets, weights)`
 //!    row instead of chasing `Vec<(NodeId, EdgeId)> → EdgeData` pointers.
-//! 2. **Row-parallel execution** — the output matrix is split into
+//! 2. **Bucket queue** — each source runs [`dijkstra_into`], which keeps
+//!    its frontier in a ring of distance buckets instead of a binary heap
+//!    and so makes no priority comparisons (see the `csr` module docs).
+//! 3. **Row-parallel execution** — the output matrix is split into
 //!    contiguous row blocks handed to rayon workers
 //!    (`par_chunks_mut`); every worker writes only its own rows, so there
 //!    is no synchronization on the hot path.
-//! 3. **Scratch reuse** — each worker allocates one
-//!    [`DijkstraScratch`] (heap + settled
+//! 4. **Scratch reuse** — each worker allocates one
+//!    [`DijkstraScratch`] (bucket lists + settled
 //!    flags) and reuses it for every source in its block: `O(threads)`
-//!    allocations per build instead of `O(n)`.
+//!    allocations per build instead of `O(n)`. [`DistanceMatrix::repair`]
+//!    reuses one scratch per block of rows the same way.
+//!
+//! ## Why the pop order never moves a bit
+//!
+//! A row is computed per source and read as `d(origin, v)`. Its entry
+//! for `v` is a float sum `fl(…fl(fl(w₁) + w₂)… + w_k)` of the link
+//! weights along some walk from the origin, added left to right. For
+//! non-negative `w`, `fl(x + w) ≥ x` and `fl(· + w)` is monotone. So the
+//! least such sum over all walks to `v`, `D(v)`, satisfies
+//! `D(v) = min over links (u, v) of fl(D(u) + w)`. Every label a search
+//! writes is the sum along some walk, so it is at least `D(v)`. A correct
+//! label-setting or label-correcting search scans each node again after
+//! its last improvement, so it relaxes `fl(D(u) + w)` over every link and
+//! ends with exactly `D(v)`. That holds for a heap in any tie order and for
+//! the bucket ring with its in-bucket re-opens alike: the order in which
+//! nodes are popped never mattered. `path::shortest_paths`, which keeps a
+//! binary heap, is therefore a bitwise oracle for every row, and the
+//! `apsp_rows_equal_heap_dijkstra_bitwise` property test pins that on
+//! graphs mixing zero, sub-width, ring-spanning and failed (`∞`) links.
 //!
 //! Each row is computed by the same code in the same order regardless of
 //! thread count, so parallel and serial builds are **bit-identical**
-//! ([`DistanceMatrix::build_serial`] is the single-thread reference, and a
-//! property test pins `build == build_serial == build_floyd_warshall`).
+//! ([`DistanceMatrix::build_serial`] is the single-thread reference, pinned
+//! bitwise by `parallel_apsp_equals_serial_on_random_graphs`). The
+//! Floyd–Warshall reference adds in another order, so
+//! `dijkstra_matches_floyd_warshall` compares it within `1e-9`, not
+//! bitwise.
 
 use crate::csr::{dijkstra_into, CsrAdjacency, DijkstraScratch};
 use crate::graph::Graph;
@@ -62,8 +87,8 @@ pub struct EdgeUpdate {
 }
 
 impl DistanceMatrix {
-    /// Computes all-pairs shortest paths by running Dijkstra from every node
-    /// (`O(n · (m + n) log n)` work), which beats Floyd–Warshall on the
+    /// Computes all-pairs shortest paths by running the bucket-queue
+    /// Dijkstra from every node, which beats Floyd–Warshall on the
     /// sparse substrates used throughout the paper. Sources run in parallel
     /// over a CSR adjacency with per-thread scratch buffers (see the module
     /// docs); the result is bit-identical to [`DistanceMatrix::build_serial`].
@@ -77,18 +102,7 @@ impl DistanceMatrix {
         }
         let csr = CsrAdjacency::from_graph(g);
         let mut dist = vec![f64::INFINITY; n * n];
-        // One contiguous block of rows per worker; each worker reuses a
-        // single scratch for all of its sources.
-        let rows_per_block = n.div_ceil(rayon::current_num_threads());
-        dist.par_chunks_mut(rows_per_block * n)
-            .enumerate()
-            .for_each(|(block, rows)| {
-                let first = block * rows_per_block;
-                let mut scratch = DijkstraScratch::new(n);
-                for (i, row) in rows.chunks_mut(n).enumerate() {
-                    dijkstra_into(&csr, first + i, row, &mut scratch);
-                }
-            });
+        fill_rows(&csr, &mut dist, |_| true);
         DistanceMatrix { n, dist }
     }
 
@@ -106,7 +120,7 @@ impl DistanceMatrix {
         }
         let csr = CsrAdjacency::from_graph(g);
         let mut dist = vec![f64::INFINITY; n * n];
-        let mut scratch = DijkstraScratch::new(n);
+        let mut scratch = DijkstraScratch::new(&csr);
         for (u, row) in dist.chunks_mut(n).enumerate() {
             dijkstra_into(&csr, u, row, &mut scratch);
         }
@@ -211,15 +225,7 @@ impl DistanceMatrix {
             return 0;
         }
         let csr = CsrAdjacency::from_graph(g);
-        self.dist
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(u, row)| {
-                if dirty[u] {
-                    let mut scratch = DijkstraScratch::new(n);
-                    dijkstra_into(&csr, u, row, &mut scratch);
-                }
-            });
+        fill_rows(&csr, &mut self.dist, |u| dirty[u]);
         repaired
     }
 
@@ -267,6 +273,26 @@ impl DistanceMatrix {
             .filter(|d| d.is_finite())
             .fold(0.0, f64::max)
     }
+}
+
+/// Runs [`dijkstra_into`] into every row `u` of the row-major `dist` for
+/// which `pick(u)` holds: one contiguous block of rows per worker, each
+/// block reusing one scratch (allocated on its first picked row).
+fn fill_rows(csr: &CsrAdjacency, dist: &mut [f64], pick: impl Fn(usize) -> bool + Sync) {
+    let n = csr.node_count();
+    let rows_per_block = n.div_ceil(rayon::current_num_threads());
+    dist.par_chunks_mut(rows_per_block * n)
+        .enumerate()
+        .for_each(|(block, rows)| {
+            let first = block * rows_per_block;
+            let mut scratch = None;
+            for (i, row) in rows.chunks_mut(n).enumerate() {
+                if pick(first + i) {
+                    let scratch = scratch.get_or_insert_with(|| DijkstraScratch::new(csr));
+                    dijkstra_into(csr, first + i, row, scratch);
+                }
+            }
+        });
 }
 
 #[cfg(test)]

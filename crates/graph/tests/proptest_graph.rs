@@ -1,7 +1,9 @@
 //! Property-based tests for the graph substrate.
 //!
 //! Invariants checked:
-//! * Dijkstra == Floyd–Warshall on arbitrary random graphs,
+//! * Dijkstra == Floyd–Warshall on arbitrary random graphs (within 1e-9),
+//! * every APSP row is bit-identical to the heap Dijkstra of
+//!   `path::shortest_paths`, on weights the bucket ring finds hardest,
 //! * distance matrices are symmetric and satisfy the triangle inequality,
 //! * generator structural invariants hold for arbitrary parameters,
 //! * the connectivity repair always yields connected graphs.
@@ -34,6 +36,70 @@ fn graph_from_edges(n: usize, edges: &[(usize, usize, f64)]) -> Graph {
         );
     }
     g
+}
+
+/// One link weight of [`graph_from_mixed_links`] by `class`: zero, a
+/// sub-width `tiny` (at most 1e-9), `mantissa · 2^exp` across
+/// 2⁻³⁰–2³¹ (wider than the bucket ring), or an ordinary 10–20.
+fn mixed_weight(class: usize, tiny: f64, mantissa: f64, exp: i32) -> f64 {
+    match class {
+        0 => 0.0,
+        1 => tiny,
+        2 => mantissa * 2f64.powi(exp),
+        _ => mantissa * 10.0,
+    }
+}
+
+/// `((a, b, fail), class, tiny, mantissa, exp)`: one link of
+/// [`graph_from_mixed_links`].
+type MixedLink = ((usize, usize, usize), usize, f64, f64, i32);
+
+/// A graph whose links mix the weights of [`mixed_weight`]; a link with
+/// `fail == 0` (about one in six) then fails to `∞`.
+fn graph_from_mixed_links(n: usize, links: &[MixedLink]) -> Graph {
+    let mut g = Graph::new();
+    for _ in 0..n {
+        g.add_node(1.0);
+    }
+    for &((a, b, fail), class, tiny, mantissa, exp) in links {
+        let (a, b) = (NodeId::new(a % n), NodeId::new(b % n));
+        let w = mixed_weight(class, tiny, mantissa, exp);
+        if a != b && g.add_edge(a, b, w, flexserve_graph::Bandwidth::T1).is_ok() && fail == 0 {
+            g.set_edge_latency(a, b, f64::INFINITY).unwrap();
+        }
+    }
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every row of the bucket-queue APSP is `to_bits`-equal to the heap
+    /// Dijkstra of `path::shortest_paths` from the same origin: zero and
+    /// sub-width links force in-bucket re-opens, weights spanning more
+    /// than the ring widen the buckets, and failed links must never
+    /// enqueue. The pop order of a correct search never moves a bit
+    /// (see the `apsp` module docs).
+    #[test]
+    fn apsp_rows_equal_heap_dijkstra_bitwise(
+        n in 2usize..48,
+        links in prop::collection::vec(
+            ((0usize..48, 0usize..48, 0usize..6), 0usize..5, 0.0f64..1e-9, 1.0f64..2.0, -30i32..31),
+            0..160),
+    ) {
+        let g = graph_from_mixed_links(n, &links);
+        let m = DistanceMatrix::build(&g);
+        for u in g.nodes() {
+            let heap = shortest_paths(&g, u);
+            for (v, (&got, &want)) in m.row(u).iter().zip(heap.distances()).enumerate() {
+                prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "({},{}): {} vs {}", u, v, got, want
+                );
+            }
+        }
+    }
 }
 
 proptest! {
