@@ -173,9 +173,9 @@ pub(crate) fn parse_head(buf: &[u8]) -> Result<Option<Head>, HttpError> {
 }
 
 /// Parses one request out of a connection's accumulated bytes — the one
-/// request parser, used by the epoll reactor and the blocking fallback
-/// alike. Returns `Ok(None)` while the buffer holds only a request
-/// prefix, `Ok(Some((request, consumed)))` once a whole request (head +
+/// request parser, run by the front end's pool threads. Returns
+/// `Ok(None)` while the buffer holds only a request prefix,
+/// `Ok(Some((request, consumed)))` once a whole request (head +
 /// body) is present — `consumed` bytes belong to it and any remainder is
 /// the next pipelined request — and `Err` on a cap or framing violation
 /// (pinned by the proptests below).

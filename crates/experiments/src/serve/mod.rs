@@ -9,15 +9,13 @@
 //! and its own [`RequestSource`](flexserve_workload::RequestSource),
 //! sharing pristine substrates through the process-wide
 //! [`DistCache`](crate::cache::DistCache)), behind an event-driven HTTP
-//! front end (hand-rolled HTTP/1.1, as ever): a small pool of epoll
-//! reactor threads owns every connection and parses requests
-//! incrementally off readiness events, so 10k idle keep-alive clients
-//! cost file descriptors, not threads, and only complete requests occupy
-//! the `workers=` pool. That front end (`event_loop.rs`, with the one
-//! request parser in `http.rs`) is shared with the [`route`] tier: each
-//! tier supplies only its request handler (`handlers.rs` here), and
-//! non-Linux hosts run one blocking keep-alive loop per connection over
-//! the same parser instead:
+//! front end (hand-rolled HTTP/1.1, as ever): the `workers=` threads wait
+//! on one shared epoll set, and the thread that finds a connection ready
+//! reads, parses, answers and writes its requests itself, so 10k idle
+//! keep-alive clients cost file descriptors, not threads. That front end
+//! (`event_loop.rs`, with the one request parser in `http.rs`, Linux
+//! only) is shared with the [`route`] tier: each tier supplies only its
+//! request handler (`handlers.rs` here):
 //!
 //! | endpoint                             | effect                                   |
 //! |--------------------------------------|------------------------------------------|
@@ -62,8 +60,12 @@
 //! over a fleet of these daemons and live-migrates them bit-identically
 //! (checkpoint → resume → `migrated_to` tombstone); see `docs/CLUSTER.md`.
 
+// Off Linux the front end refuses to start, which leaves its request
+// plumbing unused there.
+#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
 mod event_loop;
 mod handlers;
+#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
 mod http;
 pub mod route;
 pub mod sessions;
@@ -91,12 +93,9 @@ pub struct ServeOptions {
     /// Listener port (0 = ephemeral, the chosen port is announced on
     /// stdout).
     pub port: u16,
-    /// HTTP worker threads executing complete requests concurrently.
+    /// Front-end threads: each waits on the shared epoll set and answers
+    /// the requests of whichever connection it finds ready.
     pub workers: usize,
-    /// Reactor threads of the epoll front end, each multiplexing a share
-    /// of all open connections (`reactor-threads=` key; ignored on the
-    /// non-Linux fallback front end).
-    pub reactor_threads: usize,
     /// Maximum concurrently live sessions.
     pub max_sessions: usize,
     /// `idle-evict=<secs>`: sessions no client has touched for this long
@@ -120,9 +119,10 @@ session keys: checkpoint=<path> (default <results dir>/checkpoint.json),
               resume=true|false, source=scenario|stdin|<path.jsonl>
 server keys:  port (default 7788, 0 = ephemeral),
               bind=<ip>[:<port>] (default 127.0.0.1; non-loopback logs a warning),
-              workers=<n> (default 4), max-sessions=<n> (default 16),
-              reactor-threads=<n> (epoll event-loop threads owning the
-              connections; default 2, range 1-16),
+              workers=<n> (front-end threads: each reads, answers and
+              writes whole requests; default 4, range 1-64),
+              max-sessions=<n> (default 16),
+              reactor-threads=<n> (no effect; still accepted, range 1-16),
               idle-evict=<secs> (auto-checkpoint + evict idle sessions;
               default off),
               request-timeout=<secs> (per-request read/write bound; default 30)
@@ -137,7 +137,6 @@ impl ServeOptions {
         let mut bind = IpAddr::V4(Ipv4Addr::LOCALHOST);
         let mut port = 7788u16;
         let mut workers = 4usize;
-        let mut reactor_threads = 2usize;
         let mut max_sessions = 16usize;
         let mut idle_evict = None;
         let mut request_timeout = std::time::Duration::from_secs(30);
@@ -165,8 +164,10 @@ impl ServeOptions {
                         return Err(format!("workers: {workers} out of range (1-64)"));
                     }
                 }
+                // Retired: still range-checked so existing command lines
+                // keep working, but it has no effect.
                 "reactor-threads" => {
-                    reactor_threads = v
+                    let reactor_threads: usize = v
                         .parse()
                         .map_err(|_| format!("reactor-threads: bad value {v:?}"))?;
                     if reactor_threads == 0 || reactor_threads > 16 {
@@ -214,7 +215,6 @@ impl ServeOptions {
             bind,
             port,
             workers,
-            reactor_threads,
             max_sessions,
             idle_evict,
             request_timeout,
@@ -265,12 +265,11 @@ pub fn serve_on(listener: TcpListener, opts: &ServeOptions) -> Result<ServeSumma
     };
     println!(
         "flexserve serve: listening on http://{addr} [{}] source={} checkpoint={} \
-         workers={} reactor-threads={} max-sessions={}{}",
+         workers={} max-sessions={}{}",
         field("spec"),
         field("source"),
         opts.session.checkpoint.display(),
         opts.workers,
-        opts.reactor_threads,
         opts.max_sessions,
         if opts.session.resume {
             format!(
@@ -315,13 +314,9 @@ pub fn serve_on(listener: TcpListener, opts: &ServeOptions) -> Result<ServeSumma
         }
         // Returns once shutdown is flagged and every connection drained;
         // the reaper observes the flag within a tick.
-        run_front_end(
-            listener,
-            &front,
-            opts.workers,
-            opts.reactor_threads,
-            &|request| handlers::handle(request, &manager),
-        )
+        run_front_end(listener, &front, opts.workers, &|request| {
+            handlers::handle(request, &manager)
+        })
     })?;
     // Graceful shutdown: snapshot every live session to its checkpoint
     // file before stopping it, so a daemon going down (POST /shutdown or
@@ -441,11 +436,8 @@ mod tests {
         assert!(with(&["workers=0"]).is_err());
         assert!(with(&["max-sessions=0"]).is_err());
 
-        // reactor-threads: the epoll front end's event-loop pool
-        let opts = with(&[]).unwrap();
-        assert_eq!(opts.reactor_threads, 2, "reactor-threads defaults to 2");
-        let opts = with(&["reactor-threads=4"]).unwrap();
-        assert_eq!(opts.reactor_threads, 4);
+        // reactor-threads: retired, but still parsed and range-checked
+        assert!(with(&["reactor-threads=4"]).is_ok());
         assert!(with(&["reactor-threads=0"]).is_err());
         assert!(with(&["reactor-threads=17"]).is_err());
         assert!(with(&["reactor-threads=many"]).is_err());

@@ -35,8 +35,9 @@
 //!
 //! **Front end**: the router runs on the workers' HTTP front end
 //! (`serve/event_loop.rs`) and supplies only its request handler; idle
-//! keep-alive clients hold reactor slots, never one of the `threads=`
-//! workers, and the request caps and `POST /shutdown` match the workers'.
+//! keep-alive clients hold connection-table slots, never one of the
+//! `threads=` threads, and the request caps and `POST /shutdown` match
+//! the workers'.
 //!
 //! Deployment assumption: workers share a filesystem (checkpoint hand-off
 //! is path-based). Lock discipline: the router state mutex is an *inner*
@@ -72,8 +73,8 @@ pub struct RouteOptions {
     pub bind: IpAddr,
     /// Listener port (default 7787; 0 = ephemeral, announced on stdout).
     pub port: u16,
-    /// Worker threads running router requests; the connections
-    /// themselves are held by the shared front end's reactors.
+    /// Front-end threads answering router requests; idle connections
+    /// wait in the shared front end's epoll set, not on these threads.
     pub threads: usize,
     /// Virtual ring points per worker.
     pub replicas: usize,
@@ -254,11 +255,6 @@ impl RouterShared {
         self.timeout.min(Duration::from_secs(1))
     }
 }
-
-/// Reactor threads holding the router's connections: the `serve`
-/// default, since a router request spends its time in the proxy hop on a
-/// worker thread, not in the reactor.
-const ROUTER_REACTORS: usize = 2;
 
 /// The 404 body's endpoint inventory for the router (kept in sync with
 /// `docs/CLUSTER.md` by `tests/docs_drift.rs`, which is why it is
@@ -1114,7 +1110,7 @@ pub fn run_on(listener: TcpListener, opts: &RouteOptions) -> Result<(), String> 
             })
             .map_err(|e| format!("route: cannot spawn health thread: {e}"))?;
         // Shutting the router down never touches the workers.
-        run_front_end(listener, front, opts.threads, ROUTER_REACTORS, &|request| {
+        run_front_end(listener, front, opts.threads, &|request| {
             handle(request, shared)
         })
     })

@@ -493,3 +493,36 @@ fn pipelined_requests_are_answered_in_order() {
     assert_eq!(status, 200);
     handle.join().unwrap();
 }
+
+/// A connection that never sends a byte closes quietly once the request
+/// timeout passes (no 408: there is no request to answer), and requests
+/// pipelined behind `POST /shutdown` are never served: the front end
+/// answers the shutdown itself and closes.
+#[test]
+fn idle_connections_close_quietly_and_nothing_follows_shutdown() {
+    let (addr, handle) = start_daemon(&["request-timeout=0.3"]);
+    let mut idle = TcpStream::connect(addr).expect("connect");
+    let mut received = String::new();
+    idle.read_to_string(&mut received).expect("quiet close");
+    assert_eq!(received, "");
+
+    let mut client = TcpStream::connect(addr).expect("connect");
+    client
+        .write_all(
+            b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\nPOST /shutdown HTTP/1.1\r\nHost: t\r\n\r\n\
+              GET /placement HTTP/1.1\r\nHost: t\r\n\r\n",
+        )
+        .expect("send pipeline");
+    let mut out = String::new();
+    client
+        .read_to_string(&mut out)
+        .expect("answers, then close");
+    assert!(out.starts_with("HTTP/1.1 200 "), "{out}");
+    assert!(out.contains("rounds_served"), "{out}");
+    assert!(!out.contains("\"active\""), "{out}");
+    assert!(
+        out.ends_with("Connection: close\r\n\r\n{\"ok\":true}\n"),
+        "{out}"
+    );
+    handle.join().unwrap();
+}
