@@ -4,11 +4,14 @@
 //! artifacts it produced: which spec generated each CSV, over which seeds,
 //! at which git revision, plus the distance-matrix and demand-trace cache
 //! counters for the whole run (so multi-cell sweeps document how much APSP
-//! and workload-recording work the caches saved). JSON is emitted by hand — the workspace deliberately has no
-//! serde (no network, vendored deps only) and the schema is flat.
+//! and workload-recording work the caches saved). The document is built as
+//! a [`JsonValue`] and written by [`JsonValue::render_pretty`] (one
+//! `"key": value` per line, two-space indentation); the entries of earlier
+//! runs are read back with [`JsonValue::parse`].
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
+
+use flexserve_workload::JsonValue;
 
 use crate::cache::CacheStats;
 use crate::output::results_dir;
@@ -35,25 +38,6 @@ pub struct ManifestEntry {
 #[derive(Clone, Debug, Default)]
 pub struct Manifest {
     entries: Vec<ManifestEntry>,
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// `git describe --always --dirty` of the working tree, or `"unknown"`
@@ -91,50 +75,35 @@ impl Manifest {
         self.entries.is_empty()
     }
 
-    /// Renders the manifest as pretty-printed JSON.
     /// Renders the manifest as pretty-printed JSON. Top-level `command`,
     /// `git` and cache counters describe this invocation; `carried` holds
-    /// pre-rendered artifact blocks of *earlier* invocations (see
-    /// [`Manifest::write`]) appended after this run's entries, so the
-    /// manifest accumulates provenance for everything still in the
-    /// results directory. Each entry records its own `git` revision.
+    /// artifact entries of *earlier* invocations (see [`Manifest::write`])
+    /// appended after this run's entries, so the manifest accumulates
+    /// provenance for everything still in the results directory. Each
+    /// entry records its own `git` revision.
     pub fn to_json(
         &self,
         command: &str,
         cache: CacheStats,
         traces: CacheStats,
-        carried: &[String],
+        carried: &[JsonValue],
     ) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"tool\": \"flexserve\",");
-        let _ = writeln!(out, "  \"command\": \"{}\",", json_escape(command));
         let git = git_describe();
-        let _ = writeln!(out, "  \"git\": \"{}\",", json_escape(&git));
-        let render_cache = |out: &mut String, name: &str, stats: CacheStats| {
-            let _ = writeln!(out, "  \"{name}\": {{");
-            let _ = writeln!(out, "    \"hits\": {},", stats.hits);
-            let _ = writeln!(out, "    \"misses\": {},", stats.misses);
-            let _ = writeln!(out, "    \"evictions\": {},", stats.evictions);
-            let _ = writeln!(out, "    \"hit_rate\": {:.4}", stats.hit_rate());
-            let _ = writeln!(out, "  }},");
-        };
-        render_cache(&mut out, "distance_matrix_cache", cache);
-        render_cache(&mut out, "trace_cache", traces);
-        let _ = writeln!(out, "  \"artifacts\": [");
-        let total = self.entries.len() + carried.len();
-        let mut blocks = Vec::with_capacity(total);
-        for e in &self.entries {
-            blocks.push(render_entry(e, &git));
-        }
-        blocks.extend(carried.iter().cloned());
-        for (i, block) in blocks.iter().enumerate() {
-            out.push_str(block);
-            let _ = writeln!(out, "{}", if i + 1 < total { "," } else { "" });
-        }
-        let _ = writeln!(out, "  ]");
-        out.push_str("}\n");
-        out
+        let artifacts = self
+            .entries
+            .iter()
+            .map(|e| e.to_value(&git))
+            .chain(carried.iter().cloned())
+            .collect();
+        let doc = JsonValue::Obj(vec![
+            ("tool".into(), "flexserve".into()),
+            ("command".into(), command.into()),
+            ("git".into(), git.into()),
+            ("distance_matrix_cache".into(), cache_value(cache)),
+            ("trace_cache".into(), cache_value(traces)),
+            ("artifacts".into(), JsonValue::Arr(artifacts)),
+        ]);
+        doc.render_pretty() + "\n"
     }
 
     /// Writes the manifest to `<results dir>/manifest.json`, creating the
@@ -163,72 +132,66 @@ impl Manifest {
         std::fs::create_dir_all(dir)?;
         let path = dir.join("manifest.json");
         let produced: Vec<&str> = self.entries.iter().map(|e| e.artifact.as_str()).collect();
-        let carried = match std::fs::read_to_string(&path) {
-            Ok(prev) => carry_blocks(&prev, &produced),
-            Err(_) => Vec::new(),
-        };
+        // Carry the earlier entries this run did not reproduce: they
+        // describe files still on disk. A manifest that does not parse
+        // carries nothing; the next full `run all` regenerates every entry.
+        let previous = std::fs::read_to_string(&path)
+            .ok()
+            .and_then(|text| JsonValue::parse(&text).ok())
+            .unwrap_or(JsonValue::Null);
+        let carried: Vec<JsonValue> = (previous.get("artifacts"))
+            .and_then(JsonValue::as_array)
+            .unwrap_or_default()
+            .iter()
+            .filter(|entry| {
+                entry
+                    .get("artifact")
+                    .and_then(JsonValue::as_str)
+                    .is_some_and(|artifact| !produced.contains(&artifact))
+            })
+            .cloned()
+            .collect();
         std::fs::write(&path, self.to_json(command, cache, traces, &carried))?;
         Ok(path)
     }
 }
 
-/// Renders one artifact entry as a JSON block (4-space indent, no
-/// trailing comma or newline — [`Manifest::to_json`] adds those).
-fn render_entry(e: &ManifestEntry, git: &str) -> String {
-    let seeds = e
-        .seeds
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let fps = e
-        .fingerprints
-        .iter()
-        .map(|f| format!("\"{f:016x}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let mut out = String::new();
-    let _ = writeln!(out, "    {{");
-    let _ = writeln!(out, "      \"artifact\": \"{}\",", json_escape(&e.artifact));
-    let _ = writeln!(out, "      \"kind\": \"{}\",", json_escape(&e.kind));
-    let _ = writeln!(out, "      \"spec\": \"{}\",", json_escape(&e.spec));
-    let _ = writeln!(out, "      \"git\": \"{}\",", json_escape(git));
-    let _ = writeln!(out, "      \"seeds\": [{seeds}],");
-    let _ = writeln!(out, "      \"substrate_fingerprints\": [{fps}]");
-    out.push_str("    }");
-    out
+impl ManifestEntry {
+    /// The entry as a manifest `artifacts` element, stamped with `git`.
+    fn to_value(&self, git: &str) -> JsonValue {
+        let fingerprints = self
+            .fingerprints
+            .iter()
+            .map(|f| format!("{f:016x}").into())
+            .collect();
+        JsonValue::Obj(vec![
+            ("artifact".into(), self.artifact.as_str().into()),
+            ("kind".into(), self.kind.as_str().into()),
+            ("spec".into(), self.spec.as_str().into()),
+            ("git".into(), git.into()),
+            (
+                "seeds".into(),
+                JsonValue::Arr(self.seeds.iter().map(|&s| s.into()).collect()),
+            ),
+            (
+                "substrate_fingerprints".into(),
+                JsonValue::Arr(fingerprints),
+            ),
+        ])
+    }
 }
 
-/// Extracts the artifact blocks of a previously written manifest whose
-/// `artifact` is not in `produced` (those entries describe files still on
-/// disk that this run did not touch). Only understands the fixed format
-/// [`render_entry`] emits — a hand-edited manifest may lose carried
-/// entries, which the next full `run all` regenerates.
-fn carry_blocks(prev: &str, produced: &[&str]) -> Vec<String> {
-    let mut carried = Vec::new();
-    let mut block: Option<Vec<&str>> = None;
-    for line in prev.lines() {
-        match (&mut block, line) {
-            (None, "    {") => block = Some(vec![line]),
-            (Some(lines), "    }" | "    },") => {
-                lines.push("    }");
-                let artifact = lines.iter().find_map(|l| {
-                    l.trim_start()
-                        .strip_prefix("\"artifact\": \"")?
-                        .strip_suffix("\",")
-                });
-                if let Some(a) = artifact {
-                    if !produced.contains(&a) {
-                        carried.push(lines.join("\n"));
-                    }
-                }
-                block = None;
-            }
-            (Some(lines), l) => lines.push(l),
-            (None, _) => {}
-        }
-    }
-    carried
+/// One cache's counters, its hit rate rounded to four decimals.
+fn cache_value(stats: CacheStats) -> JsonValue {
+    JsonValue::Obj(vec![
+        ("hits".into(), stats.hits.into()),
+        ("misses".into(), stats.misses.into()),
+        ("evictions".into(), stats.evictions.into()),
+        (
+            "hit_rate".into(),
+            ((stats.hit_rate() * 1e4).round() / 1e4).into(),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -260,18 +223,30 @@ mod tests {
             evictions: 0,
         };
         let json = sample().to_json("run fig03", cache, traces, &[]);
-        // Structural smoke checks (no JSON parser in-tree by design).
+        // The line-oriented layout the CI greps read.
         assert!(json.starts_with("{\n"));
         assert!(json.ends_with("}\n"));
-        assert!(json.contains("\"command\": \"run fig03\""));
-        assert!(json.contains("\"hits\": 3"));
-        assert!(json.contains("\"hit_rate\": 0.7500"));
-        assert!(json.contains("\"trace_cache\""));
+        assert!(json.contains("\n  \"command\": \"run fig03\","));
+        assert!(json.contains("\"artifact\": \"fig03.csv\""));
+        // The same facts, read back through the parser.
+        let doc = JsonValue::parse(&json).unwrap();
+        assert_eq!(doc.get("command").unwrap().as_str(), Some("run fig03"));
+        let dist = doc.get("distance_matrix_cache").unwrap();
+        assert_eq!(dist.get("hits").unwrap().as_u64(), Some(3));
+        assert_eq!(dist.get("hit_rate").unwrap().as_f64(), Some(0.75));
+        let trace = doc.get("trace_cache").unwrap();
+        assert_eq!(trace.get("hit_rate").unwrap().as_f64(), Some(0.6667));
         assert!(json.contains("\"hit_rate\": 0.6667"));
-        assert!(json.contains("\"seeds\": [1000, 1001]"));
-        assert!(json.contains("\"00000000deadbeef\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let entry = &doc.get("artifacts").unwrap().as_array().unwrap()[0];
+        let seeds: Vec<u64> = (entry.get("seeds").unwrap().as_array().unwrap())
+            .iter()
+            .map(|s| s.as_u64().unwrap())
+            .collect();
+        assert_eq!(seeds, [1000, 1001]);
+        assert_eq!(
+            entry.get("substrate_fingerprints").unwrap().as_str_array(),
+            Some(vec!["00000000deadbeef".to_string()])
+        );
     }
 
     fn one_entry(artifact: &str, spec: &str) -> Manifest {
@@ -299,12 +274,11 @@ mod tests {
             .write_to(&dir, "run fig04", cache, cache)
             .unwrap();
         let json = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-        // Both artifacts' provenance survives; balance still holds.
+        // Both artifacts' provenance survives, and the file parses.
         assert!(json.contains("\"artifact\": \"fig03.csv\""), "{json}");
         assert!(json.contains("\"artifact\": \"fig04.csv\""), "{json}");
         assert!(json.contains("\"command\": \"run fig04\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(JsonValue::parse(&json).is_ok(), "{json}");
 
         // Re-producing fig03 replaces its entry rather than duplicating.
         one_entry("fig03.csv", "fig03 v2")
@@ -315,15 +289,92 @@ mod tests {
         assert!(json.contains("fig03 v2"));
         assert!(!json.contains("fig03 v1"));
         assert!(json.contains("\"artifact\": \"fig04.csv\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(JsonValue::parse(&json).is_ok(), "{json}");
 
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn escaping_handles_quotes_and_newlines() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let spec = "a\"b\\c\nd\u{1}";
+        let json = one_entry("odd.csv", spec).to_json(
+            "run",
+            CacheStats::default(),
+            CacheStats::default(),
+            &[],
+        );
+        assert!(json.contains(r#""spec": "a\"b\\c\nd\u0001""#), "{json}");
+        let doc = JsonValue::parse(&json).unwrap();
+        let entry = &doc.get("artifacts").unwrap().as_array().unwrap()[0];
+        assert_eq!(entry.get("spec").unwrap().as_str(), Some(spec));
+    }
+
+    #[test]
+    fn carries_entries_from_a_manifest_in_the_earlier_fixed_layout() {
+        // A manifest as the line-by-line writer of earlier versions laid
+        // it out: four-decimal hit rates, seeds and fingerprints inline.
+        const EARLIER: &str = r#"{
+  "tool": "flexserve",
+  "command": "run fig03 fig04",
+  "git": "0863250",
+  "distance_matrix_cache": {
+    "hits": 3,
+    "misses": 1,
+    "evictions": 0,
+    "hit_rate": 0.7500
+  },
+  "trace_cache": {
+    "hits": 0,
+    "misses": 0,
+    "evictions": 0,
+    "hit_rate": 0.0000
+  },
+  "artifacts": [
+    {
+      "artifact": "fig03.csv",
+      "kind": "figure",
+      "spec": "fig03",
+      "git": "0863250",
+      "seeds": [],
+      "substrate_fingerprints": []
+    },
+    {
+      "artifact": "fig04.csv",
+      "kind": "figure",
+      "spec": "fig04 \"quoted\"",
+      "git": "0863250",
+      "seeds": [1000, 1001],
+      "substrate_fingerprints": ["00000000deadbeef"]
+    }
+  ]
+}
+"#;
+        let dir = std::env::temp_dir().join("flexserve-manifest-earlier-layout-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("manifest.json"), EARLIER).unwrap();
+        let cache = CacheStats::default();
+        one_entry("fig03.csv", "fig03 v2")
+            .write_to(&dir, "run fig03", cache, cache)
+            .unwrap();
+        let json = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+        let doc = JsonValue::parse(&json).unwrap();
+        let artifacts = doc.get("artifacts").unwrap().as_array().unwrap();
+        let field = |i: usize, key: &str| artifacts[i].get(key).cloned().unwrap();
+        assert_eq!(artifacts.len(), 2, "{json}");
+        // This run's fig03 replaces the earlier one; fig04 is carried
+        // whole, its own git revision included.
+        assert_eq!(field(0, "spec").as_str(), Some("fig03 v2"));
+        assert_eq!(field(1, "artifact").as_str(), Some("fig04.csv"));
+        assert_eq!(field(1, "spec").as_str(), Some("fig04 \"quoted\""));
+        assert_eq!(field(1, "git").as_str(), Some("0863250"));
+        assert_eq!(field(1, "seeds").render(), "[1000,1001]");
+        assert_eq!(
+            field(1, "substrate_fingerprints").as_str_array(),
+            Some(vec!["00000000deadbeef".to_string()])
+        );
+        assert!(json.contains("\"artifact\": \"fig04.csv\""));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

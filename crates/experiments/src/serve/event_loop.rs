@@ -17,8 +17,9 @@
 //! `extern "C"` shim over raw syscalls (`epoll_create1` / `epoll_ctl` /
 //! `epoll_wait`, `pipe2` for the shutdown wakeup, `setrlimit` to lift the
 //! fd soft cap) — no new dependencies. The front end needs epoll: off
-//! Linux, [`run_front_end`] refuses to start. The `reactor-threads=` serve
-//! key is still accepted but has no effect.
+//! Linux, [`FrontEnd::new`] refuses, so a tier fails before it creates,
+//! probes or announces anything. The `reactor-threads=` serve key is still
+//! accepted but has no effect.
 //!
 //! ```text
 //!  accept loop ──▶ connection table, EPOLL_CTL_ADD (one-shot EPOLLIN)
@@ -71,6 +72,9 @@ pub(crate) struct FrontEnd {
     pub(crate) addr: SocketAddr,
     /// Bound on a connection's first request and on draining a response.
     pub(crate) request_timeout: Duration,
+    /// Off Linux no front end can exist: it is built on epoll.
+    #[cfg(not(target_os = "linux"))]
+    unsupported: std::convert::Infallible,
 }
 
 /// One answered request: the wire bytes, whether the connection stays
@@ -82,13 +86,28 @@ struct Reply {
 }
 
 impl FrontEnd {
-    pub(crate) fn new(tier: &'static str, addr: SocketAddr, request_timeout: Duration) -> Self {
-        FrontEnd {
+    /// The front end of `tier` on `addr`. Tiers make it before anything
+    /// else, since it refuses off Linux.
+    #[cfg(target_os = "linux")]
+    pub(crate) fn new(
+        tier: &'static str,
+        addr: SocketAddr,
+        request_timeout: Duration,
+    ) -> Result<Self, String> {
+        Ok(FrontEnd {
             tier,
             shutdown: AtomicBool::new(false),
             addr,
             request_timeout,
-        }
+        })
+    }
+
+    /// Off Linux there is no front end: it is built on epoll.
+    #[cfg(not(target_os = "linux"))]
+    pub(crate) fn new(tier: &'static str, _: SocketAddr, _: Duration) -> Result<Self, String> {
+        Err(format!(
+            "{tier}: the HTTP front end needs epoll, which only Linux has"
+        ))
     }
 
     pub(crate) fn is_shutting_down(&self) -> bool {
@@ -148,6 +167,7 @@ pub(crate) fn non_loopback_warning(tier: &str, addr: &SocketAddr) -> Option<Stri
 /// SIGTERM) on a pool of `threads` threads. Warns first when the listener
 /// is reachable from other hosts. Returns with the shutdown flag set, once
 /// every connection has drained and every thread has been joined.
+#[cfg(target_os = "linux")]
 pub(crate) fn run_front_end(
     listener: TcpListener,
     front: &FrontEnd,
@@ -162,18 +182,15 @@ pub(crate) fn run_front_end(
     result
 }
 
-/// Off Linux there is no front end: it is built on epoll.
+/// Off Linux no [`FrontEnd`] exists to run.
 #[cfg(not(target_os = "linux"))]
-fn run_pool(
-    _listener: TcpListener,
+pub(crate) fn run_front_end(
+    _: TcpListener,
     front: &FrontEnd,
-    _threads: usize,
-    _handler: &Handler<'_>,
+    _: usize,
+    _: &Handler<'_>,
 ) -> Result<(), String> {
-    Err(format!(
-        "{}: the HTTP front end needs epoll, which only Linux has",
-        front.tier
-    ))
+    match front.unsupported {}
 }
 
 /// No rlimit shim off Linux; reports 0 ("unknown").

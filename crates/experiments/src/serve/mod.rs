@@ -248,7 +248,7 @@ pub fn serve_on(listener: TcpListener, opts: &ServeOptions) -> Result<ServeSumma
     let addr = listener
         .local_addr()
         .map_err(|e| format!("serve: local_addr: {e}"))?;
-    let front = FrontEnd::new("serve", addr, opts.request_timeout);
+    let front = FrontEnd::new("serve", addr, opts.request_timeout)?;
     let manager = SessionManager::new(opts.max_sessions);
 
     // The default session comes up before the listener answers, so a bad

@@ -1038,6 +1038,7 @@ pub fn run_on(listener: TcpListener, opts: &RouteOptions) -> Result<(), String> 
     let addr = listener
         .local_addr()
         .map_err(|e| format!("route: local_addr: {e}"))?;
+    let front = FrontEnd::new("route", addr, opts.request_timeout)?;
 
     // Probe the configured fleet once: reachable workers go straight on
     // the ring, the rest start marked down (the health thread brings
@@ -1062,7 +1063,6 @@ pub fn run_on(listener: TcpListener, opts: &RouteOptions) -> Result<(), String> 
         });
     }
     let live = workers.iter().filter(|w| w.alive).count();
-    let front = FrontEnd::new("route", addr, opts.request_timeout);
     let shared = RouterShared {
         state: Mutex::new(RouterState {
             workers,

@@ -266,6 +266,21 @@ fn traces_md_documents_the_packed_plane() {
     ] {
         assert!(doc.contains("TRACES.md"), "{name} must link docs/TRACES.md");
     }
+    // one reader decodes every pack: the retired second reader's entry
+    // points are named nowhere (spelled in pieces, like the names below)
+    for (path, text) in doc_tree() {
+        for retired in [
+            concat!("open", "_streaming"),
+            concat!("open", "_mmap"),
+            concat!("uses", "_mmap"),
+        ] {
+            assert!(
+                !text.contains(retired),
+                "{} must not name the retired packed reader ({retired})",
+                path.display()
+            );
+        }
+    }
 }
 
 #[test]

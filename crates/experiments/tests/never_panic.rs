@@ -1,16 +1,22 @@
-//! Never-panic fuzzers for the experiments crate's text inputs: the JSON
-//! parser ([`JsonValue::parse`], which reads every `/step`, `/events` and
-//! session-create body and every checkpoint) and the cell grammar
+//! Never-panic fuzzers for the inputs the experiments crate reads: the
+//! JSON parser ([`JsonValue::parse`], which reads every `/step`, `/events`
+//! and session-create body and every checkpoint), the cell grammar
 //! ([`CellBuilder::apply`] plus [`CellBuilder::build`], reached from the
-//! command line and from `POST /sessions` bodies). Inputs are arbitrary
-//! bytes, and truncations, byte flips and byte deletions of valid
-//! documents. Every call must return `Ok` or `Err`.
+//! command line and from `POST /sessions` bodies) and the packed trace
+//! reader ([`PackedTrace::from_bytes`], behind every `wl=replay:` and
+//! `source=` pack). Inputs are arbitrary bytes, and truncations, byte
+//! flips and byte deletions of valid documents. Every call must return
+//! `Ok` or `Err`.
 
 use std::sync::OnceLock;
 
 use flexserve_experiments::serve::{SessionConfig, SessionManager};
 use flexserve_experiments::CellBuilder;
-use flexserve_workload::JsonValue;
+use flexserve_graph::NodeId;
+use flexserve_workload::packed::fnv1a;
+use flexserve_workload::{
+    JsonValue, PackedReplay, PackedTrace, RequestSource, RoundRequests, RoundTrace,
+};
 use proptest::prelude::*;
 
 /// A daemon checkpoint taken mid-schedule: the v2 engine document with
@@ -103,6 +109,79 @@ fn check_json(bytes: &[u8]) {
     }
 }
 
+/// A valid pack: a dozen rounds over five origins, some empty, with
+/// counts large enough to need multi-byte varints.
+fn valid_pack() -> Vec<u8> {
+    let rounds = (0..12usize)
+        .map(|t| {
+            let counts = (0..t % 4).map(|i| (NodeId::new((t + 2 * i) % 5), 1 + 90 * i * t));
+            RoundRequests::from_counts(counts.collect())
+        })
+        .collect();
+    RoundTrace::new(rounds).to_packed()
+}
+
+/// Recomputes the header fingerprint over the frame region the trailer
+/// names, when the bytes still hold both, so edits reach the checks and
+/// the decoder behind the hash.
+fn refingerprint(bytes: &mut [u8]) {
+    let Some(trailer) = bytes.len().checked_sub(16).filter(|&at| at >= 32) else {
+        return;
+    };
+    let index = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap());
+    let region = usize::try_from(index)
+        .ok()
+        .and_then(|end| bytes.get(32..end));
+    if let Some(region) = region {
+        let fingerprint = fnv1a(region);
+        bytes[24..32].copy_from_slice(&fingerprint.to_le_bytes());
+    }
+}
+
+/// A well-formed pack (header, index, trailer, fingerprint) around
+/// arbitrary frame payloads, each led by its round's `t` (one varint byte
+/// below 128 rounds), so it opens and the frame decoder reads the noise.
+fn wrap_frames(universe: u64, payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut frames = Vec::new();
+    let mut index = Vec::new();
+    for (t, noise) in payloads.iter().enumerate() {
+        index.push(32 + frames.len() as u64);
+        frames.extend_from_slice(&(1 + noise.len() as u32).to_le_bytes());
+        frames.push(t as u8);
+        frames.extend_from_slice(noise);
+    }
+    let mut bytes = b"FXTRACE1".to_vec();
+    for word in [payloads.len() as u64, universe, fnv1a(&frames)] {
+        bytes.extend_from_slice(&word.to_le_bytes());
+    }
+    bytes.extend_from_slice(&frames);
+    let index_offset = bytes.len() as u64;
+    for word in index.into_iter().chain([index_offset]) {
+        bytes.extend_from_slice(&word.to_le_bytes());
+    }
+    bytes.extend_from_slice(b"FXTRIDX1");
+    bytes
+}
+
+/// Opens `bytes` as a pack; one that opens decodes every round, and a
+/// replay over it agrees round by round up to the first error or the
+/// end.
+fn check_pack(bytes: Vec<u8>) {
+    let Ok(trace) = PackedTrace::from_bytes("fuzz", bytes) else {
+        return;
+    };
+    let decoded: Vec<_> = (0..trace.len()).map(|t| trace.round(t)).collect();
+    let mut replay = PackedReplay::from_trace(trace, usize::MAX).unwrap();
+    for round in decoded {
+        let failed = round.is_err();
+        prop_assert_eq!(replay.next_round(), round.map(Some));
+        if failed {
+            return;
+        }
+    }
+    prop_assert_eq!(replay.next_round(), Ok(None));
+}
+
 /// Applies every `key=value` argument to a fresh builder, as a session
 /// body does, then builds; a cell that builds can describe itself.
 fn check_cell(args: &[Vec<u8>]) {
@@ -150,6 +229,52 @@ proptest! {
         // Half the cases keep the whole document and only edit bytes.
         let cut = if cut % 2 == 0 { base.len() } else { cut };
         check_json(&mangle(base, cut, &edits));
+    }
+
+    #[test]
+    fn packed_reader_never_panics_on_arbitrary_bytes(
+        noise in prop::collection::vec(0u32..256, 0..300),
+        framed in 0u32..2,
+    ) {
+        let mut bytes: Vec<u8> = noise.iter().map(|&b| b as u8).collect();
+        // Half the cases carry both magics, so they reach the index walk.
+        if framed == 1 {
+            bytes.splice(0..0, *b"FXTRACE1");
+            bytes.extend_from_slice(b"FXTRIDX1");
+        }
+        check_pack(bytes);
+    }
+
+    #[test]
+    fn packed_reader_never_panics_on_mangled_packs(
+        cut in 0usize..400,
+        edits in prop::collection::vec((0usize..400, 1u32..512), 0..4),
+        refingerprinted in 0u32..2,
+    ) {
+        let base = valid_pack();
+        // Half the cases keep the whole pack and only edit bytes.
+        let cut = if cut % 2 == 0 { base.len() } else { cut };
+        let mut bytes = mangle(&base, cut, &edits);
+        if refingerprinted == 1 {
+            refingerprint(&mut bytes);
+        }
+        check_pack(bytes);
+    }
+
+    #[test]
+    fn packed_decoder_never_panics_on_noise_frames(
+        universe in 0u64..16,
+        frames in prop::collection::vec(prop::collection::vec(0u32..512, 0..24), 0..8),
+    ) {
+        // Half the noise is bytes below 8: one-byte varints that pass for
+        // origin counts, deltas and counts.
+        let payloads: Vec<Vec<u8>> = frames
+            .iter()
+            .map(|noise| noise.iter().map(|&b| if b < 256 { b as u8 } else { (b % 8) as u8 }).collect())
+            .collect();
+        let bytes = wrap_frames(universe, &payloads);
+        prop_assert!(PackedTrace::from_bytes("fuzz", bytes.clone()).is_ok());
+        check_pack(bytes);
     }
 
     #[test]
@@ -210,4 +335,7 @@ fn fixtures_parse_and_build() {
     let cell = builder.build().unwrap();
     assert_eq!(cell.params.max_servers, 4);
     assert_eq!(cell.events.len(), 3);
+    let pack = PackedTrace::from_bytes("fixture", valid_pack()).unwrap();
+    assert_eq!(pack.materialize().unwrap().len(), 12);
+    assert_eq!(pack.round(11).unwrap().len(), 1 + 991 + 1981);
 }

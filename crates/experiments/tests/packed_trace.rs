@@ -4,12 +4,12 @@
 //! * **Equivalence** — JSONL → `trace pack` → packed replay is bitwise
 //!   identical to direct JSONL replay (per-round [`RoundRequests`] and
 //!   end-to-end strategy cost), across topology × workload × seed tuples,
-//!   through both the mmap and the streaming reader; and packing is a
+//!   on both backings (a mapped file, bytes in memory); and packing is a
 //!   fixed point (`pack(unpack(pack(x)))` is byte-identical).
 //! * **Corruption robustness** — byte-level mutations of a valid pack
 //!   (truncations, magic/trailer flips, fingerprint and frame-index
-//!   mismatches, out-of-order `t`) all fail with clean errors from both
-//!   readers: no panics, no partial traces.
+//!   mismatches, out-of-order `t`) all fail with clean errors on both
+//!   backings: no panics, no partial traces.
 //! * **Windowed == full** — a 10⁵-round pack replayed through windows of
 //!   size 1, 7, 4096 and whole-trace matches full materialization
 //!   bitwise, and a serve session over a packed source resumed mid-trace
@@ -63,12 +63,14 @@ fn fresh_trace(
     record(scenario.as_mut(), rounds)
 }
 
-/// Every reader mode a pack can be opened in.
+/// Every backing a pack can be opened on: the file mapped by `open`, and
+/// its bytes handed to `from_bytes`.
 fn open_all_modes(path: &str) -> Vec<(&'static str, Result<PackedTrace, String>)> {
-    let mut out = vec![("streaming", PackedTrace::open_streaming(path))];
-    #[cfg(unix)]
-    out.push(("mmap", PackedTrace::open_mmap(path)));
-    out
+    let bytes = std::fs::read(path).unwrap();
+    vec![
+        ("mmap", PackedTrace::open(path)),
+        ("owned", PackedTrace::from_bytes(path, bytes)),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -79,7 +81,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// JSONL → pack → replay == direct JSONL replay, per round and for
-    /// the end-to-end ONTH cost, via both readers; pack is a fixed point.
+    /// the end-to-end ONTH cost, on both backings; pack is a fixed point.
     #[test]
     fn packed_replay_is_bitwise_identical_to_jsonl(
         topo_idx in 0..TOPOLOGIES.len(),
@@ -99,10 +101,10 @@ proptest! {
         let summary = pack_jsonl_file(&jsonl, &pack).unwrap();
         prop_assert_eq!(summary.rounds, rounds);
 
-        // Per-round equality through both packed readers and the
+        // Per-round equality on both packed backings and through the
         // format-sniffing replay_source entry point.
         for (mode, opened) in open_all_modes(&pack) {
-            let mut packed = opened.unwrap();
+            let packed = opened.unwrap();
             prop_assert_eq!(packed.materialize().unwrap(), reference.clone(), "{}", mode);
         }
         let mut sniffed = replay_source(&pack, env.graph.node_count()).unwrap();
@@ -112,7 +114,7 @@ proptest! {
         // Packing is deterministic and a fixed point: packing the
         // unpacked pack reproduces the file byte for byte.
         let bytes = std::fs::read(&pack).unwrap();
-        let mut packed = PackedTrace::open(&pack).unwrap();
+        let packed = PackedTrace::open(&pack).unwrap();
         prop_assert_eq!(packed.materialize().unwrap().to_packed(), bytes.clone());
         prop_assert_eq!(reference.to_packed(), bytes);
 
@@ -156,7 +158,7 @@ fn refingerprint(bytes: &mut [u8]) {
     bytes[24..32].copy_from_slice(&fp.to_le_bytes());
 }
 
-/// Asserts both readers reject `bytes` with a clean error mentioning
+/// Asserts both backings reject `bytes` with a clean error mentioning
 /// `needle` (an empty needle = any clean error).
 fn assert_corrupt(bytes: &[u8], tag: &str, needle: &str) {
     let path = temp(&format!("corrupt-{tag}.ftr"));
@@ -250,7 +252,7 @@ fn out_of_order_t_is_caught_at_decode_time_in_both_readers() {
     let path = temp("corrupt-out-of-order.ftr");
     std::fs::write(&path, &bad).unwrap();
     for (mode, opened) in open_all_modes(&path) {
-        let mut packed = opened.unwrap_or_else(|e| panic!("{mode}: open must succeed: {e}"));
+        let packed = opened.unwrap_or_else(|e| panic!("{mode}: open must succeed: {e}"));
         // Round 0 is intact ...
         packed.round(0).unwrap();
         // ... round 1 carries the wrong t.
@@ -301,7 +303,7 @@ fn windowed_views_match_full_materialization_bitwise() {
     write_synthetic_pack(&path, ROUNDS, 97);
 
     for (mode, opened) in open_all_modes(&path) {
-        let mut packed = opened.unwrap();
+        let packed = opened.unwrap();
         let full = packed.materialize().unwrap();
         assert_eq!(full.len() as u64, ROUNDS);
         for window in [1u64, 7, 4096, ROUNDS] {
@@ -344,7 +346,7 @@ fn million_round_pack_replays_with_o_window_residency() {
     write_synthetic_pack(&path, ROUNDS, UNIVERSE);
 
     for (mode, opened) in open_all_modes(&path) {
-        let mut packed = opened.unwrap();
+        let packed = opened.unwrap();
         assert_eq!(packed.len(), ROUNDS, "{mode}");
         assert_eq!(packed.origin_universe(), UNIVERSE, "{mode}");
 

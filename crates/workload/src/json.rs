@@ -112,11 +112,24 @@ impl JsonValue {
     /// `null`; every float the simulation checkpoints is a finite cost.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.render_into(&mut out, None);
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Renders the value as indented JSON: each array element and each
+    /// `"key": value` pair on its own line, two spaces per nesting level,
+    /// no trailing newline. Numbers and strings render as in
+    /// [`render`](Self::render).
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, Some(0));
+        out
+    }
+
+    /// Appends the value to `out`: compact when `indent` is `None`,
+    /// otherwise pretty-printed with the value at nesting level `indent`.
+    fn render_into(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|level| level + 1);
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -133,22 +146,24 @@ impl JsonValue {
             JsonValue::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
+                    start_item(out, i, inner);
+                    item.render_into(out, inner);
+                }
+                if !items.is_empty() {
+                    line_break(out, indent);
                 }
                 out.push(']');
             }
             JsonValue::Obj(pairs) => {
                 out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
+                    start_item(out, i, inner);
                     render_str(k, out);
-                    out.push(':');
-                    v.render_into(out);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.render_into(out, inner);
+                }
+                if !pairs.is_empty() {
+                    line_break(out, indent);
                 }
                 out.push('}');
             }
@@ -177,6 +192,25 @@ impl JsonValue {
 
 /// Maximum container nesting depth [`JsonValue::parse`] accepts.
 pub const MAX_DEPTH: usize = 128;
+
+/// Starts the `i`-th element of a container whose elements sit at
+/// nesting level `level`: a comma after the first, then a line break
+/// when pretty-printing.
+fn start_item(out: &mut String, i: usize, level: Option<usize>) {
+    if i > 0 {
+        out.push(',');
+    }
+    line_break(out, level);
+}
+
+/// When pretty-printing (`level` is `Some`), a newline and the
+/// indentation of nesting level `level`.
+fn line_break(out: &mut String, level: Option<usize>) {
+    if let Some(level) = level {
+        out.push('\n');
+        out.extend(std::iter::repeat_n("  ", level));
+    }
+}
 
 /// Appends `s` as a JSON string literal (quotes + escapes) to `out`.
 fn render_str(s: &str, out: &mut String) {
@@ -505,6 +539,18 @@ mod tests {
             let back = JsonValue::parse(&rendered).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} rendered as {rendered}");
         }
+    }
+
+    #[test]
+    fn pretty_rendering_indents_and_parses_back() {
+        let v = JsonValue::parse(r#"{"a": [1, {"b": "x"}], "e": [], "o": {}}"#).unwrap();
+        let pretty = v.render_pretty();
+        assert_eq!(
+            pretty,
+            "{\n  \"a\": [\n    1,\n    {\n      \"b\": \"x\"\n    }\n  ],\n  \"e\": [],\n  \"o\": {}\n}"
+        );
+        assert_eq!(JsonValue::parse(&pretty).unwrap(), v);
+        assert_eq!(v.render(), r#"{"a":[1,{"b":"x"}],"e":[],"o":{}}"#);
     }
 
     #[test]

@@ -27,18 +27,19 @@
 //! into a `RoundTrace`, so replaying a million-round trace keeps
 //! O(window) rounds resident instead of O(trace).
 //!
-//! Two readers sit behind one interface ([`PackedTrace`]): an mmap fast
-//! path (a thin hand-rolled `mmap`/`munmap` syscall shim — no new
-//! crates, in the `vendor/` spirit) and a 1 MiB-buffered streaming
-//! fallback for platforms or files where mapping fails. Both validate
-//! the whole file at open time — magic, trailer, frame index
-//! contiguity, frame lengths, and the header fingerprint over the frame
-//! region — so a truncated or bit-flipped pack is a clean `Err`, never
-//! a panic or a partial trace. The format and its invariants are
-//! documented for external producers in `docs/TRACES.md`.
+//! One reader ([`PackedTrace`]) decodes every pack from one validated
+//! byte slice. [`PackedTrace::open`] maps the file through a thin
+//! hand-rolled `mmap`/`munmap` syscall shim (no new crates, in the
+//! `vendor/` spirit) and reads it into memory only off Unix or when the
+//! mapping fails; [`PackedTrace::from_bytes`] takes bytes already in
+//! memory. Either way one walk validates the whole image at open time —
+//! magic, trailer, frame index contiguity, frame lengths, and the header
+//! fingerprint over the frame region — so a truncated or bit-flipped pack
+//! is a clean `Err`, never a panic or a partial trace. The format and its
+//! invariants are documented for external producers in `docs/TRACES.md`.
 
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 
 use flexserve_graph::NodeId;
 
@@ -68,9 +69,6 @@ pub const PACKED_MIN_LEN: u64 = PACKED_HEADER_LEN + PACKED_TRAILER_LEN;
 /// Default window size (rounds resident at once) for windowed replay.
 pub const DEFAULT_WINDOW_ROUNDS: u64 = 4096;
 
-/// Buffer size of the streaming (non-mmap) reader.
-const STREAM_BUF_BYTES: usize = 1 << 20;
-
 // ---------------------------------------------------------------------------
 // FNV-1a (same hand-rolled 64-bit variant as `Graph::fingerprint` and the
 // routing ring; duplicated here because `workload` sits below both).
@@ -82,32 +80,17 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// 64-bit FNV-1a over `bytes` — the fingerprint function of the packed
 /// format, exported so tests can re-fingerprint mutated frame regions.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a hash `h` over `bytes`, so a writer can hash the
+/// frame region as it streams past.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-/// Incremental FNV-1a, for hashing the frame region as it streams past.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(FNV_OFFSET)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -152,9 +135,12 @@ mod mem_map {
     unsafe impl Sync for Mmap {}
 
     impl Mmap {
-        /// Maps `len` bytes of `file` read-only. Fails (cleanly) when the
-        /// platform refuses the mapping — callers fall back to streaming.
-        pub fn map(file: &File, len: usize) -> Result<Self, String> {
+        /// Maps the whole of `file` read-only. Fails (cleanly) when the
+        /// platform refuses the mapping — callers fall back to reading
+        /// the file into memory.
+        pub fn map(file: &File) -> Result<Self, String> {
+            let len = file.metadata().map_err(|e| e.to_string())?.len();
+            let len = usize::try_from(len).map_err(|_| "file too large to map".to_string())?;
             if len == 0 {
                 return Err("cannot map an empty file".to_string());
             }
@@ -263,7 +249,8 @@ fn encode_frame(t: u64, round: &RoundRequests, out: &mut Vec<u8>) {
 }
 
 /// Decodes one frame payload, validating the embedded `t`, the strict
-/// origin order, and that every byte is consumed.
+/// origin order, that the counts sum within `usize`, and that every byte
+/// is consumed.
 fn decode_frame(payload: &[u8], expect_t: u64, universe: u64) -> Result<RoundRequests, String> {
     let mut pos = 0usize;
     let t = read_varint(payload, &mut pos)?;
@@ -284,6 +271,8 @@ fn decode_frame(payload: &[u8], expect_t: u64, universe: u64) -> Result<RoundReq
     }
     let mut counts = Vec::with_capacity(k as usize);
     let mut origin: u64 = 0;
+    // The round's total must fit too: `RoundRequests` sums the counts.
+    let mut total: usize = 0;
     for i in 0..k {
         let delta = read_varint(payload, &mut pos)?;
         if i == 0 {
@@ -310,6 +299,9 @@ fn decode_frame(payload: &[u8], expect_t: u64, universe: u64) -> Result<RoundReq
         }
         let count = usize::try_from(count)
             .map_err(|_| format!("corrupt frame at t={t}: count overflows usize"))?;
+        total = total
+            .checked_add(count)
+            .ok_or_else(|| format!("corrupt frame at t={t}: request count overflows"))?;
         counts.push((NodeId::new(id as usize), count));
     }
     if pos != payload.len() {
@@ -347,7 +339,8 @@ pub struct PackWriter<W: Write + Seek> {
     index: Vec<u64>,
     /// Absolute write position (== next frame offset).
     offset: u64,
-    hash: Fnv1a,
+    /// FNV-1a of the frames written so far.
+    hash: u64,
     universe: u64,
     scratch: Vec<u8>,
 }
@@ -363,7 +356,7 @@ impl<W: Write + Seek> PackWriter<W> {
             out,
             index: Vec::new(),
             offset: PACKED_HEADER_LEN,
-            hash: Fnv1a::new(),
+            hash: FNV_OFFSET,
             universe: 0,
             scratch: Vec::new(),
         })
@@ -382,8 +375,7 @@ impl<W: Write + Seek> PackWriter<W> {
         let len = u32::try_from(scratch.len())
             .map_err(|_| format!("round t={t} encodes past the 4 GiB frame limit"))?;
         let prefix = len.to_le_bytes();
-        self.hash.update(&prefix);
-        self.hash.update(&scratch);
+        self.hash = fnv1a_extend(fnv1a_extend(self.hash, &prefix), &scratch);
         self.out
             .write_all(&prefix)
             .and_then(|()| self.out.write_all(&scratch))
@@ -423,9 +415,7 @@ impl<W: Write + Seek> PackWriter<W> {
         self.out
             .write_all(&summary.universe.to_le_bytes())
             .map_err(err)?;
-        self.out
-            .write_all(&self.hash.finish().to_le_bytes())
-            .map_err(err)?;
+        self.out.write_all(&self.hash.to_le_bytes()).map_err(err)?;
         self.out.seek(SeekFrom::Start(bytes)).map_err(err)?;
         self.out.flush().map_err(err)?;
         Ok((summary, self.out))
@@ -500,55 +490,68 @@ pub fn is_packed_file(path: &str) -> Result<bool, String> {
 // Reader
 // ---------------------------------------------------------------------------
 
+/// The bytes a [`PackedTrace`] decodes from.
 enum Backing {
     #[cfg(unix)]
     Mapped(mem_map::Mmap),
-    Streaming {
-        reader: BufReader<File>,
-        /// Absolute stream position (to skip redundant seeks on
-        /// sequential window reads).
-        pos: u64,
-        index: Vec<u64>,
-        scratch: Vec<u8>,
-    },
+    Owned(Vec<u8>),
 }
 
-/// A validated `flexserve-trace-v1` file: random access to any round and
-/// O(window)-resident [`window`](Self::window) views, backed by either an
-/// mmap of the whole file or a buffered streaming reader.
+impl Backing {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            #[cfg(unix)]
+            Backing::Mapped(map) => map.as_slice(),
+            Backing::Owned(bytes) => bytes,
+        }
+    }
+}
+
+/// A validated `flexserve-trace-v1` image: random access to any round and
+/// O(window)-resident [`window`](Self::window) views, decoded from one
+/// byte slice (an mmap of the file, or bytes in memory).
 ///
-/// Opening validates the entire file — magic, trailer, frame-index
-/// contiguity, frame lengths, and the FNV-1a fingerprint over the frame
-/// region — so every constructor returns a clean `Err` on truncated or
-/// corrupted input. Read methods take `&mut self` because the streaming
-/// backing seeks.
+/// Every constructor validates the entire image — magic, trailer,
+/// frame-index contiguity, frame lengths, and the FNV-1a fingerprint over
+/// the frame region — and returns a clean `Err` on truncated or corrupted
+/// input.
 pub struct PackedTrace {
     rounds: u64,
     universe: u64,
     fingerprint: u64,
-    index_offset: u64,
+    /// Byte offset of the frame index; validated to lie inside the image.
+    index_offset: usize,
     label: String,
     backing: Backing,
 }
 
-/// Shared open-time checks on the fixed-size pieces. Returns
-/// `(rounds, universe, fingerprint, index_offset)`.
-fn check_fixed(
-    label: &str,
-    file_len: u64,
-    header: &[u8; PACKED_HEADER_LEN as usize],
-    trailer: &[u8; PACKED_TRAILER_LEN as usize],
-) -> Result<(u64, u64, u64, u64), String> {
-    if header[..8] != PACKED_MAGIC {
+/// The little-endian `u64` at `buf[at..at + 8]` (in bounds by the caller's
+/// checks).
+fn u64_at(buf: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(buf[at..at + 8].try_into().expect("an 8-byte slice"))
+}
+
+/// The one open-time walk over a packed image. Returns `(rounds, universe,
+/// fingerprint, index_offset)` once the fixed fields, every frame-index
+/// entry, every frame length and the fingerprint check out; afterwards
+/// every frame `t < rounds` starts at index entry `t` and ends where the
+/// next one starts (or at the index), inside the image.
+fn validate(label: &str, buf: &[u8]) -> Result<(u64, u64, u64, usize), String> {
+    let file_len = buf.len() as u64;
+    if file_len < PACKED_MIN_LEN {
+        return Err(format!(
+            "{label}: truncated packed trace ({file_len} bytes; the header alone needs {PACKED_MIN_LEN})"
+        ));
+    }
+    if buf[..8] != PACKED_MAGIC {
         return Err(format!("{label}: bad magic (not a {PACKED_FORMAT} file)"));
     }
-    let rounds = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    let universe = u64::from_le_bytes(header[16..24].try_into().unwrap());
-    let fingerprint = u64::from_le_bytes(header[24..32].try_into().unwrap());
-    if trailer[8..16] != PACKED_TRAILER_MAGIC {
+    let (rounds, universe, fingerprint) = (u64_at(buf, 8), u64_at(buf, 16), u64_at(buf, 24));
+    let trailer = buf.len() - PACKED_TRAILER_LEN as usize;
+    if buf[trailer + 8..] != PACKED_TRAILER_MAGIC {
         return Err(format!("{label}: corrupt trailer (bad index magic)"));
     }
-    let index_offset = u64::from_le_bytes(trailer[..8].try_into().unwrap());
+    let index_offset = u64_at(buf, trailer);
     let expected_len = rounds
         .checked_mul(8)
         .and_then(|idx| index_offset.checked_add(idx))
@@ -558,208 +561,85 @@ fn check_fixed(
             "{label}: corrupt frame index (rounds={rounds}, index offset={index_offset}, file length={file_len})"
         ));
     }
-    Ok((rounds, universe, fingerprint, index_offset))
+    // Both fit in the image, so in `usize`.
+    let idx = index_offset as usize;
+    // Walk the frame index: every frame must start where the previous
+    // one ended and stay inside the frame region.
+    let mut pos = PACKED_HEADER_LEN;
+    for t in 0..rounds {
+        let off = u64_at(buf, idx + 8 * t as usize);
+        if off != pos {
+            return Err(format!(
+                "{label}: frame index mismatch at round {t} (index says offset {off}, frames end at {pos})"
+            ));
+        }
+        if pos + 4 > index_offset {
+            return Err(format!(
+                "{label}: frame length at round {t} overruns the frame region"
+            ));
+        }
+        let at = pos as usize;
+        let len = u32::from_le_bytes(buf[at..at + 4].try_into().expect("a 4-byte slice"));
+        pos += 4 + u64::from(len);
+        if pos > index_offset {
+            return Err(format!(
+                "{label}: frame length at round {t} overruns the frame region"
+            ));
+        }
+    }
+    if pos != index_offset {
+        return Err(format!(
+            "{label}: frame region does not end at the frame index ({} unindexed bytes)",
+            index_offset - pos
+        ));
+    }
+    let actual = fnv1a(&buf[PACKED_HEADER_LEN as usize..idx]);
+    if actual != fingerprint {
+        return Err(format!(
+            "{label}: fingerprint mismatch (header says {fingerprint:#018x}, frames hash to {actual:#018x})"
+        ));
+    }
+    Ok((rounds, universe, fingerprint, idx))
 }
 
 impl PackedTrace {
-    /// Opens `path`, preferring the mmap fast path and falling back to the
-    /// buffered streaming reader when mapping is unavailable. Validation
-    /// errors (corrupt files) are returned, not retried.
+    /// Opens `path` by mapping it read-only, and reads it into memory
+    /// through [`from_bytes`](Self::from_bytes) only off Unix or when the
+    /// mapping fails. Validation errors (corrupt files) are returned, not
+    /// retried.
     ///
     /// Validation covers the file as it is at open time. Truncating or
     /// rewriting the file while the returned reader is alive is outside
-    /// the contract: on the mmap path the mapping is `MAP_PRIVATE`, and a
-    /// read of a page past the new end of file raises `SIGBUS` instead of
-    /// returning an `Err`. Write packs to a new path and rename them into
-    /// place rather than changing a file that may be open.
+    /// the contract: the mapping is `MAP_PRIVATE`, and a read of a page
+    /// past the new end of file raises `SIGBUS` instead of returning an
+    /// `Err`. Write packs to a new path and rename them into place rather
+    /// than changing a file that may be open.
     pub fn open(path: &str) -> Result<Self, String> {
         #[cfg(unix)]
         {
             let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            let len = file
-                .metadata()
-                .map_err(|e| format!("{path}: stat error: {e}"))?
-                .len();
-            Self::check_len(path, len)?;
-            if let Ok(map) = mem_map::Mmap::map(&file, len as usize) {
-                return Self::from_map(path, map);
+            if let Ok(map) = mem_map::Mmap::map(&file) {
+                return Self::with_backing(path, Backing::Mapped(map));
             }
         }
-        Self::open_streaming(path)
+        let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        Self::from_bytes(path, bytes)
     }
 
-    /// Opens `path` on the mmap fast path only (errors when the platform
-    /// refuses the mapping). The file contract of [`open`](Self::open)
-    /// applies.
-    #[cfg(unix)]
-    pub fn open_mmap(path: &str) -> Result<Self, String> {
-        let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-        let len = file
-            .metadata()
-            .map_err(|e| format!("{path}: stat error: {e}"))?
-            .len();
-        Self::check_len(path, len)?;
-        let map = mem_map::Mmap::map(&file, len as usize).map_err(|e| format!("{path}: {e}"))?;
-        Self::from_map(path, map)
+    /// Validates an in-memory pack image; `label` names it in errors.
+    pub fn from_bytes(label: &str, bytes: Vec<u8>) -> Result<Self, String> {
+        Self::with_backing(label, Backing::Owned(bytes))
     }
 
-    fn check_len(label: &str, len: u64) -> Result<(), String> {
-        if len < PACKED_MIN_LEN {
-            return Err(format!(
-                "{label}: truncated packed trace ({len} bytes; the header alone needs {PACKED_MIN_LEN})"
-            ));
-        }
-        Ok(())
-    }
-
-    #[cfg(unix)]
-    fn from_map(label: &str, map: mem_map::Mmap) -> Result<Self, String> {
-        let buf = map.as_slice();
-        let file_len = buf.len() as u64;
-        let header: &[u8; PACKED_HEADER_LEN as usize] =
-            buf[..PACKED_HEADER_LEN as usize].try_into().unwrap();
-        let trailer: &[u8; PACKED_TRAILER_LEN as usize] = buf
-            [buf.len() - PACKED_TRAILER_LEN as usize..]
-            .try_into()
-            .unwrap();
-        let (rounds, universe, fingerprint, index_offset) =
-            check_fixed(label, file_len, header, trailer)?;
-        // Walk the frame index: every frame must start where the previous
-        // one ended and stay inside the frame region.
-        let idx = index_offset as usize;
-        let mut pos = PACKED_HEADER_LEN;
-        for t in 0..rounds {
-            let at = idx + (t * 8) as usize;
-            let off = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
-            if off != pos {
-                return Err(format!(
-                    "{label}: frame index mismatch at round {t} (index says offset {off}, frames end at {pos})"
-                ));
-            }
-            if pos + 4 > index_offset {
-                return Err(format!(
-                    "{label}: frame length at round {t} overruns the frame region"
-                ));
-            }
-            let len = u32::from_le_bytes(buf[pos as usize..pos as usize + 4].try_into().unwrap());
-            pos += 4 + u64::from(len);
-            if pos > index_offset {
-                return Err(format!(
-                    "{label}: frame length at round {t} overruns the frame region"
-                ));
-            }
-        }
-        if pos != index_offset {
-            return Err(format!(
-                "{label}: frame region does not end at the frame index ({} unindexed bytes)",
-                index_offset - pos
-            ));
-        }
-        let actual = fnv1a(&buf[PACKED_HEADER_LEN as usize..idx]);
-        if actual != fingerprint {
-            return Err(format!(
-                "{label}: fingerprint mismatch (header says {fingerprint:#018x}, frames hash to {actual:#018x})"
-            ));
-        }
+    fn with_backing(label: &str, backing: Backing) -> Result<Self, String> {
+        let (rounds, universe, fingerprint, index_offset) = validate(label, backing.bytes())?;
         Ok(PackedTrace {
             rounds,
             universe,
             fingerprint,
             index_offset,
             label: label.to_string(),
-            backing: Backing::Mapped(map),
-        })
-    }
-
-    /// Opens `path` on the buffered streaming path only (no mmap), e.g. to
-    /// pin both readers against each other in tests.
-    pub fn open_streaming(path: &str) -> Result<Self, String> {
-        let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-        let len = file
-            .metadata()
-            .map_err(|e| format!("{path}: stat error: {e}"))?
-            .len();
-        Self::check_len(path, len)?;
-        let ioe = |e| format!("{path}: read error: {e}");
-        let mut reader = BufReader::with_capacity(STREAM_BUF_BYTES, file);
-        let mut header = [0u8; PACKED_HEADER_LEN as usize];
-        reader.read_exact(&mut header).map_err(ioe)?;
-        reader
-            .seek(SeekFrom::Start(len - PACKED_TRAILER_LEN))
-            .map_err(ioe)?;
-        let mut trailer = [0u8; PACKED_TRAILER_LEN as usize];
-        reader.read_exact(&mut trailer).map_err(ioe)?;
-        let (rounds, universe, fingerprint, index_offset) =
-            check_fixed(path, len, &header, &trailer)?;
-        reader.seek(SeekFrom::Start(index_offset)).map_err(ioe)?;
-        let mut index = Vec::with_capacity(rounds as usize);
-        let mut entry = [0u8; 8];
-        for _ in 0..rounds {
-            reader.read_exact(&mut entry).map_err(ioe)?;
-            index.push(u64::from_le_bytes(entry));
-        }
-        // One sequential pass over the frame region: index contiguity,
-        // frame lengths and the fingerprint, hashed through a bounded
-        // chunk buffer so validation itself is O(buffer) resident.
-        reader
-            .seek(SeekFrom::Start(PACKED_HEADER_LEN))
-            .map_err(ioe)?;
-        let mut hash = Fnv1a::new();
-        let mut chunk = vec![0u8; 64 * 1024];
-        let mut pos = PACKED_HEADER_LEN;
-        for (t, &off) in index.iter().enumerate() {
-            if off != pos {
-                return Err(format!(
-                    "{path}: frame index mismatch at round {t} (index says offset {off}, frames end at {pos})"
-                ));
-            }
-            if pos + 4 > index_offset {
-                return Err(format!(
-                    "{path}: frame length at round {t} overruns the frame region"
-                ));
-            }
-            let mut prefix = [0u8; 4];
-            reader.read_exact(&mut prefix).map_err(ioe)?;
-            hash.update(&prefix);
-            let frame_len = u64::from(u32::from_le_bytes(prefix));
-            pos += 4 + frame_len;
-            if pos > index_offset {
-                return Err(format!(
-                    "{path}: frame length at round {t} overruns the frame region"
-                ));
-            }
-            let mut left = frame_len as usize;
-            while left > 0 {
-                let take = left.min(chunk.len());
-                reader.read_exact(&mut chunk[..take]).map_err(ioe)?;
-                hash.update(&chunk[..take]);
-                left -= take;
-            }
-        }
-        if pos != index_offset {
-            return Err(format!(
-                "{path}: frame region does not end at the frame index ({} unindexed bytes)",
-                index_offset - pos
-            ));
-        }
-        let actual = hash.finish();
-        if actual != fingerprint {
-            return Err(format!(
-                "{path}: fingerprint mismatch (header says {fingerprint:#018x}, frames hash to {actual:#018x})"
-            ));
-        }
-        Ok(PackedTrace {
-            rounds,
-            universe,
-            fingerprint,
-            index_offset,
-            label: path.to_string(),
-            backing: Backing::Streaming {
-                pos: index_offset,
-                reader,
-                index,
-                scratch: Vec::new(),
-            },
+            backing,
         })
     }
 
@@ -786,78 +666,37 @@ impl PackedTrace {
         self.fingerprint
     }
 
-    /// Whether this reader is on the mmap fast path (false: buffered
-    /// streaming fallback).
-    pub fn uses_mmap(&self) -> bool {
-        match &self.backing {
-            #[cfg(unix)]
-            Backing::Mapped(_) => true,
-            Backing::Streaming { .. } => false,
-        }
-    }
-
-    /// The file this trace was opened from.
+    /// The file (or label) this trace was opened from.
     pub fn label(&self) -> &str {
         &self.label
     }
 
-    /// Decodes round `t` (an O(1) frame-index seek plus one frame decode).
-    pub fn round(&mut self, t: u64) -> Result<RoundRequests, String> {
+    /// Decodes round `t` (an O(1) frame-index lookup plus one frame
+    /// decode).
+    pub fn round(&self, t: u64) -> Result<RoundRequests, String> {
         if t >= self.rounds {
             return Err(format!(
                 "{}: round {t} out of range ({} rounds)",
                 self.label, self.rounds
             ));
         }
-        let universe = self.universe;
-        let index_offset = self.index_offset;
-        let rounds = self.rounds;
-        match &mut self.backing {
-            #[cfg(unix)]
-            Backing::Mapped(map) => {
-                let buf = map.as_slice();
-                let at = index_offset as usize + (t * 8) as usize;
-                let off = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap()) as usize;
-                let end = if t + 1 < rounds {
-                    u64::from_le_bytes(buf[at + 8..at + 16].try_into().unwrap()) as usize
-                } else {
-                    index_offset as usize
-                };
-                decode_frame(&buf[off + 4..end], t, universe)
-                    .map_err(|e| format!("{}: {e}", self.label))
-            }
-            Backing::Streaming {
-                reader,
-                pos,
-                index,
-                scratch,
-            } => {
-                let off = index[t as usize];
-                if *pos != off {
-                    reader
-                        .seek(SeekFrom::Start(off))
-                        .map_err(|e| format!("{}: read error: {e}", self.label))?;
-                    *pos = off;
-                }
-                let mut prefix = [0u8; 4];
-                reader
-                    .read_exact(&mut prefix)
-                    .map_err(|e| format!("{}: read error: {e}", self.label))?;
-                let frame_len = u32::from_le_bytes(prefix) as usize;
-                scratch.resize(frame_len, 0);
-                reader
-                    .read_exact(scratch)
-                    .map_err(|e| format!("{}: read error: {e}", self.label))?;
-                *pos = off + 4 + frame_len as u64;
-                decode_frame(scratch, t, universe).map_err(|e| format!("{}: {e}", self.label))
-            }
-        }
+        // `validate` pinned frame `t` between index entries `t` and `t + 1`
+        // (the index itself for the last frame), past its length prefix.
+        let buf = self.backing.bytes();
+        let at = self.index_offset + 8 * t as usize;
+        let start = u64_at(buf, at) as usize + 4;
+        let end = if t + 1 < self.rounds {
+            u64_at(buf, at + 8) as usize
+        } else {
+            self.index_offset
+        };
+        decode_frame(&buf[start..end], t, self.universe).map_err(|e| format!("{}: {e}", self.label))
     }
 
     /// Decodes the window `[start, start+len)` (clamped to the trace) into
     /// a [`RoundTrace`] view — the O(window)-resident unit of windowed
-    /// replay. Sequential windows read the file sequentially.
-    pub fn window(&mut self, start: u64, len: u64) -> Result<RoundTrace, String> {
+    /// replay.
+    pub fn window(&self, start: u64, len: u64) -> Result<RoundTrace, String> {
         let end = start.saturating_add(len).min(self.rounds);
         let start = start.min(end);
         let mut out = Vec::with_capacity((end - start) as usize);
@@ -869,22 +708,8 @@ impl PackedTrace {
 
     /// Fully materializes the trace (use [`window`](Self::window) when the
     /// trace may be large).
-    pub fn materialize(&mut self) -> Result<RoundTrace, String> {
+    pub fn materialize(&self) -> Result<RoundTrace, String> {
         self.window(0, self.rounds)
-    }
-
-    /// Short human-readable description for logs.
-    pub fn describe(&self) -> String {
-        format!(
-            "packed trace {} ({} rounds, {})",
-            self.label,
-            self.rounds,
-            if self.uses_mmap() {
-                "mmap"
-            } else {
-                "streaming"
-            }
-        )
     }
 }
 
@@ -902,8 +727,8 @@ pub struct PackedReplay {
 }
 
 impl PackedReplay {
-    /// Opens `path` (mmap fast path, streaming fallback), validating the
-    /// trace's origin universe against a substrate of `max_node` nodes.
+    /// Opens `path` (see [`PackedTrace::open`]), validating the trace's
+    /// origin universe against a substrate of `max_node` nodes.
     pub fn open(path: &str, max_node: usize) -> Result<Self, String> {
         let trace = PackedTrace::open(path)?;
         Self::from_trace(trace, max_node)
@@ -950,14 +775,9 @@ impl RequestSource for PackedReplay {
 
     fn describe(&self) -> String {
         format!(
-            "packed replay {} ({} rounds, {})",
+            "packed replay {} ({} rounds)",
             self.trace.label(),
-            self.trace.len(),
-            if self.trace.uses_mmap() {
-                "mmap"
-            } else {
-                "streaming"
-            }
+            self.trace.len()
         )
     }
 }
@@ -1095,7 +915,7 @@ mod tests {
         assert!(is_packed_bytes(&bytes));
         let path = temp("flexserve-packed-unit.ftr");
         std::fs::write(&path, &bytes).unwrap();
-        let mut packed = PackedTrace::open(&path).unwrap();
+        let packed = PackedTrace::open(&path).unwrap();
         assert_eq!(packed.len(), 20);
         let back = packed.materialize().unwrap();
         assert_eq!(back, trace);
@@ -1104,21 +924,46 @@ mod tests {
     }
 
     #[test]
-    fn mmap_and_streaming_agree() {
+    fn mapped_and_owned_images_agree() {
         let trace = sample_trace(15);
+        let bytes = pack_trace(&trace);
         let path = temp("flexserve-packed-modes.ftr");
-        std::fs::write(&path, pack_trace(&trace)).unwrap();
-        let mut streaming = PackedTrace::open_streaming(&path).unwrap();
-        assert!(!streaming.uses_mmap());
-        assert_eq!(streaming.materialize().unwrap(), trace);
+        std::fs::write(&path, &bytes).unwrap();
+        let mapped = PackedTrace::open(&path).unwrap();
         #[cfg(unix)]
-        {
-            let mut mapped = PackedTrace::open_mmap(&path).unwrap();
-            assert!(mapped.uses_mmap());
-            assert_eq!(mapped.materialize().unwrap(), trace);
-            assert_eq!(mapped.fingerprint(), streaming.fingerprint());
-        }
+        assert!(matches!(mapped.backing, Backing::Mapped(_)));
+        let owned = PackedTrace::from_bytes("owned", bytes).unwrap();
+        assert_eq!(mapped.materialize().unwrap(), trace);
+        assert_eq!(owned.materialize().unwrap(), trace);
+        assert_eq!(mapped.fingerprint(), owned.fingerprint());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn request_counts_that_overflow_the_round_total_are_corrupt() {
+        // One round, origins 0 and 1 at 2^63 requests each: every count
+        // fits `usize`, their sum does not.
+        let mut payload = Vec::new();
+        for v in [0, 2, 0, 1 << 63, 1, 1 << 63] {
+            write_varint(&mut payload, v);
+        }
+        let mut frames = (payload.len() as u32).to_le_bytes().to_vec();
+        frames.extend_from_slice(&payload);
+        let mut bytes = PACKED_MAGIC.to_vec();
+        for word in [1, 2, fnv1a(&frames)] {
+            bytes.extend_from_slice(&u64::to_le_bytes(word));
+        }
+        bytes.extend_from_slice(&frames);
+        let index_offset = bytes.len() as u64;
+        bytes.extend_from_slice(&PACKED_HEADER_LEN.to_le_bytes());
+        bytes.extend_from_slice(&index_offset.to_le_bytes());
+        bytes.extend_from_slice(&PACKED_TRAILER_MAGIC);
+
+        let packed = PackedTrace::from_bytes("overflow", bytes).unwrap();
+        assert_eq!(
+            packed.round(0).unwrap_err(),
+            "overflow: corrupt frame at t=0: request count overflows"
+        );
     }
 
     #[test]
@@ -1126,7 +971,7 @@ mod tests {
         let trace = sample_trace(10);
         let path = temp("flexserve-packed-window.ftr");
         std::fs::write(&path, pack_trace(&trace)).unwrap();
-        let mut packed = PackedTrace::open(&path).unwrap();
+        let packed = PackedTrace::open(&path).unwrap();
         assert_eq!(packed.window(3, 4).unwrap(), trace.slice(3, 7));
         assert_eq!(packed.window(8, 100).unwrap(), trace.slice(8, 10));
         assert!(packed.window(50, 5).unwrap().is_empty());
@@ -1140,7 +985,7 @@ mod tests {
     fn empty_trace_packs() {
         let path = temp("flexserve-packed-empty.ftr");
         std::fs::write(&path, pack_trace(&RoundTrace::default())).unwrap();
-        let mut packed = PackedTrace::open(&path).unwrap();
+        let packed = PackedTrace::open(&path).unwrap();
         assert!(packed.is_empty());
         assert_eq!(packed.origin_universe(), 0);
         assert!(packed.materialize().unwrap().is_empty());

@@ -245,8 +245,9 @@ pub fn file_source(
 
 /// Opens a replay file of either format, sniffing the leading magic:
 /// a `flexserve-trace-v1` pack becomes a
-/// [`PackedReplay`](crate::packed::PackedReplay) (mmap fast path,
-/// streaming fallback), anything else a [`JsonlReplay`]. This is the one
+/// [`PackedReplay`](crate::packed::PackedReplay) (a mapped file, read
+/// into memory only where mapping fails), anything else a
+/// [`JsonlReplay`]. This is the one
 /// entry point behind `wl=replay:<path>` and `source=<path>`, so packed
 /// and JSONL traces are interchangeable everywhere.
 pub fn replay_source(path: &str, max_node: usize) -> Result<Box<dyn RequestSource + Send>, String> {
