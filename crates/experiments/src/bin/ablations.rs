@@ -17,10 +17,9 @@
 //! cargo run -p flexserve-experiments --release --bin ablations
 //! ```
 
-use flexserve_experiments::{average, ExperimentEnv, StrategySpec, Table, WorkloadSpec};
+use flexserve_experiments::{average, Demand, ExperimentEnv, StrategySpec, Table, WorkloadSpec};
 use flexserve_graph::gen::{erdos_renyi, GenConfig};
 use flexserve_sim::{run_online, CostBreakdown, CostParams, LoadModel, RoutingPolicy};
-use flexserve_workload::Trace;
 
 use flexserve_core::{initial_center, OnTh};
 
@@ -32,15 +31,15 @@ const ROUNDS: u64 = 400;
 const SEEDS: [u64; 3] = [11, 22, 33];
 
 /// The commuter-dynamic demand every ablation replays (T=8, λ=10).
-fn commuter_trace(env: &ExperimentEnv, seed: u64) -> Trace {
-    WorkloadSpec::CommuterDynamic.shared_trace(env, 8, 10, ROUNDS, seed)
+fn commuter_demand(env: &ExperimentEnv, seed: u64) -> Demand {
+    WorkloadSpec::CommuterDynamic.record(env, 8, 10, ROUNDS, seed)
 }
 
 fn run_with(params: CostParams, seed: u64, strat: StrategySpec) -> CostBreakdown {
     let env = ExperimentEnv::erdos_renyi(N, seed);
     let ctx = env.context(params, LoadModel::Linear);
-    let trace = commuter_trace(&env, seed);
-    CostBreakdown::from_access(strat.run(&ctx, &trace, seed).total())
+    let demand = commuter_demand(&env, seed);
+    CostBreakdown::from_access(strat.run(&ctx, &demand, seed).total())
 }
 
 fn ablate_cache_capacity() {
@@ -87,8 +86,8 @@ fn ablate_onth_y() {
             // `y` is not a strategy-spec knob, so ONTH runs directly.
             let env = ExperimentEnv::erdos_renyi(N, seed);
             let ctx = env.context(CostParams::default(), LoadModel::Linear);
-            let trace = commuter_trace(&env, seed);
-            let cost = run_online(&ctx, &trace, &mut OnTh::with_y(y), initial_center(&ctx))
+            let demand = commuter_demand(&env, seed);
+            let cost = run_online(&ctx, &demand, &mut OnTh::with_y(y), initial_center(&ctx))
                 .total()
                 .total();
             CostBreakdown::from_access(cost)
@@ -129,8 +128,8 @@ fn ablate_routing_policy() {
             let ctx = env
                 .context(CostParams::default(), LoadModel::Quadratic)
                 .with_routing(policy);
-            let trace = commuter_trace(&env, seed);
-            CostBreakdown::from_access(StrategySpec::OnTh.run(&ctx, &trace, seed).total())
+            let demand = commuter_demand(&env, seed);
+            CostBreakdown::from_access(StrategySpec::OnTh.run(&ctx, &demand, seed).total())
         });
         t.row(vec![label.to_string(), format!("{:.2}", s.mean_total())]);
     }
@@ -153,8 +152,8 @@ fn ablate_bandwidth_mix() {
             let graph = erdos_renyi(N, 0.01, &cfg, &mut rng).unwrap();
             let env = ExperimentEnv::from_graph(graph);
             let ctx = env.context(CostParams::default(), LoadModel::Linear);
-            let trace = commuter_trace(&env, seed);
-            CostBreakdown::from_access(StrategySpec::OnTh.run(&ctx, &trace, seed).total())
+            let demand = commuter_demand(&env, seed);
+            CostBreakdown::from_access(StrategySpec::OnTh.run(&ctx, &demand, seed).total())
         });
         t.row_f64(t1, &[s.mean_total()]);
     }

@@ -21,7 +21,7 @@
 //!
 //! Every invocation writes `manifest.json` next to its CSVs (under
 //! `results/` or `$FLEXSERVE_RESULTS_DIR`) recording the spec, seeds, git
-//! revision and the distance-matrix cache counters of the run.
+//! revision and the cache and result-memo counters of the run.
 
 use std::process::ExitCode;
 use std::sync::Mutex;
@@ -34,8 +34,7 @@ use flexserve_experiments::output::results_dir;
 use flexserve_experiments::registry;
 use flexserve_experiments::setup::ExperimentEnv;
 use flexserve_experiments::spec::{CellBuilder, CellSpec};
-use flexserve_experiments::{DistCache, Table, TraceCache};
-use flexserve_workload::Trace;
+use flexserve_experiments::{DistCache, RunMemo, Table, TraceCache};
 
 const USAGE: &str = "\
 usage: flexserve <subcommand> [args]
@@ -110,18 +109,20 @@ fn main() -> ExitCode {
     match result {
         Ok(manifest) => {
             if !manifest.is_empty() {
-                let stats = DistCache::global().stats();
-                let trace_stats = TraceCache::global().stats();
-                match manifest.write(&command_line, stats, trace_stats) {
+                let dist = DistCache::global().stats();
+                let traces = TraceCache::global().stats();
+                let memo = RunMemo::global().stats();
+                match manifest.write(&command_line, dist, traces, memo) {
                     Ok(path) => eprintln!(
                         "manifest: {} ({} artifacts; dist cache {} hits / {} misses; \
-                         trace cache {} hits / {} misses)",
+                         {} trace recordings; result memo {} hits / {} misses)",
                         path.display(),
                         manifest.len(),
-                        stats.hits,
-                        stats.misses,
-                        trace_stats.hits,
-                        trace_stats.misses
+                        dist.hits,
+                        dist.misses,
+                        traces.misses,
+                        memo.hits,
+                        memo.misses
                     ),
                     Err(e) => {
                         eprintln!("error: cannot write manifest: {e}");
@@ -156,8 +157,8 @@ fn trace(args: &[String]) -> Result<Manifest, String> {
 
 /// `flexserve trace record topo=... wl=... [t= lambda= rounds= seed= out=]`
 /// — builds the substrate (through the distance-matrix cache), records
-/// the workload (through the trace cache) and writes the rounds in the
-/// JSONL replay schema of `docs/SERVING.md`.
+/// the workload and writes the rounds in the JSONL replay schema of
+/// `docs/SERVING.md`.
 fn trace_record(args: &[String]) -> Result<Manifest, String> {
     let mut builder = CellBuilder::new();
     let mut out: Option<String> = None;
@@ -189,7 +190,7 @@ fn trace_record(args: &[String]) -> Result<Manifest, String> {
     let (topology, workload) = (&cell.topology, &cell.workload);
     let env = ExperimentEnv::from_spec(topology, seed)?;
     workload.validate_replay(env.graph.node_count())?;
-    let trace: Trace = cell.shared_trace(&env, seed);
+    let trace = cell.record(&env, seed)?;
 
     if let Some(dir) = out.parent() {
         if !dir.as_os_str().is_empty() {

@@ -18,6 +18,9 @@
 //! The cache is bounded: entries are evicted least-recently-used once the
 //! matrices exceed [`DistCache::DEFAULT_CAPACITY_BYTES`] (override with the
 //! `FLEXSERVE_CACHE_BYTES` environment variable; `0` disables caching).
+//!
+//! Its LRU core, `Lru`, also backs the result memo
+//! ([`RunMemo`](crate::RunMemo)) that answers repeated strategy runs.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -28,13 +31,15 @@ use flexserve_graph::{DistanceMatrix, Graph};
 
 use crate::setup::ExperimentEnv;
 
-/// Hit/miss/eviction counters of a [`DistCache`], snapshotted by
-/// [`DistCache::stats`] and recorded in the result manifest.
+/// Hit/miss/eviction counters of a [`DistCache`] or
+/// [`RunMemo`](crate::RunMemo) (and the recording count of
+/// [`TraceCache`](crate::TraceCache)), recorded in the result manifest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to build graph + matrix.
+    /// Lookups that had to build their value (graph + matrix, or a
+    /// strategy run).
     pub misses: u64,
     /// Entries evicted to stay within the byte budget.
     pub evictions: u64,
@@ -61,12 +66,14 @@ struct Entry<V> {
 
 struct Slots<K, V> {
     entries: HashMap<K, Entry<V>>,
+    /// Sum of `entries`' byte sizes, kept as entries come and go.
+    bytes: usize,
     /// Keys whose first caller is building them right now.
     building: HashSet<K>,
 }
 
 /// The byte-bounded LRU core of [`DistCache`] and
-/// [`TraceCache`](crate::TraceCache), with counters.
+/// [`RunMemo`](crate::RunMemo), with counters.
 ///
 /// A miss builds once. The first caller of a missing key claims the key's
 /// slot and builds outside the lock, so misses on different keys proceed
@@ -76,8 +83,8 @@ struct Slots<K, V> {
 /// handed to its builder only; a waiter then builds for itself.
 ///
 /// Waiting cannot deadlock. A builder never waits on a slot: it generates
-/// a graph and runs its APSP, or records a workload over a built
-/// substrate. Its parallel work is a pool job of its own, and the pool's
+/// a graph and runs its APSP, or plays one strategy over a recorded
+/// trace. Its parallel work is a pool job of its own, and the pool's
 /// caller claims that job's tasks itself, waiting only on tasks other
 /// threads already run (pure compute that never waits on a slot either).
 /// So a builder makes progress even when every other thread is blocked
@@ -118,6 +125,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
         Lru {
             slots: Mutex::new(Slots {
                 entries: HashMap::new(),
+                bytes: 0,
                 building: HashSet::new(),
             }),
             freed: Condvar::new(),
@@ -159,30 +167,29 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
         let (value, bytes) = build()?;
         if bytes <= self.capacity_bytes {
             let mut slots = self.lock();
-            slots.entries.insert(
-                key.clone(),
-                Entry {
-                    value: value.clone(),
-                    last_used: now,
-                    bytes,
-                },
-            );
-            self.evict_to_capacity(&mut slots.entries);
+            let entry = Entry {
+                value: value.clone(),
+                last_used: now,
+                bytes,
+            };
+            // The claim kept every other builder off this key, so nothing
+            // is replaced here.
+            slots.entries.insert(key.clone(), entry);
+            slots.bytes += bytes;
+            self.evict_to_capacity(&mut slots);
         }
         Ok(value)
     }
 
     /// Evicts least-recently-used entries until the byte budget holds.
-    fn evict_to_capacity(&self, map: &mut HashMap<K, Entry<V>>) {
-        let mut total: usize = map.values().map(|e| e.bytes).sum();
-        while total > self.capacity_bytes && !map.is_empty() {
-            let oldest = map
-                .iter()
+    fn evict_to_capacity(&self, slots: &mut Slots<K, V>) {
+        while slots.bytes > self.capacity_bytes {
+            let oldest = (slots.entries.iter())
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
-                .expect("non-empty map has a minimum");
-            if let Some(e) = map.remove(&oldest) {
-                total -= e.bytes;
+                .expect("a positive byte total has an entry");
+            if let Some(e) = slots.entries.remove(&oldest) {
+                slots.bytes -= e.bytes;
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -201,7 +208,10 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
     }
 
     pub(crate) fn clear(&self) {
-        self.lock().entries.clear();
+        let mut slots = self.lock();
+        slots.entries.clear();
+        slots.bytes = 0;
+        drop(slots);
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);

@@ -34,7 +34,7 @@ fn exemplary(
     let seed = 42u64;
 
     let env = ExperimentEnv::erdos_renyi(n, seed);
-    let trace = workload.shared_trace(&env, t_periods, lambda, rounds, seed);
+    let trace = workload.record(&env, t_periods, lambda, rounds, seed);
     // Both load models replay one trace; the per-round record is needed,
     // so ONTH runs directly rather than through `StrategySpec::run`.
     let [linear, quadratic] = [LoadModel::Linear, LoadModel::Quadratic].map(|load| {
@@ -96,7 +96,7 @@ pub fn fig12(profile: Profile) -> Table {
     let env = ExperimentEnv::erdos_renyi(n, seed);
     let params = CostParams::default().with_max_servers(10);
     let ctx = env.context(params, LoadModel::Linear);
-    let trace = WorkloadSpec::CommuterDynamic.shared_trace(&env, t, lambda, rounds, seed);
+    let trace = WorkloadSpec::CommuterDynamic.record(&env, t, lambda, rounds, seed);
     // The whole cost curve is plotted, so OFFSTAT runs directly rather
     // than through `StrategySpec::run` (which keeps only the best cost).
     let res = flexserve_core::offstat(&ctx, &trace);

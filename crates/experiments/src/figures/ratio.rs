@@ -53,8 +53,8 @@ fn offstat_and_opt(
     let summaries = grid(rows, seeds, |&(t_periods, lambda, flipped), seed| {
         let env = ExperimentEnv::random_line(OPT_N, seed);
         let ctx = env.context(opt_params(flipped), LoadModel::Linear);
-        let trace = workload.shared_trace(&env, t_periods, lambda, rounds, seed);
-        [StrategySpec::OffStat, StrategySpec::Opt].map(|s| s.run(&ctx, &trace, seed))
+        let demand = workload.record(&env, t_periods, lambda, rounds, seed);
+        [StrategySpec::OffStat, StrategySpec::Opt].map(|s| s.run(&ctx, &demand, seed))
     });
     summaries
         .iter()
@@ -89,9 +89,9 @@ pub fn fig11(profile: Profile) -> Table {
     let ratios = grid(&rows, &seeds, |&(lambda, workload), seed| {
         let env = ExperimentEnv::random_line(OPT_N, seed);
         let ctx = env.context(params, LoadModel::Linear);
-        let trace = workload.shared_trace(&env, t_periods, lambda, rounds, seed);
-        let alg = StrategySpec::OnTh.run(&ctx, &trace, seed).total();
-        let opt = StrategySpec::Opt.run(&ctx, &trace, seed).total();
+        let demand = workload.record(&env, t_periods, lambda, rounds, seed);
+        let alg = StrategySpec::OnTh.run(&ctx, &demand, seed).total();
+        let opt = StrategySpec::Opt.run(&ctx, &demand, seed).total();
         [CostBreakdown::from_access(competitive_ratio(alg, opt))]
     });
     for (lambda, row) in lambdas.iter().zip(ratios.chunks(workloads.len())) {

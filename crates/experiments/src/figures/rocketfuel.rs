@@ -42,13 +42,13 @@ pub fn table1(profile: Profile) -> Table {
         hot_percent: 50,
         requests: 50,
     };
-    let trace = workload.shared_trace(&env, t_periods, lambda, rounds, seed);
+    let demand = workload.record(&env, t_periods, lambda, rounds, seed);
     let [stat_cost, onth_cost, onbr_cost] = [
         StrategySpec::OffStat,
         StrategySpec::OnTh,
         StrategySpec::OnBrFixed,
     ]
-    .map(|s| s.run(&ctx, &trace, seed).total());
+    .map(|s| s.run(&ctx, &demand, seed).total());
 
     let mut table = Table::new(
         format!(

@@ -53,10 +53,9 @@ pub(super) struct ErSweep<'a> {
 impl ErSweep<'_> {
     /// Runs one row per `x`; `cell(x)` gives the row's `er:<n>` size,
     /// `T` and `λ`. Every (row, seed) cell runs in one [`grid`] call.
-    /// Per cell the demand is recorded once (through the trace cache) and
-    /// all three strategies read the shared trace — values are
-    /// bit-identical to per-strategy recordings (the golden CSVs pin
-    /// this).
+    /// Per cell the demand is recorded once and all three strategies
+    /// read it — values are bit-identical to per-strategy recordings
+    /// (the golden CSVs pin this).
     pub fn run<X: Display + Copy + Sync>(
         self,
         xs: Vec<X>,
@@ -75,8 +74,8 @@ impl ErSweep<'_> {
         let summaries = grid(&rows, &seeds, |&(_, (n, t, lambda)), seed| {
             let env = ExperimentEnv::erdos_renyi(n, seed);
             let ctx = env.context(CostParams::default(), LoadModel::Linear);
-            let trace = workload.shared_trace(&env, t, lambda, rounds, seed ^ salt);
-            STRATEGIES.map(|s| s.run(&ctx, &trace, seed))
+            let demand = workload.record(&env, t, lambda, rounds, seed ^ salt);
+            STRATEGIES.map(|s| s.run(&ctx, &demand, seed))
         });
         let mut table = Table::new(title, &[x_label, "ONBR-fixed", "ONBR-dyn", "ONTH"]);
         for ((x, _), row) in rows.iter().zip(&summaries) {
@@ -170,8 +169,8 @@ pub fn fig06(profile: Profile) -> Table {
         let t = CommuterScenario::t_for_network_size(n);
         let env = ExperimentEnv::erdos_renyi(n, seed);
         let ctx = env.context(params, LoadModel::Linear);
-        let trace = workload.shared_trace(&env, t, lambda, rounds, seed ^ 0xABCD);
-        [StrategySpec::OnBrFixed.run(&ctx, &trace, seed)]
+        let demand = workload.record(&env, t, lambda, rounds, seed ^ 0xABCD);
+        [StrategySpec::OnBrFixed.run(&ctx, &demand, seed)]
     });
     for (&(n, scenario, _), [summary]) in rows.iter().zip(&summaries) {
         let mean = summary.mean();

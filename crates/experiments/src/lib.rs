@@ -11,15 +11,15 @@
 //!   [`CellSpec`]: every experiment axis as parseable data, and the one
 //!   experiment vocabulary — figures, ablations, the CLI and the perf
 //!   harness all run strategies through [`StrategySpec::run`] and record
-//!   demand through [`WorkloadSpec::shared_trace`],
+//!   demand through [`WorkloadSpec::record`],
 //! * [`registry`] — the name → figure/topology/workload/strategy catalogs
 //!   behind `flexserve list` and `flexserve run`,
 //! * [`cache`] — the process-wide distance-matrix cache keyed by
 //!   `(topology spec, seed)` that de-duplicates APSP work across cells,
-//! * [`traces`] — its demand-plane sibling: the process-wide recorded
-//!   [`RoundTrace`](flexserve_workload::RoundTrace) cache that lets every
-//!   strategy of a figure/sweep evaluate against one shared demand
-//!   materialization,
+//! * [`traces`] — what cells share: each cell's recorded [`Demand`],
+//!   read by all its strategies and freed when the cell ends, and the
+//!   process-wide [`RunMemo`] that answers every repeat of a strategy run
+//!   (same strategy, prices, substrate, demand and seed) from one result,
 //! * [`manifest`] — the `results/manifest.json` provenance record (spec,
 //!   seeds, git describe, cache counters for every artifact),
 //! * [`setup`] — [`ExperimentEnv`], a substrate plus its distance matrix
@@ -57,4 +57,4 @@ pub use output::{write_csv, Table};
 pub use runner::{average, grid, SeedSummary};
 pub use setup::ExperimentEnv;
 pub use spec::{CellBuilder, CellSpec, StrategySpec, TopologySpec, WorkloadSpec};
-pub use traces::{clear_global_caches, TraceCache, TraceKey};
+pub use traces::{clear_global_caches, Demand, RunMemo, TraceCache, TraceKey};

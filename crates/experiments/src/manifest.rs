@@ -2,9 +2,9 @@
 //!
 //! Every `flexserve` CLI invocation writes one manifest describing the
 //! artifacts it produced: which spec generated each CSV, over which seeds,
-//! at which git revision, plus the distance-matrix and demand-trace cache
-//! counters for the whole run (so multi-cell sweeps document how much APSP
-//! and workload-recording work the caches saved). The document is built as
+//! at which git revision, plus the distance-matrix cache, demand
+//! recording and result-memo counters for the whole run (so multi-cell
+//! sweeps document how much APSP and strategy work was shared). The document is built as
 //! a [`JsonValue`] and written by [`JsonValue::render_pretty`] (one
 //! `"key": value` per line, two-space indentation); the entries of earlier
 //! runs are read back with [`JsonValue::parse`].
@@ -76,7 +76,9 @@ impl Manifest {
     }
 
     /// Renders the manifest as pretty-printed JSON. Top-level `command`,
-    /// `git` and cache counters describe this invocation; `carried` holds
+    /// `git` and the counters of the distance-matrix cache, the demand
+    /// recordings (`trace_cache`, recordings as `misses`) and the result
+    /// memo describe this invocation; `carried` holds
     /// artifact entries of *earlier* invocations (see [`Manifest::write`])
     /// appended after this run's entries, so the manifest accumulates
     /// provenance for everything still in the results directory. Each
@@ -86,6 +88,7 @@ impl Manifest {
         command: &str,
         cache: CacheStats,
         traces: CacheStats,
+        memo: CacheStats,
         carried: &[JsonValue],
     ) -> String {
         let git = git_describe();
@@ -101,6 +104,7 @@ impl Manifest {
             ("git".into(), git.into()),
             ("distance_matrix_cache".into(), cache_value(cache)),
             ("trace_cache".into(), cache_value(traces)),
+            ("result_memo".into(), cache_value(memo)),
             ("artifacts".into(), JsonValue::Arr(artifacts)),
         ]);
         doc.render_pretty() + "\n"
@@ -116,8 +120,9 @@ impl Manifest {
         command: &str,
         cache: CacheStats,
         traces: CacheStats,
+        memo: CacheStats,
     ) -> std::io::Result<PathBuf> {
-        self.write_to(&results_dir(), command, cache, traces)
+        self.write_to(&results_dir(), command, cache, traces, memo)
     }
 
     /// [`Manifest::write`] with an explicit directory (tests use this to
@@ -128,6 +133,7 @@ impl Manifest {
         command: &str,
         cache: CacheStats,
         traces: CacheStats,
+        memo: CacheStats,
     ) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join("manifest.json");
@@ -151,7 +157,7 @@ impl Manifest {
             })
             .cloned()
             .collect();
-        std::fs::write(&path, self.to_json(command, cache, traces, &carried))?;
+        std::fs::write(&path, self.to_json(command, cache, traces, memo, &carried))?;
         Ok(path)
     }
 }
@@ -222,7 +228,12 @@ mod tests {
             misses: 1,
             evictions: 0,
         };
-        let json = sample().to_json("run fig03", cache, traces, &[]);
+        let memo = CacheStats {
+            hits: 150,
+            misses: 756,
+            evictions: 0,
+        };
+        let json = sample().to_json("run fig03", cache, traces, memo, &[]);
         // The line-oriented layout the CI greps read.
         assert!(json.starts_with("{\n"));
         assert!(json.ends_with("}\n"));
@@ -237,6 +248,9 @@ mod tests {
         let trace = doc.get("trace_cache").unwrap();
         assert_eq!(trace.get("hit_rate").unwrap().as_f64(), Some(0.6667));
         assert!(json.contains("\"hit_rate\": 0.6667"));
+        let memo = doc.get("result_memo").unwrap();
+        assert_eq!(memo.get("hits").unwrap().as_u64(), Some(150));
+        assert_eq!(memo.get("misses").unwrap().as_u64(), Some(756));
         let entry = &doc.get("artifacts").unwrap().as_array().unwrap()[0];
         let seeds: Vec<u64> = (entry.get("seeds").unwrap().as_array().unwrap())
             .iter()
@@ -268,10 +282,10 @@ mod tests {
         let cache = CacheStats::default();
 
         one_entry("fig03.csv", "fig03 v1")
-            .write_to(&dir, "run fig03", cache, cache)
+            .write_to(&dir, "run fig03", cache, cache, cache)
             .unwrap();
         one_entry("fig04.csv", "fig04 v1")
-            .write_to(&dir, "run fig04", cache, cache)
+            .write_to(&dir, "run fig04", cache, cache, cache)
             .unwrap();
         let json = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
         // Both artifacts' provenance survives, and the file parses.
@@ -282,7 +296,7 @@ mod tests {
 
         // Re-producing fig03 replaces its entry rather than duplicating.
         one_entry("fig03.csv", "fig03 v2")
-            .write_to(&dir, "run fig03", cache, cache)
+            .write_to(&dir, "run fig03", cache, cache, cache)
             .unwrap();
         let json = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
         assert_eq!(json.matches("\"artifact\": \"fig03.csv\"").count(), 1);
@@ -299,6 +313,7 @@ mod tests {
         let spec = "a\"b\\c\nd\u{1}";
         let json = one_entry("odd.csv", spec).to_json(
             "run",
+            CacheStats::default(),
             CacheStats::default(),
             CacheStats::default(),
             &[],
@@ -355,7 +370,7 @@ mod tests {
         std::fs::write(dir.join("manifest.json"), EARLIER).unwrap();
         let cache = CacheStats::default();
         one_entry("fig03.csv", "fig03 v2")
-            .write_to(&dir, "run fig03", cache, cache)
+            .write_to(&dir, "run fig03", cache, cache, cache)
             .unwrap();
         let json = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
         let doc = JsonValue::parse(&json).unwrap();
@@ -374,6 +389,39 @@ mod tests {
             Some(vec!["00000000deadbeef".to_string()])
         );
         assert!(json.contains("\"artifact\": \"fig04.csv\""));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn seeds_above_2_pow_53_are_recorded_exactly() {
+        let seeds = [9_007_199_254_740_993, u64::MAX];
+        let mut m = Manifest::new();
+        m.add(ManifestEntry {
+            artifact: "cell.csv".into(),
+            kind: "cell".into(),
+            spec: "big seeds".into(),
+            seeds: seeds.to_vec(),
+            fingerprints: Vec::new(),
+        });
+        let dir = std::env::temp_dir().join("flexserve-manifest-big-seed-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = CacheStats::default();
+        m.write_to(&dir, "run", cache, cache, cache).unwrap();
+        let json = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+        assert!(json.contains("9007199254740993"), "{json}");
+        assert!(json.contains("18446744073709551615"), "{json}");
+        // Carried into the next run's manifest unchanged.
+        one_entry("other.csv", "other")
+            .write_to(&dir, "run", cache, cache, cache)
+            .unwrap();
+        let doc =
+            JsonValue::parse(&std::fs::read_to_string(dir.join("manifest.json")).unwrap()).unwrap();
+        let carried = &doc.get("artifacts").unwrap().as_array().unwrap()[1];
+        let read: Vec<u64> = (carried.get("seeds").unwrap().as_array().unwrap())
+            .iter()
+            .map(|s| s.as_u64().unwrap())
+            .collect();
+        assert_eq!(read, seeds);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -118,7 +118,7 @@ mod tests {
         let mut s = UniformScenario::new(&env.graph, 3, 1);
         let trace = record(&mut s, 25);
         for strat in ALL_STRATEGIES {
-            let cost = strat.run(&ctx, &trace, 1).total();
+            let cost = strat.evaluate(&ctx, &trace, 1).total();
             assert!(cost.is_finite() && cost > 0.0, "{strat}");
         }
     }
@@ -143,7 +143,7 @@ mod tests {
         let cell = |seed: u64| {
             let mut s = UniformScenario::new(&env.graph, 4, seed);
             let trace = record(&mut s, 40);
-            StrategySpec::OnTh.run(&ctx, &trace, seed)
+            StrategySpec::OnTh.evaluate(&ctx, &trace, seed)
         };
         let par = average(&seeds, cell);
         let ser: Vec<CostBreakdown> = seeds.iter().map(|&seed| cell(seed)).collect();
@@ -172,7 +172,7 @@ mod tests {
         let grouped = grid(&rows, &seeds, |&rounds, seed| {
             let mut s = UniformScenario::new(&env.graph, 4, seed);
             let trace = record(&mut s, rounds);
-            strats.map(|strat| strat.run(&ctx, &trace, seed))
+            strats.map(|strat| strat.evaluate(&ctx, &trace, seed))
         });
         assert_eq!(grouped.len(), rows.len());
 
@@ -182,7 +182,7 @@ mod tests {
                 let solo = average(&seeds, |seed| {
                     let mut s = UniformScenario::new(&env.graph, 4, seed);
                     let trace = record(&mut s, rounds);
-                    strat.run(&ctx, &trace, seed)
+                    strat.evaluate(&ctx, &trace, seed)
                 });
                 assert_eq!(summary.per_seed.len(), seeds.len());
                 for (g, s) in summary.per_seed.iter().zip(&solo.per_seed) {

@@ -29,9 +29,9 @@ use flexserve_sim::{
 };
 use flexserve_topology::{as7018_like, parse_rocketfuel_weights, As7018Config};
 use flexserve_workload::{
-    file_source, is_packed_file, CommuterScenario, LoadVariant, OnOffScenario, PackedScenario,
-    PackedTrace, ProximityScenario, RoundTrace, Scenario, TimeZonesScenario, Trace, TraceScenario,
-    UniformScenario, DEFAULT_WINDOW_ROUNDS,
+    file_source, is_packed_file, replay_source, CommuterScenario, LoadVariant, OnOffScenario,
+    PackedScenario, PackedTrace, ProximityScenario, RoundRequests, RoundTrace, Scenario,
+    TimeZonesScenario, Trace, TraceScenario, UniformScenario, DEFAULT_WINDOW_ROUNDS,
 };
 
 use flexserve_core::{
@@ -42,7 +42,7 @@ use flexserve_sim::{run_online, OnlineStrategy};
 
 use crate::runner::{average, SeedSummary};
 use crate::setup::ExperimentEnv;
-use crate::traces::{TraceCache, TraceKey};
+use crate::traces::{Demand, RunKey, RunMemo, TraceCache, TraceKey};
 
 /// A substrate topology, identified by a canonical string such as
 /// `er:200`, `waxman:100`, `grid:8x12` or `as7018`.
@@ -424,42 +424,82 @@ impl WorkloadSpec {
         }
     }
 
-    /// Records `rounds` rounds of this workload over `env` **through the
-    /// process-wide [`TraceCache`]**: the first caller per
-    /// `(substrate, workload, T, λ, rounds, seed)` records the scenario,
-    /// every further strategy cell or figure on the same demand shares
-    /// the `Arc`-held trace. Cached or fresh, the trace is bit-identical
-    /// (deterministic generators), so cache state never changes output.
-    pub fn shared_trace(
+    /// Records `rounds` rounds of this workload over `env` into the
+    /// [`Demand`] one cell's strategies share. Nothing is retained: every
+    /// call records afresh (counted by [`TraceCache`]), and the trace is
+    /// freed with the last clone of the demand. Scenarios are
+    /// deterministic, so two recordings of one key are bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// When a `replay:` file does not read, decode or fit the substrate;
+    /// cells read replays through [`CellSpec::record`] and
+    /// [`CellSpec::run`], which return the error instead.
+    pub fn record(
         &self,
         env: &ExperimentEnv,
         t_periods: u32,
         lambda: u64,
         rounds: u64,
         seed: u64,
-    ) -> Trace {
-        // A replayed trace file is the same demand under every seed *and*
-        // every substrate (the graph only bounds the valid origin range,
-        // checked by `validate_replay` per cell), so replay keys
-        // normalize both: an N-seed replay cell — even on a seeded random
-        // topology, where fingerprints differ per seed — reads and
-        // parses the file once and shares one cache entry.
-        let (substrate, seed) = match self {
-            WorkloadSpec::Replay { .. } => (0, 0),
-            _ => (env.graph.fingerprint(), seed),
+    ) -> Demand {
+        self.try_record(env, t_periods, lambda, rounds, seed)
+            .unwrap_or_else(|e| panic!("wl=replay: {e}"))
+    }
+
+    /// [`WorkloadSpec::record`] that returns a replay's read error.
+    fn try_record(
+        &self,
+        env: &ExperimentEnv,
+        t_periods: u32,
+        lambda: u64,
+        rounds: u64,
+        seed: u64,
+    ) -> Result<Demand, String> {
+        let trace = match self {
+            WorkloadSpec::Replay { path } => {
+                Self::read_replay(path, env.graph.node_count(), rounds)?
+            }
+            _ => {
+                TraceCache::global().count_recording();
+                let mut scenario =
+                    self.instantiate(&env.graph, &env.matrix, t_periods, lambda, seed);
+                Trace::record(scenario.as_mut(), rounds)
+            }
         };
         let key = TraceKey {
-            substrate,
+            substrate: env.graph.fingerprint(),
             workload: self.to_string(),
             t_periods,
             lambda,
             rounds,
-            seed,
+            // A replay is the same demand under every seed.
+            seed: if matches!(self, WorkloadSpec::Replay { .. }) {
+                0
+            } else {
+                seed
+            },
         };
-        TraceCache::global().get_or_record(key, || {
-            let mut scenario = self.instantiate(&env.graph, &env.matrix, t_periods, lambda, seed);
-            Trace::record(scenario.as_mut(), rounds)
-        })
+        Ok(Demand::new(env, key, trace))
+    }
+
+    /// Reads the first `rounds` rounds of a `replay:<path>` file (packed
+    /// or JSONL) for a substrate of `node_count` nodes, padding past the
+    /// end of the file with empty rounds. Every decode error is returned:
+    /// a packed frame that passed the structural check at open time but
+    /// does not decode fails here, not in a strategy.
+    fn read_replay(path: &str, node_count: usize, rounds: u64) -> Result<Trace, String> {
+        TraceCache::global().count_recording();
+        let mut source = replay_source(path, node_count)?;
+        let mut out = Vec::with_capacity(rounds as usize);
+        while (out.len() as u64) < rounds {
+            match source.next_round()? {
+                Some(round) => out.push(round),
+                None => break,
+            }
+        }
+        out.resize(rounds as usize, RoundRequests::empty());
+        Ok(RoundTrace::new(out))
     }
 }
 
@@ -578,7 +618,7 @@ impl FromStr for WorkloadSpec {
 }
 
 /// An allocation strategy, identified by its paper name (lowercased).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StrategySpec {
     /// ONTH, the threshold algorithm (`onth`).
     OnTh,
@@ -626,7 +666,24 @@ impl StrategySpec {
     /// OFFSTAT and OPT return their total cost in the `access` component
     /// (they report a scalar optimum, not a breakdown) — the same
     /// convention the figure pipelines use.
-    pub fn run(self, ctx: &SimContext<'_>, trace: &Trace, seed: u64) -> CostBreakdown {
+    ///
+    /// Results are memoized in the process-wide [`RunMemo`] under the
+    /// run's complete input, so a run that another cell (or figure)
+    /// already made is answered without playing the game again — with
+    /// bit-identical costs. `ctx` must be over the substrate `demand` was
+    /// recorded for.
+    pub fn run(self, ctx: &SimContext<'_>, demand: &Demand, seed: u64) -> CostBreakdown {
+        assert!(
+            demand.is_recorded_on(ctx.graph),
+            "{self}: the demand was recorded for another substrate than the context's"
+        );
+        let key = RunKey::new(self, ctx, demand, seed);
+        RunMemo::global().get_or_run(key, || self.evaluate(ctx, demand, seed))
+    }
+
+    /// Plays the strategy on `trace` — [`StrategySpec::run`] without the
+    /// memo, for traces that are not a recorded [`Demand`].
+    pub fn evaluate(self, ctx: &SimContext<'_>, trace: &Trace, seed: u64) -> CostBreakdown {
         // Concrete `run_online::<S>` calls, not `instantiate_online`'s
         // `Box<dyn>`: the batch path keeps its statically dispatched loop.
         // Traces are `Arc`-shared, so the offline strategies'
@@ -925,32 +982,46 @@ impl CellSpec {
         Ok(())
     }
 
-    /// The demand half of this cell for `seed`: its workload's
-    /// [`WorkloadSpec::shared_trace`] at the cell's `T`, `λ` and rounds.
-    pub fn shared_trace(&self, env: &ExperimentEnv, seed: u64) -> Trace {
+    /// The demand half of this cell for `seed`: its workload recorded
+    /// over `env` at the cell's `T`, `λ` and rounds (see
+    /// [`WorkloadSpec::record`]), or the replay file's read error.
+    pub fn record(&self, env: &ExperimentEnv, seed: u64) -> Result<Demand, String> {
         self.workload
-            .shared_trace(env, self.t_periods, self.lambda, self.rounds, seed)
+            .try_record(env, self.t_periods, self.lambda, self.rounds, seed)
     }
 
     /// Runs the cell: for each seed (in parallel), build or fetch the
-    /// substrate, fetch or record the shared workload trace, play the
-    /// strategy, and collect the cost breakdowns in seed order.
+    /// substrate, record the demand, play the strategy, and collect the
+    /// cost breakdowns in seed order. A replay cell reads its file once,
+    /// before any seed runs, and hands that one trace to every seed; a
+    /// read or decode error is returned.
     ///
     /// Returns the per-seed summary plus the substrate fingerprint of the
     /// first seed (recorded in the manifest for provenance).
     pub fn run(&self) -> Result<CellResult, String> {
         self.validate()?;
+        let first = ExperimentEnv::from_spec(&self.topology, self.seeds[0])?;
+        let replay = match &self.workload {
+            WorkloadSpec::Replay { .. } => Some(self.record(&first, self.seeds[0])?),
+            _ => None,
+        };
         let summary = average(&self.seeds, |seed| {
             let env =
                 ExperimentEnv::from_spec(&self.topology, seed).expect("validated spec must build");
             let ctx = env.context(self.params, self.load);
-            let trace = self.shared_trace(&env, seed);
+            let demand = match &replay {
+                Some(read) => read.rebind(&env),
+                None => {
+                    (self.workload).record(&env, self.t_periods, self.lambda, self.rounds, seed)
+                }
+            };
             if self.events.is_empty() {
-                self.strategy.run(&ctx, &trace, seed)
+                self.strategy.run(&ctx, &demand, seed)
             } else {
                 // Dynamic substrate: drive the evented session over the
-                // same shared trace (validated: the strategy streams and
-                // the schedule dry-ran on the first seed's substrate).
+                // same recorded demand (validated: the strategy streams
+                // and the schedule dry-ran on the first seed's substrate).
+                // It bypasses `StrategySpec::run`, so it is not memoized.
                 let strategy = self
                     .strategy
                     .instantiate_online(&ctx, seed)
@@ -966,7 +1037,7 @@ impl CellSpec {
                     initial,
                 );
                 let mut total = CostBreakdown::zero();
-                for round in trace.iter() {
+                for round in demand.iter() {
                     let record = session
                         .step(round)
                         .unwrap_or_else(|e| panic!("events cell (seed {seed}): {e}"));
@@ -975,13 +1046,9 @@ impl CellSpec {
                 total
             }
         });
-        let fingerprint = ExperimentEnv::from_spec(&self.topology, self.seeds[0])
-            .expect("validated spec must build")
-            .graph
-            .fingerprint();
         Ok(CellResult {
             summary,
-            fingerprint,
+            fingerprint: first.graph.fingerprint(),
         })
     }
 }
@@ -1366,13 +1433,17 @@ mod tests {
             "time-zones:p=50,req=20",
         ] {
             let wl: WorkloadSpec = wl.parse().unwrap();
-            let shared = wl.shared_trace(&env, 8, 5, 25, 7);
+            let shared = wl.record(&env, 8, 5, 25, 7);
             assert!(shared.total_requests() > 0, "{wl} generated nothing");
             let mut fresh = wl.instantiate(&env.graph, &env.matrix, 8, 5, 7);
-            assert_eq!(shared, Trace::record(fresh.as_mut(), 25), "{wl}");
-            // a second fetch shares the materialization
-            let again = wl.shared_trace(&env, 8, 5, 25, 7);
-            assert!(std::ptr::eq(shared.round(0), again.round(0)), "{wl}");
+            assert_eq!(*shared, Trace::record(fresh.as_mut(), 25), "{wl}");
+            // the cell's strategies share one materialization…
+            let clone = shared.clone();
+            assert!(std::ptr::eq(shared.round(0), clone.round(0)), "{wl}");
+            // …and a second recording is an equal one, named by an equal key
+            let again = wl.record(&env, 8, 5, 25, 7);
+            assert_eq!(*again, *shared, "{wl}");
+            assert_eq!(again.key(), shared.key(), "{wl}");
         }
     }
 

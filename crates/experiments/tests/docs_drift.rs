@@ -178,7 +178,12 @@ fn architecture_and_benchmarks_document_the_demand_plane() {
         ARCHITECTURE_MD.contains("demand plane") && ARCHITECTURE_MD.contains("placement plane"),
         "docs/ARCHITECTURE.md must describe the demand/placement plane split"
     );
-    for name in ["RoundTrace", "TraceCache", "trace_equivalence.rs"] {
+    for name in [
+        "RoundTrace",
+        "TraceCache",
+        "RunMemo",
+        "trace_equivalence.rs",
+    ] {
         assert!(
             ARCHITECTURE_MD.contains(name),
             "docs/ARCHITECTURE.md must mention {name}"
@@ -436,6 +441,19 @@ fn no_doc_names_the_retired_perf_harness() {
                 path.display()
             );
         }
+    }
+}
+
+#[test]
+fn no_doc_names_the_retired_trace_budget() {
+    // recorded demand is no longer retained, so it has no byte budget
+    let retired = concat!("FLEXSERVE_", "TRACE_BYTES");
+    for (path, text) in doc_tree() {
+        assert!(
+            !text.contains(retired),
+            "{} must not name the retired {retired}",
+            path.display()
+        );
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! * Every registry figure at the quick profile must reproduce its
 //!   captured CSV (`golden/<name>_quick.csv`) byte for byte — the
-//!   distance-matrix and trace caches, the registry dispatch and any
+//!   distance-matrix cache, the result memo, the registry dispatch and any
 //!   refactor of the figure pipelines may never change experiment output.
 //!   Since the strategies score candidates through the window scoring
 //!   index and its bound-pruned scan (`WindowIndex` in `flexserve-core`),
@@ -24,7 +24,8 @@
 use std::path::Path;
 
 use flexserve_experiments::figures::Profile;
-use flexserve_experiments::{registry, ExperimentEnv, WorkloadSpec};
+use flexserve_experiments::{registry, ExperimentEnv, StrategySpec, WorkloadSpec};
+use flexserve_sim::{CostParams, LoadModel};
 use flexserve_workload::CommuterScenario;
 
 /// `flexserve list` output.
@@ -62,10 +63,11 @@ fn every_figure_is_byte_identical_to_its_golden_and_hits_the_cache() {
     }
 
     // fig03 evaluates 3 strategies × 2 seeds per size against shared
-    // substrates and shared demand traces, recorded once per seed group;
-    // the suite only *fills* the process-wide caches, and repeat lookups
-    // (the next figure, a sweep, or the probes below) hit. Cached or not,
-    // the bytes above stayed golden.
+    // substrates, recording each cell's demand once; fig11 and fig13–19
+    // request many identical OPT and OFFSTAT runs, which the result memo
+    // answers once. The suite fills the process-wide cache and memo, and
+    // repeat requests (the next figure, a sweep, or the probes below)
+    // hit. Memoized or not, the bytes above stayed golden.
     let dist = flexserve_experiments::DistCache::global().stats();
     assert!(
         dist.misses >= 1,
@@ -74,10 +76,16 @@ fn every_figure_is_byte_identical_to_its_golden_and_hits_the_cache() {
     let traces = flexserve_experiments::TraceCache::global().stats();
     assert!(
         traces.misses >= 1,
-        "expected the figure runs to record shared demand traces, got {traces:?}"
+        "expected the figure runs to record demand, got {traces:?}"
+    );
+    let memo = flexserve_experiments::RunMemo::global().stats();
+    assert!(
+        memo.hits >= 1,
+        "expected the OPT figures to share strategy runs, got {memo:?}"
     );
 
-    // Probe: re-requesting one of fig03's cells answers from both caches.
+    // Probe: re-requesting one of fig03's runs answers from the cache and
+    // the memo.
     let env = ExperimentEnv::erdos_renyi(30, 1000);
     assert!(
         flexserve_experiments::DistCache::global().stats().hits > dist.hits,
@@ -85,11 +93,17 @@ fn every_figure_is_byte_identical_to_its_golden_and_hits_the_cache() {
     );
     let t = CommuterScenario::t_for_network_size(30);
     let rounds = Profile::Quick.rounds(500);
-    WorkloadSpec::CommuterDynamic.shared_trace(&env, t, 10, rounds, 1000 ^ 0xABCD);
-    assert!(
-        flexserve_experiments::TraceCache::global().stats().hits > traces.hits,
-        "re-recording a fig03 demand trace must hit the trace cache"
+    let demand = WorkloadSpec::CommuterDynamic.record(&env, t, 10, rounds, 1000 ^ 0xABCD);
+    let ctx = env.context(CostParams::default(), LoadModel::Linear);
+    let memoized = StrategySpec::OnTh.run(&ctx, &demand, 1000);
+    let after = flexserve_experiments::RunMemo::global().stats();
+    assert_eq!(
+        (after.hits, after.misses),
+        (memo.hits + 1, memo.misses),
+        "re-running a fig03 strategy must hit the result memo"
     );
+    let fresh = StrategySpec::OnTh.evaluate(&ctx, &demand, 1000);
+    assert_eq!(memoized.total().to_bits(), fresh.total().to_bits());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

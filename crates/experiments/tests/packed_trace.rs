@@ -126,8 +126,8 @@ proptest! {
         let from_jsonl = fresh_trace(&wl_jsonl, &env, lambda, seed, rounds);
         let from_pack = fresh_trace(&wl_pack, &env, lambda, seed, rounds);
         prop_assert_eq!(&from_jsonl, &from_pack);
-        let a = StrategySpec::OnTh.run(&ctx, &from_jsonl, seed);
-        let b = StrategySpec::OnTh.run(&ctx, &from_pack, seed);
+        let a = StrategySpec::OnTh.evaluate(&ctx, &from_jsonl, seed);
+        let b = StrategySpec::OnTh.evaluate(&ctx, &from_pack, seed);
         prop_assert_eq!(a.access.to_bits(), b.access.to_bits());
         prop_assert_eq!(a.running.to_bits(), b.running.to_bits());
         prop_assert_eq!(a.migration.to_bits(), b.migration.to_bits());
@@ -235,20 +235,24 @@ fn corrupt_packs_fail_cleanly_in_both_readers() {
     assert_corrupt(&bad, "length-prefix", "frame index mismatch");
 }
 
-#[test]
-fn out_of_order_t_is_caught_at_decode_time_in_both_readers() {
-    let valid = victim_pack();
+/// [`victim_pack`] with frame 1 re-stamped `t=2` and re-fingerprinted:
+/// it passes every open-time structural check, and only the decode-time
+/// `t` validation is left to object.
+fn out_of_order_pack() -> Vec<u8> {
+    let mut bad = victim_pack();
     // Frame 1 starts after frame 0: its `t` varint sits 4 bytes past the
-    // length prefix. Patch t=1 to t=2 and re-fingerprint, so the file
-    // passes every open-time structural check and only the decode-time
-    // `t` validation is left to object.
-    let len0 = u32::from_le_bytes(valid[32..36].try_into().unwrap()) as usize;
+    // length prefix.
+    let len0 = u32::from_le_bytes(bad[32..36].try_into().unwrap()) as usize;
     let frame1 = 32 + 4 + len0;
-    assert_eq!(valid[frame1 + 4], 1, "frame 1 must encode t=1");
-    let mut bad = valid.clone();
+    assert_eq!(bad[frame1 + 4], 1, "frame 1 must encode t=1");
     bad[frame1 + 4] = 2;
     refingerprint(&mut bad);
+    bad
+}
 
+#[test]
+fn out_of_order_t_is_caught_at_decode_time_in_both_readers() {
+    let bad = out_of_order_pack();
     let path = temp("corrupt-out-of-order.ftr");
     std::fs::write(&path, &bad).unwrap();
     for (mode, opened) in open_all_modes(&path) {
@@ -267,6 +271,45 @@ fn out_of_order_t_is_caught_at_decode_time_in_both_readers() {
         assert!(replay.next_round().is_err(), "{mode}: replay must fail too");
     }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn undecodable_frame_exits_2_from_run_and_trace_replay() {
+    let path = temp("corrupt-cli.ftr");
+    std::fs::write(&path, out_of_order_pack()).unwrap();
+    let results = temp("corrupt-cli-results");
+    let cell = [
+        "topo=unit-line:12",
+        "strat=onth",
+        "rounds=30",
+        "seeds=1+2",
+        "k=4",
+    ];
+    let run: Vec<String> = ["run".to_string(), format!("wl=replay:{path}")]
+        .into_iter()
+        .chain(cell.map(String::from))
+        .collect();
+    let replay: Vec<String> = ["trace", "replay", &format!("file={path}")]
+        .map(String::from)
+        .into_iter()
+        .chain(cell.map(String::from))
+        .collect();
+    for args in [run, replay] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_flexserve"))
+            .args(&args)
+            .env("FLEXSERVE_RESULTS_DIR", &results)
+            .output()
+            .expect("spawn flexserve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("error:") && stderr.contains("out-of-order round"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&results).ok();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,21 +1,23 @@
-//! The shared-trace refactor's central promise, property-tested: a
-//! figure/sweep cell group evaluating its strategies against **one
-//! cached, `Arc`-shared demand trace** produces cost breakdowns
-//! **bitwise identical** to every strategy independently regenerating and
-//! re-recording its own workload — across random (topology, workload,
-//! strategy-set, seed) tuples.
+//! The shared-demand and result-memo promise, property-tested: a
+//! figure/sweep cell evaluating its strategies against **one recorded,
+//! `Arc`-shared demand** through the memoized [`StrategySpec::run`]
+//! produces cost breakdowns **bitwise identical** to every strategy
+//! independently regenerating and re-recording its own workload — across
+//! random (topology, workload, strategy-set, seed) tuples, on the first
+//! request and when the memo answers a repeat.
 //!
-//! This is what lets the experiments layer route all demand through the
-//! [`TraceCache`] without golden-CSV risk: scenarios are deterministic
-//! under their seed and strategies only *read* the trace, so sharing the
-//! materialization can never change a number.
+//! This is what lets the experiments layer share demand within a cell and
+//! results across cells without golden-CSV risk: scenarios and strategies
+//! are deterministic under their inputs and strategies only *read* the
+//! trace, so neither sharing can change a number.
 
 use proptest::prelude::*;
 
 use flexserve_experiments::setup::ExperimentEnv;
-use flexserve_experiments::spec::{CellSpec, StrategySpec, TopologySpec, WorkloadSpec};
-use flexserve_experiments::{TraceCache, TraceKey};
+use flexserve_experiments::spec::{StrategySpec, TopologySpec, WorkloadSpec};
+use flexserve_experiments::RunMemo;
 use flexserve_sim::{CostBreakdown, CostParams, LoadModel, SimContext};
+use flexserve_workload::JsonValue;
 use flexserve_workload::{record, Trace};
 
 /// Small substrates spanning the generator families (kept cheap: each
@@ -67,17 +69,18 @@ fn run_all_independent(
         .iter()
         .map(|strat| {
             let trace = fresh_trace(workload, env, lambda, seed, rounds);
-            strat.run(ctx, &trace, seed)
+            strat.evaluate(ctx, &trace, seed)
         })
         .collect()
 }
 
 /// A replayed trace file is the same demand under every seed and
 /// substrate, so an N-seed replay cell — even on a seeded random
-/// topology whose fingerprint differs per seed — must share **one**
-/// cache entry (one file read) instead of materializing N copies.
+/// topology whose fingerprint differs per seed — reads its file **once**
+/// and hands that one trace to every seed. Run in its own process, so the
+/// manifest's recording counter is this cell's alone.
 #[test]
-fn replay_workload_shares_one_cache_entry_across_seeds_and_substrates() {
+fn replay_cell_reads_its_file_once_across_seeds_and_substrates() {
     let dir = std::env::temp_dir().join(format!("flexserve-replay-share-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("demand.jsonl");
@@ -86,32 +89,35 @@ fn replay_workload_shares_one_cache_entry_across_seeds_and_substrates() {
         "{\"t\":0,\"origins\":[1,2,1]}\n{\"t\":1,\"origins\":[0]}\n",
     )
     .unwrap();
-
-    let mut cell = CellSpec::new(
-        "er:30".parse().unwrap(),
-        format!("replay:{}", path.display()).parse().unwrap(),
-        "onth".parse().unwrap(),
-    );
-    cell.rounds = 2;
-    cell.seeds = vec![1, 2];
-
-    let env1 = ExperimentEnv::from_spec(&cell.topology, 1).unwrap();
-    let env2 = ExperimentEnv::from_spec(&cell.topology, 2).unwrap();
+    let topology: TopologySpec = "er:30".parse().unwrap();
+    let env1 = ExperimentEnv::from_spec(&topology, 1).unwrap();
+    let env2 = ExperimentEnv::from_spec(&topology, 2).unwrap();
     assert_ne!(
         env1.graph.fingerprint(),
         env2.graph.fingerprint(),
         "seeded ER substrates must differ for this test to bite"
     );
-    let before = TraceCache::global().stats();
-    let t1 = cell.shared_trace(&env1, 1);
-    let t2 = cell.shared_trace(&env2, 2);
-    let after = TraceCache::global().stats();
-    assert_eq!(after.misses - before.misses, 1, "one file read per cell");
-    assert_eq!(after.hits - before.hits, 1, "further seeds hit");
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_flexserve"))
+        .args(["run", "topo=er:30", "strat=onth", "rounds=3", "seeds=1+2"])
+        .arg(format!("wl=replay:{}", path.display()))
+        .env("FLEXSERVE_RESULTS_DIR", &dir)
+        .output()
+        .expect("spawn flexserve");
     assert!(
-        std::ptr::eq(t1.round(0), t2.round(0)),
-        "seeds share the Arc-held materialization"
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+    let doc = JsonValue::parse(&manifest).unwrap();
+    let counter = |block: &str, key: &str| doc.get(block).and_then(|b| b.get(key)?.as_u64());
+    assert_eq!(
+        counter("trace_cache", "misses"),
+        Some(1),
+        "one file read per cell: {manifest}"
+    );
+    assert_eq!(counter("result_memo", "misses"), Some(2), "{manifest}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -147,37 +153,20 @@ proptest! {
             &ctx, &workload, &env, lambda, seed, rounds, &strats,
         );
 
-        // Shared plane: one materialization through a trace cache, every
-        // strategy reads the same Arc-held rounds (grouped-runner shape).
-        let cache = TraceCache::with_capacity_bytes(1 << 22);
-        let key = TraceKey {
-            substrate: env.graph.fingerprint(),
-            workload: workload.to_string(),
-            t_periods: 8,
-            lambda,
-            rounds,
-            seed,
-        };
-        // Fetch once per strategy, as grouped cells do: first records,
-        // the rest must hit and hand back the same storage.
-        let traces: Vec<Trace> = strats
-            .iter()
-            .map(|_| {
-                cache.get_or_record(key.clone(), || {
-                    fresh_trace(&workload, &env, lambda, seed, rounds)
-                })
-            })
-            .collect();
-        prop_assert_eq!(cache.stats().misses, 1, "one recording per group");
-        prop_assert_eq!(cache.stats().hits, strats.len() as u64 - 1);
-        for t in &traces[1..] {
-            prop_assert!(
-                std::ptr::eq(t.round(0), traces[0].round(0)),
-                "cache hits must share the Arc storage"
-            );
-        }
+        // Shared plane: one recording, every strategy reads the same
+        // Arc-held rounds through the memoized `run` (grouped-runner
+        // shape). An earlier case may already have memoized a run.
+        let demand = workload.record(&env, 8, lambda, rounds, seed);
         let shared: Vec<CostBreakdown> =
-            strats.iter().map(|s| s.run(&ctx, &traces[0], seed)).collect();
+            strats.iter().map(|s| s.run(&ctx, &demand, seed)).collect();
+        // Asked again, the memo answers every run.
+        let before = RunMemo::global().stats();
+        let memoized: Vec<CostBreakdown> =
+            strats.iter().map(|s| s.run(&ctx, &demand.clone(), seed)).collect();
+        let after = RunMemo::global().stats();
+        prop_assert_eq!(after.hits - before.hits, strats.len() as u64);
+        prop_assert_eq!(after.misses, before.misses);
+        prop_assert_eq!(&memoized, &shared);
 
         prop_assert_eq!(shared.len(), independent.len());
         for (strat, (s, i)) in strats.iter().zip(shared.iter().zip(&independent)) {

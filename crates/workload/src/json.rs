@@ -15,6 +15,10 @@
 //!   and parsed with `str::parse::<f64>`, so a finite float survives a
 //!   render → parse cycle **bit-identically** — the property the
 //!   checkpoint/resume determinism tests pin,
+//! * except integers: `u64`/`usize` values and every integer literal that
+//!   fits in a `u64` are held exactly ([`JsonValue::Int`]), so seeds and
+//!   counters above 2^53 survive; as a float such a value reads as the
+//!   literal's `f64` parse would,
 //! * no `\uXXXX` escapes beyond the control range, no comments, no
 //!   trailing commas.
 
@@ -27,8 +31,11 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number. Integers are exact up to 2^53.
+    /// A JSON number that is not a non-negative integer literal within
+    /// `u64` (integral floats are exact up to 2^53).
     Num(f64),
+    /// A non-negative integer literal within `u64`, held exactly.
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -51,14 +58,17 @@ impl JsonValue {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Num(n) => Some(*n),
+            // Rounds to nearest, exactly as parsing the literal as f64 does.
+            JsonValue::Int(n) => Some(*n as f64),
             _ => None,
         }
     }
 
-    /// The value as a non-negative integer, if it is a number with no
-    /// fractional part (exact up to 2^53).
+    /// The value as a non-negative integer: any [`JsonValue::Int`], or a
+    /// float with no fractional part up to 2^53.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            JsonValue::Int(n) => Some(*n),
             JsonValue::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 2f64.powi(53) => {
                 Some(*n as u64)
             }
@@ -141,6 +151,9 @@ impl JsonValue {
                 } else {
                     out.push_str("null");
                 }
+            }
+            JsonValue::Int(n) => {
+                let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
             }
             JsonValue::Str(s) => render_str(s, out),
             JsonValue::Arr(items) => {
@@ -239,13 +252,13 @@ impl From<f64> for JsonValue {
 
 impl From<u64> for JsonValue {
     fn from(v: u64) -> Self {
-        JsonValue::Num(v as f64)
+        JsonValue::Int(v)
     }
 }
 
 impl From<usize> for JsonValue {
     fn from(v: usize) -> Self {
-        JsonValue::Num(v as f64)
+        JsonValue::Int(v as u64)
     }
 }
 
@@ -342,6 +355,11 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let token = std::str::from_utf8(&self.bytes()[start..self.pos]).expect("ascii digits");
+        if token.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = token.parse::<u64>() {
+                return Ok(JsonValue::Int(n));
+            }
+        }
         token
             .parse::<f64>()
             .map(JsonValue::Num)
@@ -578,6 +596,28 @@ mod tests {
         assert_eq!(JsonValue::Num(-1.0).as_u64(), None);
         assert_eq!(JsonValue::Num(42.0).as_usize(), Some(42));
         assert_eq!(JsonValue::Bool(true).as_u64(), None);
+    }
+
+    #[test]
+    fn integers_round_trip_exactly() {
+        for n in [0, 1, 4096, (1 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let rendered = JsonValue::from(n).render();
+            assert_eq!(rendered, n.to_string());
+            let back = JsonValue::parse(&rendered).unwrap();
+            assert_eq!(back, JsonValue::Int(n));
+            assert_eq!(back.as_u64(), Some(n));
+            // As a float, the literal reads as `str::parse::<f64>` reads it.
+            assert_eq!(
+                back.as_f64().unwrap().to_bits(),
+                rendered.parse::<f64>().unwrap().to_bits()
+            );
+        }
+        // Past u64, signed, fractional or exponent literals stay floats.
+        for text in ["18446744073709551616", "-1", "-0", "1.0", "1e3"] {
+            let v = JsonValue::parse(text).unwrap();
+            assert!(matches!(v, JsonValue::Num(_)), "{text}: {v:?}");
+        }
+        assert_eq!(JsonValue::parse("1e3").unwrap().as_u64(), Some(1000));
     }
 
     #[test]
