@@ -175,7 +175,7 @@ pub(crate) fn run_front_end(
     handler: &Handler<'_>,
 ) -> Result<(), String> {
     if let Some(warning) = non_loopback_warning(front.tier, &front.addr) {
-        eprintln!("{warning}");
+        daemon_log!("{warning}");
     }
     let result = run_pool(listener, front, threads, handler);
     front.shutdown.store(true, Ordering::SeqCst);
@@ -644,8 +644,11 @@ mod linux {
                     Ok(0) => {}
                     Ok(_) if { events[0].data } == WAKE_TOKEN => {
                         if sigterm::take() {
-                            eprintln!("flexserve {}: SIGTERM — shutting down", self.front.tier);
+                            // Flag first: the signal is consumed, so
+                            // nothing after `take` may stand between it
+                            // and the shutdown.
                             self.front.begin_shutdown();
+                            daemon_log!("flexserve {}: SIGTERM — shutting down", self.front.tier);
                         } else if !self.front.is_shutting_down() {
                             sys::drain(self.wake_r.as_raw_fd()); // a stray byte
                         }
@@ -656,7 +659,7 @@ mod linux {
                     }
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
                     Err(e) => {
-                        eprintln!("{}: epoll_wait: {e}", self.front.tier);
+                        daemon_log!("{}: epoll_wait: {e}", self.front.tier);
                         self.running.fetch_sub(1, Ordering::SeqCst);
                         self.front.begin_shutdown();
                         return;
@@ -825,7 +828,7 @@ mod linux {
                     }
                     match stream {
                         Ok(conn) => pool.add(conn),
-                        Err(e) => eprintln!("{tier}: accept error: {e}"),
+                        Err(e) => daemon_log!("{tier}: accept error: {e}"),
                     }
                 }
             }

@@ -60,6 +60,16 @@
 //! over a fleet of these daemons and live-migrates them bit-identically
 //! (checkpoint → resume → `migrated_to` tombstone); see `docs/CLUSTER.md`.
 
+/// Writes one log line to stderr and ignores a failed write: a daemon
+/// whose log reader has gone (`EPIPE`) keeps serving and still shuts
+/// down cleanly, where `eprintln!` would panic the thread.
+macro_rules! daemon_log {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 // Off Linux the front end refuses to start, which leaves its request
 // plumbing unused there.
 #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
@@ -302,7 +312,7 @@ pub fn serve_on(listener: TcpListener, opts: &ServeOptions) -> Result<ServeSumma
                     while !front.is_shutting_down() {
                         std::thread::sleep(tick);
                         for name in manager.evict_idle(window) {
-                            eprintln!(
+                            daemon_log!(
                                 "flexserve serve: idle-evicted session {name:?} \
                                  (untouched for {}s; checkpointed)",
                                 window.as_secs_f64()
@@ -323,7 +333,7 @@ pub fn serve_on(listener: TcpListener, opts: &ServeOptions) -> Result<ServeSumma
     // SIGTERM) never loses state nobody checkpointed explicitly.
     let saved = manager.checkpoint_all();
     if !saved.is_empty() {
-        eprintln!(
+        daemon_log!(
             "flexserve serve: checkpointed {} session(s) on shutdown: {}",
             saved.len(),
             saved.join(", ")
@@ -341,9 +351,10 @@ pub fn serve_on(listener: TcpListener, opts: &ServeOptions) -> Result<ServeSumma
 pub fn serve_cmd(args: &[String]) -> Result<(), String> {
     let opts = ServeOptions::parse(args)?;
     let summary = serve(&opts)?;
-    eprintln!(
+    daemon_log!(
         "flexserve serve: stopped after {} rounds (t={})",
-        summary.rounds_served, summary.final_t
+        summary.rounds_served,
+        summary.final_t
     );
     Ok(())
 }

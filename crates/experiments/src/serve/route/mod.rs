@@ -373,7 +373,7 @@ fn migrate(
         http_call(&source, "DELETE", &del_path, "", timeout),
         Ok((200, _))
     ) {
-        eprintln!("flexserve route: orphaned copy of session {name:?} left on {source}");
+        daemon_log!("flexserve route: orphaned copy of session {name:?} left on {source}");
     }
     session.worker = target.to_string();
     session.next_t = session.next_t.max(resumed_at);
@@ -481,7 +481,7 @@ fn relocate(shared: &RouterShared, name: &str) {
         resurrect(name, &mut session, &desired, shared.timeout)
     };
     if let Err(e) = moved {
-        eprintln!("flexserve route: could not move session {name:?} to {desired}: {e}");
+        daemon_log!("flexserve route: could not move session {name:?} to {desired}: {e}");
     }
 }
 
@@ -563,10 +563,10 @@ fn skew_balance(shared: &RouterShared) {
             continue; // moved under us; recount
         }
         if let Err(e) = migrate(&name, &mut session, &min_w, shared.timeout) {
-            eprintln!("flexserve route: skew balance of {name:?} failed: {e}");
+            daemon_log!("flexserve route: skew balance of {name:?} failed: {e}");
             return;
         }
-        eprintln!("flexserve route: skew-balanced session {name:?} {max_w} -> {min_w}");
+        daemon_log!("flexserve route: skew-balanced session {name:?} {max_w} -> {min_w}");
     }
 }
 
@@ -611,7 +611,7 @@ fn health_tick(shared: &RouterShared) {
             }
         };
         if let Some(direction) = transition {
-            eprintln!("flexserve route: worker {addr} marked {direction}");
+            daemon_log!("flexserve route: worker {addr} marked {direction}");
             ring_sync(shared);
         }
     }
@@ -723,7 +723,7 @@ fn join_worker(body: &str, shared: &RouterShared) -> (u16, String) {
         });
         state.ring.add(&addr);
     }
-    eprintln!("flexserve route: worker {addr} joined");
+    daemon_log!("flexserve route: worker {addr} joined");
     ring_sync(shared);
     let workers = {
         let state = shared.state.lock().unwrap();
@@ -774,7 +774,7 @@ fn drain_worker(addr: &str, shared: &RouterShared) -> (u16, String) {
         state.workers.retain(|w| w.addr != addr);
         state.ring.workers().to_vec()
     };
-    eprintln!("flexserve route: worker {addr} drained");
+    daemon_log!("flexserve route: worker {addr} drained");
     (
         200,
         JsonValue::Obj(vec![
@@ -1054,7 +1054,7 @@ pub fn run_on(listener: TcpListener, opts: &RouteOptions) -> Result<(), String> 
         if alive {
             ring.add(w);
         } else {
-            eprintln!("flexserve route: worker {w} unreachable at startup (marked down)");
+            daemon_log!("flexserve route: worker {w} unreachable at startup (marked down)");
         }
         workers.push(WorkerEntry {
             addr: w.clone(),
@@ -1120,7 +1120,7 @@ pub fn run_on(listener: TcpListener, opts: &RouteOptions) -> Result<(), String> 
 pub fn route_cmd(args: &[String]) -> Result<(), String> {
     let opts = RouteOptions::parse(args)?;
     run(&opts)?;
-    eprintln!("flexserve route: stopped");
+    daemon_log!("flexserve route: stopped");
     Ok(())
 }
 

@@ -35,12 +35,12 @@ use flexserve_sim::{
 };
 use flexserve_workload::{
     parse_round, record, replay_source, stdin_source, JsonValue, RequestSource, RoundRequests,
-    ScenarioStream, Trace,
+    ScenarioStream,
 };
 
 use crate::output::results_dir;
 use crate::setup::ExperimentEnv;
-use crate::spec::{CellBuilder, CellSpec, StrategySpec};
+use crate::spec::{CellBuilder, CellSpec, StrategySpec, WorkloadSpec};
 
 /// The session that the legacy single-session routes (`/step`,
 /// `/placement`, `/metrics`, `/checkpoint`) address; created at daemon
@@ -326,7 +326,8 @@ impl SessionManager {
     /// info document.
     pub fn create(&self, name: &str, cfg: SessionConfig) -> Result<JsonValue, ServeError> {
         validate_name(name)?;
-        cfg.cell.validate().map_err(ServeError::Bad)?;
+        // The replay file, if any, opens once, in `build_session`.
+        cfg.cell.validate_except_replay().map_err(ServeError::Bad)?;
         {
             let mut inner = self.inner.lock().unwrap();
             if inner.entries.contains_key(name) {
@@ -441,8 +442,8 @@ impl SessionManager {
         for (name, slot) in targets {
             match run_guarded(&mut slot.lock().unwrap(), |s| s.as_mut().map(checkpoint)) {
                 Some(Ok(_)) => saved.push(name),
-                Some(Err(e)) => eprintln!("serve: shutdown checkpoint {name:?}: {e}"),
-                None => eprintln!("serve: shutdown checkpoint {name:?}: session died"),
+                Some(Err(e)) => daemon_log!("serve: shutdown checkpoint {name:?}: {e}"),
+                None => daemon_log!("serve: shutdown checkpoint {name:?}: session died"),
             }
         }
         saved.sort();
@@ -598,11 +599,11 @@ impl SessionManager {
                 return Err(ServeError::Internal(format!("session {name:?} died")));
             }
             Some(Err(e)) => {
-                eprintln!("serve: idle-evict {name:?}: checkpoint failed: {e}");
+                daemon_log!("serve: idle-evict {name:?}: checkpoint failed: {e}");
                 take_stats(&mut slot)
             }
             None => {
-                eprintln!("serve: idle-evict {name:?}: session died");
+                daemon_log!("serve: idle-evict {name:?}: session died");
                 SessionStats::default()
             }
         };
@@ -1018,6 +1019,23 @@ fn build_session(name: &str, cfg: SessionConfig) -> Result<SessionState, String>
         None => SessionMetrics::default(),
     };
 
+    let instantiate = || {
+        cfg.cell.workload.try_instantiate(
+            &env.graph,
+            &env.matrix,
+            cfg.cell.t_periods,
+            cfg.cell.lambda,
+            seed,
+        )
+    };
+    // The workload's scenario, when it feeds the session. A `replay:`
+    // file opens (and validates) here whatever the source, so a broken
+    // one fails the creation.
+    let mut scenario = match (&cfg.source, &cfg.cell.workload) {
+        (SourceKind::Scenario, _) | (_, WorkloadSpec::Replay { .. }) => Some(instantiate()?),
+        _ => None,
+    };
+
     // The strategy. OFFSTAT has no pure-streaming form: its placement is
     // computed from the recorded scenario trace (scenario sources only) —
     // on resume the placement travels inside the checkpoint instead.
@@ -1025,7 +1043,9 @@ fn build_session(name: &str, cfg: SessionConfig) -> Result<SessionState, String>
         if snapshot.is_some() {
             Box::new(OffStatPlacement::new(Vec::new()))
         } else if cfg.source == SourceKind::Scenario {
-            let trace = record_cell_trace(&cfg.cell, &env, seed);
+            // Recorded from a second instance: the first feeds the
+            // session from round 0.
+            let trace = record(instantiate()?.as_mut(), cfg.cell.rounds);
             Box::new(OffStatPlacement::from_trace(&ctx, &trace))
         } else {
             return Err(
@@ -1077,13 +1097,7 @@ fn build_session(name: &str, cfg: SessionConfig) -> Result<SessionState, String>
     // rounds an uninterrupted one would.
     let source: Box<dyn RequestSource + Send> = match &cfg.source {
         SourceKind::Scenario => {
-            let scenario = cfg.cell.workload.instantiate(
-                &env.graph,
-                &env.matrix,
-                cfg.cell.t_periods,
-                cfg.cell.lambda,
-                seed,
-            );
+            let scenario = scenario.take().expect("instantiated for a scenario source");
             let mut stream = ScenarioStream::new(scenario, Some(cfg.cell.rounds));
             stream.skip_to(source_consumed);
             Box::new(stream)
@@ -1122,14 +1136,6 @@ fn build_session(name: &str, cfg: SessionConfig) -> Result<SessionState, String>
         carried,
         started: Instant::now(),
     })
-}
-
-/// Records the cell's scenario into a trace (OFFSTAT placement input).
-fn record_cell_trace(cell: &CellSpec, env: &ExperimentEnv, seed: u64) -> Trace {
-    let mut scenario =
-        cell.workload
-            .instantiate(&env.graph, &env.matrix, cell.t_periods, cell.lambda, seed);
-    record(scenario.as_mut(), cell.rounds)
 }
 
 fn step(state: &mut SessionState, body: &str) -> Result<JsonValue, ServeError> {

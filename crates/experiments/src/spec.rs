@@ -316,6 +316,12 @@ impl WorkloadSpec {
     /// `t_periods` and `lambda` parameterize the daily rhythm where the
     /// scenario has one (commuter, time-zones); stationary workloads
     /// (proximity, uniform, on/off) ignore them.
+    ///
+    /// # Panics
+    ///
+    /// When a `replay:` file does not open, decode its first window or
+    /// fit the substrate; [`WorkloadSpec::try_instantiate`] returns that
+    /// error instead.
     pub fn instantiate(
         &self,
         graph: &Graph,
@@ -324,7 +330,21 @@ impl WorkloadSpec {
         lambda: u64,
         seed: u64,
     ) -> Box<dyn Scenario> {
-        match self {
+        self.try_instantiate(graph, matrix, t_periods, lambda, seed)
+            .unwrap_or_else(|e| panic!("wl=replay: {e}"))
+    }
+
+    /// [`WorkloadSpec::instantiate`] that returns a replay's open, decode
+    /// or fit error. It opens (and so validates) a `replay:` file once.
+    pub fn try_instantiate(
+        &self,
+        graph: &Graph,
+        matrix: &DistanceMatrix,
+        t_periods: u32,
+        lambda: u64,
+        seed: u64,
+    ) -> Result<Box<dyn Scenario>, String> {
+        Ok(match self {
             WorkloadSpec::CommuterDynamic => Box::new(CommuterScenario::with_matrix(
                 graph,
                 matrix,
@@ -371,25 +391,20 @@ impl WorkloadSpec {
                 correlated,
             } => Box::new(OnOffScenario::new(graph, *users, *dwell, *correlated, seed)),
             WorkloadSpec::Replay { path } => {
-                // Pre-checked by `WorkloadSpec::validate_replay` (via
-                // `CellSpec::validate` and the serve layer), so a failure
-                // here means the file changed underneath us. A packed
-                // trace replays through a sliding decoded window (O(window)
-                // resident); JSONL still materializes fully.
-                match is_packed_file(path) {
-                    Ok(true) => Box::new(
-                        PackedScenario::open(path, graph.node_count(), DEFAULT_WINDOW_ROUNDS)
-                            .unwrap_or_else(|e| panic!("wl=replay: {e}")),
-                    ),
-                    Ok(false) => {
-                        let trace = Self::load_replay(path, graph.node_count())
-                            .unwrap_or_else(|e| panic!("wl=replay: {e}"));
-                        Box::new(TraceScenario::new(trace, path.clone()))
-                    }
-                    Err(e) => panic!("wl=replay: {e}"),
+                // A packed trace replays through a sliding decoded window
+                // (O(window) resident); JSONL still materializes fully.
+                if is_packed_file(path)? {
+                    Box::new(PackedScenario::open(
+                        path,
+                        graph.node_count(),
+                        DEFAULT_WINDOW_ROUNDS,
+                    )?)
+                } else {
+                    let trace = Self::load_replay(path, graph.node_count())?;
+                    Box::new(TraceScenario::new(trace, path.clone()))
                 }
             }
-        }
+        })
     }
 
     /// Loads a `replay:<path>` JSONL trace, validating origins against a
@@ -892,7 +907,17 @@ impl CellSpec {
     /// configuration-enumerating strategies (OPT, ONCONF) fit their state
     /// budgets (each checked with its own crate-of-origin count function,
     /// so the pre-check can never drift from the algorithms' panic caps).
+    /// A replay workload must exist, parse and fit the substrate.
     pub fn validate(&self) -> Result<(), String> {
+        let nodes = self.validate_except_replay()?;
+        self.workload.validate_replay(nodes)
+    }
+
+    /// [`CellSpec::validate`] without opening a `replay:` file, for a
+    /// caller that opens it right after anyway (a serve session, through
+    /// [`WorkloadSpec::try_instantiate`]). Returns the substrate's node
+    /// count.
+    pub fn validate_except_replay(&self) -> Result<usize, String> {
         self.params.validate()?;
         if self.seeds.is_empty() {
             return Err("cell: at least one seed is required".into());
@@ -907,9 +932,6 @@ impl CellSpec {
         // fetches, so validation costs a cache fill, not duplicate work.
         let env = ExperimentEnv::from_spec(&self.topology, self.seeds[0])?;
         let n = env.graph.node_count();
-        // A replay workload must exist, parse and fit this substrate
-        // before any strategy runs.
-        self.workload.validate_replay(n)?;
         if !self.events.is_empty() {
             // Offline strategies plan against the whole trace on a static
             // substrate; events fire between rounds, which only streaming
@@ -979,7 +1001,7 @@ impl CellSpec {
             }
             _ => {}
         }
-        Ok(())
+        Ok(n)
     }
 
     /// The demand half of this cell for `seed`: its workload recorded

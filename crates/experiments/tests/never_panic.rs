@@ -3,10 +3,10 @@
 //! and session-create body and every checkpoint), the cell grammar
 //! ([`CellBuilder::apply`] plus [`CellBuilder::build`], reached from the
 //! command line and from `POST /sessions` bodies) and the packed trace
-//! reader ([`PackedTrace::from_bytes`], behind every `wl=replay:` and
-//! `source=` pack). Inputs are arbitrary bytes, and truncations, byte
-//! flips and byte deletions of valid documents. Every call must return
-//! `Ok` or `Err`.
+//! reader ([`PackedTrace::from_bytes`] and [`PackedTrace::open`], behind
+//! every `wl=replay:` and `source=` pack, which must agree). Inputs are
+//! arbitrary bytes, and truncations, byte flips and byte deletions of
+//! valid documents. Every call must return `Ok` or `Err`.
 
 use std::sync::OnceLock;
 
@@ -182,6 +182,35 @@ fn check_pack(bytes: Vec<u8>) {
     prop_assert_eq!(replay.next_round(), Ok(None));
 }
 
+/// [`check_pack`], after writing `bytes` to a file named by `tag` and
+/// opening it there too: both constructors must agree, on the same error
+/// or on the same rounds and fingerprint.
+fn check_pack_file(tag: &str, bytes: Vec<u8>) {
+    let path =
+        std::env::temp_dir().join(format!("flexserve-fuzz-{tag}-{}.ftr", std::process::id()));
+    let path = path.to_str().unwrap();
+    std::fs::write(path, &bytes).unwrap();
+    let from_file = PackedTrace::open(path);
+    // An open pack's mapping outlives its name.
+    std::fs::remove_file(path).unwrap();
+    match (from_file, PackedTrace::from_bytes(path, bytes.clone())) {
+        (Err(file), Err(memory)) => prop_assert_eq!(file, memory),
+        (Ok(file), Ok(memory)) => {
+            prop_assert_eq!(file.fingerprint(), memory.fingerprint());
+            prop_assert_eq!(file.len(), memory.len());
+            for t in 0..file.len() {
+                prop_assert_eq!(file.round(t), memory.round(t));
+            }
+        }
+        (file, memory) => panic!(
+            "open and from_bytes disagree: {:?} vs {:?}",
+            file.err(),
+            memory.err()
+        ),
+    }
+    check_pack(bytes);
+}
+
 /// Applies every `key=value` argument to a fresh builder, as a session
 /// body does, then builds; a cell that builds can describe itself.
 fn check_cell(args: &[Vec<u8>]) {
@@ -242,7 +271,7 @@ proptest! {
             bytes.splice(0..0, *b"FXTRACE1");
             bytes.extend_from_slice(b"FXTRIDX1");
         }
-        check_pack(bytes);
+        check_pack_file("arbitrary", bytes);
     }
 
     #[test]
@@ -258,7 +287,7 @@ proptest! {
         if refingerprinted == 1 {
             refingerprint(&mut bytes);
         }
-        check_pack(bytes);
+        check_pack_file("mangled", bytes);
     }
 
     #[test]

@@ -20,7 +20,9 @@
 
 use proptest::prelude::*;
 
-use flexserve_experiments::serve::{SessionConfig, SessionManager};
+mod common;
+
+use flexserve_experiments::serve::{ServeError, SessionConfig, SessionManager};
 use flexserve_experiments::setup::ExperimentEnv;
 use flexserve_experiments::spec::{StrategySpec, TopologySpec, WorkloadSpec};
 use flexserve_graph::NodeId;
@@ -312,6 +314,58 @@ fn undecodable_frame_exits_2_from_run_and_trace_replay() {
     std::fs::remove_dir_all(&results).ok();
 }
 
+/// A serve session on a pack whose frame 1 does not decode is refused
+/// with an error, not a panic: the daemon exits 2 at startup, and a
+/// `POST /sessions` for it is a 400 that leaves the other sessions
+/// serving.
+#[test]
+fn undecodable_frame_fails_a_serve_session_cleanly() {
+    let path = temp("corrupt-serve.ftr");
+    std::fs::write(&path, out_of_order_pack()).unwrap();
+    let checkpoint = temp("corrupt-serve-ck.json");
+    let args = [
+        "serve".to_string(),
+        "topo=unit-line:12".into(),
+        format!("wl=replay:{path}"),
+        "strat=onth".into(),
+        "k=4".into(),
+        "port=0".into(),
+        format!("checkpoint={checkpoint}"),
+    ];
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_flexserve"))
+        .args(&args)
+        .output()
+        .expect("spawn flexserve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("error:") && stderr.contains("out-of-order round"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no listener may be announced");
+
+    let mgr = SessionManager::new(4);
+    let good_ck = temp("corrupt-serve-good.json");
+    let cell = |wl: &str, ck: &str| {
+        let args: Vec<String> = ["topo=unit-line:12", wl, "strat=onth", "k=4"]
+            .iter()
+            .map(|s| s.to_string())
+            .chain([format!("checkpoint={ck}")])
+            .collect();
+        SessionConfig::parse(&args, "cell").unwrap()
+    };
+    mgr.create("good", cell("wl=uniform:req=2", &good_ck))
+        .unwrap();
+    match mgr.create("bad", cell(&format!("wl=replay:{path}"), &checkpoint)) {
+        Err(ServeError::Bad(msg)) => assert!(msg.contains("out-of-order round"), "{msg}"),
+        other => panic!("a bad pack must be a 400: {:?}", other.map(|v| v.render())),
+    }
+    assert!(mgr.step("good", "").is_ok(), "the daemon keeps serving");
+    assert!(matches!(mgr.step("bad", ""), Err(ServeError::NotFound(_))));
+    std::fs::remove_file(&path).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Windowed == full
 // ---------------------------------------------------------------------------
@@ -428,6 +482,76 @@ fn million_round_pack_replays_with_o_window_residency() {
     }
     assert!(replay.next_round().unwrap().is_none());
     std::fs::remove_file(&path).ok();
+}
+
+/// Peak resident set (`VmHWM`, kB) of a `flexserve serve` daemon on
+/// `unit-line:8` after it has stepped 300 source rounds, with `extra`
+/// appended to its arguments.
+#[cfg(target_os = "linux")]
+fn daemon_peak_rss_kb(tag: &str, extra: &[String]) -> u64 {
+    use std::io::BufRead;
+    let checkpoint = temp(&format!("rss-{tag}.json"));
+    let base = [
+        "serve",
+        "topo=unit-line:8",
+        "wl=uniform:req=2",
+        "strat=onth",
+        "k=4",
+        "rounds=1000",
+        "port=0",
+    ];
+    let mut daemon = std::process::Command::new(env!("CARGO_BIN_EXE_flexserve"))
+        .args(base)
+        .arg(format!("checkpoint={checkpoint}"))
+        .args(extra)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn flexserve");
+    let mut line = String::new();
+    std::io::BufReader::new(daemon.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    let addr: std::net::SocketAddr = line
+        .split("http://")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|addr| addr.parse().ok())
+        .unwrap_or_else(|| panic!("no address in announcement {line:?}"));
+    let (status, body) = common::http(addr, "POST", "/sessions/default/step", r#"{"n":300}"#);
+    assert_eq!(status, 200, "{tag}: {body}");
+    let proc_status = std::fs::read_to_string(format!("/proc/{}/status", daemon.id())).unwrap();
+    let hwm = proc_status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmHWM in /proc/<pid>/status");
+    common::http(addr, "POST", "/shutdown", "");
+    daemon.wait().unwrap();
+    std::fs::remove_file(&checkpoint).ok();
+    hwm
+}
+
+/// Opening a multi-MB pack leaves none of it resident: a daemon serving
+/// 300 rounds from it peaks less than 1 MiB above one serving its
+/// scenario (reading the whole file at open would add all 5 MB).
+#[cfg(target_os = "linux")]
+#[test]
+fn a_served_pack_is_resident_only_where_replay_reads() {
+    let path = temp("resident.ftr");
+    write_synthetic_pack(&path, 250_000, 8);
+    let size = std::fs::metadata(&path).unwrap().len();
+    assert!(
+        size > 4 << 20,
+        "the pack must be multi-MB, got {size} bytes"
+    );
+    let scenario = daemon_peak_rss_kb("scenario", &[]);
+    let packed = daemon_peak_rss_kb("pack", &[format!("source={path}")]);
+    std::fs::remove_file(&path).ok();
+    assert!(
+        packed < scenario + 1024,
+        "peak RSS {packed} kB on a {size}-byte pack vs {scenario} kB without one"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -129,6 +129,77 @@ fn sigterm_checkpoints_every_session_and_exits_promptly() {
     assert_eq!(written, expected, "checkpointed t per session");
 }
 
+/// A daemon whose log reader has gone still shuts down on SIGTERM: the
+/// read ends of its stdout and stderr pipes close after the
+/// announcement, so every later log line fails with `EPIPE`, and the
+/// daemon must still exit within 2 s and checkpoint its session.
+#[test]
+fn sigterm_shuts_down_after_the_log_reader_has_gone() {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+
+    let checkpoint = std::env::temp_dir().join(format!(
+        "flexserve-sigterm-epipe-{}.json",
+        std::process::id()
+    ));
+    let mut args: Vec<String> = ["serve", "bind=127.0.0.1:0", "workers=2"]
+        .iter()
+        .chain(CELL.iter())
+        .map(|s| s.to_string())
+        .collect();
+    args.push(format!("checkpoint={}", checkpoint.display()));
+    let mut daemon = std::process::Command::new(env!("CARGO_BIN_EXE_flexserve"))
+        .args(&args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn flexserve");
+    let mut line = String::new();
+    BufReader::new(daemon.stdout.take().expect("child stdout"))
+        .read_line(&mut line)
+        .expect("announcement");
+    // Both read ends close here.
+    drop(daemon.stderr.take());
+    let addr: SocketAddr = line
+        .split("http://")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|addr| addr.parse().ok())
+        .unwrap_or_else(|| panic!("no address in announcement {line:?}"));
+    for _ in 0..4 {
+        let (status, body) = http(addr, "POST", "/sessions/default/step", "");
+        assert_eq!(status, 200, "{body}");
+    }
+
+    let sent = Instant::now();
+    // SAFETY: `kill` is libc's, declared with its C signature; it only
+    // sends a signal to the child this test spawned.
+    assert_eq!(unsafe { kill(daemon.id() as i32, SIGTERM) }, 0);
+    let exit = loop {
+        if let Some(exit) = daemon.try_wait().expect("wait") {
+            break exit;
+        }
+        if sent.elapsed() > Duration::from_secs(10) {
+            let _ = daemon.kill();
+            panic!("daemon still running 10 s after SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let took = sent.elapsed();
+    let written = std::fs::read_to_string(&checkpoint)
+        .ok()
+        .and_then(|text| json(&text).get("t").and_then(|t| t.as_u64()));
+    let _ = std::fs::remove_file(&checkpoint);
+    assert!(exit.success(), "daemon exited with {exit}");
+    assert!(
+        took < Duration::from_secs(2),
+        "SIGTERM took {took:?} to stop the daemon"
+    );
+    assert_eq!(written, Some(4), "checkpointed t");
+}
+
 /// Any idle thread serves any ready connection: while one connection's
 /// 4096-round batch holds a pool thread, a request on a second connection
 /// is answered by the other. (It reads a different session: `GET

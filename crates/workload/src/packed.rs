@@ -27,16 +27,18 @@
 //! into a `RoundTrace`, so replaying a million-round trace keeps
 //! O(window) rounds resident instead of O(trace).
 //!
-//! One reader ([`PackedTrace`]) decodes every pack from one validated
-//! byte slice. [`PackedTrace::open`] maps the file through a thin
-//! hand-rolled `mmap`/`munmap` syscall shim (no new crates, in the
-//! `vendor/` spirit) and reads it into memory only off Unix or when the
-//! mapping fails; [`PackedTrace::from_bytes`] takes bytes already in
-//! memory. Either way one walk validates the whole image at open time —
-//! magic, trailer, frame index contiguity, frame lengths, and the header
-//! fingerprint over the frame region — so a truncated or bit-flipped pack
-//! is a clean `Err`, never a panic or a partial trace. The format and its
-//! invariants are documented for external producers in `docs/TRACES.md`.
+//! One reader ([`PackedTrace`]) decodes every pack from one byte slice,
+//! and one walk validates every pack before that — magic, trailer, frame
+//! index contiguity, frame lengths, and the header fingerprint over the
+//! frame region — so a truncated or bit-flipped pack is a clean `Err`,
+//! never a panic or a partial trace. [`PackedTrace::from_bytes`] feeds
+//! the walk bytes already in memory. [`PackedTrace::open`] feeds it
+//! positioned reads of the file and only then maps the file through a
+//! thin hand-rolled `mmap`/`munmap` syscall shim (no new crates, in the
+//! `vendor/` spirit), so no page of an open pack is resident until a
+//! round on it is read; it reads the file into memory only off Unix or
+//! when the mapping fails. The format and its invariants are documented
+//! for external producers in `docs/TRACES.md`.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -230,11 +232,10 @@ fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
 // Frame encode/decode
 // ---------------------------------------------------------------------------
 
-/// Encodes round `t` into `out` (cleared first): varint `t`, varint `k`,
-/// then `k` × (origin delta, count). Deterministic, so packing is a fixed
-/// point: pack(unpack(pack(x))) is byte-identical to pack(x).
+/// Appends round `t` to `out`: varint `t`, varint `k`, then `k` ×
+/// (origin delta, count). Deterministic, so packing is a fixed point:
+/// pack(unpack(pack(x))) is byte-identical to pack(x).
 fn encode_frame(t: u64, round: &RoundRequests, out: &mut Vec<u8>) {
-    out.clear();
     let counts = round.counts_slice();
     write_varint(out, t);
     write_varint(out, counts.len() as u64);
@@ -328,21 +329,27 @@ pub struct PackSummary {
     pub bytes: u64,
 }
 
+/// Bytes the writer gathers before each write, and each read of the
+/// validation walk over a file.
+const CHUNK: usize = 64 * 1024;
+
 /// Streams rounds into the packed format: write a placeholder header,
 /// append one frame per [`write_round`](Self::write_round), then
 /// [`finish`](Self::finish) appends the frame index + trailer and patches
-/// the header in place. The writer never holds more than one frame (plus
-/// 8 bytes of index per round), so packing a million-round source is
-/// O(frame) resident.
+/// the header in place. Frames are encoded straight into one buffer,
+/// fingerprinted there and written out a [`CHUNK`] at a time, so the
+/// writer holds at most one chunk of frames (plus 8 bytes of index per
+/// round) and packing a million-round source stays O(chunk) resident.
 pub struct PackWriter<W: Write + Seek> {
     out: W,
     index: Vec<u64>,
-    /// Absolute write position (== next frame offset).
+    /// Absolute offset of the next frame.
     offset: u64,
-    /// FNV-1a of the frames written so far.
+    /// FNV-1a of the frames encoded so far.
     hash: u64,
     universe: u64,
-    scratch: Vec<u8>,
+    /// Encoded frames not yet written out.
+    pending: Vec<u8>,
 }
 
 impl<W: Write + Seek> PackWriter<W> {
@@ -358,7 +365,7 @@ impl<W: Write + Seek> PackWriter<W> {
             offset: PACKED_HEADER_LEN,
             hash: FNV_OFFSET,
             universe: 0,
-            scratch: Vec::new(),
+            pending: Vec::with_capacity(CHUNK),
         })
     }
 
@@ -370,22 +377,35 @@ impl<W: Write + Seek> PackWriter<W> {
     /// Appends the next round (frames carry consecutive `t` starting at 0).
     pub fn write_round(&mut self, round: &RoundRequests) -> Result<(), String> {
         let t = self.index.len() as u64;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        encode_frame(t, round, &mut scratch);
-        let len = u32::try_from(scratch.len())
-            .map_err(|_| format!("round t={t} encodes past the 4 GiB frame limit"))?;
-        let prefix = len.to_le_bytes();
-        self.hash = fnv1a_extend(fnv1a_extend(self.hash, &prefix), &scratch);
-        self.out
-            .write_all(&prefix)
-            .and_then(|()| self.out.write_all(&scratch))
-            .map_err(|e| format!("pack write error: {e}"))?;
+        let start = self.pending.len();
+        // The length prefix is patched in once the payload is encoded.
+        self.pending.extend_from_slice(&[0; 4]);
+        encode_frame(t, round, &mut self.pending);
+        let Ok(len) = u32::try_from(self.pending.len() - start - 4) else {
+            self.pending.truncate(start);
+            return Err(format!("round t={t} encodes past the 4 GiB frame limit"));
+        };
+        self.pending[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        // Hashed while the frame is hot, where the hash's serial chain
+        // overlaps the encoding around it.
+        self.hash = fnv1a_extend(self.hash, &self.pending[start..]);
         self.index.push(self.offset);
         self.offset += 4 + u64::from(len);
         if let Some(&(origin, _)) = round.counts_slice().last() {
             self.universe = self.universe.max(origin.index() as u64 + 1);
         }
-        self.scratch = scratch;
+        if self.pending.len() >= CHUNK {
+            self.flush_frames()?;
+        }
+        Ok(())
+    }
+
+    /// Writes out the pending frames.
+    fn flush_frames(&mut self) -> Result<(), String> {
+        self.out
+            .write_all(&self.pending)
+            .map_err(|e| format!("pack write error: {e}"))?;
+        self.pending.clear();
         Ok(())
     }
 
@@ -393,29 +413,37 @@ impl<W: Write + Seek> PackWriter<W> {
     /// origin universe, fingerprint), and returns the summary plus the
     /// underlying writer (flushed, positioned at end of file).
     pub fn finish(mut self) -> Result<(PackSummary, W), String> {
+        self.flush_frames()?;
         let err = |e| format!("pack write error: {e}");
         let index_offset = self.offset;
+        // The index goes out through the same buffer, a chunk at a time,
+        // and the trailer with its last chunk.
         for &off in &self.index {
-            self.out.write_all(&off.to_le_bytes()).map_err(err)?;
+            self.pending.extend_from_slice(&off.to_le_bytes());
+            if self.pending.len() >= CHUNK {
+                self.out.write_all(&self.pending).map_err(err)?;
+                self.pending.clear();
+            }
         }
-        self.out
-            .write_all(&index_offset.to_le_bytes())
-            .map_err(err)?;
-        self.out.write_all(&PACKED_TRAILER_MAGIC).map_err(err)?;
+        self.pending.extend_from_slice(&index_offset.to_le_bytes());
+        self.pending.extend_from_slice(&PACKED_TRAILER_MAGIC);
+        self.out.write_all(&self.pending).map_err(err)?;
         let bytes = index_offset + self.index.len() as u64 * 8 + PACKED_TRAILER_LEN;
         let summary = PackSummary {
             rounds: self.index.len() as u64,
             universe: self.universe,
             bytes,
         };
+        let mut fields = [0u8; 24];
+        for (field, word) in
+            fields
+                .chunks_exact_mut(8)
+                .zip([summary.rounds, summary.universe, self.hash])
+        {
+            field.copy_from_slice(&word.to_le_bytes());
+        }
         self.out.seek(SeekFrom::Start(8)).map_err(err)?;
-        self.out
-            .write_all(&summary.rounds.to_le_bytes())
-            .map_err(err)?;
-        self.out
-            .write_all(&summary.universe.to_le_bytes())
-            .map_err(err)?;
-        self.out.write_all(&self.hash.to_le_bytes()).map_err(err)?;
+        self.out.write_all(&fields).map_err(err)?;
         self.out.seek(SeekFrom::Start(bytes)).map_err(err)?;
         self.out.flush().map_err(err)?;
         Ok((summary, self.out))
@@ -511,10 +539,13 @@ impl Backing {
 /// O(window)-resident [`window`](Self::window) views, decoded from one
 /// byte slice (an mmap of the file, or bytes in memory).
 ///
-/// Every constructor validates the entire image — magic, trailer,
-/// frame-index contiguity, frame lengths, and the FNV-1a fingerprint over
-/// the frame region — and returns a clean `Err` on truncated or corrupted
-/// input.
+/// Every constructor validates the entire image in one walk — magic,
+/// trailer, frame-index contiguity, frame lengths, and the FNV-1a
+/// fingerprint over the frame region — and returns a clean `Err` on
+/// truncated or corrupted input. [`open`](Self::open) walks the file by
+/// positioned reads before it maps anything, so an open pack holds none
+/// of its pages resident: `round(t)` faults in only the frame and index
+/// pages it reads.
 pub struct PackedTrace {
     rounds: u64,
     universe: u64,
@@ -531,27 +562,168 @@ fn u64_at(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(buf[at..at + 8].try_into().expect("an 8-byte slice"))
 }
 
-/// The one open-time walk over a packed image. Returns `(rounds, universe,
-/// fingerprint, index_offset)` once the fixed fields, every frame-index
-/// entry, every frame length and the fingerprint check out; afterwards
-/// every frame `t < rounds` starts at index entry `t` and ends where the
-/// next one starts (or at the index), inside the image.
-fn validate(label: &str, buf: &[u8]) -> Result<(u64, u64, u64, usize), String> {
-    let file_len = buf.len() as u64;
+/// Where the validation walk reads a pack from.
+#[derive(Clone, Copy)]
+enum Feed<'a> {
+    /// An image in memory, fed as one chunk.
+    Bytes(&'a [u8]),
+    /// A file, fed in [`CHUNK`]-byte positioned reads, which leave none
+    /// of its pages in the process's resident set.
+    #[cfg(unix)]
+    File(&'a File),
+}
+
+impl Feed<'_> {
+    /// Fills `out` from offset `at`, which the walk keeps inside the
+    /// length it checked: a short read means the file shrank under it.
+    fn read_at(self, label: &str, at: u64, out: &mut [u8]) -> Result<(), String> {
+        match self {
+            Feed::Bytes(bytes) => {
+                out.copy_from_slice(&bytes[at as usize..at as usize + out.len()]);
+                Ok(())
+            }
+            #[cfg(unix)]
+            Feed::File(file) => std::os::unix::fs::FileExt::read_exact_at(file, out, at)
+                .map_err(|e| format!("{label}: read error: {e}")),
+        }
+    }
+}
+
+/// A forward reader over the region `[pos, end)` of a pack, one chunk at
+/// a time. The frame cursor folds every chunk into the fingerprint as it
+/// arrives, so the frame region is read exactly once.
+struct Cursor<'a> {
+    feed: Feed<'a>,
+    label: &'a str,
+    /// Offset of the next unread byte.
+    pos: u64,
+    /// End offset of the current chunk (`chunk_end == pos`: none unread).
+    chunk_end: u64,
+    end: u64,
+    /// The current chunk of a file feed.
+    buf: Vec<u8>,
+    /// FNV-1a of every chunk so far, for the cursor that fingerprints.
+    hash: Option<u64>,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(feed: Feed<'a>, label: &'a str, start: u64, end: u64, fingerprinted: bool) -> Self {
+        Cursor {
+            feed,
+            label,
+            pos: start,
+            chunk_end: start,
+            end,
+            buf: Vec::new(),
+            hash: fingerprinted.then_some(FNV_OFFSET),
+        }
+    }
+
+    /// The unread rest of the current chunk.
+    #[inline]
+    fn unread(&self) -> &[u8] {
+        let chunk: &[u8] = match self.feed {
+            Feed::Bytes(bytes) => &bytes[..self.chunk_end as usize],
+            #[cfg(unix)]
+            Feed::File(_) => &self.buf,
+        };
+        &chunk[chunk.len() - (self.chunk_end - self.pos) as usize..]
+    }
+
+    /// Fetches the next chunk once the current one is used up; false at
+    /// the end of the region.
+    fn fetch(&mut self) -> Result<bool, String> {
+        if self.pos < self.chunk_end {
+            return Ok(true);
+        }
+        if self.pos == self.end {
+            return Ok(false);
+        }
+        let fetched = match self.feed {
+            Feed::Bytes(bytes) => {
+                self.chunk_end = self.end;
+                &bytes[self.pos as usize..self.end as usize]
+            }
+            #[cfg(unix)]
+            feed @ Feed::File(_) => {
+                self.chunk_end = self.end.min(self.pos + CHUNK as u64);
+                self.buf.resize((self.chunk_end - self.pos) as usize, 0);
+                feed.read_at(self.label, self.pos, &mut self.buf)?;
+                &self.buf
+            }
+        };
+        if let Some(hash) = &mut self.hash {
+            *hash = fnv1a_extend(*hash, fetched);
+        }
+        Ok(true)
+    }
+
+    /// The next `N` bytes.
+    #[inline]
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        if let Some(&bytes) = self.unread().first_chunk::<N>() {
+            self.pos += N as u64;
+            return Ok(bytes);
+        }
+        // Across a chunk edge (or before the first chunk).
+        let mut out = [0u8; N];
+        let mut got = 0;
+        while got < N {
+            if !self.fetch()? {
+                // The walk checks every read against the region first.
+                return Err(format!("{}: truncated packed trace", self.label));
+            }
+            let unread = self.unread();
+            let step = unread.len().min(N - got);
+            out[got..got + step].copy_from_slice(&unread[..step]);
+            got += step;
+            self.pos += step as u64;
+        }
+        Ok(out)
+    }
+
+    /// Moves past `n` bytes, fetching (and so fingerprinting) every chunk
+    /// they span.
+    #[inline]
+    fn skip(&mut self, mut n: u64) -> Result<(), String> {
+        while n > self.chunk_end - self.pos {
+            n -= self.chunk_end - self.pos;
+            self.pos = self.chunk_end;
+            if !self.fetch()? {
+                return Err(format!("{}: truncated packed trace", self.label));
+            }
+        }
+        self.pos += n;
+        Ok(())
+    }
+}
+
+/// The one validation walk over a packed image of `file_len` bytes, fed
+/// sequential chunks by two cursors: one over the frame region, one over
+/// the frame index. Returns `(rounds, universe, fingerprint,
+/// index_offset)` once the fixed fields, every frame-index entry, every
+/// frame length and the fingerprint check out; afterwards every frame
+/// `t < rounds` starts at index entry `t` and ends where the next one
+/// starts (or at the index), inside the image.
+fn validate(label: &str, feed: Feed<'_>, file_len: u64) -> Result<(u64, u64, u64, usize), String> {
     if file_len < PACKED_MIN_LEN {
         return Err(format!(
             "{label}: truncated packed trace ({file_len} bytes; the header alone needs {PACKED_MIN_LEN})"
         ));
     }
-    if buf[..8] != PACKED_MAGIC {
+    let mut header = [0u8; PACKED_HEADER_LEN as usize];
+    feed.read_at(label, 0, &mut header)?;
+    if header[..8] != PACKED_MAGIC {
         return Err(format!("{label}: bad magic (not a {PACKED_FORMAT} file)"));
     }
-    let (rounds, universe, fingerprint) = (u64_at(buf, 8), u64_at(buf, 16), u64_at(buf, 24));
-    let trailer = buf.len() - PACKED_TRAILER_LEN as usize;
-    if buf[trailer + 8..] != PACKED_TRAILER_MAGIC {
+    let (rounds, universe, fingerprint) =
+        (u64_at(&header, 8), u64_at(&header, 16), u64_at(&header, 24));
+    let mut trailer = [0u8; PACKED_TRAILER_LEN as usize];
+    feed.read_at(label, file_len - PACKED_TRAILER_LEN, &mut trailer)?;
+    if trailer[8..] != PACKED_TRAILER_MAGIC {
         return Err(format!("{label}: corrupt trailer (bad index magic)"));
     }
-    let index_offset = u64_at(buf, trailer);
+    let index_offset = u64_at(&trailer, 0);
     let expected_len = rounds
         .checked_mul(8)
         .and_then(|idx| index_offset.checked_add(idx))
@@ -561,51 +733,58 @@ fn validate(label: &str, buf: &[u8]) -> Result<(u64, u64, u64, usize), String> {
             "{label}: corrupt frame index (rounds={rounds}, index offset={index_offset}, file length={file_len})"
         ));
     }
-    // Both fit in the image, so in `usize`.
-    let idx = index_offset as usize;
     // Walk the frame index: every frame must start where the previous
     // one ended and stay inside the frame region.
-    let mut pos = PACKED_HEADER_LEN;
+    let mut frames = Cursor::new(feed, label, PACKED_HEADER_LEN, index_offset, true);
+    let mut index = Cursor::new(
+        feed,
+        label,
+        index_offset,
+        file_len - PACKED_TRAILER_LEN,
+        false,
+    );
     for t in 0..rounds {
-        let off = u64_at(buf, idx + 8 * t as usize);
+        let pos = frames.pos;
+        let off = u64::from_le_bytes(index.take()?);
         if off != pos {
             return Err(format!(
                 "{label}: frame index mismatch at round {t} (index says offset {off}, frames end at {pos})"
             ));
         }
+        let overrun = || format!("{label}: frame length at round {t} overruns the frame region");
         if pos + 4 > index_offset {
-            return Err(format!(
-                "{label}: frame length at round {t} overruns the frame region"
-            ));
+            return Err(overrun());
         }
-        let at = pos as usize;
-        let len = u32::from_le_bytes(buf[at..at + 4].try_into().expect("a 4-byte slice"));
-        pos += 4 + u64::from(len);
-        if pos > index_offset {
-            return Err(format!(
-                "{label}: frame length at round {t} overruns the frame region"
-            ));
+        let len = u64::from(u32::from_le_bytes(frames.take()?));
+        if pos + 4 + len > index_offset {
+            return Err(overrun());
         }
+        frames.skip(len)?;
     }
-    if pos != index_offset {
+    if frames.pos != index_offset {
         return Err(format!(
             "{label}: frame region does not end at the frame index ({} unindexed bytes)",
-            index_offset - pos
+            index_offset - frames.pos
         ));
     }
-    let actual = fnv1a(&buf[PACKED_HEADER_LEN as usize..idx]);
+    let actual = frames.hash.expect("the frame cursor fingerprints");
     if actual != fingerprint {
         return Err(format!(
             "{label}: fingerprint mismatch (header says {fingerprint:#018x}, frames hash to {actual:#018x})"
         ));
     }
-    Ok((rounds, universe, fingerprint, idx))
+    // The index ends inside the image, so it fits `usize`.
+    Ok((rounds, universe, fingerprint, index_offset as usize))
 }
 
 impl PackedTrace {
-    /// Opens `path` by mapping it read-only, and reads it into memory
-    /// through [`from_bytes`](Self::from_bytes) only off Unix or when the
-    /// mapping fails. Validation errors (corrupt files) are returned, not
+    /// Opens `path`: validates the file by positioned reads, then maps
+    /// that same open file read-only for serving (so a pack renamed into
+    /// place between the two steps cannot swap the bytes validated).
+    /// Nothing of the file is resident after `open`; `round(t)` faults in
+    /// the pages it reads. Off Unix, or when the mapping fails, the file
+    /// is read into memory through [`from_bytes`](Self::from_bytes)
+    /// instead. Validation errors (corrupt files) are returned, not
     /// retried.
     ///
     /// Validation covers the file as it is at open time. Truncating or
@@ -615,32 +794,46 @@ impl PackedTrace {
     /// `Err`. Write packs to a new path and rename them into place rather
     /// than changing a file that may be open.
     pub fn open(path: &str) -> Result<Self, String> {
+        let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
         #[cfg(unix)]
         {
-            let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            if let Ok(map) = mem_map::Mmap::map(&file) {
-                return Self::with_backing(path, Backing::Mapped(map));
+            let len = file
+                .metadata()
+                .map_err(|e| format!("cannot read {path}: {e}"))?
+                .len();
+            let shape = validate(path, Feed::File(&file), len)?;
+            match mem_map::Mmap::map(&file) {
+                // A length that moved since the walk means the file
+                // changed: read and validate what it holds now.
+                Ok(map) if map.as_slice().len() as u64 == len => {
+                    return Ok(Self::new(path, shape, Backing::Mapped(map)));
+                }
+                _ => {}
             }
         }
-        let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let mut bytes = Vec::new();
+        (&file)
+            .read_to_end(&mut bytes)
+            .map_err(|e| format!("cannot read {path}: {e}"))?;
         Self::from_bytes(path, bytes)
     }
 
     /// Validates an in-memory pack image; `label` names it in errors.
     pub fn from_bytes(label: &str, bytes: Vec<u8>) -> Result<Self, String> {
-        Self::with_backing(label, Backing::Owned(bytes))
+        let shape = validate(label, Feed::Bytes(&bytes), bytes.len() as u64)?;
+        Ok(Self::new(label, shape, Backing::Owned(bytes)))
     }
 
-    fn with_backing(label: &str, backing: Backing) -> Result<Self, String> {
-        let (rounds, universe, fingerprint, index_offset) = validate(label, backing.bytes())?;
-        Ok(PackedTrace {
+    fn new(label: &str, shape: (u64, u64, u64, usize), backing: Backing) -> Self {
+        let (rounds, universe, fingerprint, index_offset) = shape;
+        PackedTrace {
             rounds,
             universe,
             fingerprint,
             index_offset,
             label: label.to_string(),
             backing,
-        })
+        }
     }
 
     /// Number of rounds in the trace.
@@ -936,6 +1129,65 @@ mod tests {
         assert_eq!(mapped.materialize().unwrap(), trace);
         assert_eq!(owned.materialize().unwrap(), trace);
         assert_eq!(mapped.fingerprint(), owned.fingerprint());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Opening a file and handing its bytes to `from_bytes` walk the
+    /// same checks in different chunks; on a pack spanning several read
+    /// chunks in both the frame region and the index, byte flips on
+    /// either side of every chunk edge (re-fingerprinted or not) must
+    /// give both the same error, or the same trace.
+    #[test]
+    fn file_and_memory_walks_agree_across_chunk_edges() {
+        let trace = sample_trace(30_000);
+        let valid = pack_trace(&trace);
+        let index = u64_at(&valid, valid.len() - 16) as usize;
+        let trailer = valid.len() - PACKED_TRAILER_LEN as usize;
+        assert!(index > 2 * CHUNK && trailer - index > 2 * CHUNK);
+        let refingerprint = |bytes: &mut Vec<u8>| {
+            let fingerprint = fnv1a(&bytes[PACKED_HEADER_LEN as usize..index]);
+            bytes[24..32].copy_from_slice(&fingerprint.to_le_bytes());
+        };
+        let mut cases = vec![valid.clone()];
+        for start in [PACKED_HEADER_LEN as usize, index] {
+            for edge in [start + CHUNK, start + 2 * CHUNK] {
+                for at in [edge - 1, edge, edge + 1] {
+                    let mut bad = valid.clone();
+                    bad[at] ^= 0x01;
+                    cases.push(bad.clone());
+                    refingerprint(&mut bad);
+                    cases.push(bad);
+                }
+            }
+        }
+        let path = temp("flexserve-packed-chunk-edges.ftr");
+        for (i, bytes) in cases.into_iter().enumerate() {
+            std::fs::write(&path, &bytes).unwrap();
+            match (
+                PackedTrace::open(&path),
+                PackedTrace::from_bytes(&path, bytes),
+            ) {
+                (Ok(file), Ok(memory)) => {
+                    assert_eq!(file.fingerprint(), memory.fingerprint(), "case {i}");
+                    assert_eq!(file.len(), memory.len(), "case {i}");
+                    for t in 0..file.len() {
+                        assert_eq!(file.round(t), memory.round(t), "case {i}, round {t}");
+                    }
+                    if i == 0 {
+                        assert_eq!(file.materialize().unwrap(), trace);
+                    }
+                }
+                (Err(file), Err(memory)) => {
+                    assert_ne!(i, 0, "the valid pack must open: {file}");
+                    assert_eq!(file, memory, "case {i}");
+                }
+                (file, memory) => panic!(
+                    "case {i}: file {:?} vs memory {:?}",
+                    file.err(),
+                    memory.err()
+                ),
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -27,9 +27,13 @@ pub struct RoundRequests {
 
 impl RoundRequests {
     /// Creates a batch from raw origins (multiplicity by repetition).
-    pub fn new(origins: Vec<NodeId>) -> Self {
-        let mut counts: Vec<(NodeId, usize)> = origins.iter().map(|&o| (o, 1usize)).collect();
-        fold_counts(&mut counts);
+    pub fn new(mut origins: Vec<NodeId>) -> Self {
+        // Sorted in place, each run of equal origins is one count.
+        origins.sort_unstable();
+        let counts = origins
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len()))
+            .collect();
         RoundRequests {
             total: origins.len(),
             counts,
