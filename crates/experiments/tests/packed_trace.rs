@@ -682,3 +682,103 @@ fn serve_session_over_packed_source_resumes_bit_identically() {
     mgr.shutdown_all();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+// ---------------------------------------------------------------------------
+// Serve: `wl=replay:` on the scenario source
+// ---------------------------------------------------------------------------
+
+/// A `SessionManager` cell on `unit-line:12` (`strat=onth k=4 seed=7`)
+/// with workload `wl`, horizon `rounds` and checkpoint `ck`, plus `extra`.
+fn replay_cell(wl: &str, rounds: u64, ck: &str, extra: &[&str]) -> SessionConfig {
+    let args: Vec<String> = ["topo=unit-line:12", "strat=onth", "k=4", "seed=7"]
+        .iter()
+        .map(|s| s.to_string())
+        .chain([
+            format!("wl={wl}"),
+            format!("rounds={rounds}"),
+            format!("checkpoint={ck}"),
+        ])
+        .chain(extra.iter().map(|s| s.to_string()))
+        .collect();
+    SessionConfig::parse(&args, "cell").unwrap()
+}
+
+/// `wl=replay:` sessions on a 30-round recording, served with
+/// `rounds=40`: packed and JSONL replays step bodies byte-identical to
+/// the generator session they were recorded from while the file lasts,
+/// identical to each other (`"requests":0`) through the padding, then
+/// run dry with 410; a checkpoint taken in the padding resumes
+/// bit-identically.
+#[test]
+fn replay_workload_sessions_step_like_their_generator_then_pad() {
+    const RECORDED: u64 = 30;
+    const HORIZON: u64 = 40;
+    const CUT: usize = 35;
+    let dir = std::env::temp_dir().join(format!("flexserve-replay-wl-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str| dir.join(name).display().to_string();
+    let env = ExperimentEnv::from_spec(&"unit-line:12".parse().unwrap(), 7).unwrap();
+    let generator = "uniform:req=4";
+    let trace = fresh_trace(&generator.parse().unwrap(), &env, 6, 7, RECORDED);
+    let (jsonl, pack) = (file("demand.jsonl"), file("demand.ftr"));
+    std::fs::write(&jsonl, trace.to_jsonl()).unwrap();
+    std::fs::write(&pack, trace.to_packed()).unwrap();
+    let replays = [format!("replay:{pack}"), format!("replay:{jsonl}")];
+
+    let mgr = SessionManager::new(8);
+    mgr.create(
+        "gen",
+        replay_cell(generator, HORIZON, &file("gen.json"), &[]),
+    )
+    .unwrap();
+    for (i, wl) in replays.iter().enumerate() {
+        let ck = file(&format!("r{i}.json"));
+        mgr.create(&format!("r{i}"), replay_cell(wl, HORIZON, &ck, &[]))
+            .unwrap();
+    }
+    let mut reference = Vec::new();
+    for t in 0..HORIZON {
+        let packed = mgr.step("r0", "").unwrap().render();
+        let jsonl_body = mgr.step("r1", "").unwrap().render();
+        let generated = mgr.step("gen", "").unwrap().render();
+        assert_eq!(packed, jsonl_body, "t={t}: pack and JSONL replays diverged");
+        if t < RECORDED {
+            assert_eq!(
+                packed, generated,
+                "t={t}: replay diverged from its generator"
+            );
+        } else {
+            assert!(packed.contains("\"requests\":0"), "t={t}: {packed}");
+        }
+        reference.push(packed);
+    }
+    for name in ["r0", "r1"] {
+        assert!(matches!(mgr.step(name, ""), Err(ServeError::Exhausted)));
+    }
+
+    // Checkpoint inside the padding, resume, and finish the horizon.
+    for (i, wl) in replays.iter().enumerate() {
+        let (name, ck) = (format!("cut{i}"), file(&format!("cut{i}.json")));
+        mgr.create(&name, replay_cell(wl, HORIZON, &ck, &[]))
+            .unwrap();
+        for step in reference.iter().take(CUT) {
+            assert_eq!(&mgr.step(&name, "").unwrap().render(), step);
+        }
+        mgr.checkpoint(&name).unwrap();
+        mgr.remove(&name).unwrap();
+        let info = mgr
+            .create(&name, replay_cell(wl, HORIZON, &ck, &["resume=true"]))
+            .unwrap();
+        assert_eq!(info.get("resumed_at").unwrap().as_u64(), Some(CUT as u64));
+        for (t, step) in reference.iter().enumerate().skip(CUT) {
+            assert_eq!(
+                &mgr.step(&name, "").unwrap().render(),
+                step,
+                "{wl}: resumed step {t} diverged"
+            );
+        }
+        assert!(matches!(mgr.step(&name, ""), Err(ServeError::Exhausted)));
+    }
+    mgr.shutdown_all();
+    std::fs::remove_dir_all(&dir).ok();
+}
