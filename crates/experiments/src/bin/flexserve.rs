@@ -48,7 +48,7 @@ subcommands:
                                (topo=, wl= required; t, lambda, rounds, seed,
                                out=<path.jsonl>, default results/trace.jsonl)
   trace pack <jsonl> [out=]    pack a JSONL trace into the framed binary
-                               format flexserve-trace-v1 (mmap/windowed
+                               format flexserve-trace-v1 (mmap-backed
                                replay; out= defaults to the input with a
                                .ftr extension; see docs/TRACES.md)
   trace replay <key=value>...  run a cell whose demand is a recorded trace

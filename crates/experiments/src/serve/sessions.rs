@@ -34,13 +34,12 @@ use flexserve_sim::{
     SubstrateEvents,
 };
 use flexserve_workload::{
-    parse_round, record, replay_source, stdin_source, JsonValue, RequestSource, RoundRequests,
-    ScenarioStream,
+    parse_round, replay_source, stdin_source, JsonValue, RequestSource, RoundRequests,
 };
 
 use crate::output::results_dir;
 use crate::setup::ExperimentEnv;
-use crate::spec::{CellBuilder, CellSpec, StrategySpec, WorkloadSpec};
+use crate::spec::{CellBuilder, CellSpec, StrategySpec};
 
 /// The session that the legacy single-session routes (`/step`,
 /// `/placement`, `/metrics`, `/checkpoint`) address; created at daemon
@@ -326,8 +325,14 @@ impl SessionManager {
     /// info document.
     pub fn create(&self, name: &str, cfg: SessionConfig) -> Result<JsonValue, ServeError> {
         validate_name(name)?;
-        // The replay file, if any, opens once, in `build_session`.
-        cfg.cell.validate_except_replay().map_err(ServeError::Bad)?;
+        if cfg.source == SourceKind::Scenario {
+            // The replay file, if any, opens once, in `build_session`.
+            cfg.cell.validate_except_replay().map_err(ServeError::Bad)?;
+        } else {
+            // The workload does not feed the session, but a replay it
+            // names must still read.
+            cfg.cell.validate().map_err(ServeError::Bad)?;
+        }
         {
             let mut inner = self.inner.lock().unwrap();
             if inner.entries.contains_key(name) {
@@ -1019,23 +1024,6 @@ fn build_session(name: &str, cfg: SessionConfig) -> Result<SessionState, String>
         None => SessionMetrics::default(),
     };
 
-    let instantiate = || {
-        cfg.cell.workload.try_instantiate(
-            &env.graph,
-            &env.matrix,
-            cfg.cell.t_periods,
-            cfg.cell.lambda,
-            seed,
-        )
-    };
-    // The workload's scenario, when it feeds the session. A `replay:`
-    // file opens (and validates) here whatever the source, so a broken
-    // one fails the creation.
-    let mut scenario = match (&cfg.source, &cfg.cell.workload) {
-        (SourceKind::Scenario, _) | (_, WorkloadSpec::Replay { .. }) => Some(instantiate()?),
-        _ => None,
-    };
-
     // The strategy. OFFSTAT has no pure-streaming form: its placement is
     // computed from the recorded scenario trace (scenario sources only) —
     // on resume the placement travels inside the checkpoint instead.
@@ -1043,10 +1031,10 @@ fn build_session(name: &str, cfg: SessionConfig) -> Result<SessionState, String>
         if snapshot.is_some() {
             Box::new(OffStatPlacement::new(Vec::new()))
         } else if cfg.source == SourceKind::Scenario {
-            // Recorded from a second instance: the first feeds the
-            // session from round 0.
-            let trace = record(instantiate()?.as_mut(), cfg.cell.rounds);
-            Box::new(OffStatPlacement::from_trace(&ctx, &trace))
+            // Recorded as a batch cell records it, from a second stream:
+            // the session's own source feeds it from round 0.
+            let demand = cfg.cell.record(&env, seed)?;
+            Box::new(OffStatPlacement::from_trace(&ctx, &demand))
         } else {
             return Err(
                 "strat=offstat needs source=scenario (the placement is computed \
@@ -1094,28 +1082,28 @@ fn build_session(name: &str, cfg: SessionConfig) -> Result<SessionState, String>
     // The demand source, fast-forwarded past the rounds the checkpointed
     // history actually consumed from it (explicit-body steps do not
     // advance the source), so a resumed session sees the same source
-    // rounds an uninterrupted one would.
-    let source: Box<dyn RequestSource + Send> = match &cfg.source {
+    // rounds an uninterrupted one would. A packed replay skips by an
+    // O(1) frame-index seek; other sources pull and discard.
+    let source = match &cfg.source {
         SourceKind::Scenario => {
-            let scenario = scenario.take().expect("instantiated for a scenario source");
-            let mut stream = ScenarioStream::new(scenario, Some(cfg.cell.rounds));
-            stream.skip_to(source_consumed);
-            Box::new(stream)
+            let mut source = cfg.cell.workload.source(
+                &env,
+                cfg.cell.t_periods,
+                cfg.cell.lambda,
+                cfg.cell.rounds,
+                seed,
+            )?;
+            source.skip(source_consumed)?;
+            source
         }
         SourceKind::File(path) => {
-            // Packed or JSONL, sniffed by magic. A packed replay skips by
-            // an O(1) frame-index seek; JSONL pulls and discards.
             let mut replay = replay_source(path, node_count)?;
-            replay.skip(source_consumed).map_err(|e| {
-                if e.contains("exhausted") {
-                    format!(
-                        "replay {path} is shorter than the checkpoint \
-                         (source_rounds={source_consumed})"
-                    )
-                } else {
-                    e
-                }
-            })?;
+            if replay.skip(source_consumed)? < source_consumed {
+                return Err(format!(
+                    "replay {path} is shorter than the checkpoint \
+                     (source_rounds={source_consumed})"
+                ));
+            }
             replay
         }
         SourceKind::Stdin => Box::new(stdin_source(node_count)),
@@ -1148,7 +1136,7 @@ fn step(state: &mut SessionState, body: &str) -> Result<JsonValue, ServeError> {
                 let batch = state
                     .source
                     .next_round()
-                    .map_err(ServeError::Bad)?
+                    .map_err(|e| source_failed(state, e))?
                     .ok_or(ServeError::Exhausted)?;
                 state.source_consumed += 1;
                 batch
@@ -1195,16 +1183,18 @@ fn step_batch(state: &mut SessionState, spec: BatchSpec) -> Result<JsonValue, Se
                     None => break,
                 }
             }
-            let missing = k - rounds.len() as u64;
-            if missing > 0 {
-                match state.source.next_rounds(missing) {
-                    Ok(pulled) => {
-                        state.source_consumed += pulled.len() as u64;
-                        rounds.extend(pulled);
+            while (rounds.len() as u64) < k {
+                match state.source.next_round() {
+                    Ok(Some(round)) => {
+                        state.source_consumed += 1;
+                        rounds.push(round);
                     }
+                    Ok(None) => break,
                     Err(e) => {
+                        // Every round pulled before the failure is kept.
+                        let err = source_failed(state, e);
                         restore_pending(state, rounds);
-                        return Err(ServeError::Bad(e));
+                        return Err(err);
                     }
                 }
             }
@@ -1241,6 +1231,13 @@ fn step_batch(state: &mut SessionState, spec: BatchSpec) -> Result<JsonValue, Se
     }
     state.step_seconds_total += started.elapsed().as_secs_f64();
     Ok(JsonValue::Arr(bodies))
+}
+
+/// A 400 for the source round that failed to read, naming it. Nothing
+/// was consumed: the session stays at its last good round, and the next
+/// pull retries the same round.
+fn source_failed(state: &SessionState, e: String) -> ServeError {
+    ServeError::Bad(format!("source round t={}: {e}", state.source_consumed))
 }
 
 /// Puts pulled-but-unplayed source rounds back at the head of the

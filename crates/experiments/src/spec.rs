@@ -29,9 +29,9 @@ use flexserve_sim::{
 };
 use flexserve_topology::{as7018_like, parse_rocketfuel_weights, As7018Config};
 use flexserve_workload::{
-    file_source, is_packed_file, replay_source, CommuterScenario, LoadVariant, OnOffScenario,
-    PackedScenario, PackedTrace, ProximityScenario, RoundRequests, RoundTrace, Scenario,
-    TimeZonesScenario, Trace, TraceScenario, UniformScenario, DEFAULT_WINDOW_ROUNDS,
+    is_packed_file, replay_source, CommuterScenario, LoadVariant, OnOffScenario, Padded,
+    ProximityScenario, RequestSource, RoundTrace, Scenario, ScenarioStream, TimeZonesScenario,
+    Trace, UniformScenario,
 };
 
 use flexserve_core::{
@@ -298,12 +298,14 @@ pub enum WorkloadSpec {
         /// Whether users move in a correlated wave.
         correlated: bool,
     },
-    /// A recorded demand trace replayed as a scenario (`replay:<path>`;
-    /// see `flexserve trace record` / `flexserve trace pack`). The format
-    /// is auto-detected by magic: a packed `flexserve-trace-v1` file
-    /// replays through an mmap/windowed reader, anything else parses as
-    /// JSONL. Rounds past the end of the file are empty; `T`, `λ` and the
-    /// seed are ignored — the demand is whatever was recorded.
+    /// A recorded demand trace (`replay:<path>`; see `flexserve trace
+    /// record` / `flexserve trace pack`). The format is auto-detected by
+    /// magic: a packed `flexserve-trace-v1` file replays through its
+    /// frame index, anything else parses as JSONL. A replay is a
+    /// [`RequestSource`], never a [`Scenario`] (see
+    /// [`WorkloadSpec::source`]). Rounds past the end of the file are
+    /// empty; `T`, `λ` and the seed are ignored — the demand is whatever
+    /// was recorded.
     Replay {
         /// Path to the trace file (packed or JSONL).
         path: String,
@@ -311,7 +313,7 @@ pub enum WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Instantiates the scenario over a substrate.
+    /// Instantiates a generator's scenario over a substrate.
     ///
     /// `t_periods` and `lambda` parameterize the daily rhythm where the
     /// scenario has one (commuter, time-zones); stationary workloads
@@ -319,9 +321,9 @@ impl WorkloadSpec {
     ///
     /// # Panics
     ///
-    /// When a `replay:` file does not open, decode its first window or
-    /// fit the substrate; [`WorkloadSpec::try_instantiate`] returns that
-    /// error instead.
+    /// On a `replay:` workload, which is no scenario: it streams through
+    /// [`WorkloadSpec::source`], where a round that does not read is an
+    /// `Err`.
     pub fn instantiate(
         &self,
         graph: &Graph,
@@ -330,21 +332,7 @@ impl WorkloadSpec {
         lambda: u64,
         seed: u64,
     ) -> Box<dyn Scenario> {
-        self.try_instantiate(graph, matrix, t_periods, lambda, seed)
-            .unwrap_or_else(|e| panic!("wl=replay: {e}"))
-    }
-
-    /// [`WorkloadSpec::instantiate`] that returns a replay's open, decode
-    /// or fit error. It opens (and so validates) a `replay:` file once.
-    pub fn try_instantiate(
-        &self,
-        graph: &Graph,
-        matrix: &DistanceMatrix,
-        t_periods: u32,
-        lambda: u64,
-        seed: u64,
-    ) -> Result<Box<dyn Scenario>, String> {
-        Ok(match self {
+        match self {
             WorkloadSpec::CommuterDynamic => Box::new(CommuterScenario::with_matrix(
                 graph,
                 matrix,
@@ -391,49 +379,51 @@ impl WorkloadSpec {
                 correlated,
             } => Box::new(OnOffScenario::new(graph, *users, *dwell, *correlated, seed)),
             WorkloadSpec::Replay { path } => {
-                // A packed trace replays through a sliding decoded window
-                // (O(window) resident); JSONL still materializes fully.
-                if is_packed_file(path)? {
-                    Box::new(PackedScenario::open(
-                        path,
-                        graph.node_count(),
-                        DEFAULT_WINDOW_ROUNDS,
-                    )?)
-                } else {
-                    let trace = Self::load_replay(path, graph.node_count())?;
-                    Box::new(TraceScenario::new(trace, path.clone()))
-                }
+                panic!("wl=replay:{path} is not a scenario; stream it through WorkloadSpec::source")
             }
-        })
+        }
     }
 
-    /// Loads a `replay:<path>` JSONL trace, validating origins against a
-    /// substrate of `node_count` nodes.
-    fn load_replay(path: &str, node_count: usize) -> Result<RoundTrace, String> {
-        let mut source = file_source(path, node_count)?;
-        RoundTrace::from_source(&mut source, None)
+    /// The workload over `env` as a stream of exactly `rounds` rounds —
+    /// the one place a workload becomes a [`RequestSource`]. A generator
+    /// streams its scenario; a `replay:` file streams through
+    /// [`replay_source`], padded with empty rounds past its end. Opening
+    /// a replay checks its structure and its fit to the substrate; a
+    /// round that does not decode fails the pull that reaches it.
+    pub fn source(
+        &self,
+        env: &ExperimentEnv,
+        t_periods: u32,
+        lambda: u64,
+        rounds: u64,
+        seed: u64,
+    ) -> Result<Box<dyn RequestSource + Send>, String> {
+        Ok(match self {
+            WorkloadSpec::Replay { path } => Box::new(Padded::new(
+                replay_source(path, env.graph.node_count())?,
+                rounds,
+            )),
+            _ => Box::new(ScenarioStream::new(
+                self.instantiate(&env.graph, &env.matrix, t_periods, lambda, seed),
+                Some(rounds),
+            )),
+        })
     }
 
     /// For `replay:<path>` workloads: checks the file exists, parses and
     /// fits a substrate of `node_count` nodes. Other workloads always
     /// validate. A packed trace validates structurally (magic, frame
-    /// index, fingerprint, universe) *without* materializing any rounds,
-    /// so million-round packs stay O(1) here.
+    /// index, fingerprint, universe) *without* decoding any rounds, so
+    /// million-round packs stay O(1) here; a JSONL file parses every
+    /// line.
     pub fn validate_replay(&self, node_count: usize) -> Result<(), String> {
         match self {
             WorkloadSpec::Replay { path } => {
-                if is_packed_file(path)? {
-                    let trace = PackedTrace::open(path)?;
-                    if trace.origin_universe() > node_count as u64 {
-                        return Err(format!(
-                            "{path}: origin universe {} out of range (substrate has {node_count} nodes)",
-                            trace.origin_universe()
-                        ));
-                    }
-                    Ok(())
-                } else {
-                    Self::load_replay(path, node_count).map(|_| ())
+                let mut source = replay_source(path, node_count)?;
+                if !is_packed_file(path)? {
+                    while source.next_round()?.is_some() {}
                 }
+                Ok(())
             }
             _ => Ok(()),
         }
@@ -462,7 +452,9 @@ impl WorkloadSpec {
             .unwrap_or_else(|e| panic!("wl=replay: {e}"))
     }
 
-    /// [`WorkloadSpec::record`] that returns a replay's read error.
+    /// [`WorkloadSpec::record`] that returns a replay's read error. A
+    /// replay is read by draining [`WorkloadSpec::source`], so every
+    /// decode error is returned here, not raised in a strategy.
     fn try_record(
         &self,
         env: &ExperimentEnv,
@@ -471,16 +463,14 @@ impl WorkloadSpec {
         rounds: u64,
         seed: u64,
     ) -> Result<Demand, String> {
-        let trace = match self {
-            WorkloadSpec::Replay { path } => {
-                Self::read_replay(path, env.graph.node_count(), rounds)?
-            }
-            _ => {
-                TraceCache::global().count_recording();
-                let mut scenario =
-                    self.instantiate(&env.graph, &env.matrix, t_periods, lambda, seed);
-                Trace::record(scenario.as_mut(), rounds)
-            }
+        TraceCache::global().count_recording();
+        let replay = matches!(self, WorkloadSpec::Replay { .. });
+        let trace = if replay {
+            let mut source = self.source(env, t_periods, lambda, rounds, seed)?;
+            RoundTrace::from_source(source.as_mut(), None)?
+        } else {
+            let mut scenario = self.instantiate(&env.graph, &env.matrix, t_periods, lambda, seed);
+            Trace::record(scenario.as_mut(), rounds)
         };
         let key = TraceKey {
             substrate: env.graph.fingerprint(),
@@ -489,32 +479,9 @@ impl WorkloadSpec {
             lambda,
             rounds,
             // A replay is the same demand under every seed.
-            seed: if matches!(self, WorkloadSpec::Replay { .. }) {
-                0
-            } else {
-                seed
-            },
+            seed: if replay { 0 } else { seed },
         };
         Ok(Demand::new(env, key, trace))
-    }
-
-    /// Reads the first `rounds` rounds of a `replay:<path>` file (packed
-    /// or JSONL) for a substrate of `node_count` nodes, padding past the
-    /// end of the file with empty rounds. Every decode error is returned:
-    /// a packed frame that passed the structural check at open time but
-    /// does not decode fails here, not in a strategy.
-    fn read_replay(path: &str, node_count: usize, rounds: u64) -> Result<Trace, String> {
-        TraceCache::global().count_recording();
-        let mut source = replay_source(path, node_count)?;
-        let mut out = Vec::with_capacity(rounds as usize);
-        while (out.len() as u64) < rounds {
-            match source.next_round()? {
-                Some(round) => out.push(round),
-                None => break,
-            }
-        }
-        out.resize(rounds as usize, RoundRequests::empty());
-        Ok(RoundTrace::new(out))
     }
 }
 
@@ -915,7 +882,7 @@ impl CellSpec {
 
     /// [`CellSpec::validate`] without opening a `replay:` file, for a
     /// caller that opens it right after anyway (a serve session, through
-    /// [`WorkloadSpec::try_instantiate`]). Returns the substrate's node
+    /// [`WorkloadSpec::source`]). Returns the substrate's node
     /// count.
     pub fn validate_except_replay(&self) -> Result<usize, String> {
         self.params.validate()?;

@@ -243,20 +243,15 @@ fn traces_md_documents_the_packed_plane() {
         "pack_jsonl_file",
         "PackWriter",
         "PackedTrace",
-        "PackedScenario",
         "PackedReplay",
         "packed_trace.rs",
     ] {
         assert!(TRACES_MD.contains(s), "docs/TRACES.md must document {s}");
     }
-    // the magic strings and the windowing constant are part of the layout
+    // the magic strings are part of the layout
     assert!(
         TRACES_MD.contains("FXTRACE1") && TRACES_MD.contains("FXTRIDX1"),
         "docs/TRACES.md must show both magic strings"
-    );
-    assert!(
-        TRACES_MD.contains("4096"),
-        "docs/TRACES.md must state the default window size"
     );
     // the CLI usage string keeps advertising the pack subcommand
     assert!(
@@ -485,6 +480,28 @@ fn no_doc_describes_the_retired_session_actors() {
             assert!(
                 !named,
                 "{} must not describe the retired session {retired}",
+                path.display()
+            );
+        }
+    }
+}
+
+#[test]
+fn no_doc_names_the_retired_replay_scenarios() {
+    // a replay is read by one fallible stream (`WorkloadSpec::source`);
+    // the infallible scenario adapters and their helpers are gone
+    for (path, text) in doc_tree() {
+        for retired in [
+            concat!("Packed", "Scenario"),
+            concat!("Trace", "Scenario"),
+            concat!("load", "_replay"),
+            concat!("try", "_instantiate"),
+            concat!("DEFAULT", "_WINDOW_ROUNDS"),
+            concat!("next", "_rounds"),
+        ] {
+            assert!(
+                !text.contains(retired),
+                "{} must not name the retired {retired}",
                 path.display()
             );
         }

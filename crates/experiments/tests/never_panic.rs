@@ -4,13 +4,14 @@
 //! ([`CellBuilder::apply`] plus [`CellBuilder::build`], reached from the
 //! command line and from `POST /sessions` bodies) and the packed trace
 //! reader ([`PackedTrace::from_bytes`] and [`PackedTrace::open`], behind
-//! every `wl=replay:` and `source=` pack, which must agree). Inputs are
+//! every `wl=replay:` and `source=` pack, which must agree; every pack
+//! that opens is also served as a `wl=replay:` session). Inputs are
 //! arbitrary bytes, and truncations, byte flips and byte deletions of
 //! valid documents. Every call must return `Ok` or `Err`.
 
 use std::sync::OnceLock;
 
-use flexserve_experiments::serve::{SessionConfig, SessionManager};
+use flexserve_experiments::serve::{ServeError, SessionConfig, SessionManager};
 use flexserve_experiments::CellBuilder;
 use flexserve_graph::NodeId;
 use flexserve_workload::packed::fnv1a;
@@ -201,6 +202,7 @@ fn check_pack_file(tag: &str, bytes: Vec<u8>) {
             for t in 0..file.len() {
                 prop_assert_eq!(file.round(t), memory.round(t));
             }
+            check_served(tag, &bytes);
         }
         (file, memory) => panic!(
             "open and from_bytes disagree: {:?} vs {:?}",
@@ -209,6 +211,53 @@ fn check_pack_file(tag: &str, bytes: Vec<u8>) {
         ),
     }
     check_pack(bytes);
+}
+
+/// Serves a pack that opens as a `wl=replay:` session: `{"n":7}`
+/// batches while they succeed, then single steps, until the source runs
+/// dry (410) or a round does not decode (400). Every call returns, no
+/// session dies, and after a 400 the session still reports its metrics
+/// and checkpoints.
+fn check_served(tag: &str, bytes: &[u8]) {
+    let dir =
+        std::env::temp_dir().join(format!("flexserve-fuzz-serve-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("pack.ftr");
+    std::fs::write(&path, bytes).unwrap();
+    let args: Vec<String> = ["topo=unit-line:8", "strat=onth", "k=4", "rounds=16"]
+        .iter()
+        .map(|s| s.to_string())
+        .chain([
+            format!("wl=replay:{}", path.display()),
+            format!("checkpoint={}", dir.join("ck.json").display()),
+        ])
+        .collect();
+    let mgr = SessionManager::new(1);
+    // A pack whose universe does not fit the substrate is refused (400).
+    if mgr
+        .create("fuzz", SessionConfig::parse(&args, "fuzz").unwrap())
+        .is_ok()
+    {
+        let mut body = r#"{"n":7}"#;
+        loop {
+            match mgr.step("fuzz", body) {
+                Ok(_) => {}
+                Err(ServeError::Exhausted) if !body.is_empty() => body = "",
+                Err(ServeError::Exhausted) => break,
+                Err(ServeError::Bad(_)) => {
+                    prop_assert!(mgr.metrics("fuzz").is_ok());
+                    prop_assert!(mgr.checkpoint("fuzz").is_ok());
+                    if body.is_empty() {
+                        break;
+                    }
+                    body = "";
+                }
+                Err(e) => panic!("a served pack must step or fail cleanly: {e}"),
+            }
+        }
+    }
+    mgr.shutdown_all();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Applies every `key=value` argument to a fresh builder, as a session

@@ -29,8 +29,8 @@ use flexserve_graph::NodeId;
 use flexserve_sim::{CostParams, LoadModel};
 use flexserve_workload::packed::fnv1a;
 use flexserve_workload::{
-    pack_jsonl_file, record, replay_source, PackWriter, PackedReplay, PackedScenario, PackedTrace,
-    RequestSource, RoundRequests, RoundTrace, Scenario,
+    pack_jsonl_file, replay_source, JsonValue, PackWriter, PackedReplay, PackedTrace,
+    RequestSource, RoundRequests, RoundTrace,
 };
 
 /// Small substrates spanning the generator families (one APSP per case).
@@ -61,8 +61,7 @@ fn fresh_trace(
     seed: u64,
     rounds: u64,
 ) -> RoundTrace {
-    let mut scenario = workload.instantiate(&env.graph, &env.matrix, 8, lambda, seed);
-    record(scenario.as_mut(), rounds)
+    (*workload.record(env, 8, lambda, rounds, seed)).clone()
 }
 
 /// Every backing a pack can be opened on: the file mapped by `open`, and
@@ -237,18 +236,28 @@ fn corrupt_packs_fail_cleanly_in_both_readers() {
     assert_corrupt(&bad, "length-prefix", "frame index mismatch");
 }
 
-/// [`victim_pack`] with frame 1 re-stamped `t=2` and re-fingerprinted:
-/// it passes every open-time structural check, and only the decode-time
-/// `t` validation is left to object.
+/// Re-stamps frame `frame` of a valid pack with `t = frame + 1` and
+/// re-fingerprints it: the pack passes every open-time structural check,
+/// and only the decode-time `t` validation is left to object.
+fn restamp(bytes: &mut [u8], frame: usize) {
+    let len = bytes.len();
+    let idx_off = u64::from_le_bytes(bytes[len - 16..len - 8].try_into().unwrap()) as usize;
+    let entry = idx_off + 8 * frame;
+    // The frame's `t` varint sits 4 bytes past its length prefix; bumping
+    // its low byte adds 1 unless that byte's 7 payload bits are all set.
+    let at = u64::from_le_bytes(bytes[entry..entry + 8].try_into().unwrap()) as usize + 4;
+    assert!(
+        bytes[at] & 0x7f < 0x7f,
+        "frame {frame}: t does not bump in place"
+    );
+    bytes[at] += 1;
+    refingerprint(bytes);
+}
+
+/// [`victim_pack`] with frame 1 re-stamped `t=2` (see [`restamp`]).
 fn out_of_order_pack() -> Vec<u8> {
     let mut bad = victim_pack();
-    // Frame 1 starts after frame 0: its `t` varint sits 4 bytes past the
-    // length prefix.
-    let len0 = u32::from_le_bytes(bad[32..36].try_into().unwrap()) as usize;
-    let frame1 = 32 + 4 + len0;
-    assert_eq!(bad[frame1 + 4], 1, "frame 1 must encode t=1");
-    bad[frame1 + 4] = 2;
-    refingerprint(&mut bad);
+    restamp(&mut bad, 1);
     bad
 }
 
@@ -314,36 +323,62 @@ fn undecodable_frame_exits_2_from_run_and_trace_replay() {
     std::fs::remove_dir_all(&results).ok();
 }
 
-/// A serve session on a pack whose frame 1 does not decode is refused
-/// with an error, not a panic: the daemon exits 2 at startup, and a
-/// `POST /sessions` for it is a 400 that leaves the other sessions
-/// serving.
+/// Spawns `flexserve serve` with `args` (stderr to `stderr`) and returns
+/// it with the address it announced.
+fn spawn_daemon(
+    args: &[String],
+    stderr: std::process::Stdio,
+) -> (std::process::Child, std::net::SocketAddr) {
+    use std::io::BufRead;
+    let mut daemon = std::process::Command::new(env!("CARGO_BIN_EXE_flexserve"))
+        .arg("serve")
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(stderr)
+        .spawn()
+        .expect("spawn flexserve");
+    let mut line = String::new();
+    std::io::BufReader::new(daemon.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    let addr = line
+        .split("http://")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|addr| addr.parse().ok())
+        .unwrap_or_else(|| panic!("no address in announcement {line:?}"));
+    (daemon, addr)
+}
+
+/// A serve session on a pack whose frame 1 does not decode opens (the
+/// pack is structurally sound), serves round 0 and answers 400 at
+/// round 1 without panicking, and keeps serving: the daemon's other
+/// routes and a `SessionManager`'s other sessions still answer.
 #[test]
 fn undecodable_frame_fails_a_serve_session_cleanly() {
     let path = temp("corrupt-serve.ftr");
     std::fs::write(&path, out_of_order_pack()).unwrap();
     let checkpoint = temp("corrupt-serve-ck.json");
     let args = [
-        "serve".to_string(),
-        "topo=unit-line:12".into(),
+        "topo=unit-line:12".to_string(),
         format!("wl=replay:{path}"),
         "strat=onth".into(),
         "k=4".into(),
         "port=0".into(),
         format!("checkpoint={checkpoint}"),
     ];
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_flexserve"))
-        .args(&args)
-        .output()
-        .expect("spawn flexserve");
+    let (daemon, addr) = spawn_daemon(&args, std::process::Stdio::piped());
+    let step = |body| common::http(addr, "POST", "/sessions/default/step", body);
+    assert_eq!(step("").0, 200, "round 0 decodes");
+    let (status, body) = step("");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("out-of-order round"), "{body}");
+    let (status, body) = common::http(addr, "GET", "/sessions/default/metrics", "");
+    assert_eq!(status, 200, "the session stays live: {body}");
+    common::http(addr, "POST", "/shutdown", "");
+    let out = daemon.wait_with_output().unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(
-        stderr.contains("error:") && stderr.contains("out-of-order round"),
-        "{stderr}"
-    );
     assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(out.stdout.is_empty(), "no listener may be announced");
 
     let mgr = SessionManager::new(4);
     let good_ck = temp("corrupt-serve-good.json");
@@ -357,13 +392,19 @@ fn undecodable_frame_fails_a_serve_session_cleanly() {
     };
     mgr.create("good", cell("wl=uniform:req=2", &good_ck))
         .unwrap();
-    match mgr.create("bad", cell(&format!("wl=replay:{path}"), &checkpoint)) {
+    mgr.create("bad", cell(&format!("wl=replay:{path}"), &checkpoint))
+        .unwrap();
+    assert!(mgr.step("bad", "").is_ok(), "round 0 decodes");
+    match mgr.step("bad", "") {
         Err(ServeError::Bad(msg)) => assert!(msg.contains("out-of-order round"), "{msg}"),
-        other => panic!("a bad pack must be a 400: {:?}", other.map(|v| v.render())),
+        other => panic!("a bad round must be a 400: {:?}", other.map(|v| v.render())),
     }
     assert!(mgr.step("good", "").is_ok(), "the daemon keeps serving");
-    assert!(matches!(mgr.step("bad", ""), Err(ServeError::NotFound(_))));
+    assert!(mgr.metrics("bad").is_ok(), "the bad session stays live");
+    mgr.shutdown_all();
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&checkpoint).ok();
+    std::fs::remove_file(&good_ck).ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -417,21 +458,6 @@ fn windowed_views_match_full_materialization_bitwise() {
         }
     }
 
-    // The windowed Scenario adapter replays identically to the full
-    // materialization at every window size, including re-reads of
-    // earlier rounds (window misses in both directions).
-    let full = PackedTrace::open(&path).unwrap().materialize().unwrap();
-    for window in [1u64, 7, 4096, ROUNDS] {
-        let mut scenario = PackedScenario::open(&path, 97, window).unwrap();
-        for t in (0..200).chain(ROUNDS - 200..ROUNDS).chain(100..110) {
-            assert_eq!(
-                &scenario.requests(t),
-                full.round(t as usize),
-                "window={window} t={t}"
-            );
-        }
-        assert!(scenario.requests(ROUNDS).is_empty());
-    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -486,38 +512,23 @@ fn million_round_pack_replays_with_o_window_residency() {
 
 /// Peak resident set (`VmHWM`, kB) of a `flexserve serve` daemon on
 /// `unit-line:8` after it has stepped 300 source rounds, with `extra`
-/// appended to its arguments.
+/// (its workload, and its source if any) appended to its arguments.
 #[cfg(target_os = "linux")]
 fn daemon_peak_rss_kb(tag: &str, extra: &[String]) -> u64 {
-    use std::io::BufRead;
     let checkpoint = temp(&format!("rss-{tag}.json"));
-    let base = [
-        "serve",
+    let args: Vec<String> = [
         "topo=unit-line:8",
-        "wl=uniform:req=2",
         "strat=onth",
         "k=4",
         "rounds=1000",
         "port=0",
-    ];
-    let mut daemon = std::process::Command::new(env!("CARGO_BIN_EXE_flexserve"))
-        .args(base)
-        .arg(format!("checkpoint={checkpoint}"))
-        .args(extra)
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn flexserve");
-    let mut line = String::new();
-    std::io::BufReader::new(daemon.stdout.take().unwrap())
-        .read_line(&mut line)
-        .unwrap();
-    let addr: std::net::SocketAddr = line
-        .split("http://")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|addr| addr.parse().ok())
-        .unwrap_or_else(|| panic!("no address in announcement {line:?}"));
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .chain([format!("checkpoint={checkpoint}")])
+    .chain(extra.iter().cloned())
+    .collect();
+    let (mut daemon, addr) = spawn_daemon(&args, std::process::Stdio::null());
     let (status, body) = common::http(addr, "POST", "/sessions/default/step", r#"{"n":300}"#);
     assert_eq!(status, 200, "{tag}: {body}");
     let proc_status = std::fs::read_to_string(format!("/proc/{}/status", daemon.id())).unwrap();
@@ -533,8 +544,9 @@ fn daemon_peak_rss_kb(tag: &str, extra: &[String]) -> u64 {
 }
 
 /// Opening a multi-MB pack leaves none of it resident: a daemon serving
-/// 300 rounds from it peaks less than 1 MiB above one serving its
-/// scenario (reading the whole file at open would add all 5 MB).
+/// 300 rounds from it, as `source=` or as a `wl=replay:` workload, peaks
+/// less than 1 MiB above one serving a generator (reading the whole file
+/// at open would add all 5 MB).
 #[cfg(target_os = "linux")]
 #[test]
 fn a_served_pack_is_resident_only_where_replay_reads() {
@@ -545,13 +557,17 @@ fn a_served_pack_is_resident_only_where_replay_reads() {
         size > 4 << 20,
         "the pack must be multi-MB, got {size} bytes"
     );
-    let scenario = daemon_peak_rss_kb("scenario", &[]);
-    let packed = daemon_peak_rss_kb("pack", &[format!("source={path}")]);
+    let generator = "wl=uniform:req=2".to_string();
+    let scenario = daemon_peak_rss_kb("scenario", std::slice::from_ref(&generator));
+    let packed = daemon_peak_rss_kb("pack", &[generator, format!("source={path}")]);
+    let replayed = daemon_peak_rss_kb("replay", &[format!("wl=replay:{path}")]);
     std::fs::remove_file(&path).ok();
-    assert!(
-        packed < scenario + 1024,
-        "peak RSS {packed} kB on a {size}-byte pack vs {scenario} kB without one"
-    );
+    for (via, peak) in [("source=", packed), ("wl=replay:", replayed)] {
+        assert!(
+            peak < scenario + 1024,
+            "{via}: peak RSS {peak} kB on a {size}-byte pack vs {scenario} kB without one"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -781,4 +797,143 @@ fn replay_workload_sessions_step_like_their_generator_then_pad() {
     }
     mgr.shutdown_all();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Serve: a round that does not decode fails its step, not its session
+// ---------------------------------------------------------------------------
+
+/// Serves `clean` with frame `bad_t` re-stamped (see [`restamp`]) beside
+/// a twin session on `clean` itself, once as `wl=replay:` on the
+/// scenario source and once as `source=`. Both sessions play `lead`
+/// (step bodies, all 200 and equal); the bad session's `failing` batch
+/// then answers 400. From there single steps serve every round up to
+/// `bad_t` with the twin's bodies, the step at `bad_t` answers 400 naming
+/// it, `metrics` still answers and the checkpoint stands at `bad_t`.
+fn a_bad_round_fails_its_step(
+    tag: &str,
+    topo: &str,
+    clean: &[u8],
+    bad_t: u64,
+    lead: &[&str],
+    failing: &str,
+) {
+    let dir =
+        std::env::temp_dir().join(format!("flexserve-bad-round-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str| dir.join(name).display().to_string();
+    let (good, bad) = (file("good.ftr"), file("bad.ftr"));
+    std::fs::write(&good, clean).unwrap();
+    let mut bytes = clean.to_vec();
+    restamp(&mut bytes, bad_t as usize);
+    std::fs::write(&bad, bytes).unwrap();
+    let rounds = PackedTrace::open(&good).unwrap().len();
+
+    let cell = |pack: &str, scenario: bool, ck: &str| {
+        let mut args: Vec<String> = [topo, "strat=onth", "k=4"]
+            .iter()
+            .map(|s| s.to_string())
+            .chain([format!("rounds={rounds}"), format!("checkpoint={ck}")])
+            .collect();
+        if scenario {
+            args.push(format!("wl=replay:{pack}"));
+        } else {
+            args.push("wl=uniform:req=2".into());
+            args.push(format!("source={pack}"));
+        }
+        SessionConfig::parse(&args, "cell").unwrap()
+    };
+    let mgr = SessionManager::new(4);
+    for scenario in [false, true] {
+        let via = if scenario { "wl=replay:" } else { "source=" };
+        let ck = file(&format!("bad-{scenario}.json"));
+        mgr.create("twin", cell(&good, scenario, &file("twin.json")))
+            .unwrap();
+        mgr.create("bad", cell(&bad, scenario, &ck)).unwrap();
+        for body in lead {
+            let twin = mgr.step("twin", body).unwrap().render();
+            let got = mgr
+                .step("bad", body)
+                .unwrap_or_else(|e| panic!("{via} {body}: {e}"));
+            assert_eq!(got.render(), twin, "{via} {body}");
+        }
+        match mgr.step("bad", failing) {
+            Err(ServeError::Bad(msg)) => {
+                assert!(msg.contains(&format!("t={bad_t}")), "{via}: {msg}")
+            }
+            other => panic!(
+                "{via} {failing}: want 400, got {:?}",
+                other.map(|v| v.render())
+            ),
+        }
+        loop {
+            let placement = mgr.placement("bad").unwrap();
+            let t = placement.get("t").unwrap().as_u64().unwrap();
+            if t == bad_t {
+                break;
+            }
+            let twin = mgr.step("twin", "").unwrap().render();
+            let got = mgr
+                .step("bad", "")
+                .unwrap_or_else(|e| panic!("{via} t={t}: {e}"));
+            assert_eq!(got.render(), twin, "{via}: round {t}");
+        }
+        for _ in 0..2 {
+            match mgr.step("bad", "") {
+                Err(ServeError::Bad(msg)) => {
+                    assert!(msg.contains(&format!("t={bad_t}")), "{via}: {msg}")
+                }
+                other => panic!("{via}: want 400, got {:?}", other.map(|v| v.render())),
+            }
+        }
+        let metrics = mgr.metrics("bad").unwrap();
+        assert_eq!(
+            metrics.get("next_t").unwrap().as_u64(),
+            Some(bad_t),
+            "{via}"
+        );
+        let saved = JsonValue::parse(&mgr.checkpoint("bad").unwrap()).unwrap();
+        assert_eq!(saved.get("t").unwrap().as_u64(), Some(bad_t), "{via}");
+        assert_eq!(
+            saved.get("source_rounds").unwrap().as_u64(),
+            Some(bad_t),
+            "{via}"
+        );
+        mgr.remove("twin").unwrap();
+        mgr.remove("bad").unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A daemon-sized pack whose frame 5000 does not decode: the batches
+/// before it are served, the one that reaches it answers 400 and applies
+/// nothing, and the session keeps serving up to t=5000.
+#[test]
+fn a_bad_frame_mid_pack_fails_the_step_that_reaches_it() {
+    let path = temp("bad-mid-10k.ftr");
+    write_synthetic_pack(&path, 10_000, 8);
+    let clean = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    a_bad_round_fails_its_step(
+        "10k",
+        "topo=unit-line:8",
+        &clean,
+        5000,
+        &[r#"{"n":4096}"#, r#"{"n":900}"#],
+        r#"{"n":10}"#,
+    );
+}
+
+/// A batch whose source fails mid-pull keeps the rounds it pulled before
+/// the failure: they are served next, and the checkpoint counts them.
+#[test]
+fn a_failed_batch_keeps_the_rounds_it_pulled() {
+    a_bad_round_fails_its_step(
+        "batch",
+        "topo=unit-line:12",
+        &victim_pack(),
+        20,
+        &[""; 10],
+        r#"{"n":15}"#,
+    );
 }

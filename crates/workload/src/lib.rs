@@ -52,14 +52,14 @@ pub use json::JsonValue;
 pub use onoff::OnOffScenario;
 pub use packed::{
     is_packed_bytes, is_packed_file, pack_jsonl_file, pack_trace, PackSummary, PackWriter,
-    PackedReplay, PackedScenario, PackedTrace, DEFAULT_WINDOW_ROUNDS, PACKED_FORMAT, PACKED_MAGIC,
+    PackedReplay, PackedTrace, PACKED_FORMAT, PACKED_MAGIC,
 };
 pub use proximity::{ProximityOrder, ProximityScenario};
 pub use request::RoundRequests;
-pub use round_trace::{RoundTrace, TraceScenario};
+pub use round_trace::RoundTrace;
 pub use scenario::{record, Scenario, Trace};
 pub use stream::{
-    file_source, parse_round, replay_source, round_to_jsonl, stdin_source, JsonlReplay,
+    file_source, parse_round, replay_source, round_to_jsonl, stdin_source, JsonlReplay, Padded,
     RequestSource, ScenarioStream,
 };
 pub use time_zones::TimeZonesScenario;

@@ -47,7 +47,6 @@ use flexserve_graph::NodeId;
 
 use crate::request::RoundRequests;
 use crate::round_trace::RoundTrace;
-use crate::scenario::Scenario;
 use crate::stream::RequestSource;
 
 /// The format tag, used in docs, manifests and error messages.
@@ -67,9 +66,6 @@ pub const PACKED_TRAILER_LEN: u64 = 16;
 
 /// Smallest possible packed trace: header + empty frame region + trailer.
 pub const PACKED_MIN_LEN: u64 = PACKED_HEADER_LEN + PACKED_TRAILER_LEN;
-
-/// Default window size (rounds resident at once) for windowed replay.
-pub const DEFAULT_WINDOW_ROUNDS: u64 = 4096;
 
 // ---------------------------------------------------------------------------
 // FNV-1a (same hand-rolled 64-bit variant as `Graph::fingerprint` and the
@@ -337,7 +333,7 @@ const CHUNK: usize = 64 * 1024;
 /// append one frame per [`write_round`](Self::write_round), then
 /// [`finish`](Self::finish) appends the frame index + trailer and patches
 /// the header in place. Frames are encoded straight into one buffer,
-/// fingerprinted there and written out a [`CHUNK`] at a time, so the
+/// fingerprinted there and written out 64 KiB at a time, so the
 /// writer holds at most one chunk of frames (plus 8 bytes of index per
 /// round) and packing a million-round source stays O(chunk) resident.
 pub struct PackWriter<W: Write + Seek> {
@@ -907,7 +903,7 @@ impl PackedTrace {
 }
 
 // ---------------------------------------------------------------------------
-// RequestSource + Scenario adapters
+// RequestSource adapter
 // ---------------------------------------------------------------------------
 
 /// A packed trace as a streaming [`RequestSource`] — the packed
@@ -955,15 +951,10 @@ impl RequestSource for PackedReplay {
         Ok(Some(round))
     }
 
-    fn skip(&mut self, n: u64) -> Result<(), String> {
-        let have = self.trace.len() - self.pos;
-        if n > have {
-            return Err(format!(
-                "source exhausted after {have} of {n} skipped rounds"
-            ));
-        }
+    fn skip(&mut self, n: u64) -> Result<u64, String> {
+        let n = n.min(self.trace.len() - self.pos);
         self.pos += n;
-        Ok(())
+        Ok(n)
     }
 
     fn describe(&self) -> String {
@@ -971,82 +962,6 @@ impl RequestSource for PackedReplay {
             "packed replay {} ({} rounds)",
             self.trace.label(),
             self.trace.len()
-        )
-    }
-}
-
-/// A packed trace replayed as a [`Scenario`] through a sliding decoded
-/// window — the packed counterpart of
-/// [`TraceScenario`](crate::round_trace::TraceScenario), holding
-/// O(window) rounds resident instead of the whole trace. Rounds past the
-/// end are empty, and (matching the `wl=replay:` contract) a decode
-/// failure on a file that validated at open time panics.
-pub struct PackedScenario {
-    trace: PackedTrace,
-    window: RoundTrace,
-    window_start: u64,
-    window_len: u64,
-}
-
-impl PackedScenario {
-    /// Opens `path` for windowed replay against a substrate of `max_node`
-    /// nodes, keeping `window_rounds` (≥ 1, e.g.
-    /// [`DEFAULT_WINDOW_ROUNDS`]) decoded rounds resident.
-    pub fn open(path: &str, max_node: usize, window_rounds: u64) -> Result<Self, String> {
-        let trace = PackedTrace::open(path)?;
-        if trace.origin_universe() > max_node as u64 {
-            return Err(format!(
-                "{}: origin universe {} out of range (substrate has {max_node} nodes)",
-                trace.label(),
-                trace.origin_universe()
-            ));
-        }
-        let mut scenario = PackedScenario {
-            trace,
-            window: RoundTrace::default(),
-            window_start: 0,
-            window_len: window_rounds.max(1),
-        };
-        scenario.window = scenario
-            .trace
-            .window(0, scenario.window_len)
-            .map_err(|e| format!("packed replay: {e}"))?;
-        Ok(scenario)
-    }
-
-    /// Rounds in the underlying trace.
-    pub fn len(&self) -> u64 {
-        self.trace.len()
-    }
-
-    /// Whether the underlying trace has no rounds.
-    pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
-    }
-}
-
-impl Scenario for PackedScenario {
-    fn requests(&mut self, t: u64) -> RoundRequests {
-        if t >= self.trace.len() {
-            return RoundRequests::empty();
-        }
-        if t < self.window_start || t >= self.window_start + self.window_len {
-            let start = t - t % self.window_len;
-            self.window = self
-                .trace
-                .window(start, self.window_len)
-                .unwrap_or_else(|e| panic!("packed replay: {e}"));
-            self.window_start = start;
-        }
-        self.window.round((t - self.window_start) as usize).clone()
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "replay({}, {} rounds, packed window={})",
-            self.trace.label(),
-            self.trace.len(),
-            self.window_len
         )
     }
 }
@@ -1251,7 +1166,7 @@ mod tests {
         std::fs::write(&path, pack_trace(&trace)).unwrap();
         let mut replay = PackedReplay::open(&path, 16).unwrap();
         assert!(replay.describe().contains("packed replay"));
-        replay.skip(5).unwrap();
+        assert_eq!(replay.skip(5).unwrap(), 5);
         assert_eq!(replay.position(), 5);
         for t in 5..12 {
             assert_eq!(&replay.next_round().unwrap().unwrap(), trace.round(t));
@@ -1259,32 +1174,13 @@ mod tests {
         assert!(replay.next_round().unwrap().is_none());
         // skipping past the end reports how far it got
         let mut replay = PackedReplay::open(&path, 16).unwrap();
-        assert!(replay
-            .skip(13)
-            .unwrap_err()
-            .contains("exhausted after 12 of 13"));
+        assert_eq!(replay.skip(13).unwrap(), 12);
+        assert!(replay.next_round().unwrap().is_none());
         // universe validation
         assert!(PackedReplay::open(&path, 2)
             .err()
             .unwrap()
             .contains("out of range"));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn packed_scenario_windows_through_the_trace() {
-        let trace = sample_trace(11);
-        let path = temp("flexserve-packed-scenario.ftr");
-        std::fs::write(&path, pack_trace(&trace)).unwrap();
-        let mut scenario = PackedScenario::open(&path, 16, 4).unwrap();
-        assert_eq!(scenario.len(), 11);
-        for t in 0..11u64 {
-            assert_eq!(&scenario.requests(t), trace.round(t as usize));
-        }
-        assert!(scenario.requests(11).is_empty(), "past-the-end is empty");
-        // revisiting an earlier round re-windows correctly
-        assert_eq!(&scenario.requests(1), trace.round(1));
-        assert!(scenario.describe().contains("packed window=4"));
         std::fs::remove_file(&path).unwrap();
     }
 

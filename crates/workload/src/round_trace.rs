@@ -163,46 +163,10 @@ impl RoundTrace {
     }
 }
 
-/// A recorded [`RoundTrace`] replayed as a [`Scenario`] — a trace is a
-/// demand generator like any other, so replay files plug into every
-/// pipeline (figures, sweeps, serving) that takes a workload.
-///
-/// Rounds inside the trace are cloned out (cheap: counts only); rounds
-/// past the end are empty — a replay that is shorter than the requested
-/// horizon simply runs out of demand.
-pub struct TraceScenario {
-    trace: RoundTrace,
-    label: String,
-}
-
-impl TraceScenario {
-    /// Replays `trace`, described as `label` in logs.
-    pub fn new(trace: RoundTrace, label: impl Into<String>) -> Self {
-        TraceScenario {
-            trace,
-            label: label.into(),
-        }
-    }
-}
-
-impl Scenario for TraceScenario {
-    fn requests(&mut self, t: u64) -> RoundRequests {
-        if (t as usize) < self.trace.len() {
-            self.trace.round(t as usize).clone()
-        } else {
-            RoundRequests::empty()
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!("replay({}, {} rounds)", self.label, self.trace.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::JsonlReplay;
+    use crate::stream::{JsonlReplay, Padded};
     use flexserve_graph::NodeId;
 
     struct CountUp;
@@ -292,14 +256,24 @@ mod tests {
 
     #[test]
     fn trace_scenario_replays_then_runs_dry() {
+        // A recorded trace replays through its JSONL form, padded past
+        // its end with empty rounds up to the horizon.
         let trace = RoundTrace::record(&mut CountUp, 3);
-        let mut s = TraceScenario::new(trace.clone(), "demo.jsonl");
-        for t in 0..3u64 {
-            assert_eq!(&s.requests(t), trace.round(t as usize));
+        let text = trace.to_jsonl();
+        let replay = JsonlReplay::new(std::io::Cursor::new(text), 8, "demo.jsonl");
+        let mut padded = Padded::new(Box::new(replay), 5);
+        for t in 0..3 {
+            assert_eq!(&padded.next_round().unwrap().unwrap(), trace.round(t));
         }
-        assert!(s.requests(3).is_empty(), "past-the-end rounds are empty");
-        assert!(s.describe().contains("demo.jsonl"));
-        assert!(s.describe().contains("3 rounds"));
+        for _ in 3..5 {
+            let round = padded.next_round().unwrap().unwrap();
+            assert!(round.is_empty(), "past-the-end rounds are empty");
+        }
+        assert!(
+            padded.next_round().unwrap().is_none(),
+            "then the horizon ends"
+        );
+        assert!(padded.describe().contains("demo.jsonl"));
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! * [`stdin_source`] — the same JSONL schema read line-buffered from
 //!   standard input, for piping live demand into `flexserve serve`.
 //!
+//! [`replay_source`] opens a replay file of either format (JSONL, or a
+//! packed trace as [`PackedReplay`](crate::packed::PackedReplay)), and
+//! [`Padded`] pads a replay with empty rounds up to a horizon — together
+//! the one reader behind `wl=replay:<path>` and `source=<path>`.
+//!
 //! The schema is documented for external producers in `docs/SERVING.md`.
 
 use std::io::BufRead;
@@ -35,33 +40,18 @@ pub trait RequestSource {
     /// The next round of requests, or `None` when the source is done.
     fn next_round(&mut self) -> Result<Option<RoundRequests>, String>;
 
-    /// Pulls up to `n` rounds in one call — the batched `/step` path
-    /// (`{"n": <k>}` bodies), where one request and one hold of the
-    /// session's lock amortize over the whole batch. Returns fewer than `n` rounds only when the
-    /// source runs dry; the caller decides whether a shortfall is an
-    /// error. The default loops over [`next_round`](Self::next_round).
-    fn next_rounds(&mut self, n: u64) -> Result<Vec<RoundRequests>, String> {
-        let mut rounds = Vec::with_capacity(n.min(4096) as usize);
-        for _ in 0..n {
-            match self.next_round()? {
-                Some(round) => rounds.push(round),
-                None => break,
-            }
-        }
-        Ok(rounds)
-    }
-
-    /// Discards the next `n` rounds (the resume fast-forward). The default
-    /// pulls and drops rounds one by one; sources with an index (packed
-    /// traces) override it with an O(1) seek. Running out of rounds before
-    /// `n` is an error — a replay shorter than the skip cannot resume.
-    fn skip(&mut self, n: u64) -> Result<(), String> {
+    /// Discards up to the next `n` rounds (the resume fast-forward) and
+    /// returns how many it discarded: fewer than `n` only when the source
+    /// ran dry, and the caller decides whether that is an error. The
+    /// default pulls and drops rounds one by one; sources with an index
+    /// (packed traces) override it with an O(1) seek.
+    fn skip(&mut self, n: u64) -> Result<u64, String> {
         for k in 0..n {
             if self.next_round()?.is_none() {
-                return Err(format!("source exhausted after {k} of {n} skipped rounds"));
+                return Ok(k);
             }
         }
-        Ok(())
+        Ok(n)
     }
 
     /// Short human-readable description for logs and `/metrics`.
@@ -88,22 +78,6 @@ impl ScenarioStream {
             limit,
         }
     }
-
-    /// The next round index this stream will generate.
-    pub fn position(&self) -> u64 {
-        self.t
-    }
-
-    /// Fast-forwards the generator to round `t` *without* emitting the
-    /// skipped rounds (used when resuming a checkpointed session: the
-    /// scenario must be replayed to its pre-snapshot position so the
-    /// post-resume demand matches the uninterrupted run).
-    pub fn skip_to(&mut self, t: u64) {
-        while self.t < t {
-            let _ = self.scenario.requests(self.t);
-            self.t += 1;
-        }
-    }
 }
 
 impl RequestSource for ScenarioStream {
@@ -121,6 +95,60 @@ impl RequestSource for ScenarioStream {
             Some(l) => format!("{} (first {l} rounds)", self.scenario.describe()),
             None => self.scenario.describe(),
         }
+    }
+}
+
+/// A source padded with empty rounds: it replays `inner`, then emits
+/// empty rounds until `rounds` rounds came out, then ends. A source
+/// longer than `rounds` is cut there. This is how a `wl=replay:` file
+/// shorter than the cell's horizon runs out of demand, on the batch and
+/// serve paths alike.
+pub struct Padded {
+    inner: Box<dyn RequestSource + Send>,
+    t: u64,
+    rounds: u64,
+    /// Whether `inner` has run dry (every later round is padding).
+    dry: bool,
+}
+
+impl Padded {
+    /// Pads (or cuts) `inner` to exactly `rounds` rounds.
+    pub fn new(inner: Box<dyn RequestSource + Send>, rounds: u64) -> Self {
+        Padded {
+            inner,
+            t: 0,
+            rounds,
+            dry: false,
+        }
+    }
+}
+
+impl RequestSource for Padded {
+    fn next_round(&mut self) -> Result<Option<RoundRequests>, String> {
+        if self.t >= self.rounds {
+            return Ok(None);
+        }
+        let round = if self.dry {
+            None
+        } else {
+            self.inner.next_round()?
+        };
+        self.dry = round.is_none();
+        self.t += 1;
+        Ok(Some(round.unwrap_or_else(RoundRequests::empty)))
+    }
+
+    fn skip(&mut self, n: u64) -> Result<u64, String> {
+        let n = n.min(self.rounds - self.t);
+        if !self.dry {
+            self.dry = self.inner.skip(n)? < n;
+        }
+        self.t += n;
+        Ok(n)
+    }
+
+    fn describe(&self) -> String {
+        self.inner.describe()
     }
 }
 
@@ -292,30 +320,50 @@ mod tests {
     }
 
     #[test]
-    fn scenario_stream_skip_to_resumes_mid_stream() {
+    fn scenario_stream_skip_resumes_mid_stream() {
         let g = unit_line(10).unwrap();
         let trace = record(&mut UniformScenario::new(&g, 4, 7), 12);
         let mut stream = ScenarioStream::new(Box::new(UniformScenario::new(&g, 4, 7)), Some(12));
-        stream.skip_to(6);
-        assert_eq!(stream.position(), 6);
+        assert_eq!(stream.skip(6).unwrap(), 6);
         let batch = stream.next_round().unwrap().unwrap();
         assert_eq!(&batch, trace.round(6));
+        // Skipping past the limit reports how far it got.
+        assert_eq!(stream.skip(100).unwrap(), 5);
+        assert!(stream.next_round().unwrap().is_none());
     }
 
     #[test]
-    fn next_rounds_batches_and_reports_shortfall() {
-        let g = unit_line(10).unwrap();
-        let trace = record(&mut UniformScenario::new(&g, 4, 7), 12);
-        let mut stream = ScenarioStream::new(Box::new(UniformScenario::new(&g, 4, 7)), Some(12));
-        let batch = stream.next_rounds(5).unwrap();
-        assert_eq!(batch.len(), 5);
-        for (t, round) in batch.iter().enumerate() {
-            assert_eq!(round, trace.round(t), "round {t} must match the trace");
-        }
-        // Asking past the end returns the remainder, not an error.
-        let rest = stream.next_rounds(100).unwrap();
-        assert_eq!(rest.len(), 7);
-        assert!(stream.next_rounds(3).unwrap().is_empty());
+    fn padded_source_cuts_and_skips_into_the_padding() {
+        let text = "{\"origins\":[1]}\n{\"origins\":[2,2]}\n{\"origins\":[3]}\n";
+        let replay = || Box::new(JsonlReplay::new(text.as_bytes(), 5, "test"));
+        // A horizon shorter than the file cuts it.
+        let mut cut = Padded::new(replay(), 2);
+        assert_eq!(
+            cut.next_round().unwrap().unwrap(),
+            RoundRequests::new(vec![n(1)])
+        );
+        assert_eq!(cut.next_round().unwrap().unwrap().len(), 2);
+        assert!(cut.next_round().unwrap().is_none());
+        // A skip past the file lands in the padding, and one past the
+        // horizon stops there.
+        let mut padded = Padded::new(replay(), 6);
+        assert_eq!(padded.skip(4).unwrap(), 4);
+        assert!(padded.next_round().unwrap().unwrap().is_empty());
+        assert_eq!(padded.skip(10).unwrap(), 1);
+        assert!(padded.next_round().unwrap().is_none());
+        assert_eq!(padded.describe(), "jsonl replay test");
+        // A round that does not parse fails the pull or the skip.
+        let bad = || {
+            Box::new(JsonlReplay::new(
+                "{\"origins\":[1]}\nnope\n".as_bytes(),
+                5,
+                "bad",
+            ))
+        };
+        let mut padded = Padded::new(bad(), 4);
+        padded.next_round().unwrap();
+        assert!(padded.next_round().is_err());
+        assert!(Padded::new(bad(), 4).skip(3).is_err());
     }
 
     #[test]
