@@ -196,13 +196,17 @@ pub fn parse_round(value: &JsonValue, max_node: usize) -> Result<RoundRequests, 
 ///
 /// Blank lines are skipped. Lines with a `"t"` field are validated
 /// against the stream position, so a truncated or shuffled replay fails
-/// loudly instead of silently shifting demand in time.
+/// loudly instead of silently shifting demand in time. For the same
+/// reason a failure is final: every later pull returns the same error,
+/// so the round after a bad line is never served in its place.
 pub struct JsonlReplay<R: BufRead> {
     reader: R,
     /// Rounds already emitted (== the expected `t` of the next line).
     t: u64,
     max_node: usize,
     label: String,
+    /// The error that ended the replay, if one did.
+    failed: Option<String>,
 }
 
 impl<R: BufRead> JsonlReplay<R> {
@@ -214,12 +218,12 @@ impl<R: BufRead> JsonlReplay<R> {
             t: 0,
             max_node,
             label: label.into(),
+            failed: None,
         }
     }
-}
 
-impl<R: BufRead> RequestSource for JsonlReplay<R> {
-    fn next_round(&mut self) -> Result<Option<RoundRequests>, String> {
+    /// Reads and checks the next non-blank line.
+    fn read_round(&mut self) -> Result<Option<RoundRequests>, String> {
         let mut line = String::new();
         loop {
             line.clear();
@@ -251,6 +255,19 @@ impl<R: BufRead> RequestSource for JsonlReplay<R> {
             .map_err(|e| format!("{} line {}: {e}", self.label, self.t + 1))?;
         self.t += 1;
         Ok(Some(batch))
+    }
+}
+
+impl<R: BufRead> RequestSource for JsonlReplay<R> {
+    fn next_round(&mut self) -> Result<Option<RoundRequests>, String> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        let round = self.read_round();
+        if let Err(e) = &round {
+            self.failed = Some(e.clone());
+        }
+        round
     }
 
     fn describe(&self) -> String {
@@ -406,9 +423,11 @@ mod tests {
         // out-of-order t
         let mut replay = JsonlReplay::new("{\"t\":3,\"origins\":[]}\n".as_bytes(), 5, "test");
         assert!(replay.next_round().unwrap_err().contains("out-of-order"));
-        // not json
-        let mut replay = JsonlReplay::new("not json\n".as_bytes(), 5, "test");
-        assert!(replay.next_round().is_err());
+        // not json, and the failure is final: the good line after the
+        // bad one is never served in its place
+        let mut replay = JsonlReplay::new("not json\n{\"origins\":[1]}\n".as_bytes(), 5, "test");
+        let err = replay.next_round().unwrap_err();
+        assert_eq!(replay.next_round().unwrap_err(), err);
         // not an origins object
         let mut replay = JsonlReplay::new("[1,2]\n".as_bytes(), 5, "test");
         assert!(replay
