@@ -30,19 +30,43 @@ const N: usize = 150;
 const ROUNDS: u64 = 400;
 const SEEDS: [u64; 3] = [11, 22, 33];
 
+/// The `er:N` substrate of each of [`SEEDS`], built once and read by
+/// every section (a substrate lives only as long as its holders).
+struct Substrates(Vec<ExperimentEnv>);
+
+impl Substrates {
+    fn build() -> Self {
+        Substrates(
+            SEEDS
+                .map(|seed| ExperimentEnv::erdos_renyi(N, seed))
+                .to_vec(),
+        )
+    }
+
+    fn of(&self, seed: u64) -> &ExperimentEnv {
+        let i = SEEDS.iter().position(|&s| s == seed).expect("one of SEEDS");
+        &self.0[i]
+    }
+}
+
 /// The commuter-dynamic demand every ablation replays (T=8, λ=10).
 fn commuter_demand(env: &ExperimentEnv, seed: u64) -> Demand {
     WorkloadSpec::CommuterDynamic.record(env, 8, 10, ROUNDS, seed)
 }
 
-fn run_with(params: CostParams, seed: u64, strat: StrategySpec) -> CostBreakdown {
-    let env = ExperimentEnv::erdos_renyi(N, seed);
+fn run_with(
+    envs: &Substrates,
+    params: CostParams,
+    seed: u64,
+    strat: StrategySpec,
+) -> CostBreakdown {
+    let env = envs.of(seed);
     let ctx = env.context(params, LoadModel::Linear);
-    let demand = commuter_demand(&env, seed);
+    let demand = commuter_demand(env, seed);
     CostBreakdown::from_access(strat.run(&ctx, &demand, seed).total())
 }
 
-fn ablate_cache_capacity() {
+fn ablate_cache_capacity(envs: &Substrates) {
     let mut t = Table::new(
         "Ablation 1: inactive-cache capacity (ONTH, commuter dynamic)",
         &["capacity", "mean total cost"],
@@ -52,14 +76,16 @@ fn ablate_cache_capacity() {
             inactive_queue_len: cap,
             ..CostParams::default()
         };
-        let s = average(&SEEDS, |seed| run_with(params, seed, StrategySpec::OnTh));
+        let s = average(&SEEDS, |seed| {
+            run_with(envs, params, seed, StrategySpec::OnTh)
+        });
         t.row_f64(cap, &[s.mean_total()]);
     }
     t.print();
     t.save_csv("ablation_cache_capacity").unwrap();
 }
 
-fn ablate_cache_expiry() {
+fn ablate_cache_expiry(envs: &Substrates) {
     let mut t = Table::new(
         "Ablation 2: inactive-cache expiry in epochs (ONTH)",
         &["expiry", "mean total cost"],
@@ -69,14 +95,16 @@ fn ablate_cache_expiry() {
             inactive_expiry_epochs: expiry,
             ..CostParams::default()
         };
-        let s = average(&SEEDS, |seed| run_with(params, seed, StrategySpec::OnTh));
+        let s = average(&SEEDS, |seed| {
+            run_with(envs, params, seed, StrategySpec::OnTh)
+        });
         t.row_f64(expiry, &[s.mean_total()]);
     }
     t.print();
     t.save_csv("ablation_cache_expiry").unwrap();
 }
 
-fn ablate_onth_y() {
+fn ablate_onth_y(envs: &Substrates) {
     let mut t = Table::new(
         "Ablation 3: ONTH small-epoch factor y (paper: 2)",
         &["y", "mean total cost"],
@@ -84,9 +112,9 @@ fn ablate_onth_y() {
     for y in [0.5f64, 1.0, 2.0, 4.0, 8.0] {
         let s = average(&SEEDS, |seed| {
             // `y` is not a strategy-spec knob, so ONTH runs directly.
-            let env = ExperimentEnv::erdos_renyi(N, seed);
+            let env = envs.of(seed);
             let ctx = env.context(CostParams::default(), LoadModel::Linear);
-            let demand = commuter_demand(&env, seed);
+            let demand = commuter_demand(env, seed);
             let cost = run_online(&ctx, &demand, &mut OnTh::with_y(y), initial_center(&ctx))
                 .total()
                 .total();
@@ -98,7 +126,7 @@ fn ablate_onth_y() {
     t.save_csv("ablation_onth_y").unwrap();
 }
 
-fn ablate_onbr_threshold() {
+fn ablate_onbr_threshold(envs: &Substrates) {
     let mut t = Table::new(
         "Ablation 4: ONBR threshold mode",
         &["mode", "mean total cost"],
@@ -107,14 +135,16 @@ fn ablate_onbr_threshold() {
         ("fixed 2c", StrategySpec::OnBrFixed),
         ("dyn 2c/l", StrategySpec::OnBrDyn),
     ] {
-        let s = average(&SEEDS, |seed| run_with(CostParams::default(), seed, strat));
+        let s = average(&SEEDS, |seed| {
+            run_with(envs, CostParams::default(), seed, strat)
+        });
         t.row(vec![label.to_string(), format!("{:.2}", s.mean_total())]);
     }
     t.print();
     t.save_csv("ablation_onbr_threshold").unwrap();
 }
 
-fn ablate_routing_policy() {
+fn ablate_routing_policy(envs: &Substrates) {
     let mut t = Table::new(
         "Ablation 5: routing policy under quadratic load (ONTH)",
         &["policy", "mean total cost"],
@@ -124,11 +154,11 @@ fn ablate_routing_policy() {
         ("load-aware", RoutingPolicy::LoadAware),
     ] {
         let s = average(&SEEDS, |seed| {
-            let env = ExperimentEnv::erdos_renyi(N, seed);
+            let env = envs.of(seed);
             let ctx = env
                 .context(CostParams::default(), LoadModel::Quadratic)
                 .with_routing(policy);
-            let demand = commuter_demand(&env, seed);
+            let demand = commuter_demand(env, seed);
             CostBreakdown::from_access(StrategySpec::OnTh.run(&ctx, &demand, seed).total())
         });
         t.row(vec![label.to_string(), format!("{:.2}", s.mean_total())]);
@@ -162,15 +192,16 @@ fn ablate_bandwidth_mix() {
 }
 
 fn main() {
-    ablate_cache_capacity();
+    let envs = Substrates::build();
+    ablate_cache_capacity(&envs);
     println!();
-    ablate_cache_expiry();
+    ablate_cache_expiry(&envs);
     println!();
-    ablate_onth_y();
+    ablate_onth_y(&envs);
     println!();
-    ablate_onbr_threshold();
+    ablate_onbr_threshold(&envs);
     println!();
-    ablate_routing_policy();
+    ablate_routing_policy(&envs);
     println!();
     ablate_bandwidth_mix();
 }

@@ -24,9 +24,6 @@
 //! revision and the cache and result-memo counters of the run.
 
 use std::process::ExitCode;
-use std::sync::Mutex;
-
-use rayon::prelude::*;
 
 use flexserve_experiments::figures::{profile_from_env, Profile};
 use flexserve_experiments::manifest::{Manifest, ManifestEntry};
@@ -339,30 +336,14 @@ fn run(args: &[String]) -> Result<Manifest, String> {
         }
     }
 
-    // One pool task per entry, each fanning its (row, seed) cells out on
-    // the same pool; a thread with no entry left helps the last entries'
-    // cells. Output streams in argument order: an entry prints as soon as
-    // it and every earlier entry have finished. `finished` holds the next
-    // entry to print and each finished entry's table and compute time.
-    let finished = Mutex::new((0, vec![None::<(Table, f64)>; names.len()]));
-    names
-        .par_iter()
-        .enumerate()
-        .with_max_len(1)
-        .for_each(|(i, name)| {
-            let entry = registry::figure(name).expect("checked above");
-            let t0 = std::time::Instant::now();
-            let table = (entry.run)(profile);
-            let secs = t0.elapsed().as_secs_f64();
-            let mut guard = finished.lock().expect("no entry panics while printing");
-            let (next, done) = &mut *guard;
-            done[i] = Some((table, secs));
-            while let Some((table, secs)) = done.get_mut(*next).and_then(Option::take) {
-                table.print();
-                eprintln!("[{}] done in {secs:.1}s", names[*next]);
-                *next += 1;
-            }
-        });
+    let entries: Vec<&registry::FigureEntry> = names
+        .iter()
+        .map(|name| registry::figure(name).expect("checked above"))
+        .collect();
+    registry::run_figures(&entries, profile, |entry, table, secs| {
+        table.print();
+        eprintln!("[{}] done in {secs:.1}s", entry.name);
+    });
 
     let mut manifest = Manifest::new();
     for name in names {
@@ -486,6 +467,9 @@ fn sweep(args: &[String], single_cell: bool) -> Result<Manifest, String> {
     // Validate every cell of the cross product before any expensive work:
     // a mid-sweep infeasibility (e.g. OPT on a too-large substrate) must
     // reject the sweep up front, not discard hours of completed cells.
+    // The lease keeps what validation builds for the cells that run on
+    // it; each cell's share goes when that cell has run.
+    let lease = DistCache::global().lease(cells.iter().flat_map(CellSpec::substrates).collect());
     for cell in &cells {
         cell.validate()
             .map_err(|e| format!("infeasible cell [{}]: {e}", cell.describe()))?;
@@ -494,6 +478,7 @@ fn sweep(args: &[String], single_cell: bool) -> Result<Manifest, String> {
     let mut manifest = Manifest::new();
     for cell in &cells {
         let res = cell.run()?;
+        lease.release(&cell.substrates());
         let mean = res.summary.mean();
         table.row(vec![
             cell.topology.to_string(),

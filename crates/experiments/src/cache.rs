@@ -1,31 +1,34 @@
-//! Process-wide cache of substrates and their distance matrices.
+//! Process-wide sharing of substrates and their distance matrices.
 //!
 //! The dominant redundant cost in multi-cell experiment runs is the
 //! all-pairs shortest-path build: a figure sweep evaluates three
 //! algorithms × several seeds on the *same* `(topology, seed)` substrate,
 //! and consecutive figures (e.g. Figs 3–5) reuse identical substrates with
-//! different workloads. Before this cache every cell rebuilt graph and
-//! matrix from scratch; now the first builder per key pays and everyone
-//! else shares the [`Arc`].
+//! different workloads. [`DistCache`] builds each substrate once and hands
+//! every holder the same [`Arc`]s.
 //!
 //! Keys are `(canonical topology spec string, seed)` — see
-//! [`TopologySpec`](crate::spec::TopologySpec), whose `Display` impl
-//! produces the canonical string. Because every generator is deterministic
-//! under its seed, a cached entry is bit-identical to a fresh build, so
-//! cache hits can never change experiment output (the golden CSV tests pin
-//! this).
+//! [`TopologySpec::key`](crate::spec::TopologySpec::key). Because every
+//! generator is deterministic under its seed, a shared entry is
+//! bit-identical to a fresh build, so sharing can never change experiment
+//! output (the golden CSV tests pin this).
 //!
-//! The cache is bounded: entries are evicted least-recently-used once the
-//! matrices exceed [`DistCache::DEFAULT_CAPACITY_BYTES`] (override with the
-//! `FLEXSERVE_CACHE_BYTES` environment variable; `0` disables caching).
+//! Nothing is kept by a byte budget. The cache maps each key to `Weak`
+//! references, so a matrix lives exactly as long as its holders: running
+//! cells, sweep cells and serve sessions. Runs that know their cells before
+//! they start (figure suites, `run`/`sweep` cell expressions, a session's
+//! creation) take a [`Lease`] on their keys: it pins each matrix from its
+//! first build until every figure or cell that declared the key has
+//! finished, so a substrate shared by several cells is built once and freed
+//! after the last of them.
 //!
-//! Its LRU core, `Lru`, also backs the result memo
-//! ([`RunMemo`](crate::RunMemo)) that answers repeated strategy runs.
+//! The build-once core, `BuildOnce`, also backs the result memo
+//! ([`RunMemo`](crate::RunMemo)) through its byte-bounded `Lru`.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 
 use flexserve_graph::{DistanceMatrix, Graph};
 
@@ -41,7 +44,8 @@ pub struct CacheStats {
     /// Lookups that had to build their value (graph + matrix, or a
     /// strategy run).
     pub misses: u64,
-    /// Entries evicted to stay within the byte budget.
+    /// Entries evicted to stay within the result memo's byte budget
+    /// (always 0 for a [`DistCache`], which has no budget).
     pub evictions: u64,
 }
 
@@ -57,30 +61,49 @@ impl CacheStats {
     }
 }
 
-struct Entry<V> {
-    value: V,
-    /// Monotone counter value of the last access (for LRU eviction).
-    last_used: u64,
-    bytes: usize,
+/// How a [`BuildOnce`] keeps what its misses build: the byte-bounded LRU
+/// behind the result memo, or the weak map behind [`DistCache`].
+pub(crate) trait Keep {
+    /// The lookup key.
+    type Key: Eq + Hash + Clone;
+    /// What a lookup returns.
+    type Value: Clone;
+    /// What a build returns: the value, plus what keeping it needs.
+    type Built;
+
+    /// The kept value of `key`, if any (a hit).
+    fn get(&mut self, key: &Self::Key) -> Option<Self::Value>;
+
+    /// Keeps what a miss of `key` built; returns the value.
+    fn keep(&mut self, key: Self::Key, built: Self::Built) -> Self::Value;
+
+    /// Number of entries kept.
+    fn len(&self) -> usize;
+
+    /// Forgets every kept entry.
+    fn clear(&mut self);
+
+    /// Entries dropped to make room so far.
+    fn evictions(&self) -> u64 {
+        0
+    }
 }
 
-struct Slots<K, V> {
-    entries: HashMap<K, Entry<V>>,
-    /// Sum of `entries`' byte sizes, kept as entries come and go.
-    bytes: usize,
+struct Slots<S: Keep> {
+    kept: S,
     /// Keys whose first caller is building them right now.
-    building: HashSet<K>,
+    building: HashSet<S::Key>,
 }
 
-/// The byte-bounded LRU core of [`DistCache`] and
-/// [`RunMemo`](crate::RunMemo), with counters.
+/// Builds each missing key once, with hit/miss counters, keeping what it
+/// built as its [`Keep`] says.
 ///
-/// A miss builds once. The first caller of a missing key claims the key's
-/// slot and builds outside the lock, so misses on different keys proceed
-/// in parallel. Later callers of the same key wait on its slot and adopt
-/// the built value (counted as hits). A failed or panicking build inserts
-/// nothing and frees the slot, and a value too large for the budget is
-/// handed to its builder only; a waiter then builds for itself.
+/// The first caller of a missing key claims the key's slot and builds
+/// outside the lock, so misses on different keys proceed in parallel.
+/// Later callers of the same key wait on its slot and adopt what was kept
+/// (counted as hits). A failed or panicking build keeps nothing and frees
+/// the slot; so does a value the store declines to keep, and a waiter then
+/// builds for itself.
 ///
 /// Waiting cannot deadlock. A builder never waits on a slot: it generates
 /// a graph and runs its APSP, or plays one strategy over a recorded
@@ -89,68 +112,62 @@ struct Slots<K, V> {
 /// threads already run (pure compute that never waits on a slot either).
 /// So a builder makes progress even when every other thread is blocked
 /// on its slot.
-pub(crate) struct Lru<K, V> {
-    slots: Mutex<Slots<K, V>>,
+pub(crate) struct BuildOnce<S: Keep> {
+    slots: Mutex<Slots<S>>,
     /// Signalled whenever a slot is freed.
     freed: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
-    clock: AtomicU64,
-    capacity_bytes: usize,
 }
 
 /// Frees a claimed slot when the build ends, also by error or panic.
-struct Claim<'a, K: Eq + Hash, V> {
-    lru: &'a Lru<K, V>,
-    key: &'a K,
+struct Claim<'a, S: Keep> {
+    once: &'a BuildOnce<S>,
+    key: &'a S::Key,
 }
 
-impl<K, V> Lru<K, V> {
-    /// Locks the slots, ignoring poison: no build runs under the lock.
-    fn lock(&self) -> MutexGuard<'_, Slots<K, V>> {
-        self.slots.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<K: Eq + Hash, V> Drop for Claim<'_, K, V> {
+impl<S: Keep> Drop for Claim<'_, S> {
     fn drop(&mut self) {
-        self.lru.lock().building.remove(self.key);
-        self.lru.freed.notify_all();
+        self.once.lock().building.remove(self.key);
+        self.once.freed.notify_all();
     }
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
-    pub(crate) fn new(capacity_bytes: usize) -> Self {
-        Lru {
+impl<S: Keep> BuildOnce<S> {
+    fn new(kept: S) -> Self {
+        BuildOnce {
             slots: Mutex::new(Slots {
-                entries: HashMap::new(),
-                bytes: 0,
+                kept,
                 building: HashSet::new(),
             }),
             freed: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            clock: AtomicU64::new(0),
-            capacity_bytes,
         }
     }
 
-    /// Returns the value for `key`, building it with `build` (value plus
-    /// its size in bytes) when it is neither cached nor being built.
+    /// Locks the slots, ignoring poison: no build runs under the lock.
+    fn lock(&self) -> MutexGuard<'_, Slots<S>> {
+        self.slots.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Runs `f` on the store under the lock.
+    fn with_kept<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
+        f(&mut self.lock().kept)
+    }
+
+    /// Returns the value for `key`, building it with `build` when it is
+    /// neither kept nor being built.
     pub(crate) fn get_or_build<E>(
         &self,
-        key: K,
-        build: impl FnOnce() -> Result<(V, usize), E>,
-    ) -> Result<V, E> {
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
+        key: S::Key,
+        build: impl FnOnce() -> Result<S::Built, E>,
+    ) -> Result<S::Value, E> {
         let mut slots = self.lock();
         loop {
-            if let Some(entry) = slots.entries.get_mut(&key) {
-                entry.last_used = now;
+            if let Some(value) = slots.kept.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(entry.value.clone());
+                return Ok(value);
             }
             if !slots.building.contains(&key) {
                 break;
@@ -161,161 +178,371 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
         slots.building.insert(key.clone());
         drop(slots);
         let _claim = Claim {
-            lru: self,
+            once: self,
             key: &key,
         };
-        let (value, bytes) = build()?;
-        if bytes <= self.capacity_bytes {
-            let mut slots = self.lock();
-            let entry = Entry {
-                value: value.clone(),
-                last_used: now,
-                bytes,
-            };
-            // The claim kept every other builder off this key, so nothing
-            // is replaced here.
-            slots.entries.insert(key.clone(), entry);
-            slots.bytes += bytes;
-            self.evict_to_capacity(&mut slots);
-        }
-        Ok(value)
-    }
-
-    /// Evicts least-recently-used entries until the byte budget holds.
-    fn evict_to_capacity(&self, slots: &mut Slots<K, V>) {
-        while slots.bytes > self.capacity_bytes {
-            let oldest = (slots.entries.iter())
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("a positive byte total has an entry");
-            if let Some(e) = slots.entries.remove(&oldest) {
-                slots.bytes -= e.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let built = build()?;
+        // The claim kept every other builder off this key, so nothing is
+        // replaced here.
+        Ok(self.with_kept(|kept| kept.keep(key.clone(), built)))
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.lock().entries.len()
+        self.lock().kept.len()
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions: self.lock().kept.evictions(),
         }
     }
 
+    /// Forgets every kept entry and resets the counters.
     pub(crate) fn clear(&self) {
-        let mut slots = self.lock();
-        slots.entries.clear();
-        slots.bytes = 0;
-        drop(slots);
+        self.with_kept(S::clear);
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
     }
 }
 
-/// An LRU cache of `(topology spec, seed) → (graph, distance matrix)`.
+struct LruEntry<V> {
+    value: V,
+    /// Monotone counter value of the last access (for LRU eviction).
+    last_used: u64,
+    bytes: usize,
+}
+
+/// A byte-bounded LRU store: builds return `(value, bytes)`; a value
+/// larger than the whole budget is handed to its builder only.
+pub(crate) struct Bounded<K, V> {
+    entries: HashMap<K, LruEntry<V>>,
+    /// Sum of `entries`' byte sizes, kept as entries come and go.
+    bytes: usize,
+    capacity_bytes: usize,
+    clock: u64,
+    evictions: u64,
+}
+
+/// The byte-bounded LRU behind the result memo ([`RunMemo`](crate::RunMemo)).
+pub(crate) type Lru<K, V> = BuildOnce<Bounded<K, V>>;
+
+impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
+    pub(crate) fn with_budget(capacity_bytes: usize) -> Self {
+        BuildOnce::new(Bounded {
+            entries: HashMap::new(),
+            bytes: 0,
+            capacity_bytes,
+            clock: 0,
+            evictions: 0,
+        })
+    }
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Keep for Bounded<K, V> {
+    type Key = K;
+    type Value = V;
+    type Built = (V, usize);
+
+    fn get(&mut self, key: &K) -> Option<V> {
+        self.clock += 1;
+        let entry = self.entries.get_mut(key)?;
+        entry.last_used = self.clock;
+        Some(entry.value.clone())
+    }
+
+    fn keep(&mut self, key: K, (value, bytes): (V, usize)) -> V {
+        if bytes > self.capacity_bytes {
+            return value;
+        }
+        self.clock += 1;
+        let entry = LruEntry {
+            value: value.clone(),
+            last_used: self.clock,
+            bytes,
+        };
+        self.entries.insert(key, entry);
+        self.bytes += bytes;
+        // Evict least-recently-used entries until the byte budget holds.
+        while self.bytes > self.capacity_bytes {
+            let oldest = (self.entries.iter())
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone())
+                .expect("a positive byte total has an entry");
+            if let Some(e) = self.entries.remove(&oldest) {
+                self.bytes -= e.bytes;
+                self.evictions += 1;
+            }
+        }
+        value
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.bytes = 0;
+        self.evictions = 0;
+    }
+
+    fn evictions(&self) -> u64 {
+        self.evictions
+    }
+}
+
+/// Names one substrate: its canonical topology spec string and seed
+/// (see [`TopologySpec::key`](crate::spec::TopologySpec::key)).
+pub type SubstrateKey = (String, u64);
+
+/// Weak references to a built substrate: alive while any holder keeps
+/// both halves.
+struct WeakEnv {
+    graph: Weak<Graph>,
+    matrix: Weak<DistanceMatrix>,
+}
+
+impl WeakEnv {
+    fn upgrade(&self) -> Option<ExperimentEnv> {
+        Some(ExperimentEnv {
+            graph: self.graph.upgrade()?,
+            matrix: self.matrix.upgrade()?,
+        })
+    }
+
+    fn is_alive(&self) -> bool {
+        self.graph.strong_count() > 0 && self.matrix.strong_count() > 0
+    }
+}
+
+/// A leased key: how many declared holders have not finished yet, and
+/// the substrate pinned for them once it is built.
+#[derive(Default)]
+struct Pin {
+    shares: usize,
+    env: Option<ExperimentEnv>,
+}
+
+/// The store behind [`DistCache`]: weak references to every substrate
+/// still held somewhere, plus the substrates pinned by leases.
+#[derive(Default)]
+struct Substrates {
+    live: HashMap<SubstrateKey, WeakEnv>,
+    pinned: HashMap<SubstrateKey, Pin>,
+}
+
+impl Keep for Substrates {
+    type Key = SubstrateKey;
+    type Value = ExperimentEnv;
+    type Built = ExperimentEnv;
+
+    fn get(&mut self, key: &SubstrateKey) -> Option<ExperimentEnv> {
+        let env = self.live.get(key)?.upgrade();
+        if env.is_none() {
+            self.live.remove(key);
+        }
+        env
+    }
+
+    fn keep(&mut self, key: SubstrateKey, env: ExperimentEnv) -> ExperimentEnv {
+        // A miss is the only time the map grows, so dropping the entries
+        // whose holders have all gone here bounds it by the live ones.
+        self.live.retain(|_, weak| weak.is_alive());
+        if let Some(pin) = self.pinned.get_mut(&key) {
+            pin.env = Some(env.clone());
+        }
+        let weak = WeakEnv {
+            graph: Arc::downgrade(&env.graph),
+            matrix: Arc::downgrade(&env.matrix),
+        };
+        self.live.insert(key, weak);
+        env
+    }
+
+    fn len(&self) -> usize {
+        self.live.values().filter(|weak| weak.is_alive()).count()
+    }
+
+    fn clear(&mut self) {
+        self.live.clear();
+        // Leases stay balanced; a leased key is pinned again when it is
+        // next built.
+        for pin in self.pinned.values_mut() {
+            pin.env = None;
+        }
+    }
+}
+
+/// Shares `(topology spec, seed) → (graph, distance matrix)` among
+/// everything that holds them.
 ///
 /// Thread-safe: the first lookup of a missing key builds it, and
 /// concurrent lookups of that key wait for the build and share its
-/// `Arc`s, so every substrate's APSP runs once per residency. A
-/// process-wide instance is available via [`DistCache::global`].
+/// `Arc`s. The cache itself holds only `Weak` references, so a substrate
+/// is freed with its last holder; a [`Lease`] makes the cache a holder of
+/// the keys it names until its shares are released. A process-wide
+/// instance is available via [`DistCache::global`].
 ///
 /// ```
 /// use flexserve_experiments::{DistCache, TopologySpec};
 ///
-/// let cache = DistCache::with_capacity_bytes(DistCache::DEFAULT_CAPACITY_BYTES);
+/// let cache = DistCache::new();
 /// let spec: TopologySpec = "unit-line:6".parse().unwrap();
 ///
 /// let first = cache
 ///     .get_or_build(&spec.to_string(), 0, || spec.build(0))
 ///     .unwrap();
-/// // The second lookup is a hit: same Arc, no rebuild.
+/// // While `first` is held, a second lookup is a hit: same Arc, no rebuild.
 /// let again = cache
 ///     .get_or_build(&spec.to_string(), 0, || panic!("must not rebuild"))
 ///     .unwrap();
 /// assert!(std::sync::Arc::ptr_eq(&first.graph, &again.graph));
-/// assert_eq!(cache.stats().hits, 1);
-/// assert_eq!(cache.stats().misses, 1);
+/// assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+/// // Once every holder has gone, so has the substrate.
+/// drop((first, again));
+/// assert!(cache.is_empty());
 /// ```
 pub struct DistCache {
-    lru: Lru<(String, u64), ExperimentEnv>,
+    once: BuildOnce<Substrates>,
+}
+
+impl Default for DistCache {
+    fn default() -> Self {
+        DistCache::new()
+    }
 }
 
 impl DistCache {
-    /// Default byte budget for cached matrices (256 MiB — a 1000-node
-    /// matrix is 8 MB, so even full-profile sweeps fit comfortably).
-    pub const DEFAULT_CAPACITY_BYTES: usize = 256 * 1024 * 1024;
-
-    /// Creates an empty cache with the given byte budget for matrices.
-    /// A budget of `0` disables caching (every lookup is a miss and
-    /// nothing is retained).
-    pub fn with_capacity_bytes(capacity_bytes: usize) -> Self {
+    /// Creates an empty cache.
+    pub fn new() -> Self {
         DistCache {
-            lru: Lru::new(capacity_bytes),
+            once: BuildOnce::new(Substrates::default()),
         }
     }
 
-    /// The process-wide cache used by
-    /// [`ExperimentEnv`]. Budget comes from
-    /// `FLEXSERVE_CACHE_BYTES` when set, else
-    /// [`Self::DEFAULT_CAPACITY_BYTES`].
+    /// The process-wide cache used by [`ExperimentEnv`].
     pub fn global() -> &'static DistCache {
         static GLOBAL: OnceLock<DistCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let capacity = std::env::var("FLEXSERVE_CACHE_BYTES")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(Self::DEFAULT_CAPACITY_BYTES);
-            DistCache::with_capacity_bytes(capacity)
-        })
+        GLOBAL.get_or_init(DistCache::new)
     }
 
-    /// Returns the cached substrate for `(topology, seed)`, building it
-    /// with `build` on a miss. `build` returns the graph only; the matrix
-    /// is computed here so every entry pairs a graph with *its own* APSP.
-    /// A failed build inserts nothing (the error propagates unchanged).
+    /// Returns the shared substrate for `(topology, seed)`, building it
+    /// with `build` when no holder has it. `build` returns the graph only;
+    /// the matrix is computed here so every entry pairs a graph with *its
+    /// own* APSP. A failed build keeps nothing (the error propagates
+    /// unchanged).
     pub fn get_or_build(
         &self,
         topology: &str,
         seed: u64,
         build: impl FnOnce() -> Result<Graph, String>,
     ) -> Result<ExperimentEnv, String> {
-        self.lru.get_or_build((topology.to_string(), seed), || {
+        self.once.get_or_build((topology.to_string(), seed), || {
             let graph = build()?;
             let matrix = DistanceMatrix::build(&graph);
-            let n = matrix.node_count();
-            let env = ExperimentEnv {
+            Ok(ExperimentEnv {
                 graph: Arc::new(graph),
                 matrix: Arc::new(matrix),
-            };
-            Ok((env, n * n * std::mem::size_of::<f64>()))
+            })
         })
     }
 
-    /// Number of retained entries.
-    pub fn len(&self) -> usize {
-        self.lru.len()
+    /// Leases `keys`, one share per occurrence: a key's substrate, once
+    /// built (or right away, if something holds it already), stays until
+    /// all of its shares are released. Dropping the lease releases the
+    /// shares it still holds.
+    pub fn lease(&self, keys: Vec<SubstrateKey>) -> Lease<'_> {
+        self.once.with_kept(|kept| {
+            for key in &keys {
+                let live = kept.live.get(key).and_then(WeakEnv::upgrade);
+                let pin = kept.pinned.entry(key.clone()).or_default();
+                pin.shares += 1;
+                if pin.env.is_none() {
+                    pin.env = live;
+                }
+            }
+        });
+        Lease {
+            cache: self,
+            held: Mutex::new(keys),
+        }
     }
 
-    /// Whether the cache currently retains nothing.
+    /// Number of substrates alive (held by anything, a lease included).
+    pub fn len(&self) -> usize {
+        self.once.len()
+    }
+
+    /// Whether no substrate is alive.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Snapshot of the hit/miss/eviction counters.
+    /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
-        self.lru.stats()
+        self.once.stats()
     }
 
-    /// Drops all entries and resets the counters (between unrelated CLI
+    /// Forgets every entry and resets the counters (between unrelated
     /// runs, so manifests report per-run stats).
     pub fn clear(&self) {
-        self.lru.clear();
+        self.once.clear();
+    }
+}
+
+/// Shares of leased substrate keys (see [`DistCache::lease`]). A figure
+/// suite leases the keys every figure declares and releases a figure's
+/// share when it completes; a sweep leases every cell's keys before it
+/// validates them and releases a cell's share after that cell runs.
+pub struct Lease<'a> {
+    cache: &'a DistCache,
+    /// One key per share this lease still holds.
+    held: Mutex<Vec<SubstrateKey>>,
+}
+
+impl Lease<'_> {
+    /// Releases one share of each of `keys` this lease holds. A key whose
+    /// last share goes is unpinned, and freed unless something else
+    /// holds it.
+    pub fn release(&self, keys: &[SubstrateKey]) {
+        let mut held = self.held.lock().unwrap_or_else(|e| e.into_inner());
+        let released: Vec<SubstrateKey> = keys
+            .iter()
+            .filter_map(|key| {
+                let i = held.iter().position(|k| k == key)?;
+                Some(held.swap_remove(i))
+            })
+            .collect();
+        drop(held);
+        self.unpin(released);
+    }
+
+    /// Gives back one share per key of `released`; the substrates they
+    /// unpin drop outside the cache's lock.
+    fn unpin(&self, released: Vec<SubstrateKey>) {
+        let freed: Vec<ExperimentEnv> = self.cache.once.with_kept(|kept| {
+            let mut freed = Vec::new();
+            for key in released {
+                let Some(pin) = kept.pinned.get_mut(&key) else {
+                    continue;
+                };
+                pin.shares -= 1;
+                if pin.shares == 0 {
+                    freed.extend(kept.pinned.remove(&key).and_then(|pin| pin.env));
+                }
+            }
+            freed
+        });
+        drop(freed);
+    }
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        let held = std::mem::take(self.held.get_mut().unwrap_or_else(|e| e.into_inner()));
+        self.unpin(held);
     }
 }
 
@@ -328,9 +555,13 @@ mod tests {
         unit_line(n).unwrap()
     }
 
+    fn key(topology: &str, seed: u64) -> SubstrateKey {
+        (topology.to_string(), seed)
+    }
+
     #[test]
     fn hit_and_miss_accounting() {
-        let cache = DistCache::with_capacity_bytes(1 << 20);
+        let cache = DistCache::new();
         let a = cache
             .get_or_build("unit-line:5", 1, || Ok(build_line(5)))
             .unwrap();
@@ -354,7 +585,7 @@ mod tests {
     fn cross_seed_isolation() {
         // Same topology string, different seeds → distinct entries; the
         // seed part of the key must never alias.
-        let cache = DistCache::with_capacity_bytes(1 << 20);
+        let cache = DistCache::new();
         let a = cache
             .get_or_build("unit-line:4", 1, || Ok(build_line(4)))
             .unwrap();
@@ -374,7 +605,7 @@ mod tests {
 
     #[test]
     fn cached_entry_is_bit_identical_to_fresh_build() {
-        let cache = DistCache::with_capacity_bytes(1 << 20);
+        let cache = DistCache::new();
         let cached = cache
             .get_or_build("unit-line:9", 3, || Ok(build_line(9)))
             .unwrap();
@@ -387,53 +618,89 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_respects_budget() {
-        // Budget fits exactly two 5-node matrices (5*5*8 = 200 bytes each).
-        let cache = DistCache::with_capacity_bytes(400);
+    fn a_substrate_lives_as_long_as_its_holders() {
+        let cache = DistCache::new();
+        let a = cache
+            .get_or_build("unit-line:5", 1, || Ok(build_line(5)))
+            .unwrap();
+        let matrix = Arc::clone(&a.matrix);
+        drop(a);
+        // The matrix alone does not keep the entry: a holder needs both.
+        assert!(cache.is_empty());
+        drop(matrix);
         cache
             .get_or_build("unit-line:5", 1, || Ok(build_line(5)))
             .unwrap();
-        cache
-            .get_or_build("unit-line:5", 2, || Ok(build_line(5)))
-            .unwrap();
-        assert_eq!(cache.len(), 2);
-        // Touch seed 1 so seed 2 is the LRU victim.
-        cache
-            .get_or_build("unit-line:5", 1, || panic!("cached"))
-            .unwrap();
-        cache
-            .get_or_build("unit-line:5", 3, || Ok(build_line(5)))
-            .unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        // Seed 1 survived, seed 2 was evicted.
-        cache
-            .get_or_build("unit-line:5", 1, || panic!("should still be cached"))
-            .unwrap();
-        let before = cache.stats().misses;
-        cache
-            .get_or_build("unit-line:5", 2, || Ok(build_line(5)))
-            .unwrap();
-        assert_eq!(cache.stats().misses, before + 1, "evicted entry rebuilds");
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let cache = DistCache::with_capacity_bytes(0);
-        cache
-            .get_or_build("unit-line:4", 1, || Ok(build_line(4)))
-            .unwrap();
-        cache
-            .get_or_build("unit-line:4", 1, || Ok(build_line(4)))
-            .unwrap();
-        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(cache.stats().misses, 2, "a freed substrate rebuilds");
         assert!(cache.is_empty());
     }
 
     #[test]
+    fn dead_entries_leave_the_map() {
+        let cache = DistCache::new();
+        for seed in 0..50 {
+            cache
+                .get_or_build("unit-line:3", seed, || Ok(build_line(3)))
+                .unwrap();
+        }
+        let held = cache
+            .get_or_build("unit-line:3", 99, || Ok(build_line(3)))
+            .unwrap();
+        let map_len = cache.once.with_kept(|kept| kept.live.len());
+        assert_eq!(map_len, 1, "only the held substrate stays in the map");
+        assert_eq!(cache.len(), 1);
+        drop(held);
+    }
+
+    #[test]
+    fn a_lease_pins_each_key_until_its_last_share_is_released() {
+        let cache = DistCache::new();
+        let lease = cache.lease(vec![key("unit-line:4", 1), key("unit-line:4", 1)]);
+        // Nothing is built up front.
+        assert!(cache.is_empty());
+        drop(
+            cache
+                .get_or_build("unit-line:4", 1, || Ok(build_line(4)))
+                .unwrap(),
+        );
+        // Pinned: the lookup after every holder has gone is a hit.
+        let again = cache
+            .get_or_build("unit-line:4", 1, || panic!("leased"))
+            .unwrap();
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+        lease.release(&[key("unit-line:4", 1)]);
+        drop(again);
+        assert_eq!(cache.len(), 1, "one share is left");
+        // Releasing a key the lease does not hold changes nothing.
+        lease.release(&[key("unit-line:4", 2)]);
+        assert_eq!(cache.len(), 1);
+        lease.release(&[key("unit-line:4", 1)]);
+        assert!(cache.is_empty(), "the last share frees the substrate");
+        lease.release(&[key("unit-line:4", 1)]);
+        drop(lease);
+        assert!(cache.once.with_kept(|kept| kept.pinned.is_empty()));
+    }
+
+    #[test]
+    fn leases_add_up_and_pin_what_is_already_held() {
+        let cache = DistCache::new();
+        let held = cache
+            .get_or_build("unit-line:4", 1, || Ok(build_line(4)))
+            .unwrap();
+        let first = cache.lease(vec![key("unit-line:4", 1)]);
+        let second = cache.lease(vec![key("unit-line:4", 1)]);
+        drop(held);
+        drop(first);
+        assert_eq!(cache.len(), 1, "the second lease still pins it");
+        drop(second);
+        assert!(cache.is_empty(), "dropping a lease releases its shares");
+        assert_eq!(cache.stats().misses, 1);
+    }
+
+    #[test]
     fn clear_resets_everything() {
-        let cache = DistCache::with_capacity_bytes(1 << 20);
-        cache
+        let cache = DistCache::new();
+        let held = cache
             .get_or_build("unit-line:4", 1, || Ok(build_line(4)))
             .unwrap();
         cache
@@ -442,12 +709,13 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
+        drop(held);
     }
 
     #[test]
     fn concurrent_same_key_lookups_converge() {
         use std::sync::atomic::AtomicUsize;
-        let cache = DistCache::with_capacity_bytes(1 << 20);
+        let cache = DistCache::new();
         let (arrived, builds) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let envs: Vec<ExperimentEnv> = std::thread::scope(|s| {
             let lookups: Vec<_> = (0..8)
@@ -485,7 +753,7 @@ mod tests {
 
     #[test]
     fn failed_or_panicking_build_inserts_nothing_and_frees_the_key() {
-        let cache = DistCache::with_capacity_bytes(1 << 20);
+        let cache = DistCache::new();
         let err = cache.get_or_build("unit-line:4", 1, || Err("no graph".to_string()));
         assert_eq!(err.err().as_deref(), Some("no graph"));
         assert!(cache.is_empty());
@@ -495,10 +763,11 @@ mod tests {
         assert!(panicked.is_err());
         assert!(cache.is_empty());
         // The key is free again: the next lookup builds instead of waiting.
-        cache
+        let env = cache
             .get_or_build("unit-line:4", 1, || Ok(build_line(4)))
             .unwrap();
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().misses, 3);
+        drop(env);
     }
 }

@@ -12,14 +12,13 @@
 
 use flexserve_workload::CommuterScenario;
 
-use crate::output::Table;
 use crate::spec::WorkloadSpec;
 
 use super::size_sweeps::{ErSweep, TIME_ZONES};
-use super::Profile;
+use super::{Plan, Profile};
 
 /// Figure 7: cost vs T (commuter static, λ=20, n=1000 in the paper).
-pub fn fig07(profile: Profile) -> Table {
+pub fn fig07(profile: Profile) -> Plan {
     let rounds = profile.rounds(600);
     let lambda = 20u64;
     let n = profile.exemplary_n(1000);
@@ -35,11 +34,17 @@ pub fn fig07(profile: Profile) -> Table {
         rounds,
         seeds,
         salt: 0xBEEF,
+        rows: profile.t_values().into_iter().map(|t| (t, (n, t, lambda))).collect(),
     }
-    .run(profile.t_values(), |t| (n, t, lambda))
+    .plan()
 }
 
-fn cost_vs_lambda(name: &str, title: &str, workload: WorkloadSpec, profile: Profile) -> Table {
+fn cost_vs_lambda(
+    name: &'static str,
+    title: &str,
+    workload: WorkloadSpec,
+    profile: Profile,
+) -> Plan {
     let rounds = profile.rounds(900);
     let n = 200usize.min(profile.exemplary_n(200));
     let t = CommuterScenario::t_for_network_size(n); // = 10 at n=200, as in the paper
@@ -55,12 +60,15 @@ fn cost_vs_lambda(name: &str, title: &str, workload: WorkloadSpec, profile: Prof
         rounds,
         seeds,
         salt: 0xF00D,
+        rows: (profile.lambdas().into_iter())
+            .map(|lambda| (lambda, (n, t, lambda)))
+            .collect(),
     }
-    .run(profile.lambdas(), |lambda| (n, t, lambda))
+    .plan()
 }
 
 /// Figure 8: cost vs λ, commuter dynamic load.
-pub fn fig08(profile: Profile) -> Table {
+pub fn fig08(profile: Profile) -> Plan {
     cost_vs_lambda(
         "fig08",
         "Fig 8: cost vs lambda, commuter dynamic load",
@@ -70,7 +78,7 @@ pub fn fig08(profile: Profile) -> Table {
 }
 
 /// Figure 9: cost vs λ, commuter static load.
-pub fn fig09(profile: Profile) -> Table {
+pub fn fig09(profile: Profile) -> Plan {
     cost_vs_lambda(
         "fig09",
         "Fig 9: cost vs lambda, commuter static load",
@@ -80,7 +88,7 @@ pub fn fig09(profile: Profile) -> Table {
 }
 
 /// Figure 10: cost vs λ, time-zones scenario (p = 50%).
-pub fn fig10(profile: Profile) -> Table {
+pub fn fig10(profile: Profile) -> Plan {
     cost_vs_lambda(
         "fig10",
         "Fig 10: cost vs lambda, time-zones scenario (p=50%)",

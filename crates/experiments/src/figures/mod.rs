@@ -1,8 +1,10 @@
 //! One function per paper figure/table, dispatched by name through
 //! [`crate::registry`] (`flexserve run <name>`; `flexserve run all` runs
-//! everything). Each function computes the series the paper plots, saves
-//! a CSV under `results/`, and returns the table; the CLI prints it (the
-//! golden tests pin the CSV bytes on quick profiles).
+//! everything). Each function sizes its figure for a profile into a
+//! [`Plan`]: the substrates its cells read, and the pipeline that
+//! computes the series the paper plots, saves a CSV under `results/` and
+//! returns the table; the CLI prints it (the golden tests pin the CSV
+//! bytes on quick profiles).
 
 mod exemplary;
 mod lambda_sweeps;
@@ -16,7 +18,61 @@ pub use ratio::{fig11, fig13, fig14, fig15, fig16, fig17, fig18, fig19};
 pub use rocketfuel::table1;
 pub use size_sweeps::{fig03, fig04, fig05, fig06};
 
+use crate::cache::SubstrateKey;
 use crate::output::Table;
+use crate::spec::TopologySpec;
+
+/// A figure sized for one profile: the substrates its cells read and the
+/// pipeline that reads them, both from the same sizing code, so a
+/// [`Lease`](crate::Lease) over [`Plan::substrates`] covers exactly what
+/// [`Plan::run`] builds (the golden tests check this figure by figure).
+pub struct Plan {
+    substrates: Vec<SubstrateKey>,
+    pipeline: Box<dyn Fn() -> Table + Send + Sync>,
+}
+
+impl Plan {
+    /// A plan whose pipeline reads `substrates` (see [`keys`]).
+    fn new(
+        substrates: Vec<SubstrateKey>,
+        pipeline: impl Fn() -> Table + Send + Sync + 'static,
+    ) -> Plan {
+        Plan {
+            substrates,
+            pipeline: Box::new(pipeline),
+        }
+    }
+
+    /// The distinct substrate keys the pipeline reads.
+    pub fn substrates(&self) -> &[SubstrateKey] {
+        &self.substrates
+    }
+
+    /// Runs the pipeline: saves `results/<name>.csv` and returns the
+    /// table.
+    pub fn run(&self) -> Table {
+        (self.pipeline)()
+    }
+}
+
+/// The distinct keys of every topology in `topologies` at every seed in
+/// `seeds`: the substrates of a figure whose cells cross the two.
+fn keys(topologies: &[TopologySpec], seeds: &[u64]) -> Vec<SubstrateKey> {
+    let mut keys: Vec<SubstrateKey> = topologies
+        .iter()
+        .flat_map(|topology| seeds.iter().map(|&seed| topology.key(seed)))
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// The paper's Erdős–Rényi substrate `er:<n>` (1% connection
+/// probability), as [`ExperimentEnv::erdos_renyi`](crate::ExperimentEnv::erdos_renyi)
+/// builds it.
+fn er(n: usize) -> TopologySpec {
+    TopologySpec::ErdosRenyi { n }
+}
 
 /// Saves `table` as `results/<name>.csv`: the last step of every
 /// pipeline. Printing is the caller's choice, so figures that run
@@ -26,17 +82,17 @@ fn publish(name: &str, table: Table) -> Table {
     table
 }
 
-/// Experiment sizing profile. Sweeps shrink on smaller profiles so the
-/// whole suite stays tractable on one core; the *parameters within a run*
-/// (β, c, Ra, Ri, thresholds) never change.
+/// Experiment sizing profile. Sweeps shrink on smaller profiles; the
+/// *parameters within a run* (β, c, Ra, Ri, thresholds) never change.
+/// The times below are a whole `flexserve run all` on 2 vCPUs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Profile {
-    /// Tiny instances for tests (seconds).
+    /// Tiny instances for tests (well under a second).
     Quick,
     /// Default for the binaries: the paper's shapes at reduced sweep sizes
-    /// (a few minutes on one core).
+    /// (about 1 s).
     Standard,
-    /// The paper's exact sweep sizes (set `FLEXSERVE_FULL=1`; slow).
+    /// The paper's exact sweep sizes (set `FLEXSERVE_FULL=1`; 4–8 s).
     Full,
 }
 

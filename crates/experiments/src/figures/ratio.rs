@@ -17,12 +17,15 @@ use flexserve_core::competitive_ratio;
 use crate::output::Table;
 use crate::runner::grid;
 use crate::setup::ExperimentEnv;
-use crate::spec::{StrategySpec, WorkloadSpec};
+use crate::spec::{StrategySpec, TopologySpec, WorkloadSpec};
 
-use super::{publish, Profile};
+use super::{keys, publish, Plan, Profile};
 
 /// Line-substrate size for all OPT experiments (paper: five nodes).
 const OPT_N: usize = 5;
+/// The OPT experiments' substrate, as
+/// [`ExperimentEnv::random_line`] builds it.
+const OPT_LINE: TopologySpec = TopologySpec::Line { n: OPT_N };
 /// Server budget on the line (bounded by the substrate anyway).
 const OPT_K: usize = 4;
 /// Time-zones demand on the tiny substrate (paper Fig 17: "three
@@ -63,67 +66,77 @@ fn offstat_and_opt(
 }
 
 /// Figure 11: competitive ratio ONTH/OPT vs λ, all three scenarios.
-pub fn fig11(profile: Profile) -> Table {
+pub fn fig11(profile: Profile) -> Plan {
     let rounds = profile.rounds(200);
     let seeds = profile.seeds(10);
     let t_periods = 4u32;
     let params = opt_params(false);
-
-    let mut table = Table::new(
-        format!(
-            "Fig 11: ONTH/OPT competitive ratio vs lambda (n={OPT_N} line, T={t_periods}, {rounds} rounds, {} seeds)",
-            seeds.len()
-        ),
-        &["lambda", "commuter-dynamic", "commuter-static", "time-zones"],
-    );
-    let workloads = [
-        WorkloadSpec::CommuterDynamic,
-        WorkloadSpec::CommuterStatic,
-        TIME_ZONES,
-    ];
     let lambdas = profile.lambdas();
-    let rows: Vec<(u64, &WorkloadSpec)> = lambdas
-        .iter()
-        .flat_map(|&lambda| workloads.iter().map(move |wl| (lambda, wl)))
-        .collect();
-    let ratios = grid(&rows, &seeds, |&(lambda, workload), seed| {
-        let env = ExperimentEnv::random_line(OPT_N, seed);
-        let ctx = env.context(params, LoadModel::Linear);
-        let demand = workload.record(&env, t_periods, lambda, rounds, seed);
-        let alg = StrategySpec::OnTh.run(&ctx, &demand, seed).total();
-        let opt = StrategySpec::Opt.run(&ctx, &demand, seed).total();
-        [CostBreakdown::from_access(competitive_ratio(alg, opt))]
-    });
-    for (lambda, row) in lambdas.iter().zip(ratios.chunks(workloads.len())) {
-        let cells: Vec<f64> = row.iter().map(|[r]| r.mean_total()).collect();
-        table.row_f64(lambda, &cells);
-    }
-    publish("fig11", table)
+
+    Plan::new(keys(&[OPT_LINE], &seeds), move || {
+        let mut table = Table::new(
+            format!(
+                "Fig 11: ONTH/OPT competitive ratio vs lambda (n={OPT_N} line, T={t_periods}, {rounds} rounds, {} seeds)",
+                seeds.len()
+            ),
+            &["lambda", "commuter-dynamic", "commuter-static", "time-zones"],
+        );
+        let workloads = [
+            WorkloadSpec::CommuterDynamic,
+            WorkloadSpec::CommuterStatic,
+            TIME_ZONES,
+        ];
+        let rows: Vec<(u64, &WorkloadSpec)> = lambdas
+            .iter()
+            .flat_map(|&lambda| workloads.iter().map(move |wl| (lambda, wl)))
+            .collect();
+        let ratios = grid(&rows, &seeds, |&(lambda, workload), seed| {
+            let env = ExperimentEnv::random_line(OPT_N, seed);
+            let ctx = env.context(params, LoadModel::Linear);
+            let demand = workload.record(&env, t_periods, lambda, rounds, seed);
+            let alg = StrategySpec::OnTh.run(&ctx, &demand, seed).total();
+            let opt = StrategySpec::Opt.run(&ctx, &demand, seed).total();
+            [CostBreakdown::from_access(competitive_ratio(alg, opt))]
+        });
+        for (lambda, row) in lambdas.iter().zip(ratios.chunks(workloads.len())) {
+            let cells: Vec<f64> = row.iter().map(|[r]| r.mean_total()).collect();
+            table.row_f64(lambda, &cells);
+        }
+        publish("fig11", table)
+    })
 }
 
-fn absolute_costs_vs_lambda(name: &str, title: &str, flipped: bool, profile: Profile) -> Table {
+fn absolute_costs_vs_lambda(
+    name: &'static str,
+    title: &'static str,
+    flipped: bool,
+    profile: Profile,
+) -> Plan {
     let rounds = profile.rounds(200);
     let seeds = profile.seeds(10);
     let t_periods = 4u32;
-
-    let mut table = Table::new(
-        format!(
-            "{title} (n={OPT_N} line, T={t_periods}, {rounds} rounds, {} seeds)",
-            seeds.len()
-        ),
-        &["lambda", "OFFSTAT", "OPT"],
-    );
     let lambdas = profile.lambdas();
-    let rows: Vec<(u32, u64, bool)> = lambdas.iter().map(|&l| (t_periods, l, flipped)).collect();
-    let costs = offstat_and_opt(&WorkloadSpec::CommuterDynamic, &rows, rounds, &seeds);
-    for (lambda, (stat, opt)) in lambdas.iter().zip(costs) {
-        table.row_f64(lambda, &[stat, opt]);
-    }
-    publish(name, table)
+
+    Plan::new(keys(&[OPT_LINE], &seeds), move || {
+        let mut table = Table::new(
+            format!(
+                "{title} (n={OPT_N} line, T={t_periods}, {rounds} rounds, {} seeds)",
+                seeds.len()
+            ),
+            &["lambda", "OFFSTAT", "OPT"],
+        );
+        let rows: Vec<(u32, u64, bool)> =
+            lambdas.iter().map(|&l| (t_periods, l, flipped)).collect();
+        let costs = offstat_and_opt(&WorkloadSpec::CommuterDynamic, &rows, rounds, &seeds);
+        for (lambda, (stat, opt)) in lambdas.iter().zip(costs) {
+            table.row_f64(lambda, &[stat, opt]);
+        }
+        publish(name, table)
+    })
 }
 
 /// Figure 13: absolute OFFSTAT vs OPT costs, commuter dynamic, β<c.
-pub fn fig13(profile: Profile) -> Table {
+pub fn fig13(profile: Profile) -> Plan {
     absolute_costs_vs_lambda(
         "fig13",
         "Fig 13: OFFSTAT and OPT cost vs lambda, commuter dynamic (beta=40 < c=400)",
@@ -133,7 +146,7 @@ pub fn fig13(profile: Profile) -> Table {
 }
 
 /// Figure 14: the same in the flipped regime β=400 > c=40.
-pub fn fig14(profile: Profile) -> Table {
+pub fn fig14(profile: Profile) -> Plan {
     absolute_costs_vs_lambda(
         "fig14",
         "Fig 14: OFFSTAT and OPT cost vs lambda, commuter dynamic (beta=400 > c=40)",
@@ -145,12 +158,12 @@ pub fn fig14(profile: Profile) -> Table {
 /// Figures 15–19: the OFFSTAT/OPT ratio in both β regimes, swept over
 /// λ at `T = 4` or, with `over_t`, over `T` at `λ = 10`.
 fn ratio_sweep(
-    name: &str,
-    title: &str,
+    name: &'static str,
+    title: &'static str,
     workload: WorkloadSpec,
     over_t: bool,
     profile: Profile,
-) -> Table {
+) -> Plan {
     let rounds = profile.rounds(200);
     let seeds = profile.seeds(10);
     // (x, T, λ) per row.
@@ -170,31 +183,33 @@ fn ratio_sweep(
         )
     };
 
-    let mut table = Table::new(
-        format!(
-            "{title} (n={OPT_N} line, {fixed}, {rounds} rounds, {} seeds)",
-            seeds.len()
-        ),
-        &[x_label, "beta<c", "beta>c"],
-    );
-    // Two cells per row: the β<c and the β>c regime.
-    let cells: Vec<(u32, u64, bool)> = rows
-        .iter()
-        .flat_map(|&(_, t, lambda)| [false, true].map(|flipped| (t, lambda, flipped)))
-        .collect();
-    let costs = offstat_and_opt(&workload, &cells, rounds, &seeds);
-    for ((x, _, _), pair) in rows.iter().zip(costs.chunks(2)) {
-        let ratios: Vec<f64> = pair
+    Plan::new(keys(&[OPT_LINE], &seeds), move || {
+        let mut table = Table::new(
+            format!(
+                "{title} (n={OPT_N} line, {fixed}, {rounds} rounds, {} seeds)",
+                seeds.len()
+            ),
+            &[x_label, "beta<c", "beta>c"],
+        );
+        // Two cells per row: the β<c and the β>c regime.
+        let cells: Vec<(u32, u64, bool)> = rows
             .iter()
-            .map(|&(stat, opt)| competitive_ratio(stat, opt))
+            .flat_map(|&(_, t, lambda)| [false, true].map(|flipped| (t, lambda, flipped)))
             .collect();
-        table.row_f64(x, &ratios);
-    }
-    publish(name, table)
+        let costs = offstat_and_opt(&workload, &cells, rounds, &seeds);
+        for ((x, _, _), pair) in rows.iter().zip(costs.chunks(2)) {
+            let ratios: Vec<f64> = pair
+                .iter()
+                .map(|&(stat, opt)| competitive_ratio(stat, opt))
+                .collect();
+            table.row_f64(x, &ratios);
+        }
+        publish(name, table)
+    })
 }
 
 /// Figure 15: OFFSTAT/OPT ratio vs λ, commuter dynamic load.
-pub fn fig15(profile: Profile) -> Table {
+pub fn fig15(profile: Profile) -> Plan {
     ratio_sweep(
         "fig15",
         "Fig 15: OFFSTAT/OPT ratio vs lambda, commuter dynamic load",
@@ -205,7 +220,7 @@ pub fn fig15(profile: Profile) -> Table {
 }
 
 /// Figure 16: OFFSTAT/OPT ratio vs λ, commuter static load.
-pub fn fig16(profile: Profile) -> Table {
+pub fn fig16(profile: Profile) -> Plan {
     ratio_sweep(
         "fig16",
         "Fig 16: OFFSTAT/OPT ratio vs lambda, commuter static load",
@@ -216,7 +231,7 @@ pub fn fig16(profile: Profile) -> Table {
 }
 
 /// Figure 17: OFFSTAT/OPT ratio vs λ, time-zones scenario (3 req/round).
-pub fn fig17(profile: Profile) -> Table {
+pub fn fig17(profile: Profile) -> Plan {
     ratio_sweep(
         "fig17",
         "Fig 17: OFFSTAT/OPT ratio vs lambda, time-zones (p=50%)",
@@ -227,7 +242,7 @@ pub fn fig17(profile: Profile) -> Table {
 }
 
 /// Figure 18: OFFSTAT/OPT ratio vs T, commuter dynamic load.
-pub fn fig18(profile: Profile) -> Table {
+pub fn fig18(profile: Profile) -> Plan {
     ratio_sweep(
         "fig18",
         "Fig 18: OFFSTAT/OPT ratio vs T, commuter dynamic load",
@@ -238,7 +253,7 @@ pub fn fig18(profile: Profile) -> Table {
 }
 
 /// Figure 19: OFFSTAT/OPT ratio vs T, commuter static load.
-pub fn fig19(profile: Profile) -> Table {
+pub fn fig19(profile: Profile) -> Plan {
     ratio_sweep(
         "fig19",
         "Fig 19: OFFSTAT/OPT ratio vs T, commuter static load",

@@ -15,7 +15,9 @@
 //! * [`registry`] — the name → figure/topology/workload/strategy catalogs
 //!   behind `flexserve list` and `flexserve run`,
 //! * [`cache`] — the process-wide distance-matrix cache keyed by
-//!   `(topology spec, seed)` that de-duplicates APSP work across cells,
+//!   `(topology spec, seed)` that de-duplicates APSP work across cells:
+//!   it shares each matrix among its holders and leases, and frees it
+//!   with the last of them,
 //! * [`traces`] — what cells share: each cell's recorded [`Demand`],
 //!   read by all its strategies and freed when the cell ends, and the
 //!   process-wide [`RunMemo`] that answers every repeat of a strategy run
@@ -23,7 +25,7 @@
 //! * [`manifest`] — the `results/manifest.json` provenance record (spec,
 //!   seeds, git describe, cache counters for every artifact),
 //! * [`setup`] — [`ExperimentEnv`], a substrate plus its distance matrix
-//!   fetched through the cache (Erdős–Rényi p=1%, T1/T2 bandwidths, …),
+//!   shared through the cache (Erdős–Rényi p=1%, T1/T2 bandwidths, …),
 //! * [`figures`] — one pipeline function per paper figure/table,
 //! * [`runner`] — seed-parallel averaging over a cell's seeds,
 //! * [`serve`] — the `flexserve serve` daemon: a concurrent multi-session
@@ -51,7 +53,7 @@ pub mod setup;
 pub mod spec;
 pub mod traces;
 
-pub use cache::{CacheStats, DistCache};
+pub use cache::{CacheStats, DistCache, Lease, SubstrateKey};
 pub use manifest::{Manifest, ManifestEntry};
 pub use output::{write_csv, Table};
 pub use runner::{average, grid, SeedSummary};

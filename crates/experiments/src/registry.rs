@@ -6,7 +6,12 @@
 //! cell expressions draw their axes from the same catalogs. The golden
 //! tests pin [`list_text`] so the CLI surface can't drift silently.
 
-use crate::figures::{self, Profile};
+use std::sync::Mutex;
+
+use rayon::prelude::*;
+
+use crate::cache::DistCache;
+use crate::figures::{self, Plan, Profile};
 use crate::output::Table;
 use crate::spec::ALL_STRATEGIES;
 
@@ -18,117 +23,177 @@ pub struct FigureEntry {
     pub name: &'static str,
     /// One-line description of what the paper plot shows.
     pub title: &'static str,
-    /// Regenerates the figure at the given profile.
+    /// Sizes the figure for a profile: the substrates it declares and
+    /// its pipeline.
+    pub plan: fn(Profile) -> Plan,
+    /// Regenerates the figure at the given profile, outside any lease
+    /// (`plan(profile).run()`); [`run_figures`] runs a list of figures
+    /// under one.
     pub run: fn(Profile) -> Table,
+}
+
+/// A [`FigureEntry`] whose `run` is its own plan's pipeline.
+macro_rules! entry {
+    ($name:literal, $plan:path, $title:literal) => {
+        FigureEntry {
+            name: $name,
+            title: $title,
+            plan: $plan,
+            run: |profile| $plan(profile).run(),
+        }
+    };
 }
 
 /// Every figure and table of the paper's evaluation, in paper order.
 pub const FIGURES: &[FigureEntry] = &[
-    FigureEntry {
-        name: "fig01",
-        title: "ONTH exemplary run, commuter dynamic load (servers track demand)",
-        run: figures::fig01,
-    },
-    FigureEntry {
-        name: "fig02",
-        title: "ONTH exemplary run, commuter static load (server count converges)",
-        run: figures::fig02,
-    },
-    FigureEntry {
-        name: "fig03",
-        title: "Cost vs network size, commuter dynamic load",
-        run: figures::fig03,
-    },
-    FigureEntry {
-        name: "fig04",
-        title: "Cost vs network size, commuter static load",
-        run: figures::fig04,
-    },
-    FigureEntry {
-        name: "fig05",
-        title: "Cost vs network size, time-zones scenario",
-        run: figures::fig05,
-    },
-    FigureEntry {
-        name: "fig06",
-        title: "ONBR cost breakdown by scenario, flipped regime (beta=400 > c=40)",
-        run: figures::fig06,
-    },
-    FigureEntry {
-        name: "fig07",
-        title: "Cost vs T, commuter static load",
-        run: figures::fig07,
-    },
-    FigureEntry {
-        name: "fig08",
-        title: "Cost vs lambda, commuter dynamic load",
-        run: figures::fig08,
-    },
-    FigureEntry {
-        name: "fig09",
-        title: "Cost vs lambda, commuter static load",
-        run: figures::fig09,
-    },
-    FigureEntry {
-        name: "fig10",
-        title: "Cost vs lambda, time-zones scenario (p=50%)",
-        run: figures::fig10,
-    },
-    FigureEntry {
-        name: "fig11",
-        title: "ONTH/OPT competitive ratio vs lambda, all scenarios",
-        run: figures::fig11,
-    },
-    FigureEntry {
-        name: "fig12",
-        title: "OFFSTAT cost vs static server count (how k_opt is picked)",
-        run: figures::fig12,
-    },
-    FigureEntry {
-        name: "fig13",
-        title: "OFFSTAT and OPT cost vs lambda, commuter dynamic (beta=40 < c=400)",
-        run: figures::fig13,
-    },
-    FigureEntry {
-        name: "fig14",
-        title: "OFFSTAT and OPT cost vs lambda, commuter dynamic (beta=400 > c=40)",
-        run: figures::fig14,
-    },
-    FigureEntry {
-        name: "fig15",
-        title: "OFFSTAT/OPT ratio vs lambda, commuter dynamic load",
-        run: figures::fig15,
-    },
-    FigureEntry {
-        name: "fig16",
-        title: "OFFSTAT/OPT ratio vs lambda, commuter static load",
-        run: figures::fig16,
-    },
-    FigureEntry {
-        name: "fig17",
-        title: "OFFSTAT/OPT ratio vs lambda, time-zones (p=50%)",
-        run: figures::fig17,
-    },
-    FigureEntry {
-        name: "fig18",
-        title: "OFFSTAT/OPT ratio vs T, commuter dynamic load",
-        run: figures::fig18,
-    },
-    FigureEntry {
-        name: "fig19",
-        title: "OFFSTAT/OPT ratio vs T, commuter static load",
-        run: figures::fig19,
-    },
-    FigureEntry {
-        name: "table1",
-        title: "AS-7018 time-zones run: OFFSTAT vs ONTH vs ONBR",
-        run: figures::table1,
-    },
+    entry!(
+        "fig01",
+        figures::fig01,
+        "ONTH exemplary run, commuter dynamic load (servers track demand)"
+    ),
+    entry!(
+        "fig02",
+        figures::fig02,
+        "ONTH exemplary run, commuter static load (server count converges)"
+    ),
+    entry!(
+        "fig03",
+        figures::fig03,
+        "Cost vs network size, commuter dynamic load"
+    ),
+    entry!(
+        "fig04",
+        figures::fig04,
+        "Cost vs network size, commuter static load"
+    ),
+    entry!(
+        "fig05",
+        figures::fig05,
+        "Cost vs network size, time-zones scenario"
+    ),
+    entry!(
+        "fig06",
+        figures::fig06,
+        "ONBR cost breakdown by scenario, flipped regime (beta=400 > c=40)"
+    ),
+    entry!("fig07", figures::fig07, "Cost vs T, commuter static load"),
+    entry!(
+        "fig08",
+        figures::fig08,
+        "Cost vs lambda, commuter dynamic load"
+    ),
+    entry!(
+        "fig09",
+        figures::fig09,
+        "Cost vs lambda, commuter static load"
+    ),
+    entry!(
+        "fig10",
+        figures::fig10,
+        "Cost vs lambda, time-zones scenario (p=50%)"
+    ),
+    entry!(
+        "fig11",
+        figures::fig11,
+        "ONTH/OPT competitive ratio vs lambda, all scenarios"
+    ),
+    entry!(
+        "fig12",
+        figures::fig12,
+        "OFFSTAT cost vs static server count (how k_opt is picked)"
+    ),
+    entry!(
+        "fig13",
+        figures::fig13,
+        "OFFSTAT and OPT cost vs lambda, commuter dynamic (beta=40 < c=400)"
+    ),
+    entry!(
+        "fig14",
+        figures::fig14,
+        "OFFSTAT and OPT cost vs lambda, commuter dynamic (beta=400 > c=40)"
+    ),
+    entry!(
+        "fig15",
+        figures::fig15,
+        "OFFSTAT/OPT ratio vs lambda, commuter dynamic load"
+    ),
+    entry!(
+        "fig16",
+        figures::fig16,
+        "OFFSTAT/OPT ratio vs lambda, commuter static load"
+    ),
+    entry!(
+        "fig17",
+        figures::fig17,
+        "OFFSTAT/OPT ratio vs lambda, time-zones (p=50%)"
+    ),
+    entry!(
+        "fig18",
+        figures::fig18,
+        "OFFSTAT/OPT ratio vs T, commuter dynamic load"
+    ),
+    entry!(
+        "fig19",
+        figures::fig19,
+        "OFFSTAT/OPT ratio vs T, commuter static load"
+    ),
+    entry!(
+        "table1",
+        figures::table1,
+        "AS-7018 time-zones run: OFFSTAT vs ONTH vs ONBR"
+    ),
 ];
 
 /// Looks a figure up by registry name.
 pub fn figure(name: &str) -> Option<&'static FigureEntry> {
     FIGURES.iter().find(|f| f.name == name)
+}
+
+/// Runs `entries` at `profile` under one [`Lease`](crate::Lease) over the
+/// union of the substrates they declare, so each distinct substrate is
+/// built once and freed when the last entry that declared it completes.
+///
+/// The entries run concurrently, one pool task each, and each fans its
+/// (row, seed) cells out on the same pool; a thread with no entry left
+/// helps the last entries' cells. `done(entry, table, seconds)` is
+/// called in argument order, for each entry as soon as it and every
+/// earlier entry have finished, so output printed from it never
+/// interleaves. Returns the tables in argument order.
+pub fn run_figures(
+    entries: &[&FigureEntry],
+    profile: Profile,
+    done: impl Fn(&FigureEntry, &Table, f64) + Sync,
+) -> Vec<Table> {
+    let plans: Vec<Plan> = entries.iter().map(|e| (e.plan)(profile)).collect();
+    let declared = plans.iter().flat_map(|p| p.substrates().iter().cloned());
+    let lease = DistCache::global().lease(declared.collect());
+    // The next entry to report, and each finished entry's table and
+    // compute time.
+    let finished = Mutex::new((0, vec![None::<(Table, f64)>; entries.len()]));
+    plans
+        .par_iter()
+        .enumerate()
+        .with_max_len(1)
+        .for_each(|(i, plan)| {
+            let t0 = std::time::Instant::now();
+            let table = plan.run();
+            let secs = t0.elapsed().as_secs_f64();
+            lease.release(plan.substrates());
+            let mut guard = finished.lock().expect("no entry panics while reporting");
+            let (next, ready) = &mut *guard;
+            ready[i] = Some((table, secs));
+            while let Some((table, secs)) = ready.get(*next).and_then(Option::as_ref) {
+                done(entries[*next], table, *secs);
+                *next += 1;
+            }
+        });
+    let (_, ready) = finished
+        .into_inner()
+        .expect("no entry panics while reporting");
+    ready
+        .into_iter()
+        .map(|r| r.expect("every entry ran").0)
+        .collect()
 }
 
 /// The topology catalog: example canonical spec plus description, in

@@ -3,7 +3,7 @@
 //!
 //! A session is plain data: a `SessionState` that owns its
 //! [`EventedSession`] (whose substrate is shared with the process-wide
-//! [`DistCache`](crate::cache::DistCache) through `Arc`s until the
+//! [`DistCache`] through `Arc`s until the
 //! session's first substrate event copies it, so the cache copy stays
 //! pristine), its boxed strategy and its [`RequestSource`], behind one
 //! mutex per session. Every operation runs on the calling HTTP worker
@@ -37,6 +37,7 @@ use flexserve_workload::{
     parse_round, replay_source, stdin_source, JsonValue, RequestSource, RoundRequests,
 };
 
+use crate::cache::DistCache;
 use crate::output::results_dir;
 use crate::setup::ExperimentEnv;
 use crate::spec::{CellBuilder, CellSpec, StrategySpec};
@@ -325,6 +326,9 @@ impl SessionManager {
     /// info document.
     pub fn create(&self, name: &str, cfg: SessionConfig) -> Result<JsonValue, ServeError> {
         validate_name(name)?;
+        // Validation builds the substrate `build_session` then reads; the
+        // lease keeps it in between, so a creation builds it at most once.
+        let _lease = DistCache::global().lease(cfg.cell.substrates());
         if cfg.source == SourceKind::Scenario {
             // The replay file, if any, opens once, in `build_session`.
             cfg.cell.validate_except_replay().map_err(ServeError::Bad)?;

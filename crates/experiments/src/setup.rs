@@ -1,7 +1,8 @@
 //! The substrate half of an experiment: a graph plus its distance matrix,
-//! built through the process-wide [`DistCache`] and matching the paper's
+//! shared through the process-wide [`DistCache`] and matching the paper's
 //! set-up (§V-A: Erdős–Rényi random graphs with 1% connection probability
-//! and random T1/T2 bandwidths).
+//! and random T1/T2 bandwidths). A substrate lives as long as its holders
+//! (and the leases that name it); nothing keeps it beyond them.
 
 use std::sync::Arc;
 
@@ -16,11 +17,11 @@ use crate::spec::TopologySpec;
 /// share one APSP computation.
 ///
 /// All seeded constructors go through the process-wide
-/// [`DistCache`]: requesting the same
-/// `(topology, seed)` twice returns the *same* graph and matrix instead of
+/// [`DistCache`]: requesting the same `(topology, seed)` while something
+/// holds or leases it returns the *same* graph and matrix instead of
 /// recomputing the all-pairs shortest paths — the dominant redundant cost
 /// when a figure evaluates several algorithms or workloads on one
-/// substrate. Cached or fresh, the contents are bit-identical, so results
+/// substrate. Shared or fresh, the contents are bit-identical, so results
 /// never depend on cache state.
 #[derive(Clone)]
 pub struct ExperimentEnv {
@@ -31,14 +32,12 @@ pub struct ExperimentEnv {
 }
 
 impl ExperimentEnv {
-    /// Builds (or fetches from the cache) the substrate a
-    /// [`TopologySpec`] describes for `seed`.
+    /// Builds (or shares from the cache) the substrate a
+    /// [`TopologySpec`] describes for `seed`, under the key
+    /// [`TopologySpec::key`].
     pub fn from_spec(spec: &TopologySpec, seed: u64) -> Result<Self, String> {
-        // Seed-insensitive topologies (as7018, rocketfuel, unit-line)
-        // normalize to one cache entry instead of an identical build per
-        // seed.
-        let seed = if spec.is_seeded() { seed } else { 0 };
-        DistCache::global().get_or_build(&spec.to_string(), seed, || spec.build(seed))
+        let (topology, seed) = spec.key(seed);
+        DistCache::global().get_or_build(&topology, seed, || spec.build(seed))
     }
 
     /// Erdős–Rényi substrate with the paper's 1% connection probability.

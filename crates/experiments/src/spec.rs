@@ -40,6 +40,7 @@ use flexserve_core::{
 };
 use flexserve_sim::{run_online, OnlineStrategy};
 
+use crate::cache::{DistCache, SubstrateKey};
 use crate::runner::{average, SeedSummary};
 use crate::setup::ExperimentEnv;
 use crate::traces::{Demand, RunKey, RunMemo, TraceCache, TraceKey};
@@ -149,6 +150,15 @@ impl TopologySpec {
             self,
             TopologySpec::As7018 | TopologySpec::Rocketfuel { .. } | TopologySpec::UnitLine { .. }
         )
+    }
+
+    /// The [`DistCache`] key of this substrate at
+    /// `seed`. Seed-insensitive topologies (as7018, rocketfuel,
+    /// unit-line) normalize to seed 0, so every seed shares one entry
+    /// instead of an identical build per seed.
+    pub fn key(&self, seed: u64) -> SubstrateKey {
+        let seed = if self.is_seeded() { seed } else { 0 };
+        (self.to_string(), seed)
     }
 }
 
@@ -895,8 +905,9 @@ impl CellSpec {
         if self.t_periods == 0 || self.lambda == 0 {
             return Err("cell: T and lambda must be >= 1".into());
         }
-        // Through the cache: the substrate this builds is the one run()
-        // fetches, so validation costs a cache fill, not duplicate work.
+        // Through the cache: under a lease on the cell's keys (a sweep's,
+        // a session's or `run`'s own), the substrate this builds is the
+        // one run() fetches, so validation costs no duplicate work.
         let env = ExperimentEnv::from_spec(&self.topology, self.seeds[0])?;
         let n = env.graph.node_count();
         if !self.events.is_empty() {
@@ -979,15 +990,28 @@ impl CellSpec {
             .try_record(env, self.t_periods, self.lambda, self.rounds, seed)
     }
 
+    /// The distinct substrate keys of this cell, one per seed (one in
+    /// all for a seed-insensitive topology): what a lease taken before
+    /// [`validate`](Self::validate) pins until the cell has run.
+    pub fn substrates(&self) -> Vec<SubstrateKey> {
+        let mut keys: Vec<SubstrateKey> =
+            self.seeds.iter().map(|&s| self.topology.key(s)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
     /// Runs the cell: for each seed (in parallel), build or fetch the
     /// substrate, record the demand, play the strategy, and collect the
     /// cost breakdowns in seed order. A replay cell reads its file once,
     /// before any seed runs, and hands that one trace to every seed; a
-    /// read or decode error is returned.
+    /// read or decode error is returned. The cell leases its substrates
+    /// for the run, so validation and the seeds share one build each.
     ///
     /// Returns the per-seed summary plus the substrate fingerprint of the
     /// first seed (recorded in the manifest for provenance).
     pub fn run(&self) -> Result<CellResult, String> {
+        let _lease = DistCache::global().lease(self.substrates());
         self.validate()?;
         let first = ExperimentEnv::from_spec(&self.topology, self.seeds[0])?;
         let replay = match &self.workload {

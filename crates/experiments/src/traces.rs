@@ -242,7 +242,7 @@ impl RunKey {
 /// model, routing policy, the demand's [`TraceKey`], seed) →
 /// [`CostBreakdown`] behind [`StrategySpec::run`], so each distinct
 /// strategy run of a process runs once. Concurrent lookups of one missing key wait for its single run
-/// and share the result (the `Lru` claim discipline of
+/// and share the result (the build-once discipline of
 /// [`DistCache`]); counters land in `results/manifest.json` as
 /// `result_memo`.
 pub struct RunMemo {
@@ -257,7 +257,7 @@ impl RunMemo {
 
     fn with_capacity_bytes(capacity_bytes: usize) -> Self {
         RunMemo {
-            lru: Lru::new(capacity_bytes),
+            lru: Lru::with_budget(capacity_bytes),
         }
     }
 

@@ -507,3 +507,21 @@ fn no_doc_names_the_retired_replay_scenarios() {
         }
     }
 }
+
+#[test]
+fn no_doc_names_the_retired_cache_budget() {
+    // matrices live as long as their holders and leases; there is no byte
+    // budget to set
+    for (path, text) in doc_tree() {
+        for retired in [
+            concat!("FLEXSERVE", "_CACHE_BYTES"),
+            concat!("DEFAULT", "_CAPACITY_BYTES"),
+        ] {
+            assert!(
+                !text.contains(retired),
+                "{} must not name the retired {retired}",
+                path.display()
+            );
+        }
+    }
+}

@@ -16,17 +16,23 @@
 //!   reference its names).
 //! * `flexserve run`/`sweep` accept exactly the cell grammar of
 //!   `CellBuilder` plus `seeds=` and `out=`, and refuse everything else.
+//! * A figure suite builds each substrate its figures declare exactly
+//!   once and retains none afterwards; so does a sweep.
 //!
 //! The figure runs and the cache assertions share one test: they both
 //! mutate process environment variables and write the same artifacts, and
 //! Rust runs a binary's tests on concurrent threads.
 
+use std::collections::HashSet;
 use std::path::Path;
 
 use flexserve_experiments::figures::Profile;
-use flexserve_experiments::{registry, ExperimentEnv, StrategySpec, WorkloadSpec};
+use flexserve_experiments::registry::{self, FigureEntry};
+use flexserve_experiments::{
+    DistCache, ExperimentEnv, StrategySpec, SubstrateKey, TopologySpec, WorkloadSpec,
+};
 use flexserve_sim::{CostParams, LoadModel};
-use flexserve_workload::CommuterScenario;
+use flexserve_workload::{CommuterScenario, JsonValue};
 
 /// `flexserve list` output.
 const LIST_GOLDEN: &str = include_str!("golden/list.txt");
@@ -38,18 +44,24 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
+/// The distinct substrate keys the quick suite declares.
+fn declared_quick_substrates() -> HashSet<SubstrateKey> {
+    (registry::FIGURES.iter())
+        .flat_map(|entry| (entry.plan)(Profile::Quick).substrates().to_vec())
+        .collect()
+}
+
 #[test]
 fn every_figure_is_byte_identical_to_its_golden_and_hits_the_cache() {
     // Route artifacts to a scratch dir so the test never touches the
     // real results/ tree. The other tests in this binary read no
-    // environment variables.
+    // environment variables and run no figure in this process.
     let dir = std::env::temp_dir().join(format!("flexserve-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     std::env::set_var("FLEXSERVE_RESULTS_DIR", &dir);
-
-    for entry in registry::FIGURES {
+    let cache = DistCache::global();
+    let check = |entry: &FigureEntry, table: &flexserve_experiments::Table| {
         let want = golden(entry.name);
-        let table = (entry.run)(Profile::Quick);
         assert_eq!(
             table.to_csv(),
             want,
@@ -60,19 +72,52 @@ fn every_figure_is_byte_identical_to_its_golden_and_hits_the_cache() {
         // The file on disk is the same bytes.
         let on_disk = std::fs::read_to_string(dir.join(format!("{}.csv", entry.name))).unwrap();
         assert_eq!(on_disk, want, "{} on disk", entry.name);
+    };
+
+    // Each figure alone, under its own lease, builds exactly the
+    // substrates it declares: an undeclared substrate would be built
+    // again after its cell dropped it, and a declared one the figure never
+    // reads would not be built at all.
+    for entry in registry::FIGURES {
+        let declared = (entry.plan)(Profile::Quick).substrates().len() as u64;
+        let before = cache.stats().misses;
+        let tables = registry::run_figures(&[entry], Profile::Quick, |_, _, _| {});
+        assert_eq!(
+            cache.stats().misses - before,
+            declared,
+            "{} must build each of the substrates it declares once",
+            entry.name
+        );
+        assert!(cache.is_empty(), "{} left a substrate behind", entry.name);
+        check(entry, &tables[0]);
+    }
+
+    // The whole suite under one lease builds each distinct declared
+    // substrate once, however its figures interleave, and retains none
+    // afterwards.
+    let entries: Vec<&FigureEntry> = registry::FIGURES.iter().collect();
+    let before = cache.stats().misses;
+    let reported = std::sync::Mutex::new(Vec::new());
+    let tables = registry::run_figures(&entries, Profile::Quick, |entry, table, _| {
+        check(entry, table);
+        reported.lock().unwrap().push(entry.name);
+    });
+    assert_eq!(
+        cache.stats().misses - before,
+        declared_quick_substrates().len() as u64,
+        "the quick suite builds one matrix per distinct declared substrate"
+    );
+    assert!(cache.is_empty(), "the suite retains no substrate");
+    let names: Vec<&str> = entries.iter().map(|e| e.name).collect();
+    assert_eq!(reported.into_inner().unwrap(), names, "reported in order");
+    for (entry, table) in entries.iter().zip(&tables) {
+        check(entry, table);
     }
 
     // fig03 evaluates 3 strategies × 2 seeds per size against shared
     // substrates, recording each cell's demand once; fig11 and fig13–19
     // request many identical OPT and OFFSTAT runs, which the result memo
-    // answers once. The suite fills the process-wide cache and memo, and
-    // repeat requests (the next figure, a sweep, or the probes below)
-    // hit. Memoized or not, the bytes above stayed golden.
-    let dist = flexserve_experiments::DistCache::global().stats();
-    assert!(
-        dist.misses >= 1,
-        "expected the figure runs to fill the distance-matrix cache, got {dist:?}"
-    );
+    // answers once. Memoized or not, the bytes above stayed golden.
     let traces = flexserve_experiments::TraceCache::global().stats();
     assert!(
         traces.misses >= 1,
@@ -84,13 +129,22 @@ fn every_figure_is_byte_identical_to_its_golden_and_hits_the_cache() {
         "expected the OPT figures to share strategy runs, got {memo:?}"
     );
 
-    // Probe: re-requesting one of fig03's runs answers from the cache and
-    // the memo.
+    // Probe: a fig03 substrate fetched after the suite is built afresh;
+    // fetched again while a lease names it, it is a hit even though no
+    // cell holds it.
+    let lease = cache.lease(vec![TopologySpec::ErdosRenyi { n: 30 }.key(1000)]);
+    let misses = cache.stats().misses;
+    drop(ExperimentEnv::erdos_renyi(30, 1000));
+    assert_eq!(cache.stats().misses, misses + 1, "nothing was retained");
+    let hits = cache.stats().hits;
     let env = ExperimentEnv::erdos_renyi(30, 1000);
-    assert!(
-        flexserve_experiments::DistCache::global().stats().hits > dist.hits,
-        "re-fetching a fig03 substrate must hit the distance-matrix cache"
+    let after = cache.stats();
+    assert_eq!(
+        (after.hits, after.misses),
+        (hits + 1, misses + 1),
+        "a lookup made while a lease is held is a hit"
     );
+    // Re-running one of fig03's strategy runs answers from the memo.
     let t = CommuterScenario::t_for_network_size(30);
     let rounds = Profile::Quick.rounds(500);
     let demand = WorkloadSpec::CommuterDynamic.record(&env, t, 10, rounds, 1000 ^ 0xABCD);
@@ -104,6 +158,8 @@ fn every_figure_is_byte_identical_to_its_golden_and_hits_the_cache() {
     );
     let fresh = StrategySpec::OnTh.evaluate(&ctx, &demand, 1000);
     assert_eq!(memoized.total().to_bits(), fresh.total().to_bits());
+    drop((demand, env, lease));
+    assert!(cache.is_empty(), "the released lease freed the substrate");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -119,7 +175,16 @@ fn list_output_is_stable() {
 /// Runs the `flexserve` binary with results routed to `dir`; returns the
 /// exit code, stdout and stderr.
 fn flexserve_output(dir: &Path, args: &[&str]) -> (Option<i32>, String, String) {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_flexserve"))
+    flexserve_on(dir, None, args)
+}
+
+/// [`flexserve_output`] on `threads` rayon threads, when given.
+fn flexserve_on(dir: &Path, threads: Option<&str>, args: &[&str]) -> (Option<i32>, String, String) {
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_flexserve"));
+    if let Some(threads) = threads {
+        cmd.env("RAYON_NUM_THREADS", threads);
+    }
+    let out = cmd
         .args(args)
         .env("FLEXSERVE_RESULTS_DIR", dir)
         .output()
@@ -166,10 +231,52 @@ fn run_prints_concurrent_entries_in_argument_order() {
         assert_eq!(csv, golden(name), "{name}");
     }
 
-    let (code, _, err) = flexserve_output(&dir, &["run", "all", "--profile", "quick"]);
-    assert_eq!(code, Some(0), "{err}");
+    // `run all` keeps registry order and builds each declared substrate
+    // once, at one thread and at several.
     let registry_order: Vec<&str> = registry::FIGURES.iter().map(|f| f.name).collect();
-    assert_eq!(done_lines(&err), registry_order, "{err}");
+    let declared = declared_quick_substrates().len() as u64;
+    for threads in ["1", "4"] {
+        let (code, _, err) =
+            flexserve_on(&dir, Some(threads), &["run", "all", "--profile", "quick"]);
+        assert_eq!(code, Some(0), "{err}");
+        assert_eq!(done_lines(&err), registry_order, "{err}");
+        assert_eq!(
+            dist_misses(&dir),
+            declared,
+            "RAYON_NUM_THREADS={threads}: one build per declared substrate"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `distance_matrix_cache.misses` recorded in `dir/manifest.json`.
+fn dist_misses(dir: &Path) -> u64 {
+    let text = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+    let manifest = JsonValue::parse(&text).unwrap();
+    (manifest.get("distance_matrix_cache"))
+        .and_then(|dist| dist.get("misses"))
+        .and_then(JsonValue::as_u64)
+        .unwrap_or_else(|| panic!("no distance_matrix_cache.misses in {text}"))
+}
+
+#[test]
+fn a_sweep_builds_each_substrate_once() {
+    // Validation builds each cell's first substrate before any cell runs;
+    // the sweep's lease keeps it for the three cells that read it.
+    let dir = std::env::temp_dir().join(format!("flexserve-sweep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (code, err) = flexserve(
+        &dir,
+        &[
+            "sweep",
+            "topo=er:200",
+            "wl=commuter-dynamic",
+            "strat=onth+onbr+offstat",
+            "seeds=1+2",
+        ],
+    );
+    assert_eq!(code, Some(0), "{err}");
+    assert_eq!(dist_misses(&dir), 2, "one build per seed: {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,6 +1,7 @@
 //! The front end's pool against a live daemon: SIGTERM drains it at once
-//! and checkpoints every session, and a connection running a long batch
-//! leaves the other threads free to answer other connections.
+//! and checkpoints every session, a connection running a long batch
+//! leaves the other threads free to answer other connections, and a
+//! daemon killed outright resumes from its last checkpoint.
 #![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -275,4 +276,84 @@ fn a_long_batch_does_not_hold_up_other_connections() {
     daemon.join().unwrap();
     let _ = std::fs::remove_file(&default_ck);
     let _ = std::fs::remove_file(&big_ck);
+}
+
+/// A spawned daemon that a failing assertion does not leave running.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Crash recovery: a daemon killed (SIGKILL) after a checkpoint at t=5
+/// and two more rounds restarts with `resume=true` at t=5, replays the
+/// two lost rounds from its fast-forwarded source, and lands on the
+/// placement of an uninterrupted 7-round run.
+#[test]
+fn a_killed_daemon_resumes_where_its_checkpoint_left_off() {
+    let dir = std::env::temp_dir().join(format!("flexserve-crash-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let daemon = |checkpoint: &str, resume: bool| {
+        let mut args: Vec<String> = [
+            "serve",
+            "topo=unit-line:12",
+            "wl=uniform:req=4",
+            "strat=onth",
+            "rounds=60",
+            "seed=5",
+            "k=4",
+            "port=0",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        args.push(format!("checkpoint={}", dir.join(checkpoint).display()));
+        if resume {
+            args.push("resume=true".into());
+        }
+        let (child, addr) = spawn_announced(&args);
+        (Daemon(child), addr)
+    };
+    let steps = |addr: SocketAddr, n: usize| {
+        for _ in 0..n {
+            let (status, body) = http(addr, "POST", "/step", "");
+            assert_eq!(status, 200, "{body}");
+        }
+    };
+    let placement_then_shutdown = |mut daemon: Daemon, addr: SocketAddr| {
+        let (status, placement) = http(addr, "GET", "/placement", "");
+        assert_eq!(status, 200, "{placement}");
+        assert_eq!(http(addr, "POST", "/shutdown", "").0, 200);
+        assert!(daemon.0.wait().unwrap().success());
+        placement
+    };
+
+    // Checkpoint at t=5, then play two rounds the crash loses.
+    let (crashed, addr) = daemon("crash.json", false);
+    steps(addr, 5);
+    assert_eq!(http(addr, "POST", "/checkpoint", "").0, 200);
+    steps(addr, 2);
+    drop(crashed);
+
+    // The restart resumes at t=5 and replays rounds 5 and 6.
+    let (resumed, addr) = daemon("crash.json", true);
+    let (status, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200, "{metrics}");
+    assert_eq!(
+        json(&metrics).get("resumed_at").and_then(|t| t.as_u64()),
+        Some(5),
+        "{metrics}"
+    );
+    steps(addr, 2);
+    let recovered = placement_then_shutdown(resumed, addr);
+
+    let (reference, addr) = daemon("reference.json", false);
+    steps(addr, 7);
+    let uninterrupted = placement_then_shutdown(reference, addr);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(recovered, uninterrupted);
+    assert_eq!(json(&recovered).get("t").and_then(|t| t.as_u64()), Some(7));
 }
