@@ -25,7 +25,7 @@
 
 use std::process::ExitCode;
 
-use flexserve_experiments::figures::{profile_from_env, Profile};
+use flexserve_experiments::figures::Profile;
 use flexserve_experiments::manifest::{Manifest, ManifestEntry};
 use flexserve_experiments::output::results_dir;
 use flexserve_experiments::registry;
@@ -70,8 +70,7 @@ subcommands:
   help                         this text
 
 options for `run <figure>`:
-  --profile quick|standard|full   sweep sizing (default: standard, or
-                                  FLEXSERVE_QUICK=1 / FLEXSERVE_FULL=1)
+  --profile quick|standard|full   sweep sizing (default: standard)
 
 cell/sweep keys (see `flexserve list` for spec grammars):
   topo=er:100   wl=commuter-dynamic   strat=onth
@@ -305,7 +304,7 @@ fn run(args: &[String]) -> Result<Manifest, String> {
         return sweep(args, true);
     }
 
-    let mut profile = profile_from_env();
+    let mut profile = Profile::Standard;
     let mut names: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -468,8 +467,8 @@ fn sweep(args: &[String], single_cell: bool) -> Result<Manifest, String> {
     // a mid-sweep infeasibility (e.g. OPT on a too-large substrate) must
     // reject the sweep up front, not discard hours of completed cells.
     // The lease keeps what validation builds for the cells that run on
-    // it; each cell's share goes when that cell has run.
-    let lease = DistCache::global().lease(cells.iter().flat_map(CellSpec::substrates).collect());
+    // it; each cell gives back a seed's share as soon as that seed has run.
+    let lease = DistCache::global().lease(cells.iter().flat_map(CellSpec::substrates));
     for cell in &cells {
         cell.validate()
             .map_err(|e| format!("infeasible cell [{}]: {e}", cell.describe()))?;
@@ -477,8 +476,7 @@ fn sweep(args: &[String], single_cell: bool) -> Result<Manifest, String> {
 
     let mut manifest = Manifest::new();
     for cell in &cells {
-        let res = cell.run()?;
-        lease.release(&cell.substrates());
+        let res = cell.run_under(&lease)?;
         let mean = res.summary.mean();
         table.row(vec![
             cell.topology.to_string(),

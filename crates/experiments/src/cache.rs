@@ -18,12 +18,14 @@
 //! cells, sweep cells and serve sessions. Runs that know their cells before
 //! they start (figure suites, `run`/`sweep` cell expressions, a session's
 //! creation) take a [`Lease`] on their keys: it pins each matrix from its
-//! first build until every figure or cell that declared the key has
-//! finished, so a substrate shared by several cells is built once and freed
-//! after the last of them.
+//! first build until every figure, or every cell seed, that declared the
+//! key has finished. So a substrate shared by several figures or cells is
+//! built once and freed after the last of them, and a cell's seed frees
+//! its substrate as soon as it has run.
 //!
 //! The build-once core, `BuildOnce`, also backs the result memo
-//! ([`RunMemo`](crate::RunMemo)) through its byte-bounded `Lru`.
+//! ([`RunMemo`](crate::RunMemo)), which keeps its runs in a plain
+//! `HashMap`.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -34,7 +36,7 @@ use flexserve_graph::{DistanceMatrix, Graph};
 
 use crate::setup::ExperimentEnv;
 
-/// Hit/miss/eviction counters of a [`DistCache`] or
+/// Hit/miss counters of a [`DistCache`] or
 /// [`RunMemo`](crate::RunMemo) (and the recording count of
 /// [`TraceCache`](crate::TraceCache)), recorded in the result manifest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -44,9 +46,6 @@ pub struct CacheStats {
     /// Lookups that had to build their value (graph + matrix, or a
     /// strategy run).
     pub misses: u64,
-    /// Entries evicted to stay within the result memo's byte budget
-    /// (always 0 for a [`DistCache`], which has no budget).
-    pub evictions: u64,
 }
 
 impl CacheStats {
@@ -61,8 +60,8 @@ impl CacheStats {
     }
 }
 
-/// How a [`BuildOnce`] keeps what its misses build: the byte-bounded LRU
-/// behind the result memo, or the weak map behind [`DistCache`].
+/// How a [`BuildOnce`] keeps what its misses build: the plain map behind
+/// the result memo, or the weak map behind [`DistCache`].
 pub(crate) trait Keep {
     /// The lookup key.
     type Key: Eq + Hash + Clone;
@@ -82,11 +81,6 @@ pub(crate) trait Keep {
 
     /// Forgets every kept entry.
     fn clear(&mut self);
-
-    /// Entries dropped to make room so far.
-    fn evictions(&self) -> u64 {
-        0
-    }
 }
 
 struct Slots<S: Keep> {
@@ -134,7 +128,7 @@ impl<S: Keep> Drop for Claim<'_, S> {
 }
 
 impl<S: Keep> BuildOnce<S> {
-    fn new(kept: S) -> Self {
+    pub(crate) fn new(kept: S) -> Self {
         BuildOnce {
             slots: Mutex::new(Slots {
                 kept,
@@ -195,7 +189,6 @@ impl<S: Keep> BuildOnce<S> {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.lock().kept.evictions(),
         }
     }
 
@@ -207,89 +200,28 @@ impl<S: Keep> BuildOnce<S> {
     }
 }
 
-struct LruEntry<V> {
-    value: V,
-    /// Monotone counter value of the last access (for LRU eviction).
-    last_used: u64,
-    bytes: usize,
-}
-
-/// A byte-bounded LRU store: builds return `(value, bytes)`; a value
-/// larger than the whole budget is handed to its builder only.
-pub(crate) struct Bounded<K, V> {
-    entries: HashMap<K, LruEntry<V>>,
-    /// Sum of `entries`' byte sizes, kept as entries come and go.
-    bytes: usize,
-    capacity_bytes: usize,
-    clock: u64,
-    evictions: u64,
-}
-
-/// The byte-bounded LRU behind the result memo ([`RunMemo`](crate::RunMemo)).
-pub(crate) type Lru<K, V> = BuildOnce<Bounded<K, V>>;
-
-impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
-    pub(crate) fn with_budget(capacity_bytes: usize) -> Self {
-        BuildOnce::new(Bounded {
-            entries: HashMap::new(),
-            bytes: 0,
-            capacity_bytes,
-            clock: 0,
-            evictions: 0,
-        })
-    }
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> Keep for Bounded<K, V> {
+/// The plain map behind the result memo ([`RunMemo`](crate::RunMemo)):
+/// every run it is asked for stays until the memo is cleared.
+impl<K: Eq + Hash + Clone, V: Clone> Keep for HashMap<K, V> {
     type Key = K;
     type Value = V;
-    type Built = (V, usize);
+    type Built = V;
 
     fn get(&mut self, key: &K) -> Option<V> {
-        self.clock += 1;
-        let entry = self.entries.get_mut(key)?;
-        entry.last_used = self.clock;
-        Some(entry.value.clone())
+        HashMap::get(self, key).cloned()
     }
 
-    fn keep(&mut self, key: K, (value, bytes): (V, usize)) -> V {
-        if bytes > self.capacity_bytes {
-            return value;
-        }
-        self.clock += 1;
-        let entry = LruEntry {
-            value: value.clone(),
-            last_used: self.clock,
-            bytes,
-        };
-        self.entries.insert(key, entry);
-        self.bytes += bytes;
-        // Evict least-recently-used entries until the byte budget holds.
-        while self.bytes > self.capacity_bytes {
-            let oldest = (self.entries.iter())
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("a positive byte total has an entry");
-            if let Some(e) = self.entries.remove(&oldest) {
-                self.bytes -= e.bytes;
-                self.evictions += 1;
-            }
-        }
+    fn keep(&mut self, key: K, value: V) -> V {
+        self.insert(key, value.clone());
         value
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        HashMap::len(self)
     }
 
     fn clear(&mut self) {
-        self.entries.clear();
-        self.bytes = 0;
-        self.evictions = 0;
-    }
-
-    fn evictions(&self) -> u64 {
-        self.evictions
+        HashMap::clear(self)
     }
 }
 
@@ -453,12 +385,16 @@ impl DistCache {
     /// built (or right away, if something holds it already), stays until
     /// all of its shares are released. Dropping the lease releases the
     /// shares it still holds.
-    pub fn lease(&self, keys: Vec<SubstrateKey>) -> Lease<'_> {
+    pub fn lease(&self, keys: impl IntoIterator<Item = SubstrateKey>) -> Lease<'_> {
+        let mut held: HashMap<SubstrateKey, usize> = HashMap::new();
+        for key in keys {
+            *held.entry(key).or_default() += 1;
+        }
         self.once.with_kept(|kept| {
-            for key in &keys {
+            for (key, &shares) in &held {
                 let live = kept.live.get(key).and_then(WeakEnv::upgrade);
                 let pin = kept.pinned.entry(key.clone()).or_default();
-                pin.shares += 1;
+                pin.shares += shares;
                 if pin.env.is_none() {
                     pin.env = live;
                 }
@@ -466,7 +402,7 @@ impl DistCache {
         });
         Lease {
             cache: self,
-            held: Mutex::new(keys),
+            held: Mutex::new(held),
         }
     }
 
@@ -494,12 +430,13 @@ impl DistCache {
 
 /// Shares of leased substrate keys (see [`DistCache::lease`]). A figure
 /// suite leases the keys every figure declares and releases a figure's
-/// share when it completes; a sweep leases every cell's keys before it
-/// validates them and releases a cell's share after that cell runs.
+/// share when it completes; a cell leases one key per seed and releases
+/// each seed's share as soon as that seed has run (a sweep leases every
+/// cell's keys before it validates them).
 pub struct Lease<'a> {
     cache: &'a DistCache,
-    /// One key per share this lease still holds.
-    held: Mutex<Vec<SubstrateKey>>,
+    /// The shares this lease still holds, per key.
+    held: Mutex<HashMap<SubstrateKey, usize>>,
 }
 
 impl Lease<'_> {
@@ -508,27 +445,31 @@ impl Lease<'_> {
     /// holds it.
     pub fn release(&self, keys: &[SubstrateKey]) {
         let mut held = self.held.lock().unwrap_or_else(|e| e.into_inner());
-        let released: Vec<SubstrateKey> = keys
+        let released: Vec<(SubstrateKey, usize)> = keys
             .iter()
             .filter_map(|key| {
-                let i = held.iter().position(|k| k == key)?;
-                Some(held.swap_remove(i))
+                let shares = held.get_mut(key)?;
+                *shares -= 1;
+                if *shares == 0 {
+                    held.remove(key);
+                }
+                Some((key.clone(), 1))
             })
             .collect();
         drop(held);
         self.unpin(released);
     }
 
-    /// Gives back one share per key of `released`; the substrates they
-    /// unpin drop outside the cache's lock.
-    fn unpin(&self, released: Vec<SubstrateKey>) {
+    /// Gives back `n` shares of each `(key, n)` of `released`; the
+    /// substrates they unpin drop outside the cache's lock.
+    fn unpin(&self, released: impl IntoIterator<Item = (SubstrateKey, usize)>) {
         let freed: Vec<ExperimentEnv> = self.cache.once.with_kept(|kept| {
             let mut freed = Vec::new();
-            for key in released {
+            for (key, n) in released {
                 let Some(pin) = kept.pinned.get_mut(&key) else {
                     continue;
                 };
-                pin.shares -= 1;
+                pin.shares -= n;
                 if pin.shares == 0 {
                     freed.extend(kept.pinned.remove(&key).and_then(|pin| pin.env));
                 }
@@ -565,14 +506,7 @@ mod tests {
         let a = cache
             .get_or_build("unit-line:5", 1, || Ok(build_line(5)))
             .unwrap();
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 0,
-                misses: 1,
-                evictions: 0
-            }
-        );
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
         let b = cache
             .get_or_build("unit-line:5", 1, || panic!("must not rebuild"))
             .unwrap();

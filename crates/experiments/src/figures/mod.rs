@@ -82,7 +82,8 @@ fn publish(name: &str, table: Table) -> Table {
     table
 }
 
-/// Experiment sizing profile. Sweeps shrink on smaller profiles; the
+/// Experiment sizing profile, picked with `flexserve run --profile
+/// quick|standard|full`. Sweeps shrink on smaller profiles; the
 /// *parameters within a run* (β, c, Ra, Ri, thresholds) never change.
 /// The times below are a whole `flexserve run all` on 2 vCPUs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,21 +93,8 @@ pub enum Profile {
     /// Default for the binaries: the paper's shapes at reduced sweep sizes
     /// (about 1 s).
     Standard,
-    /// The paper's exact sweep sizes (set `FLEXSERVE_FULL=1`; 4–8 s).
+    /// The paper's exact sweep sizes (4–8 s).
     Full,
-}
-
-/// Reads the profile from the environment: `FLEXSERVE_QUICK=1` →
-/// [`Profile::Quick`], `FLEXSERVE_FULL=1` → [`Profile::Full`], otherwise
-/// [`Profile::Standard`].
-pub fn profile_from_env() -> Profile {
-    if std::env::var("FLEXSERVE_QUICK").is_ok_and(|v| v == "1") {
-        Profile::Quick
-    } else if std::env::var("FLEXSERVE_FULL").is_ok_and(|v| v == "1") {
-        Profile::Full
-    } else {
-        Profile::Standard
-    }
 }
 
 impl Profile {

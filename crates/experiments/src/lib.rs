@@ -9,18 +9,19 @@
 //!   [`WorkloadSpec`] /
 //!   [`StrategySpec`] /
 //!   [`CellSpec`]: every experiment axis as parseable data, and the one
-//!   experiment vocabulary — figures, ablations, the CLI and the perf
-//!   harness all run strategies through [`StrategySpec::run`] and record
-//!   demand through [`WorkloadSpec::record`],
+//!   experiment vocabulary — figures and ablations run strategies
+//!   through the memoized [`StrategySpec::run`], cells through
+//!   [`StrategySpec::evaluate`], and all record demand through
+//!   [`WorkloadSpec::record`],
 //! * [`registry`] — the name → figure/topology/workload/strategy catalogs
 //!   behind `flexserve list` and `flexserve run`,
 //! * [`cache`] — the process-wide distance-matrix cache keyed by
 //!   `(topology spec, seed)` that de-duplicates APSP work across cells:
 //!   it shares each matrix among its holders and leases, and frees it
 //!   with the last of them,
-//! * [`traces`] — what cells share: each cell's recorded [`Demand`],
-//!   read by all its strategies and freed when the cell ends, and the
-//!   process-wide [`RunMemo`] that answers every repeat of a strategy run
+//! * [`traces`] — each cell's recorded [`Demand`], read by all its
+//!   strategies and freed when the cell ends, and the process-wide
+//!   [`RunMemo`] that answers every repeat of a figure's strategy run
 //!   (same strategy, prices, substrate, demand and seed) from one result,
 //! * [`manifest`] — the `results/manifest.json` provenance record (spec,
 //!   seeds, git describe, cache counters for every artifact),

@@ -192,7 +192,6 @@ fn cache_value(stats: CacheStats) -> JsonValue {
     JsonValue::Obj(vec![
         ("hits".into(), stats.hits.into()),
         ("misses".into(), stats.misses.into()),
-        ("evictions".into(), stats.evictions.into()),
         (
             "hit_rate".into(),
             ((stats.hit_rate() * 1e4).round() / 1e4).into(),
@@ -218,20 +217,11 @@ mod tests {
 
     #[test]
     fn json_shape_is_valid_enough() {
-        let cache = CacheStats {
-            hits: 3,
-            misses: 1,
-            evictions: 0,
-        };
-        let traces = CacheStats {
-            hits: 2,
-            misses: 1,
-            evictions: 0,
-        };
+        let cache = CacheStats { hits: 3, misses: 1 };
+        let traces = CacheStats { hits: 2, misses: 1 };
         let memo = CacheStats {
             hits: 150,
             misses: 756,
-            evictions: 0,
         };
         let json = sample().to_json("run fig03", cache, traces, memo, &[]);
         // The line-oriented layout the CI greps read.

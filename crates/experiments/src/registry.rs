@@ -166,7 +166,7 @@ pub fn run_figures(
 ) -> Vec<Table> {
     let plans: Vec<Plan> = entries.iter().map(|e| (e.plan)(profile)).collect();
     let declared = plans.iter().flat_map(|p| p.substrates().iter().cloned());
-    let lease = DistCache::global().lease(declared.collect());
+    let lease = DistCache::global().lease(declared);
     // The next entry to report, and each finished entry's table and
     // compute time.
     let finished = Mutex::new((0, vec![None::<(Table, f64)>; entries.len()]));

@@ -40,7 +40,7 @@ use flexserve_core::{
 };
 use flexserve_sim::{run_online, OnlineStrategy};
 
-use crate::cache::{DistCache, SubstrateKey};
+use crate::cache::{DistCache, Lease, SubstrateKey};
 use crate::runner::{average, SeedSummary};
 use crate::setup::ExperimentEnv;
 use crate::traces::{Demand, RunKey, RunMemo, TraceCache, TraceKey};
@@ -660,10 +660,12 @@ impl StrategySpec {
     /// convention the figure pipelines use.
     ///
     /// Results are memoized in the process-wide [`RunMemo`] under the
-    /// run's complete input, so a run that another cell (or figure)
-    /// already made is answered without playing the game again — with
-    /// bit-identical costs. `ctx` must be over the substrate `demand` was
-    /// recorded for.
+    /// run's complete input, so a run that another figure already made is
+    /// answered without playing the game again — with bit-identical
+    /// costs. The memo keeps every run, so this is for the figure
+    /// pipelines, whose registry bounds their runs; cells call
+    /// [`evaluate`](Self::evaluate). `ctx` must be over the substrate
+    /// `demand` was recorded for.
     pub fn run(self, ctx: &SimContext<'_>, demand: &Demand, seed: u64) -> CostBreakdown {
         assert!(
             demand.is_recorded_on(ctx.graph),
@@ -674,7 +676,8 @@ impl StrategySpec {
     }
 
     /// Plays the strategy on `trace` — [`StrategySpec::run`] without the
-    /// memo, for traces that are not a recorded [`Demand`].
+    /// memo, for runs that never repeat and traces that are not a
+    /// recorded [`Demand`].
     pub fn evaluate(self, ctx: &SimContext<'_>, trace: &Trace, seed: u64) -> CostBreakdown {
         // Concrete `run_online::<S>` calls, not `instantiate_online`'s
         // `Box<dyn>`: the batch path keeps its statically dispatched loop.
@@ -990,51 +993,58 @@ impl CellSpec {
             .try_record(env, self.t_periods, self.lambda, self.rounds, seed)
     }
 
-    /// The distinct substrate keys of this cell, one per seed (one in
-    /// all for a seed-insensitive topology): what a lease taken before
-    /// [`validate`](Self::validate) pins until the cell has run.
+    /// The substrate key of each seed, in seed order (one key for all
+    /// seeds of a seed-insensitive topology): the shares a lease taken
+    /// before [`validate`](Self::validate) holds for
+    /// [`run_under`](Self::run_under).
     pub fn substrates(&self) -> Vec<SubstrateKey> {
-        let mut keys: Vec<SubstrateKey> =
-            self.seeds.iter().map(|&s| self.topology.key(s)).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys
+        self.seeds.iter().map(|&s| self.topology.key(s)).collect()
+    }
+
+    /// Runs the cell under a lease of its own on its
+    /// [`substrates`](Self::substrates); see [`run_under`](Self::run_under).
+    pub fn run(&self) -> Result<CellResult, String> {
+        self.run_under(&DistCache::global().lease(self.substrates()))
     }
 
     /// Runs the cell: for each seed (in parallel), build or fetch the
-    /// substrate, record the demand, play the strategy, and collect the
-    /// cost breakdowns in seed order. A replay cell reads its file once,
-    /// before any seed runs, and hands that one trace to every seed; a
-    /// read or decode error is returned. The cell leases its substrates
-    /// for the run, so validation and the seeds share one build each.
+    /// substrate, record the demand, play the strategy through
+    /// [`StrategySpec::evaluate`] (a cell never repeats a run, so the
+    /// result memo would only grow), and collect the cost breakdowns in
+    /// seed order. A replay cell reads its file once, before any seed
+    /// runs, and hands that one trace to every seed; a read or decode
+    /// error is returned. `lease` holds a share of each of
+    /// [`substrates`](Self::substrates), so validation and the seeds share
+    /// one build per key, and each seed gives its share back as soon as it
+    /// has run.
     ///
     /// Returns the per-seed summary plus the substrate fingerprint of the
     /// first seed (recorded in the manifest for provenance).
-    pub fn run(&self) -> Result<CellResult, String> {
-        let _lease = DistCache::global().lease(self.substrates());
+    pub fn run_under(&self, lease: &Lease<'_>) -> Result<CellResult, String> {
         self.validate()?;
         let first = ExperimentEnv::from_spec(&self.topology, self.seeds[0])?;
+        let fingerprint = first.graph.fingerprint();
         let replay = match &self.workload {
             WorkloadSpec::Replay { .. } => Some(self.record(&first, self.seeds[0])?),
             _ => None,
         };
+        drop(first);
         let summary = average(&self.seeds, |seed| {
             let env =
                 ExperimentEnv::from_spec(&self.topology, seed).expect("validated spec must build");
             let ctx = env.context(self.params, self.load);
             let demand = match &replay {
-                Some(read) => read.rebind(&env),
+                Some(read) => read.clone(),
                 None => {
                     (self.workload).record(&env, self.t_periods, self.lambda, self.rounds, seed)
                 }
             };
-            if self.events.is_empty() {
-                self.strategy.run(&ctx, &demand, seed)
+            let cost = if self.events.is_empty() {
+                self.strategy.evaluate(&ctx, &demand, seed)
             } else {
                 // Dynamic substrate: drive the evented session over the
                 // same recorded demand (validated: the strategy streams
                 // and the schedule dry-ran on the first seed's substrate).
-                // It bypasses `StrategySpec::run`, so it is not memoized.
                 let strategy = self
                     .strategy
                     .instantiate_online(&ctx, seed)
@@ -1057,11 +1067,13 @@ impl CellSpec {
                     total += record.costs;
                 }
                 total
-            }
+            };
+            lease.release(&[self.topology.key(seed)]);
+            cost
         });
         Ok(CellResult {
             summary,
-            fingerprint: first.graph.fingerprint(),
+            fingerprint,
         })
     }
 }

@@ -1,4 +1,4 @@
-//! Recorded demand and the result memo — what the experiment cells share.
+//! Recorded demand and the result memo — what cells and figures share.
 //!
 //! The paper's figures compare several placement strategies on the *same*
 //! substrate under the *same* demand, and compare every strategy with
@@ -12,12 +12,17 @@
 //!   recorded demand across cells, so a suite's peak memory is that of
 //!   the cells in flight, not of every trace it ever recorded.
 //!   [`TraceCache`] only counts the recordings.
-//! * **Results, across cells.** [`StrategySpec::run`] memoizes its
+//! * **Results, across figures.** [`StrategySpec::run`] memoizes its
 //!   [`CostBreakdown`] in the process-wide [`RunMemo`], keyed by the
 //!   complete input of the run: strategy, every cost parameter (floats by
 //!   bit pattern), load model, routing policy, the demand's [`TraceKey`]
 //!   (which carries the substrate fingerprint) and the seed. The same
-//!   OPT or OFFSTAT run requested by fig11 and fig13–19 runs once.
+//!   OPT or OFFSTAT run requested by fig11 and fig13–19 runs once. The
+//!   memo is a plain map with no budget: its callers are the figure
+//!   pipelines and the ablations binary, whose registries bound their
+//!   runs (2,733 distinct ones in a full-profile `run all`). A
+//!   `run`/`sweep` cell never repeats a run, so it plays its seeds
+//!   through [`StrategySpec::evaluate`] and leaves the memo alone.
 //!
 //! Every scenario and strategy is deterministic under its inputs, so a
 //! memoized result is bit-identical to a fresh run and memo state can
@@ -30,6 +35,7 @@
 //! `docs/TRACES.md`) read their file once per cell, through a fallible
 //! path, and hand the same trace to every seed.
 
+use std::collections::HashMap;
 use std::convert::Infallible;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +46,7 @@ use flexserve_sim::{CostBreakdown, CostParams, LoadModel, RoutingPolicy, SimCont
 use flexserve_workload::Trace;
 
 pub use crate::cache::CacheStats;
-use crate::cache::{DistCache, Lru};
+use crate::cache::{BuildOnce, DistCache};
 use crate::setup::ExperimentEnv;
 use crate::spec::StrategySpec;
 
@@ -93,16 +99,6 @@ impl Demand {
         &self.key
     }
 
-    /// The same trace as the demand of the substrate of `env` — for a
-    /// replay only, whose rounds do not depend on the substrate.
-    pub(crate) fn rebind(&self, env: &ExperimentEnv) -> Demand {
-        let key = TraceKey {
-            substrate: env.graph.fingerprint(),
-            ..TraceKey::clone(&self.key)
-        };
-        Demand::new(env, key, self.trace.clone())
-    }
-
     /// Whether `graph` is the substrate this demand was recorded for:
     /// the same graph, or (rarely, and only then hashed) an equal one.
     pub(crate) fn is_recorded_on(&self, graph: &Graph) -> bool {
@@ -123,7 +119,7 @@ impl Deref for Demand {
 /// less than keeping every trace of a suite resident did). The name and
 /// [`stats`](Self::stats) stay for the manifest's `trace_cache` block and
 /// the benchmark's per-layer counters: `misses` is the number of
-/// recordings, `hits` and `evictions` are always 0.
+/// recordings, `hits` is always 0.
 ///
 /// ```
 /// use flexserve_experiments::{ExperimentEnv, TraceCache, WorkloadSpec};
@@ -135,7 +131,7 @@ impl Deref for Demand {
 /// assert_eq!(demand.len(), 5);
 /// let after = TraceCache::global().stats();
 /// assert!(after.misses > before.misses);
-/// assert_eq!((after.hits, after.evictions), (0, 0));
+/// assert_eq!(after.hits, 0);
 /// ```
 pub struct TraceCache {
     recordings: AtomicU64,
@@ -228,43 +224,31 @@ impl RunKey {
             seed,
         }
     }
-
-    /// Approximate footprint of one memo entry: key, value and the
-    /// (shared) demand key it holds.
-    fn entry_bytes(&self) -> usize {
-        std::mem::size_of::<(RunKey, CostBreakdown)>()
-            + std::mem::size_of::<TraceKey>()
-            + self.demand.workload.len()
-    }
 }
 
-/// The result memo: an LRU of run inputs (strategy, cost parameters, load
+/// The result memo: a map of run inputs (strategy, cost parameters, load
 /// model, routing policy, the demand's [`TraceKey`], seed) →
 /// [`CostBreakdown`] behind [`StrategySpec::run`], so each distinct
-/// strategy run of a process runs once. Concurrent lookups of one missing key wait for its single run
-/// and share the result (the build-once discipline of
-/// [`DistCache`]); counters land in `results/manifest.json` as
-/// `result_memo`.
+/// strategy run of a figure suite runs once. It keeps every run until it
+/// is cleared: the figure registry bounds what it is asked for.
+/// Concurrent lookups of one missing key wait for its single run and
+/// share the result (the build-once discipline of [`DistCache`]);
+/// counters land in `results/manifest.json` as `result_memo`.
 pub struct RunMemo {
-    lru: Lru<RunKey, CostBreakdown>,
+    runs: BuildOnce<HashMap<RunKey, CostBreakdown>>,
 }
 
 impl RunMemo {
-    /// Byte budget of the process-wide memo. An entry takes about 200
-    /// bytes, so this holds some 40 000 runs: a full-profile `run all`
-    /// with no eviction.
-    pub const CAPACITY_BYTES: usize = 8 << 20;
-
-    fn with_capacity_bytes(capacity_bytes: usize) -> Self {
+    fn new() -> Self {
         RunMemo {
-            lru: Lru::with_budget(capacity_bytes),
+            runs: BuildOnce::new(HashMap::new()),
         }
     }
 
     /// The process-wide memo, sitting beside [`DistCache::global`].
     pub fn global() -> &'static RunMemo {
         static GLOBAL: OnceLock<RunMemo> = OnceLock::new();
-        GLOBAL.get_or_init(|| RunMemo::with_capacity_bytes(Self::CAPACITY_BYTES))
+        GLOBAL.get_or_init(RunMemo::new)
     }
 
     /// Returns the memoized result for `key`, running `run` on a miss.
@@ -273,21 +257,18 @@ impl RunMemo {
         key: RunKey,
         run: impl FnOnce() -> CostBreakdown,
     ) -> CostBreakdown {
-        let bytes = key.entry_bytes();
-        let Ok(cost) = self
-            .lru
-            .get_or_build(key, || Ok::<_, Infallible>((run(), bytes)));
+        let Ok(cost) = self.runs.get_or_build(key, || Ok::<_, Infallible>(run()));
         cost
     }
 
-    /// Snapshot of the hit/miss/eviction counters.
+    /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
-        self.lru.stats()
+        self.runs.stats()
     }
 
     /// Drops all entries and resets the counters.
     pub fn clear(&self) {
-        self.lru.clear();
+        self.runs.clear();
     }
 }
 
@@ -325,7 +306,7 @@ mod tests {
 
     #[test]
     fn hit_miss_accounting_and_sharing() {
-        let memo = RunMemo::with_capacity_bytes(1 << 20);
+        let memo = RunMemo::new();
         let env = ExperimentEnv::line(5);
         let ctx = env.context(CostParams::default(), LoadModel::Linear);
         let d = demand(&env, "uniform:req=2", 1);
@@ -339,14 +320,17 @@ mod tests {
             panic!("a shared demand hits")
         });
         assert_eq!(c, a);
-        let s = memo.stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (2, 1, 0));
+        assert_eq!(memo.stats(), CacheStats { hits: 2, misses: 1 });
+        memo.clear();
+        assert_eq!(memo.stats(), CacheStats::default());
+        memo.get_or_run(key(), || cost(1.0));
+        assert_eq!(memo.stats().misses, 1, "a cleared memo runs again");
     }
 
     #[test]
     fn keys_isolate_substrate_seed_and_workload() {
         // Changing any one field of the key misses.
-        let memo = RunMemo::with_capacity_bytes(1 << 20);
+        let memo = RunMemo::new();
         let (line5, line6) = (ExperimentEnv::line(5), ExperimentEnv::line(6));
         let base = CostParams::default();
         let variants: Vec<CostParams> = vec![
@@ -431,43 +415,9 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_respects_budget() {
-        let env = ExperimentEnv::line(5);
-        let ctx = env.context(CostParams::default(), LoadModel::Linear);
-        let d = demand(&env, "uniform:req=2", 1);
-        let key = |seed| RunKey::new(StrategySpec::OnTh, &ctx, &d, seed);
-        let memo = RunMemo::with_capacity_bytes(2 * key(1).entry_bytes());
-        memo.get_or_run(key(1), || cost(1.0));
-        memo.get_or_run(key(2), || cost(2.0));
-        // touch seed 1 so seed 2 is the LRU victim
-        memo.get_or_run(key(1), || panic!("memoized"));
-        memo.get_or_run(key(3), || cost(3.0));
-        assert_eq!(memo.stats().evictions, 1);
-        memo.get_or_run(key(1), || panic!("survivor"));
-        memo.get_or_run(key(3), || panic!("newest"));
-        let misses = memo.stats().misses;
-        memo.get_or_run(key(2), || cost(2.0));
-        assert_eq!(memo.stats().misses, misses + 1, "evicted entry re-runs");
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let memo = RunMemo::with_capacity_bytes(0);
-        let env = ExperimentEnv::line(5);
-        let ctx = env.context(CostParams::default(), LoadModel::Linear);
-        let d = demand(&env, "uniform:req=2", 1);
-        let key = || RunKey::new(StrategySpec::Static, &ctx, &d, 1);
-        memo.get_or_run(key(), || cost(1.0));
-        assert_eq!(memo.get_or_run(key(), || cost(2.0)), cost(2.0), "ran again");
-        assert_eq!(memo.stats().misses, 2);
-        memo.clear();
-        assert_eq!(memo.stats(), CacheStats::default());
-    }
-
-    #[test]
     fn concurrent_same_key_lookups_converge() {
         use std::sync::atomic::AtomicUsize;
-        let memo = RunMemo::with_capacity_bytes(1 << 20);
+        let memo = RunMemo::new();
         let env = ExperimentEnv::line(5);
         let ctx = env.context(CostParams::default(), LoadModel::Linear);
         let d = demand(&env, "uniform:req=2", 7);

@@ -14,6 +14,7 @@ const FIGURES_MD: &str = include_str!("../../../docs/FIGURES.md");
 const SERVING_MD: &str = include_str!("../../../docs/SERVING.md");
 const ARCHITECTURE_MD: &str = include_str!("../../../docs/ARCHITECTURE.md");
 const README_MD: &str = include_str!("../../../README.md");
+const FLEXSERVE_RS: &str = include_str!("../src/bin/flexserve.rs");
 
 /// Registry names appearing in the FIGURES.md table, in document order.
 fn doc_table_names() -> Vec<String> {
@@ -255,7 +256,7 @@ fn traces_md_documents_the_packed_plane() {
     );
     // the CLI usage string keeps advertising the pack subcommand
     assert!(
-        include_str!("../src/bin/flexserve.rs").contains("trace pack <jsonl> [out=]"),
+        FLEXSERVE_RS.contains("trace pack <jsonl> [out=]"),
         "flexserve usage must advertise the trace pack subcommand"
     );
     // the rest of the doc tree points at the trace reference
@@ -449,6 +450,24 @@ fn no_doc_names_the_retired_trace_budget() {
             "{} must not name the retired {retired}",
             path.display()
         );
+    }
+}
+
+#[test]
+fn nothing_names_the_retired_profile_variables() {
+    // `--profile` is the one way to pick a sizing profile
+    let usage = ("src/bin/flexserve.rs".into(), FLEXSERVE_RS.to_string());
+    for (path, text) in doc_tree().into_iter().chain([usage]) {
+        for retired in [
+            concat!("FLEXSERVE_", "QUICK"),
+            concat!("FLEXSERVE_", "FULL"),
+        ] {
+            assert!(
+                !text.contains(retired),
+                "{} must not name the retired {retired}",
+                path.display()
+            );
+        }
     }
 }
 

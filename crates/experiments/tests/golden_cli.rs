@@ -232,31 +232,43 @@ fn run_prints_concurrent_entries_in_argument_order() {
     }
 
     // `run all` keeps registry order and builds each declared substrate
-    // once, at one thread and at several.
+    // once, at one thread and at several. fig11 and fig13–19 request the
+    // same OPT and OFFSTAT runs, which the result memo answers once: it
+    // hits, and runs the same distinct runs at any thread count.
     let registry_order: Vec<&str> = registry::FIGURES.iter().map(|f| f.name).collect();
     let declared = declared_quick_substrates().len() as u64;
+    let mut memo_misses = Vec::new();
     for threads in ["1", "4"] {
         let (code, _, err) =
             flexserve_on(&dir, Some(threads), &["run", "all", "--profile", "quick"]);
         assert_eq!(code, Some(0), "{err}");
         assert_eq!(done_lines(&err), registry_order, "{err}");
         assert_eq!(
-            dist_misses(&dir),
+            counter(&dir, "distance_matrix_cache", "misses"),
             declared,
             "RAYON_NUM_THREADS={threads}: one build per declared substrate"
         );
+        assert!(
+            counter(&dir, "result_memo", "hits") > 0,
+            "RAYON_NUM_THREADS={threads}: the figures share OPT runs: {err}"
+        );
+        memo_misses.push(counter(&dir, "result_memo", "misses"));
     }
+    assert_eq!(
+        memo_misses[0], memo_misses[1],
+        "memo misses at 1 and 4 threads"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `distance_matrix_cache.misses` recorded in `dir/manifest.json`.
-fn dist_misses(dir: &Path) -> u64 {
+/// The counter `block.key` recorded in `dir/manifest.json`.
+fn counter(dir: &Path, block: &str, key: &str) -> u64 {
     let text = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
     let manifest = JsonValue::parse(&text).unwrap();
-    (manifest.get("distance_matrix_cache"))
-        .and_then(|dist| dist.get("misses"))
+    (manifest.get(block))
+        .and_then(|counters| counters.get(key))
         .and_then(JsonValue::as_u64)
-        .unwrap_or_else(|| panic!("no distance_matrix_cache.misses in {text}"))
+        .unwrap_or_else(|| panic!("no {block}.{key} in {text}"))
 }
 
 #[test]
@@ -276,7 +288,11 @@ fn a_sweep_builds_each_substrate_once() {
         ],
     );
     assert_eq!(code, Some(0), "{err}");
-    assert_eq!(dist_misses(&dir), 2, "one build per seed: {err}");
+    assert_eq!(
+        counter(&dir, "distance_matrix_cache", "misses"),
+        2,
+        "one build per seed: {err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

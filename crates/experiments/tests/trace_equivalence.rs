@@ -1,5 +1,5 @@
 //! The shared-demand and result-memo promise, property-tested: a
-//! figure/sweep cell evaluating its strategies against **one recorded,
+//! figure cell evaluating its strategies against **one recorded,
 //! `Arc`-shared demand** through the memoized [`StrategySpec::run`]
 //! produces cost breakdowns **bitwise identical** to every strategy
 //! independently regenerating and re-recording its own workload — across
@@ -7,7 +7,7 @@
 //! request and when the memo answers a repeat.
 //!
 //! This is what lets the experiments layer share demand within a cell and
-//! results across cells without golden-CSV risk: scenarios and strategies
+//! results across figures without golden-CSV risk: scenarios and strategies
 //! are deterministic under their inputs and strategies only *read* the
 //! trace, so neither sharing can change a number.
 
@@ -77,8 +77,9 @@ fn run_all_independent(
 /// A replayed trace file is the same demand under every seed and
 /// substrate, so an N-seed replay cell — even on a seeded random
 /// topology whose fingerprint differs per seed — reads its file **once**
-/// and hands that one trace to every seed. Run in its own process, so the
-/// manifest's recording counter is this cell's alone.
+/// and hands that one trace to every seed. A cell never repeats a run, so
+/// it plays its seeds without the result memo. Run in its own process, so
+/// the manifest's counters are this cell's alone.
 #[test]
 fn replay_cell_reads_its_file_once_across_seeds_and_substrates() {
     let dir = std::env::temp_dir().join(format!("flexserve-replay-share-{}", std::process::id()));
@@ -117,7 +118,8 @@ fn replay_cell_reads_its_file_once_across_seeds_and_substrates() {
         Some(1),
         "one file read per cell: {manifest}"
     );
-    assert_eq!(counter("result_memo", "misses"), Some(2), "{manifest}");
+    assert_eq!(counter("result_memo", "misses"), Some(0), "{manifest}");
+    assert_eq!(counter("result_memo", "hits"), Some(0), "{manifest}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

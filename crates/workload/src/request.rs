@@ -122,7 +122,7 @@ impl RoundRequests {
         }
     }
 
-    /// Approximate heap footprint, used by the trace cache's byte budget.
+    /// Approximate heap footprint of the folded count vector.
     pub fn memory_bytes(&self) -> usize {
         self.counts.capacity() * std::mem::size_of::<(NodeId, usize)>()
     }

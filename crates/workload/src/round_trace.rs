@@ -135,7 +135,7 @@ impl RoundTrace {
     }
 
     /// Approximate heap footprint of the *backing storage* (not just the
-    /// view) — the trace cache's byte-budget unit.
+    /// view): what holding this trace keeps resident.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of_val(&*self.rounds)
             + self.rounds.iter().map(|r| r.memory_bytes()).sum::<usize>()
