@@ -399,12 +399,23 @@ impl WindowIndex {
     ///   through `powf`, whose rounding needs an argument of its own
     ///   before [`WindowIndex::prune_slack`] could cover it. `None` has
     ///   no load.
-    fn load_floor(&self, ctx: &SimContext<'_>, v: NodeId, servers: usize) -> f64 {
-        let omega = self.max_strength.max(ctx.graph.strength(v));
+    ///
+    /// `omega` is `ω_max`; [`LoadFloors`] picks it per candidate.
+    fn load_floor(&self, ctx: &SimContext<'_>, omega: f64, servers: usize) -> f64 {
         match ctx.load {
             LoadModel::Linear => self.requests as f64 / omega,
             LoadModel::Quadratic => self.squared_requests as f64 / (servers as f64 * omega),
             _ => 0.0,
+        }
+    }
+
+    /// The load floors of one scan's candidate sets of `servers` servers.
+    fn load_floors(&self, ctx: &SimContext<'_>, servers: usize) -> LoadFloors<'_> {
+        LoadFloors {
+            index: self,
+            servers,
+            common: self.load_floor(ctx, self.max_strength, servers),
+            stronger: ctx.graph.max_strength() > self.max_strength,
         }
     }
 
@@ -553,41 +564,91 @@ impl WindowIndex {
         total
     }
 
-    /// The delay part of every addition's and migration's lower bound, in
-    /// one row-streaming pass over the window's distinct origins. The
-    /// accumulators are node-indexed: for node `v` and server slot `i`,
-    /// with `n` nodes,
+    /// `floor[v] = Σ_o C_o·min(d(o,v), d1_o)` for every node `v`, with
+    /// `C_o` origin `o`'s request count over the whole window: the real
+    /// value of `A + v`'s exact delay, and a floor under every
+    /// `A − u + v`'s (`d2 ≥ d1`). Each distinct origin's distance row is
+    /// streamed once, zipped whole against the one node-indexed row, so
+    /// the loop is contiguous and compiles to packed `min`/`mul`/`add` at
+    /// the baseline target.
+    fn floor_row(&self, ctx: &SimContext<'_>, floor: &mut Vec<f64>) {
+        floor.clear();
+        floor.resize(ctx.graph.node_count(), 0.0);
+        for o in &self.origins {
+            let row = ctx.dist.row(NodeId::new(o.origin as usize));
+            let (cnt, d1) = (o.cnt as f64, o.d1);
+            for (floor, &dv) in floor.iter_mut().zip(row) {
+                *floor += cnt * if dv < d1 { dv } else { d1 };
+            }
+        }
+    }
+
+    /// The delay parts of the `A − u + v` bounds of the migration
+    /// candidates `survivors`, as `out[u·m + j]` for server slot `u` and
+    /// `v = survivors[j]` (`m` survivors), computed in `sums`. Per slot
+    /// `i`, two rows over the survivors sum what the origins nearest to
+    /// `a_i` pay:
     ///
-    /// * `keep[i·n + v] = Σ_{o: s1=i} C_o·min(d(o,v), d1_o)`: what the
-    ///   origins nearest to `a_i` pay while `a_i` stays;
-    /// * `moved[i·n + v] = Σ_{o: s1=i} C_o·min(d(o,v), d2_o)`: what they
-    ///   pay once `a_i` is migrated to `v`,
+    /// * `keep[i] = Σ_{o: s1=i} C_o·min(d(o,v), d1_o)` while `a_i` stays;
+    /// * `moved[i] = Σ_{o: s1=i} C_o·min(d(o,v), d2_o)` once `a_i` is
+    ///   migrated to `v`,
     ///
-    /// where `C_o` is origin `o`'s request count over the whole window.
-    /// So the delay of `A + v` is `Σ_i keep[i]` and that of `A − u + v`
-    /// is `Σ_{i≠u} keep[i] + moved[u]`; only the load terms are left to
-    /// bound. Each origin's distance row is zipped whole against its
-    /// slot's two accumulator rows — the columns of the `k` active nodes
-    /// are computed and never read — so the loop is contiguous and
-    /// compiles to packed `min`/`mul`/`add` at the baseline target.
-    fn migration_bounds(&self, ctx: &SimContext<'_>, keep: &mut Vec<f64>, moved: &mut Vec<f64>) {
-        let n = ctx.graph.node_count();
-        let size = self.strengths.len() * n;
-        keep.clear();
-        keep.resize(size, 0.0);
-        moved.clear();
-        moved.resize(size, 0.0);
+    /// each origin's distance row streamed over the survivor list into its
+    /// slot's rows, in origin order. The delay of `A − u + v` is then
+    /// `Σ_{i≠u} keep[i] + moved[u]`, formed row by row as a running prefix
+    /// plus a suffix sum: added, never subtracted, so no cancellation
+    /// enters the bound.
+    fn survivor_bounds<'s>(
+        &self,
+        ctx: &SimContext<'_>,
+        survivors: &[NodeId],
+        sums: &'s mut Vec<f64>,
+    ) -> &'s [f64] {
+        let (k, m) = (self.strengths.len(), survivors.len());
+        sums.clear();
+        sums.resize((3 * k + 1) * m, 0.0);
+        let (keep, rest) = sums.split_at_mut(k * m);
+        let (moved, rest) = rest.split_at_mut(k * m);
+        let (suffix, prefix) = rest.split_at_mut(k * m);
         for o in &self.origins {
             let row = ctx.dist.row(NodeId::new(o.origin as usize));
             let (cnt, d1, d2) = (o.cnt as f64, o.d1, o.d2);
-            let lo = o.s1 as usize * n;
-            let keep = &mut keep[lo..lo + n];
-            let moved = &mut moved[lo..lo + n];
-            for ((kept, gone), &dv) in keep.iter_mut().zip(moved.iter_mut()).zip(row) {
+            let slot = o.s1 as usize * m..(o.s1 as usize + 1) * m;
+            for ((kept, gone), &v) in keep[slot.clone()]
+                .iter_mut()
+                .zip(&mut moved[slot])
+                .zip(survivors)
+            {
+                let dv = row[v.index()];
                 *kept += cnt * if dv < d1 { dv } else { d1 };
                 *gone += cnt * if dv < d2 { dv } else { d2 };
             }
         }
+        // suffix[u] = Σ_{i>u} keep[i], right to left (suffix[k − 1] = 0).
+        for u in (1..k).rev() {
+            let (lo, hi) = suffix.split_at_mut(u * m);
+            for ((s, &next), &kept) in lo[(u - 1) * m..]
+                .iter_mut()
+                .zip(&hi[..m])
+                .zip(&keep[u * m..(u + 1) * m])
+            {
+                *s = kept + next;
+            }
+        }
+        // moved[u] += Σ_{i<u} keep[i] + suffix[u].
+        for u in 0..k {
+            let slot = u * m..(u + 1) * m;
+            for (((gone, &s), &kept), pre) in moved[slot.clone()]
+                .iter_mut()
+                .zip(&suffix[slot.clone()])
+                .zip(&keep[slot])
+                .zip(prefix.iter_mut())
+            {
+                *gone += *pre + s;
+                *pre += kept;
+            }
+        }
+        moved
     }
 
     /// Relative slack `ε` of the addition and migration prune tests, or
@@ -597,9 +658,14 @@ impl WindowIndex {
     /// one `cnt·d` per `(round, origin)` entry, the load terms,
     /// `Ra·k·|W|` or `Ra·(k+1)·|W|` and the transition cost. Its bound
     /// `LB` sums one `C_o·min(…)` per distinct origin (`C_o` an integer,
-    /// so exact in `f64`) into its slot, the `k` slots, a load floor and
-    /// the same price terms. Every summand of `S` is non-negative and
-    /// carries at most two roundings of its own; the sums add at most
+    /// so exact in `f64`), then a load floor and the same price terms.
+    /// An addition's bound and the per-`v` migration floor sum the
+    /// origins in origin order into `floor[v]`
+    /// ([`WindowIndex::floor_row`]); a migration's bound sums them into
+    /// their slots, then the `k` slots
+    /// ([`WindowIndex::survivor_bounds`]). Every summand of `S` is
+    /// non-negative and carries at most two roundings of its own; the
+    /// sums add at most
     /// `m − 2` more along any summand's path, where
     /// `m = E + R·(k+1) + k + 8` over `E` entries, `R` rounds and `k`
     /// servers. `LB`'s summands carry at most two roundings of their own
@@ -608,10 +674,10 @@ impl WindowIndex {
     /// integers), which carries four: one to convert `Q`, one for the
     /// product, and a division by a denominator rounded down by up to
     /// `(1−u)`, worth two since `1/(1−u) ≤ (1+u)²`. `LB`'s paths are
-    /// short enough for that: at most `E` origin rows, the `k` slot sums
-    /// and three price additions, so no summand of `LB` sees more than
-    /// `E + k + 7 < m` roundings. With unit roundoff `u`, and no overflow
-    /// or subnormal terms:
+    /// short enough for that: at most `E` origin rows, at most `k` slot
+    /// additions (none in `floor[v]`) and three price additions, so no
+    /// summand of `LB` sees more than `E + k + 7 < m` roundings. With
+    /// unit roundoff `u`, and no overflow or subnormal terms:
     ///
     /// * `fl(S) ≥ (1−u)^m · S`, `fl(LB) ≤ (1+u)^m · LB` and `LB ≤ S` as
     ///   real numbers (the per-origin products equal the per-entry sums
@@ -621,9 +687,9 @@ impl WindowIndex {
     ///   `fl(LB)·(1−ε)(1+u)² < (1 − 2mu) · fl(LB) ≤ fl(S)`.
     ///
     /// So `fl(LB)·(1−ε) > best` implies `fl(S) > best`. The same holds
-    /// for the per-`v` migration floor `Σ_i keep[i] + …`, whose real value
+    /// for the per-`v` migration floor `floor[v] + …`, whose real value
     /// is at most every `LB(u, v)`, and for an addition's bound, whose
-    /// delay part `Σ_i keep[i]` has the real value of its exact delay.
+    /// delay part `floor[v]` has the real value of its exact delay.
     /// Past `ε = 1e-6` (`m` in the billions) the test would prune little,
     /// and every candidate is scored exactly.
     fn prune_slack(&self) -> Option<f64> {
@@ -686,6 +752,45 @@ impl WindowIndex {
     }
 }
 
+/// [`WindowIndex::load_floor`] of each candidate `v` for one scan's sets
+/// of `servers` servers. For every `v` no stronger than A's strongest
+/// server, `ω_max` is A's, so the floor is one constant, computed once;
+/// only a stronger `v` pays its own division. Either way the bits are
+/// those of `load_floor` at `max(ω_max(A), strength(v))`. On a substrate
+/// with no node stronger than A's strongest (every paper substrate: their
+/// strengths are uniform), no candidate's strength is even read.
+struct LoadFloors<'a> {
+    index: &'a WindowIndex,
+    servers: usize,
+    /// The floor at A's strongest server.
+    common: f64,
+    /// Whether some node is stronger than A's strongest server.
+    stronger: bool,
+}
+
+impl LoadFloors<'_> {
+    fn of(&self, ctx: &SimContext<'_>, v: NodeId) -> f64 {
+        if self.stronger {
+            self.of_node(ctx, v)
+        } else {
+            self.common
+        }
+    }
+
+    /// [`LoadFloors::of`] where some node is stronger than A's strongest
+    /// server. Kept out of line: inlined, it makes the bound loops of the
+    /// uniform substrates about a third slower.
+    #[cold]
+    fn of_node(&self, ctx: &SimContext<'_>, v: NodeId) -> f64 {
+        let strength = ctx.graph.strength(v);
+        if strength > self.index.max_strength {
+            self.index.load_floor(ctx, strength, self.servers)
+        } else {
+            self.common
+        }
+    }
+}
+
 /// Candidate-block size for the parallel scan: tiny sets (and one-worker
 /// runs) stay inline on the calling thread, where a pool hand-off would
 /// cost more than the scan and the caller's scratch avoids allocating;
@@ -716,16 +821,16 @@ pub struct CandidateScratch {
     pub(crate) counts: Vec<usize>,
     /// Deactivation scores, one per server.
     pub(crate) removals: Vec<f64>,
-    /// Node-indexed bound accumulators (see
-    /// [`WindowIndex::migration_bounds`]).
-    pub(crate) keep: Vec<f64>,
-    pub(crate) moved: Vec<f64>,
-    /// `floor[v] = Σ_i keep[i·n + v]`: the delay part of `A + v`'s bound
-    /// and of the floor under every `A − u + v`.
+    /// The delay part of `A + v`'s bound and of the floor under every
+    /// `A − u + v`, per node (see [`WindowIndex::floor_row`]).
     pub(crate) floor: Vec<f64>,
-    /// Delay parts of one `v`'s `A − u + v` bounds, one per `u` (see
-    /// [`migration_delays`]).
-    pub(crate) delays: Vec<f64>,
+    /// The nodes of the fleet's cached (inactive) servers.
+    pub(crate) cached: Vec<NodeId>,
+    /// The migration candidates `v` that survive their floor.
+    pub(crate) survivors: Vec<NodeId>,
+    /// The survivors' slot sums and `A − u + v` delays (see
+    /// [`WindowIndex::survivor_bounds`]).
+    pub(crate) sums: Vec<f64>,
     /// `(scored exactly, considered)` per family: `A − u + v` migrations,
     /// `A + v` additions and the position scan's `A ∪ {v}` candidates (the
     /// rest were pruned by their lower bound).
@@ -760,10 +865,9 @@ impl CandidateScratch {
     }
 
     /// Indexes `window` against `fleet.active()`, lists the candidates
-    /// `v ∉ A` and, when `bound` asks for it and the window is small
-    /// enough to prune, runs the bound pass and sums its slot rows into
-    /// `floor`, slot-outer so every row streams. Returns the prune slack,
-    /// `None` when no bound was computed.
+    /// `v ∉ A` and the cached servers' nodes and, when `bound` asks for it
+    /// and the window is small enough to prune, fills the `floor` row.
+    /// Returns the prune slack, `None` when no bound was computed.
     fn prepare(
         &mut self,
         ctx: &SimContext<'_>,
@@ -772,34 +876,34 @@ impl CandidateScratch {
         bound: bool,
     ) -> Option<f64> {
         self.index.rebuild(ctx, fleet.active(), window);
+        // The runs of nodes between the servers of the sorted
+        // `fleet.active()`, in node order.
         self.candidates.clear();
-        self.candidates
-            .extend(ctx.graph.nodes().filter(|&v| !fleet.is_active_at(v)));
+        let mut lo = 0;
+        for end in (fleet.active().iter().map(|s| s.index())).chain([ctx.graph.node_count()]) {
+            self.candidates.extend((lo..end).map(NodeId::new));
+            lo = end + 1;
+        }
+        self.cached.clear();
+        self.cached
+            .extend(fleet.inactive_entries().map(|server| server.node));
         let slack = self.index.prune_slack().filter(|_| bound);
         if slack.is_some() {
-            self.index
-                .migration_bounds(ctx, &mut self.keep, &mut self.moved);
-            let n = ctx.graph.node_count();
-            self.floor.clear();
-            self.floor.resize(n, 0.0);
-            for row in self.keep.chunks_exact(n.max(1)) {
-                for (floor, &x) in self.floor.iter_mut().zip(row) {
-                    *floor += x;
-                }
-            }
+            self.index.floor_row(ctx, &mut self.floor);
         }
         slack
     }
 
-    /// Scores the `A ∪ {v}` additions as `price(v, access)` into
-    /// `scores`, lowering `known` to every exact score below it. Returns
-    /// how many candidates were scored exactly.
+    /// Scores the `A ∪ {v}` additions as `price(access, cached)` into
+    /// `scores`, `cached` telling whether a cached server sits at `v`,
+    /// lowering `known` to every exact score below it. Returns how many
+    /// candidates were scored exactly.
     ///
-    /// With a prune slack `ε` (the bound pass ran), each candidate first
-    /// gets the lower bound `price(v, floor[v] + load floor)`, the load
-    /// floor taken over `k + 1` servers: `floor[v]`
-    /// has the real value of `A + v`'s exact delay, summed per origin
-    /// instead of per entry (see [`WindowIndex::prune_slack`]). The
+    /// With a prune slack `ε` (the floor row was filled), each candidate
+    /// first gets the lower bound `price(floor[v] + load floor, cached)`,
+    /// the load floor taken over `k + 1` servers: `floor[v]` has the real
+    /// value of `A + v`'s exact delay, summed per origin instead of per
+    /// entry (see [`WindowIndex::prune_slack`]). The
     /// candidate with the smallest bound is scored first, to
     /// seed `known`, then the rest in order. One whose
     /// `bound·(1 − ε) > known` scores strictly above some other
@@ -813,7 +917,7 @@ impl CandidateScratch {
         &mut self,
         ctx: &SimContext<'_>,
         slack: Option<f64>,
-        price: impl Fn(NodeId, f64) -> f64,
+        price: impl Fn(f64, bool) -> f64,
         known: &mut f64,
     ) -> u64 {
         let CandidateScratch {
@@ -822,6 +926,7 @@ impl CandidateScratch {
             scores,
             counts,
             floor,
+            cached,
             ..
         } = self;
         let nc = candidates.len();
@@ -830,8 +935,9 @@ impl CandidateScratch {
         scores.resize(nc, 0.0);
         let mut seed = None;
         if slack.is_some() {
+            let load = index.load_floors(ctx, k + 1);
             for (bound, &v) in scores.iter_mut().zip(candidates.iter()) {
-                *bound = price(v, floor[v.index()] + index.load_floor(ctx, v, k + 1));
+                *bound = price(floor[v.index()] + load.of(ctx, v), cached.contains(&v));
             }
             seed = (0..nc).min_by(|&x, &y| scores[x].total_cmp(&scores[y]));
         }
@@ -846,7 +952,8 @@ impl CandidateScratch {
             }
             evals += 1;
             let v = candidates[c];
-            scores[c] = price(v, index.score_change(ctx, NONE, Some(v), counts));
+            let access = index.score_change(ctx, NONE, Some(v), counts);
+            scores[c] = price(access, cached.contains(&v));
             if scores[c] < *known {
                 *known = scores[c];
             }
@@ -862,35 +969,29 @@ impl Clone for CandidateScratch {
     }
 }
 
-/// Analytic transition cost of a single-server change, mirroring the
-/// planner's rules (validated against the planner in tests).
-fn single_change_cost(ctx: &SimContext<'_>, fleet: &Fleet, kind: ChangeKind) -> f64 {
+/// Analytic transition costs of the single-server changes, mirroring the
+/// planner's rules (validated against the planner in tests); stays and
+/// deactivations are free. Migrating one server:
+fn migration_cost(ctx: &SimContext<'_>) -> f64 {
     let p = &ctx.params;
-    match kind {
-        ChangeKind::Migrate => {
-            if p.migration_useful() {
-                p.migration_beta
-            } else {
-                p.creation_c
-            }
-        }
-        ChangeKind::Add(v) => {
-            if fleet.is_inactive_at(v) {
-                0.0
-            } else if p.migration_useful() && fleet.inactive_count() > 0 {
-                p.migration_beta
-            } else {
-                p.creation_c
-            }
-        }
+    if p.migration_useful() {
+        p.migration_beta
+    } else {
+        p.creation_c
     }
 }
 
-/// Stays and deactivations are free and need no pricing case.
-#[derive(Clone, Copy)]
-enum ChangeKind {
-    Migrate,
-    Add(NodeId),
+/// Adding a server at a node where one is `cached` or not: free there, one
+/// price at every other node.
+fn addition_cost(ctx: &SimContext<'_>, fleet: &Fleet, cached: bool) -> f64 {
+    let p = &ctx.params;
+    if cached {
+        0.0
+    } else if p.migration_useful() && fleet.inactive_count() > 0 {
+        p.migration_beta
+    } else {
+        p.creation_c
+    }
 }
 
 /// The best neighbor configuration of `fleet.active()` w.r.t. `window`.
@@ -910,27 +1011,6 @@ pub fn best_candidate(
     best_candidate_with(ctx, fleet, window, options, &mut CandidateScratch::new())
 }
 
-/// The delay parts of `v`'s `A − u + v` bounds from the bound pass's
-/// node-indexed slot rows, into `out[u]` for every server slot `u`:
-/// `Σ_{i≠u} keep[i] + moved[u]`, as a running prefix plus a suffix sum —
-/// added, never subtracted, so no cancellation enters the bound.
-fn migration_delays(keep: &[f64], moved: &[f64], k: usize, v: NodeId, out: &mut Vec<f64>) {
-    let n = keep.len() / k;
-    let at = |i: usize| i * n + v.index();
-    // out[i] = Σ_{j≥i} keep[j] first; the forward pass then reads
-    // out[u + 1] before it overwrites out[u].
-    out.clear();
-    out.resize(k + 1, 0.0);
-    for i in (0..k).rev() {
-        out[i] = keep[at(i)] + out[i + 1];
-    }
-    let mut prefix = 0.0;
-    for u in 0..k {
-        out[u] = prefix + out[u + 1] + moved[at(u)];
-        prefix += keep[at(u)];
-    }
-}
-
 /// "No server removed" in [`WindowIndex::score_change`].
 const NONE: usize = usize::MAX;
 
@@ -939,15 +1019,17 @@ const NONE: usize = usize::MAX;
 /// window index and every buffer.
 ///
 /// The `O(n)` additions and `O(n·k)` migrations are bound-pruned. One
-/// row-streaming pass (`WindowIndex::migration_bounds`) gives every
-/// `A + v` and every `A − u + v` a lower bound. Stay and the
-/// deactivations are scored first. The additions follow, bound then
-/// verify: only those whose bound cannot rule them out against the best
-/// score known so far are scored exactly. The migrations come last,
-/// pruned the same way. A pruned candidate scores strictly above some
-/// other candidate, so it is never the first minimum of the original
-/// selection order: winner and score are bit-identical to scoring every
-/// candidate (proptest-pinned against that loop).
+/// row-streaming pass (`WindowIndex::floor_row`) gives every `A + v`
+/// a lower bound and every `v` a floor under all its `A − u + v`. Stay
+/// and the deactivations are scored first. The additions follow, bound
+/// then verify: only those whose bound cannot rule them out against the
+/// best score known so far are scored exactly. The migrations come last:
+/// every `v` is first tested against its floor, and only the survivors
+/// get per-`u` bounds (`WindowIndex::survivor_bounds`), then the same
+/// tests and exact scores in candidate order. A pruned candidate scores
+/// strictly above some other candidate, so it is never the first minimum
+/// of the original selection order: winner and score are bit-identical to
+/// scoring every candidate (proptest-pinned against that loop).
 pub fn best_candidate_with(
     ctx: &SimContext<'_>,
     fleet: &Fleet,
@@ -1003,7 +1085,7 @@ pub fn best_candidate_with(
     }
     if add {
         let run = ra * (k + 1) as f64 * wlen;
-        let price = |v, access| access + run + single_change_cost(ctx, fleet, ChangeKind::Add(v));
+        let price = |access, cached| access + run + addition_cost(ctx, fleet, cached);
         let evals = scratch.score_additions(ctx, slack, price, &mut known);
         scratch.additions.0 += evals;
         scratch.additions.1 += scratch.candidates.len() as u64;
@@ -1015,33 +1097,56 @@ pub fn best_candidate_with(
         scores,
         counts,
         removals,
-        keep,
-        moved,
         floor,
-        delays,
+        survivors,
+        sums,
         migrations,
         ..
     } = scratch;
 
     // 2. Migrate u -> v, v outer and u inner.
     if options.migrate {
-        let mig_cost = single_change_cost(ctx, fleet, ChangeKind::Migrate);
+        let mig_cost = migration_cost(ctx);
         let run = ra * k as f64 * wlen;
-        for &v in candidates.iter() {
-            let load_lb = index.load_floor(ctx, v, k);
-            migrations.1 += k as u64;
+        let load = index.load_floors(ctx, k);
+        // `floor[v]` floors every u's bound (d2 ≥ d1): one test can rule
+        // out the whole v.
+        let floor_of = |v: NodeId| floor[v.index()] + load.of(ctx, v) + run + mig_cost;
+        migrations.1 += (k * candidates.len()) as u64;
+        survivors.clear();
+        let delays = match slack {
+            Some(eps) => {
+                let cut = known.min(best_score);
+                // Each v is written and kept only if it survives, with no
+                // branch: about one in twelve does, at no fixed stride.
+                survivors.resize(candidates.len(), NodeId::new(0));
+                let mut m = 0;
+                for &v in candidates.iter() {
+                    survivors[m] = v;
+                    // NaN never prunes; ∞ prunes only against a finite best.
+                    let pruned = floor_of(v) * (1.0 - eps) > cut;
+                    m += usize::from(!pruned);
+                }
+                survivors.truncate(m);
+                index.survivor_bounds(ctx, survivors, sums)
+            }
+            None => {
+                survivors.extend_from_slice(candidates);
+                &[]
+            }
+        };
+        let m = survivors.len();
+        for (j, &v) in survivors.iter().enumerate() {
+            let load_lb = load.of(ctx, v);
             if let Some(eps) = slack {
-                // `moved[u] ≥ keep[u]` (d2 ≥ d1), so `floor[v]` floors
-                // every u's bound: one test can rule out the whole v.
-                let floor = floor[v.index()] + load_lb + run + mig_cost;
-                if floor * (1.0 - eps) > known.min(best_score) {
+                // The best may have dropped since the survivors were cut.
+                if floor_of(v) * (1.0 - eps) > known.min(best_score) {
                     continue;
                 }
-                migration_delays(keep, moved, k, v, delays);
             }
             for u_idx in 0..k {
                 if let Some(eps) = slack {
-                    let lb = delays[u_idx] + load_lb + run + mig_cost;
+                    let lb = delays[u_idx * m + j] + load_lb + run + mig_cost;
                     // NaN never prunes; ∞ prunes only against a finite best.
                     if lb * (1.0 - eps) > known.min(best_score) {
                         continue;
@@ -1113,7 +1218,7 @@ pub fn best_new_server_position_scored(
 ) -> Option<(NodeId, f64)> {
     let slack = scratch.prepare(ctx, fleet, window, true);
     let mut known = f64::INFINITY;
-    let evals = scratch.score_additions(ctx, slack, |_, access| access, &mut known);
+    let evals = scratch.score_additions(ctx, slack, |access, _| access, &mut known);
     scratch.positions.0 += evals;
     scratch.positions.1 += scratch.candidates.len() as u64;
     let mut best: Option<(NodeId, f64)> = None;
@@ -1346,17 +1451,17 @@ mod tests {
             assert!(fleet.is_inactive_at(n(5)));
 
             // Add at the cached node: free
-            let analytic = single_change_cost(&ctx, &fleet, ChangeKind::Add(n(5)));
+            let analytic = addition_cost(&ctx, &fleet, fleet.is_inactive_at(n(5)));
             let planner = TransitionPlanner::price(&fleet, &[n(0), n(5)], &ctx.params);
             assert_eq!(analytic, planner);
 
             // Add elsewhere: migrate cache (β) or create (c)
-            let analytic = single_change_cost(&ctx, &fleet, ChangeKind::Add(n(9)));
+            let analytic = addition_cost(&ctx, &fleet, fleet.is_inactive_at(n(9)));
             let planner = TransitionPlanner::price(&fleet, &[n(0), n(9)], &ctx.params);
             assert_eq!(analytic, planner);
 
             // Migrate the active server
-            let analytic = single_change_cost(&ctx, &fleet, ChangeKind::Migrate);
+            let analytic = migration_cost(&ctx);
             // price from a fleet with no cache: build fresh
             let fresh = Fleet::new(vec![n(0)], &ctx.params);
             let planner = TransitionPlanner::price(&fresh, &[n(9)], &ctx.params);
@@ -1634,30 +1739,38 @@ mod tests {
             let wlen = w.len() as f64;
             let run_add = ctx.params.run_active * (k + 1) as f64 * wlen;
             let run_mig = ctx.params.run_active * k as f64 * wlen;
-            let mig_cost = single_change_cost(&ctx, &fleet, ChangeKind::Migrate);
-            let mut delays = Vec::new();
-            for &v in &scratch.candidates {
-                let add_load_lb = scratch.index.load_floor(&ctx, v, k + 1);
-                let load_lb = scratch.index.load_floor(&ctx, v, k);
+            let mig_cost = migration_cost(&ctx);
+            let index = &scratch.index;
+            let (add_load, load) = (index.load_floors(&ctx, k + 1), index.load_floors(&ctx, k));
+            let mut sums = Vec::new();
+            let delays = index.survivor_bounds(&ctx, &scratch.candidates, &mut sums);
+            let m = scratch.candidates.len();
+            for (j, &v) in scratch.candidates.iter().enumerate() {
+                // The shared constant must have the bits of `load_floor`
+                // at the candidate's own `ω_max`.
+                let omega = index.max_strength.max(ctx.graph.strength(v));
+                let add_load_lb = add_load.of(&ctx, v);
+                let load_lb = load.of(&ctx, v);
+                prop_assert_eq!(add_load_lb.to_bits(), index.load_floor(&ctx, omega, k + 1).to_bits());
+                prop_assert_eq!(load_lb.to_bits(), index.load_floor(&ctx, omega, k).to_bits());
                 let mut with_v = active.to_vec();
                 with_v.push(v);
                 let access = access_cost_window(&ctx, &with_v, &w);
                 let position = scratch.floor[v.index()] + add_load_lb;
                 prop_assert!(position * (1.0 - eps) <= access,
                     "position v={:?}: bound {} > exact {}", v, position, access);
-                let trans = single_change_cost(&ctx, &fleet, ChangeKind::Add(v));
+                let trans = addition_cost(&ctx, &fleet, fleet.is_inactive_at(v));
                 let (bound, exact) = (position + run_add + trans, access + run_add + trans);
                 prop_assert!(bound * (1.0 - eps) <= exact,
                     "addition v={:?}: bound {} > exact {}", v, bound, exact);
 
                 let floor = scratch.floor[v.index()] + load_lb + run_mig + mig_cost;
-                migration_delays(&scratch.keep, &scratch.moved, k, v, &mut delays);
                 for u in 0..k {
                     let mut target: Vec<NodeId> =
                         active.iter().copied().filter(|&s| s != active[u]).collect();
                     target.push(v);
                     let exact = access_cost_window(&ctx, &target, &w) + run_mig + mig_cost;
-                    let bound = delays[u] + load_lb + run_mig + mig_cost;
+                    let bound = delays[u * m + j] + load_lb + run_mig + mig_cost;
                     prop_assert!(bound * (1.0 - eps) <= exact,
                         "migration {:?}->{:?}: bound {} > exact {}", active[u], v, bound, exact);
                     prop_assert!(floor * (1.0 - eps) <= exact,

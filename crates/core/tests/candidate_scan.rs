@@ -16,19 +16,26 @@
 //!   follows the former;
 //! * the bound-pruned `best_candidate_with` returns the exact target and
 //!   score bits of the unpruned loop that scores every move
-//!   ([`reference_best_candidate`]).
+//!   ([`reference_best_candidate`]), on small random instances and at
+//!   every epoch of ONTH's and ONBR's neighbourhoods on time-zones demand
+//!   over an `er:200` substrate, where only a few migration candidates
+//!   survive their floor.
 
 use proptest::prelude::*;
 
 use flexserve_core::{
-    access_cost_window, best_candidate_with, best_new_server_position_scored, CandidateOptions,
-    CandidateScratch, EpochWindow, WindowIndex,
+    access_cost_window, best_candidate_with, best_new_server_position_scored, initial_center,
+    CandidateOptions, CandidateScratch, EpochWindow, WindowIndex,
 };
+use flexserve_graph::gen::{erdos_renyi, GenConfig};
 use flexserve_graph::{DistanceMatrix, Graph, NodeId};
 use flexserve_sim::{
-    CostParams, Fleet, InactiveServer, LoadModel, SimContext, UNREACHABLE_PENALTY,
+    CostParams, Fleet, InactiveServer, LoadModel, SimContext, TransitionPlanner,
+    UNREACHABLE_PENALTY,
 };
-use flexserve_workload::RoundRequests;
+use flexserve_workload::{RoundRequests, Scenario, TimeZonesScenario};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 /// Builds a random graph from proptest-chosen edges; roughly one edge in
 /// seven (`fail == 0`) is set to infinite latency afterwards (the
@@ -392,6 +399,77 @@ proptest! {
             "pruned {} vs reference {}", got_score, score);
         let (evals, pairs) = scratch.migration_evals();
         prop_assert!(evals <= pairs);
+    }
+}
+
+/// Plays 300 rounds of `time-zones:p=50,req=50` demand (T = 4,
+/// λ = 10) on the `er:200` substrate of seed 1000, from its center, in
+/// epochs that end once their access plus running cost reaches
+/// `threshold`, as ONTH's small epochs and ONBR's epochs do. At every
+/// epoch end, `best_candidate_with` must return the target and score bits
+/// of [`reference_best_candidate`]; the fleet then moves there. Returns
+/// `(epochs, migrations scored exactly, migrations considered)`.
+fn play_er200_epochs(
+    options: CandidateOptions,
+    threshold: fn(&CostParams) -> f64,
+) -> (u64, u64, u64) {
+    let g = erdos_renyi(
+        200,
+        0.01,
+        &GenConfig::default(),
+        &mut SmallRng::seed_from_u64(1000),
+    )
+    .unwrap();
+    let m = DistanceMatrix::build(&g);
+    let ctx = SimContext::new(&g, &m, CostParams::default(), LoadModel::Linear);
+    let threshold = threshold(&ctx.params);
+    let mut demand = TimeZonesScenario::new(&g, 4, 10, 0.5, 50, 1000);
+    let mut fleet = Fleet::new(initial_center(&ctx), &ctx.params);
+    let mut scratch = CandidateScratch::new();
+    let (mut window, mut cost, mut epochs) = (EpochWindow::new(), 0.0, 0);
+    for t in 0..300 {
+        let round = demand.requests(t);
+        cost += ctx.access_cost(fleet.active(), &round)
+            + ctx.running_cost(fleet.active_count(), fleet.inactive_count());
+        window.push(&round);
+        if cost < threshold {
+            continue;
+        }
+        let (target, score) = reference_best_candidate(&ctx, &fleet, &window, options)
+            .unwrap_or_else(|| (fleet.active().to_vec(), f64::INFINITY));
+        let (got, got_score) = best_candidate_with(&ctx, &fleet, &window, options, &mut scratch);
+        assert_eq!(got, target, "epoch {epochs} ending at round {t}");
+        assert_eq!(
+            got_score.to_bits(),
+            score.to_bits(),
+            "epoch {epochs} ending at round {t}"
+        );
+        TransitionPlanner::apply(&mut fleet, &got, &ctx.params);
+        window.clear();
+        cost = 0.0;
+        epochs += 1;
+    }
+    let (evals, pairs) = scratch.migration_evals();
+    (epochs, evals, pairs)
+}
+
+#[test]
+fn er200_epochs_match_the_unpruned_loop_bitwise() {
+    // ONTH's small epochs end at y·β (y = 2) and scan without additions;
+    // ONBR's end at 2c and scan the whole neighbourhood.
+    let onth: fn(&CostParams) -> f64 = |p| 2.0 * p.migration_beta;
+    let onbr: fn(&CostParams) -> f64 = |p| 2.0 * p.creation_c;
+    for (name, options, threshold) in [
+        ("ONTH", CandidateOptions::no_add(), onth),
+        ("ONBR", CandidateOptions::all(), onbr),
+    ] {
+        let (epochs, evals, pairs) = play_er200_epochs(options, threshold);
+        assert!(epochs >= 10, "{name}: only {epochs} epochs");
+        // The survivor path runs, and the floor prunes most moves.
+        assert!(
+            evals > 0 && 4 * evals < pairs,
+            "{name}: {evals} of {pairs} migrations scored exactly"
+        );
     }
 }
 

@@ -895,7 +895,8 @@ impl CellSpec {
 
     /// [`CellSpec::validate`] without opening a `replay:` file, for a
     /// caller that opens it right after anyway (a serve session, through
-    /// [`WorkloadSpec::source`]). Returns the substrate's node
+    /// [`WorkloadSpec::source`]; [`CellSpec::run_under`], through
+    /// [`CellSpec::record`]). Returns the substrate's node
     /// count.
     pub fn validate_except_replay(&self) -> Result<usize, String> {
         self.params.validate()?;
@@ -1013,7 +1014,12 @@ impl CellSpec {
     /// result memo would only grow), and collect the cost breakdowns in
     /// seed order. A replay cell reads its file once, before any seed
     /// runs, and hands that one trace to every seed; a read or decode
-    /// error is returned. `lease` holds a share of each of
+    /// error is returned. That read is the cell's only pass over the
+    /// file: validation here skips the replay
+    /// ([`validate_except_replay`](Self::validate_except_replay)), so a
+    /// line past the rounds the cell plays is never read — a caller that
+    /// must refuse it runs [`validate`](Self::validate) first, as `flexserve
+    /// run` and `sweep` do for every cell. `lease` holds a share of each of
     /// [`substrates`](Self::substrates), so validation and the seeds share
     /// one build per key, and each seed gives its share back as soon as it
     /// has run.
@@ -1021,7 +1027,7 @@ impl CellSpec {
     /// Returns the per-seed summary plus the substrate fingerprint of the
     /// first seed (recorded in the manifest for provenance).
     pub fn run_under(&self, lease: &Lease<'_>) -> Result<CellResult, String> {
-        self.validate()?;
+        self.validate_except_replay()?;
         let first = ExperimentEnv::from_spec(&self.topology, self.seeds[0])?;
         let fingerprint = first.graph.fingerprint();
         let replay = match &self.workload {

@@ -220,7 +220,7 @@ fn architecture_and_benchmarks_document_the_strategy_hot_path() {
         .split_whitespace()
         .collect::<Vec<_>>()
         .join(" ");
-    for name in ["migration_bounds", "lower bound", "first minimum"] {
+    for name in ["survivor_bounds", "lower bound", "first minimum"] {
         assert!(
             paragraph.contains(name),
             "the strategy-hot-path paragraph must name {name}"

@@ -18,13 +18,21 @@
 //!   `CellBuilder` plus `seeds=` and `out=`, and refuse everything else.
 //! * A figure suite builds each substrate its figures declare exactly
 //!   once and retains none afterwards; so does a sweep.
+//! * A bad line in a JSONL replay refuses a sweep, with its line number,
+//!   before any cell runs.
+//! * Ignored by default (seconds in a release build; CI runs it with
+//!   `--ignored`): every standard-profile figure CSV matches the FNV-1a
+//!   digest and length the benchmark checks (`perfbench/figures.digests`).
 //!
-//! The figure runs and the cache assertions share one test: they both
-//! mutate process environment variables and write the same artifacts, and
-//! Rust runs a binary's tests on concurrent threads.
+//! The quick figure runs and the cache assertions share one test: they
+//! both mutate process environment variables and write the same
+//! artifacts, and Rust runs a binary's tests on concurrent threads. The
+//! standard run takes the same lock ([`FIGURE_RUNS`]) before it sets the
+//! results directory.
 
 use std::collections::HashSet;
 use std::path::Path;
+use std::sync::Mutex;
 
 use flexserve_experiments::figures::Profile;
 use flexserve_experiments::registry::{self, FigureEntry};
@@ -32,10 +40,20 @@ use flexserve_experiments::{
     DistCache, ExperimentEnv, StrategySpec, SubstrateKey, TopologySpec, WorkloadSpec,
 };
 use flexserve_sim::{CostParams, LoadModel};
+use flexserve_workload::packed::fnv1a;
 use flexserve_workload::{CommuterScenario, JsonValue};
 
 /// `flexserve list` output.
 const LIST_GOLDEN: &str = include_str!("golden/list.txt");
+
+/// FNV-1a digest and byte length of each standard-profile figure CSV, as
+/// the benchmark's figures workload checks them.
+const STANDARD_DIGESTS: &str = include_str!("../../../perfbench/figures.digests");
+
+/// Held by every test that runs figures in this process: each points
+/// `FLEXSERVE_RESULTS_DIR` at its own directory and reads the global
+/// cache's counters.
+static FIGURE_RUNS: Mutex<()> = Mutex::new(());
 
 fn golden(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -55,7 +73,9 @@ fn declared_quick_substrates() -> HashSet<SubstrateKey> {
 fn every_figure_is_byte_identical_to_its_golden_and_hits_the_cache() {
     // Route artifacts to a scratch dir so the test never touches the
     // real results/ tree. The other tests in this binary read no
-    // environment variables and run no figure in this process.
+    // environment variables and run no figure in this process, except the
+    // ignored standard run, which waits for the lock.
+    let _runs = FIGURE_RUNS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("flexserve-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     std::env::set_var("FLEXSERVE_RESULTS_DIR", &dir);
@@ -161,6 +181,36 @@ fn every_figure_is_byte_identical_to_its_golden_and_hits_the_cache() {
     drop((demand, env, lease));
     assert!(cache.is_empty(), "the released lease freed the substrate");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+#[ignore = "the standard profile takes seconds in a release build; CI runs it with --ignored"]
+fn standard_figures_match_the_benchmark_digests() {
+    let _runs = FIGURE_RUNS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("flexserve-standard-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::env::set_var("FLEXSERVE_RESULTS_DIR", &dir);
+    let entries: Vec<&FigureEntry> = registry::FIGURES.iter().collect();
+    registry::run_figures(&entries, Profile::Standard, |_, _, _| {});
+    let mismatches: Vec<String> = (registry::FIGURES.iter())
+        .filter_map(|entry| {
+            let want = STANDARD_DIGESTS.lines().find_map(|line| {
+                let mut fields = line.split_whitespace();
+                (fields.next() == Some(entry.name)).then(|| fields.collect::<Vec<_>>().join(" "))
+            });
+            let bytes = std::fs::read(dir.join(format!("{}.csv", entry.name))).unwrap();
+            let got = format!("{:016x} {}", fnv1a(&bytes), bytes.len());
+            (want.as_deref() != Some(got.as_str()))
+                .then(|| format!("{}: expected {want:?}, got {got}", entry.name))
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        mismatches.is_empty(),
+        "standard-profile CSVs differ from perfbench/figures.digests:\n{}",
+        mismatches.join("\n")
+    );
 }
 
 #[test]
@@ -293,6 +343,60 @@ fn a_sweep_builds_each_substrate_once() {
         2,
         "one build per seed: {err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_bad_replay_line_rejects_the_sweep_before_any_cell_runs() {
+    // A cell reads its JSONL replay once, when it records the demand; the
+    // sweep's up-front validation still parses every line of it first.
+    let dir = std::env::temp_dir().join(format!("flexserve-replay-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let lines: Vec<String> = (0..20)
+        .map(|t| format!("{{\"t\":{t},\"origins\":[{},{}]}}", t % 8, (t * 3) % 8))
+        .collect();
+    let good = dir.join("good.jsonl");
+    std::fs::write(&good, lines.join("\n") + "\n").unwrap();
+    let mut broken = lines.clone();
+    broken[15] = "{\"t\":15,\"origins\":[1,oops]}".into();
+    let bad = dir.join("bad.jsonl");
+    std::fs::write(&bad, broken.join("\n") + "\n").unwrap();
+
+    let sweep = |file: &Path, rounds: &str| {
+        flexserve(
+            &dir,
+            &[
+                "sweep",
+                "topo=unit-line:8",
+                &format!("wl=replay:{}", file.display()),
+                "strat=onth+onbr-fixed",
+                rounds,
+                "seeds=5",
+                "k=4",
+                "out=replay",
+            ],
+        )
+    };
+    let (code, err) = sweep(&good, "rounds=20");
+    assert_eq!(code, Some(0), "{err}");
+    let csv = std::fs::read_to_string(dir.join("replay.csv")).unwrap();
+    assert_eq!(
+        csv.lines()
+            .filter(|l| l.starts_with("unit-line:8,"))
+            .count(),
+        2
+    );
+    std::fs::remove_file(dir.join("replay.csv")).unwrap();
+
+    // Line 16 is past the ten rounds the cells play, and still refused.
+    for rounds in ["rounds=20", "rounds=10"] {
+        let (code, err) = sweep(&bad, rounds);
+        assert_eq!(code, Some(2), "{rounds}: {err}");
+        assert!(err.contains("bad.jsonl line 16: json:"), "{rounds}: {err}");
+        assert!(!err.contains("panicked"), "{rounds}: {err}");
+        assert!(!dir.join("replay.csv").exists(), "{rounds}: a cell ran");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -61,6 +61,8 @@ pub struct Graph {
     edges: Vec<EdgeData>,
     /// (min(u,v), max(u,v)) -> edge id, for O(1) duplicate/lookup.
     edge_index: HashMap<(NodeId, NodeId), EdgeId>,
+    /// The largest node strength (0 while the graph is empty).
+    max_strength: Strength,
 }
 
 impl Graph {
@@ -75,6 +77,7 @@ impl Graph {
             nodes: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
             edge_index: HashMap::with_capacity(edges),
+            max_strength: 0.0,
         }
     }
 
@@ -95,6 +98,7 @@ impl Graph {
             return Err(GraphError::InvalidStrength(strength));
         }
         let id = NodeId::new(self.nodes.len());
+        self.max_strength = self.max_strength.max(strength);
         self.nodes.push(NodeData {
             strength,
             label: String::new(),
@@ -191,6 +195,12 @@ impl Graph {
     #[inline]
     pub fn strength(&self, v: NodeId) -> Strength {
         self.nodes[v.index()].strength
+    }
+
+    /// The largest node strength, `max_v ω(v)` (0 for an empty graph).
+    #[inline]
+    pub fn max_strength(&self) -> Strength {
+        self.max_strength
     }
 
     /// The node's human-readable label, if any.
@@ -350,6 +360,8 @@ mod tests {
         assert_eq!(g.strength(a), 1.0);
         assert_eq!(g.strength(b), 2.0);
         assert_eq!(g.strength(c), 3.0);
+        assert_eq!(g.max_strength(), 3.0);
+        assert_eq!(Graph::new().max_strength(), 0.0);
     }
 
     #[test]
